@@ -28,14 +28,12 @@ from .covers import (
     CandidateNotFoundError,
     FiniteSet,
     NormFamily,
-    PreconditionError,
     QuadraticFamily,
     SeparableFamily,
     TabulatedFamily,
-    p1_candidate,
 )
 from .laws import LawGraph, NotBBGraphError, bb_check
-from .numerics import INF, as_vector, inner, norm
+from .numerics import INF, _batch_inner, _inner, _norm, as_vector, ensure_extended
 
 
 class AnalyticFormUnavailableError(ValueError):
@@ -63,7 +61,7 @@ class Bipotential:
         zero exactly on the represented graph."""
         xv = as_vector(x, self.dim)
         yv = as_vector(y, self.dim)
-        return self.value(xv, yv) - inner(xv, yv)
+        return self.value(xv, yv) - _inner(xv, yv)
 
     def table(self, x_grid, y_grid):
         """Values over a product grid, x on rows and y on columns."""
@@ -85,7 +83,7 @@ class CauchyProduct(Bipotential):
         self.provenance = "closed-form"
 
     def value(self, x, y):
-        return norm(x) * norm(y)
+        return _norm(x) * _norm(y)
 
 
 class SeparableBipotential(Bipotential):
@@ -169,7 +167,7 @@ class BInfinityBipotential(Bipotential):
 
     def value(self, x, y):
         if self.law.contains(x, y, snap=self.snap):
-            return inner(x, y)
+            return _inner(x, y)
         return INF
 
 
@@ -184,10 +182,10 @@ def _quadratic_infimum(domain, x, y):
     outside the interval the objective is monotone, so the nearer end
     attains. The 0 and inf members contribute their indicator values.
     """
-    nx2 = inner(x, x)
-    ny2 = inner(y, y)
-    nx = norm(x)
-    ny = norm(y)
+    nx2 = _inner(x, x)
+    ny2 = _inner(y, y)
+    nx = _norm(x)
+    ny = _norm(y)
     if nx == 0.0:
         if ny == 0.0:
             return 0.0, domain.lo
@@ -213,8 +211,8 @@ def _norm_infimum(domain, x, y):
     The smallest admitted parameter max(||y||, lo) attains; when no finite
     member admits y the value is +inf unless x = 0 meets the inf member.
     """
-    nx = norm(x)
-    ny = norm(y)
+    nx = _norm(x)
+    ny = _norm(y)
     if nx == 0.0:
         if ny <= domain.hi:
             return 0.0, max(ny, domain.lo)
@@ -460,19 +458,91 @@ def _mix_values(alpha, v1, beta, v2):
     return t1 + t2
 
 
-def _candidate_lambda(cover, lam1, z1, lam2, z2, alpha, fixed, first, tol):
-    """The family's selection rule when the subgradient preconditions hold,
-    else None."""
+def _bic_block(cover, lam1, lam2, alpha, zs, fixed, first, tol):
+    """Failing mask and deficits, both of shape (len(zs), len(zs), len(fixed)),
+    of the tuples (lam1, zs[a], lam2, zs[b], alpha, fixed[c]) mixed in the
+    first slot, or in the second when ``first`` is false.
+
+    Each search stage (candidate, lam1, lam2, the family's special
+    parameters) is evaluated at once over the tuples it still has to decide,
+    then the parameter grid over the tuples none of them accepted.
+    """
     fam = cover.family
-    try:
-        if first:
-            return p1_candidate(cover, lam1, lam2, alpha, z1, z2, fixed, tol=tol)
-        for lam, z in ((lam1, z1), (lam2, z2)):
-            if fam.f(lam, fixed, z) - inner(fixed, z) > tol:
-                return None
-        return fam.candidate_dual(lam1, lam2, alpha, fixed)
-    except (PreconditionError, CandidateNotFoundError):
-        return None
+    dom = cover.domain
+    beta = 1.0 - alpha
+    shape = (zs.shape[0], zs.shape[0], fixed.shape[0])
+    n = zs.shape[0] * zs.shape[0] * fixed.shape[0]
+
+    # right-side terms f(lam_i, z, fixed), once per (z, fixed); their Fenchel
+    # gaps are the subgradient preconditions of the candidate rules
+    zt = zs[:, None, None, :]
+    ft = fixed[None, :, None, :]
+    terms = fam.f_many(np.array([lam1, lam2]), *((zt, ft) if first else (ft, zt)))
+    gaps = terms - _batch_inner(zs[:, None, :], fixed[None, :, :])[..., None]
+    held = gaps <= tol if first else ~(gaps > tol)
+    pre = held[:, None, :, 0] & held[None, :, :, 1]
+    with np.errstate(invalid="ignore"):  # inf - inf under weights outside [0, 1]
+        rhs = _mix_values(alpha, terms[:, None, :, 0], beta, terms[None, :, :, 1])
+
+    mix = alpha * zs[:, None, :] + beta * zs[None, :, :]
+    dim = zs.shape[1]
+    mixed = np.broadcast_to(mix[:, :, None, :], shape + (dim,)).reshape(n, dim)
+    held_fixed = np.broadcast_to(fixed[None, None], shape + (dim,)).reshape(n, dim)
+    point = (mixed, held_fixed) if first else (held_fixed, mixed)
+    rhs = np.broadcast_to(rhs, shape).reshape(n)
+    pre = np.broadcast_to(pre, shape).reshape(n)
+    undecided = rhs != INF  # an infinite right side holds vacuously
+    best = np.full(n, INF)
+
+    cand, cand_lhs = np.zeros(n), None
+    if first and not (0.0 <= alpha <= 1.0 and dom.contains(lam1) and dom.contains(lam2)):
+        pre = False
+    elif first and isinstance(fam, TabulatedFamily):
+        # p1_candidate's scan: the first member, ascending, at which the mixed
+        # point is a subgradient point
+        idx = np.flatnonzero(pre & undecided)
+        members = np.array(fam.lams())
+        vals = fam.f_many(members, mixed[idx, None, :], held_fixed[idx, None, :])
+        ok = vals - _batch_inner(mixed[idx], held_fixed[idx])[:, None] <= tol
+        pick = ok.argmax(axis=1)
+        pre = np.zeros(n, dtype=bool)
+        pre[idx] = ok.any(axis=1)
+        cand[idx] = members[pick]
+        cand_lhs = np.zeros(n)
+        cand_lhs[idx] = vals[np.arange(idx.size), pick]
+    else:
+        rule = fam.candidate if first else fam.candidate_dual
+        try:
+            per_fixed = [rule(lam1, lam2, alpha, f) for f in fixed]
+            cand = np.broadcast_to(np.array(per_fixed, dtype=np.float64), shape).reshape(n)
+        except CandidateNotFoundError:
+            pre = False
+
+    stages = [(cand, pre, cand_lhs), (lam1, True, None), (lam2, True, None)]
+    stages += [(lams, present, None) for lams, present in fam.special_lams_many(*point)]
+    for lams, present, lhs in stages:
+        idx = np.flatnonzero(undecided & present)
+        lam = np.broadcast_to(lams, (n,))[idx]
+        bad = np.isnan(lam) | (lam == -INF)
+        if bad.any():
+            ensure_extended(lam[bad][0], "lambda")
+        inside = dom.contains_many(lam)
+        idx, lam = idx[inside], lam[inside]
+        if not idx.size:
+            continue
+        lhs = fam.f_many(lam, point[0][idx], point[1][idx]) if lhs is None else lhs[idx]
+        d = lhs - rhs[idx]
+        best[idx] = np.where(d < best[idx], d, best[idx])
+        undecided[idx] = ~(lhs <= rhs[idx] + tol)
+
+    idx = np.flatnonzero(undecided)
+    if idx.size:
+        vals = fam.f_many(dom.sample_grid, point[0][idx, None, :], point[1][idx, None, :])
+        r = rhs[idx]
+        d = vals.min(axis=1) - r
+        best[idx] = np.where(d < best[idx], d, best[idx])
+        undecided[idx] = ~np.any(vals <= (r + tol)[:, None], axis=1)
+    return undecided.reshape(shape), best.reshape(shape)
 
 
 def bic_check(cover, plan=None, tol=1e-9):
@@ -485,65 +555,29 @@ def bic_check(cover, plan=None, tol=1e-9):
     first, then the member parameters themselves, the exact per-probe
     minimizers and finiteness boundaries, then the whole parameter grid in
     ascending order; a failure records the tuple with its least deficit.
+    Tuples are screened one (lam1, lam2, alpha, slot) block at a time, with
+    the same values and verdicts as searching tuple by tuple.
     """
     if plan is None:
         plan = default_probe_plan(cover)
-    fam = cover.family
     dim = cover.dim
     xs = [as_vector(p, dim) for p in plan.primal_points]
     ys = [as_vector(p, dim) for p in plan.dual_points]
+    x_stack = np.array(xs).reshape(len(xs), dim)
+    y_stack = np.array(ys).reshape(len(ys), dim)
+    slots = ((True, xs, ys, x_stack, y_stack), (False, ys, xs, y_stack, x_stack))
     counterexamples = []
     checked = 0
-
-    def deficit_of(lam1, z1, lam2, z2, alpha, fixed, first):
-        beta = 1.0 - alpha
-        if first:
-            rhs = _mix_values(alpha, fam.f(lam1, z1, fixed), beta, fam.f(lam2, z2, fixed))
-        else:
-            rhs = _mix_values(alpha, fam.f(lam1, fixed, z1), beta, fam.f(lam2, fixed, z2))
-        if rhs == INF:
-            return None
-        mix = alpha * z1 + beta * z2
-        point = (mix, fixed) if first else (fixed, mix)
-        lams = []
-        cand = _candidate_lambda(cover, lam1, z1, lam2, z2, alpha, fixed, first, tol)
-        if cand is not None:
-            lams.append(cand)
-        lams.extend((lam1, lam2))
-        lams.extend(fam.exact_minimizer_lams(*point))
-        lams.extend(fam.finite_boundary_lams(*point))
-        best = INF
-        seen = set()
-        for lam in lams:
-            if lam in seen or not cover.domain.contains(lam):
-                continue
-            seen.add(lam)
-            lhs = fam.f(lam, point[0], point[1])
-            if lhs <= rhs + tol:
-                return None
-            best = min(best, lhs - rhs)
-        grid = cover.domain.sample_grid
-        vals = fam.f_many(grid, point[0], point[1])
-        if bool(np.any(vals <= rhs + tol)):
-            return None
-        return min(best, float(np.min(vals) - rhs))
-
     for lam1, lam2 in plan.lam_pairs:
+        l1 = ensure_extended(lam1, "lambda1")
+        l2 = ensure_extended(lam2, "lambda2")
         for alpha in plan.alphas:
-            for z1 in xs:
-                for z2 in xs:
-                    for fixed in ys:
-                        checked += 1
-                        d = deficit_of(lam1, z1, lam2, z2, alpha, fixed, True)
-                        if d is not None:
-                            counterexamples.append(BICCounterexample(
-                                "first", lam1, z1, lam2, z2, alpha, fixed, d))
-            for z1 in ys:
-                for z2 in ys:
-                    for fixed in xs:
-                        checked += 1
-                        d = deficit_of(lam1, z1, lam2, z2, alpha, fixed, False)
-                        if d is not None:
-                            counterexamples.append(BICCounterexample(
-                                "second", lam1, z1, lam2, z2, alpha, fixed, d))
+            for first, zs, fixed, z_stack, fixed_stack in slots:
+                fails, deficits = _bic_block(cover, l1, l2, float(alpha), z_stack,
+                                             fixed_stack, first, tol)
+                checked += fails.size
+                for a, b, c in zip(*np.nonzero(fails)):
+                    counterexamples.append(BICCounterexample(
+                        "first" if first else "second", lam1, zs[a], lam2, zs[b],
+                        alpha, fixed[c], float(deficits[a, b, c])))
     return BICReport(not counterexamples, counterexamples, checked)

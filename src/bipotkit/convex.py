@@ -19,11 +19,11 @@ from .numerics import (
     DimensionMismatchError,
     MinusInfinityError,
     NegativeFenchelGapError,
+    _inner,
+    _norm,
     as_vector,
     ensure_extended,
     ensure_finite,
-    inner,
-    norm,
 )
 
 ANALYTIC_TOL = 1e-9
@@ -70,7 +70,7 @@ class Quadratic(ConvexFunction):
             raise ValueError(f"scale must be nonnegative, got {self.scale}")
 
     def value(self, x):
-        return (0.5 * self.scale) * inner(x, x)
+        return (0.5 * self.scale) * _inner(x, x)
 
     def _key(self):
         return (self.scale, self.dim)
@@ -90,7 +90,7 @@ class ScaledNorm(ConvexFunction):
             raise ValueError(f"scale must be nonnegative, got {self.scale}")
 
     def value(self, x):
-        return self.scale * norm(x)
+        return self.scale * _norm(x)
 
     def _key(self):
         return (self.scale, self.dim)
@@ -110,7 +110,7 @@ class IndicatorBall(ConvexFunction):
             raise ValueError(f"radius must be nonnegative, got {self.radius}")
 
     def value(self, x):
-        return 0.0 if norm(x) <= self.radius else INF
+        return 0.0 if _norm(x) <= self.radius else INF
 
     def _key(self):
         return (self.radius, self.dim)
@@ -158,7 +158,7 @@ class Affine(ConvexFunction):
         return self.slope.size
 
     def value(self, x):
-        return inner(self.slope, x) + self.offset
+        return _inner(self.slope, x) + self.offset
 
     def _key(self):
         return (tuple(self.slope), self.offset)
@@ -202,7 +202,7 @@ class MaxAffine(ConvexFunction):
     def value(self, x):
         best = -INF
         for i in range(self.offsets.size):
-            v = inner(self.slopes[i], x) + self.offsets[i]
+            v = _inner(self.slopes[i], x) + self.offsets[i]
             if v > best:
                 best = v
         return best
@@ -256,11 +256,6 @@ class Sampled(ConvexFunction):
 
 
 ANALYTIC_FORMS = (Quadratic, ScaledNorm, IndicatorBall, IndicatorPoint, Affine)
-
-
-def evaluate(phi, x):
-    """Extended value of phi at x; never -inf."""
-    return phi(x)
 
 
 def _as_grid(grid, dim=None):
@@ -400,7 +395,7 @@ def fenchel_gap(phi, x, y, tol=None, primal_grid=None):
     px = phi.value(xv)
     py = _conjugate_value_at(phi, yv, primal_grid)
     ensure_extended(py, "conjugate value")
-    pairing = inner(xv, yv)
+    pairing = _inner(xv, yv)
     gap = px + py - pairing
     if math.isnan(gap):
         raise MinusInfinityError("fenchel gap is undefined (inf - inf)")

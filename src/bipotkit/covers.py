@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .convex import (
     _as_grid,
     conjugate,
 )
-from .numerics import INF, as_vector, ensure_extended, inner, norm
+from .numerics import INF, _batch_inner, _inner, _norm, as_vector, ensure_extended
 
 DEFAULT_GRID_LO = 1e-4
 DEFAULT_GRID_HI = 1e4
@@ -89,8 +90,14 @@ class ClosedInterval:
             return self.includes_infinity
         return self.lo <= lam <= self.hi
 
-    @property
+    def contains_many(self, lams):
+        """:meth:`contains` over an array of validated parameters."""
+        return np.where(lams == INF, self.includes_infinity,
+                        (self.lo <= lams) & (lams <= self.hi))
+
+    @cached_property
     def sample_grid(self):
+        """Built once per domain and read-only."""
         core = np.logspace(math.log10(self.grid_lo), math.log10(self.grid_hi),
                            self.grid_points)
         ends = [self.lo]
@@ -99,6 +106,7 @@ class ClosedInterval:
         grid = np.unique(np.concatenate([core, np.asarray(ends)]))
         if self.includes_infinity:
             grid = np.append(grid, INF)
+        grid.flags.writeable = False
         return grid
 
 
@@ -119,13 +127,49 @@ class FiniteSet:
     def contains(self, lam):
         return ensure_extended(lam, "lambda") in self.values
 
-    @property
+    def contains_many(self, lams):
+        """:meth:`contains` over an array of validated parameters."""
+        return (lams[..., None] == np.asarray(self.values)).any(axis=-1)
+
+    @cached_property
     def sample_grid(self):
-        return np.asarray(self.values)
+        """Built once per set and read-only."""
+        grid = np.asarray(self.values)
+        grid.flags.writeable = False
+        return grid
 
 
 # ---------------------------------------------------------------------------
 # families
+#
+# Every family evaluates f(lambda, x, y) two ways: ``f`` for one parameter and
+# one probe pair, and ``f_many`` with the parameters broadcast against the
+# leading axes of point stacks x, y of shape (..., dim), the single batched
+# evaluator behind parameter sweeps and the BIC screen. Both take trusted
+# float64 arrays and give bit-identical values. ``special_lams_many`` stacks
+# ``exact_minimizer_lams`` then ``finite_boundary_lams`` as (lams, present)
+# pairs over the same leading axes.
+
+
+def _f_each(f, lams, x, y):
+    """``f_many`` for families without a closed form: one ``f`` per entry."""
+    lams = np.asarray(lams, dtype=np.float64)
+    shape = np.broadcast_shapes(lams.shape, x.shape[:-1], y.shape[:-1])
+    lams = np.broadcast_to(lams, shape)
+    x = np.broadcast_to(x, shape + x.shape[-1:])
+    y = np.broadcast_to(y, shape + y.shape[-1:])
+    out = np.empty(shape)
+    for idx in np.ndindex(lams.shape):
+        out[idx] = f(lams[idx], x[idx], y[idx])
+    return out
+
+
+def _sentinel_values(lams, out, x, y):
+    # f(0, x, y) is the indicator of y = 0 and f(inf, x, y) that of x = 0,
+    # decided on the exact coordinates: a nonzero vector whose squared norm
+    # underflows is still nonzero
+    out = np.where(lams == 0.0, np.where(np.any(y, axis=-1), INF, 0.0), out)
+    return np.where(lams == INF, np.where(np.any(x, axis=-1), INF, 0.0), out)
 
 
 @dataclass(frozen=True)
@@ -156,20 +200,12 @@ class QuadraticFamily:
             return 0.0 if not np.any(y) else INF
         if lam == INF:
             return 0.0 if not np.any(x) else INF
-        return (0.5 * lam) * inner(x, x) + (0.5 * inner(y, y)) / lam
+        return (0.5 * lam) * _inner(x, x) + (0.5 * _inner(y, y)) / lam
 
     def f_many(self, lams, x, y):
-        nx2 = inner(x, x)
-        ny2 = inner(y, y)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = (0.5 * lams) * nx2 + (0.5 * ny2) / lams
-        zero = lams == 0.0
-        if zero.any():
-            out[zero] = 0.0 if ny2 == 0.0 else INF
-        top = lams == INF
-        if top.any():
-            out[top] = 0.0 if nx2 == 0.0 else INF
-        return out
+            out = (0.5 * lams) * _batch_norm2(x) + (0.5 * _batch_norm2(y)) / lams
+        return _sentinel_values(lams, out, x, y)
 
     def finite_boundary_lams(self, x, y):
         return []
@@ -177,7 +213,7 @@ class QuadraticFamily:
     def exact_minimizer_lams(self, x, y):
         # the unconstrained minimizer ||y||/||x||, with the ends standing in
         # when an argument vanishes
-        nx, ny = norm(x), norm(y)
+        nx, ny = _norm(x), _norm(y)
         if nx == 0.0 and ny == 0.0:
             return []
         if nx == 0.0:
@@ -185,6 +221,13 @@ class QuadraticFamily:
         if ny == 0.0:
             return [0.0]
         return [ny / nx]
+
+    def special_lams_many(self, x, y):
+        nx = np.sqrt(_batch_norm2(x))
+        ny = np.sqrt(_batch_norm2(y))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lam = np.where(nx == 0.0, INF, np.where(ny == 0.0, 0.0, ny / nx))
+        return [(lam, (nx != 0.0) | (ny != 0.0))]
 
     def candidate(self, lam1, lam2, alpha, y):
         # harmonic interpolation 1/lam = alpha/lam1 + beta/lam2 with the
@@ -235,28 +278,25 @@ class NormFamily:
             return 0.0 if not np.any(y) else INF
         if lam == INF:
             return 0.0 if not np.any(x) else INF
-        return lam * norm(x) + (0.0 if norm(y) <= lam else INF)
+        return lam * _norm(x) + (0.0 if _norm(y) <= lam else INF)
 
     def f_many(self, lams, x, y):
-        nx = norm(x)
-        ny = norm(y)
         with np.errstate(invalid="ignore"):
-            out = np.where(ny <= lams, lams * nx, INF)
-        top = lams == INF
-        if top.any():
-            out[top] = 0.0 if nx == 0.0 else INF
-        zero = lams == 0.0
-        if zero.any():
-            out[zero] = 0.0 if ny == 0.0 else INF
-        return out
+            out = np.where(np.sqrt(_batch_norm2(y)) <= lams,
+                           lams * np.sqrt(_batch_norm2(x)), INF)
+        return _sentinel_values(lams, out, x, y)
 
     def finite_boundary_lams(self, x, y):
         # f(., x, y) switches from +inf to finite exactly at lambda = ||y||;
         # a log grid cannot see that edge, so infimum sweeps must add it
-        return [norm(y)]
+        return [_norm(y)]
 
     def exact_minimizer_lams(self, x, y):
-        return [norm(y)]
+        return [_norm(y)]
+
+    def special_lams_many(self, x, y):
+        # the minimizer and the finiteness boundary coincide at ||y||
+        return [(np.sqrt(_batch_norm2(y)), True)]
 
     def candidate(self, lam1, lam2, alpha, y):
         return min(lam1, lam2)
@@ -288,12 +328,15 @@ class SeparableFamily:
         return self.potential.value(x) + self.potential_star.value(y)
 
     def f_many(self, lams, x, y):
-        return np.full(lams.size, self.f(None, x, y))
+        return _f_each(self.f, lams, x, y)
 
     def finite_boundary_lams(self, x, y):
         return []
 
     def exact_minimizer_lams(self, x, y):
+        return []
+
+    def special_lams_many(self, x, y):
         return []
 
     def candidate(self, lam1, lam2, alpha, y):
@@ -345,12 +388,15 @@ class TabulatedFamily:
         return phi.value(x) + phi_star.value(y)
 
     def f_many(self, lams, x, y):
-        return np.array([self.f(lam, x, y) for lam in lams])
+        return _f_each(self.f, lams, x, y)
 
     def finite_boundary_lams(self, x, y):
         return []
 
     def exact_minimizer_lams(self, x, y):
+        return []
+
+    def special_lams_many(self, x, y):
         return []
 
     def candidate(self, lam1, lam2, alpha, y):
@@ -366,10 +412,7 @@ class TabulatedFamily:
 
 def _batch_norm2(vs):
     # same coordinate accumulation order as numerics.inner(v, v)
-    out = np.zeros(vs.shape[0])
-    for k in range(vs.shape[1]):
-        out += vs[:, k] * vs[:, k]
-    return out
+    return _batch_inner(vs, vs)
 
 
 @dataclass(frozen=True)
@@ -429,9 +472,9 @@ class Cover:
             ny2 = _batch_norm2(ys)
             vals, _ = kernels.quadratic_grid_min(nx2, ny2, core)
             if grid.size and grid[0] == 0.0:
-                vals = np.minimum(vals, np.where(ny2 == 0.0, 0.0, INF))
+                vals = np.minimum(vals, np.where(np.any(ys, axis=1), INF, 0.0))
             if grid.size and grid[-1] == INF:
-                vals = np.minimum(vals, np.where(nx2 == 0.0, 0.0, INF))
+                vals = np.minimum(vals, np.where(np.any(xs, axis=1), INF, 0.0))
             return vals
         return np.array([self.grid_infimum(xs[i], ys[i])[0] for i in range(xs.shape[0])])
 
@@ -489,14 +532,14 @@ def coverage_check(cover, law, tol=GRID_TOL, snap=0.0):
     missed = []
     for x, y in law.pairs:
         val, _ = cover.grid_infimum(x, y)
-        if val - inner(x, y) > tol:
+        if val - _inner(x, y) > tol:
             missed.append((x, y))
     spurious = []
     for x in law.domain():
         for y in law.image():
             if law.contains(x, y, snap=snap):
                 continue
-            pairing = inner(x, y)
+            pairing = _inner(x, y)
             lams = cover.infimum_lams(x, y)
             vals = cover.family.f_many(lams, x, y)
             hit = np.nonzero(vals - pairing <= tol)[0]
@@ -530,7 +573,7 @@ def p1_candidate(cover, lam1, lam2, alpha, x1, x2, y, tol=1e-9):
     xv2 = as_vector(x2, cover.dim)
     yv = as_vector(y, cover.dim)
     for name, lam, xv in (("x1", lam1, xv1), ("x2", lam2, xv2)):
-        gap = cover.family.f(lam, xv, yv) - inner(xv, yv)
+        gap = cover.family.f(lam, xv, yv) - _inner(xv, yv)
         if not gap <= tol:
             raise PreconditionError(
                 f"{name} is not a subgradient point of phi*_lambda at y "
@@ -539,7 +582,7 @@ def p1_candidate(cover, lam1, lam2, alpha, x1, x2, y, tol=1e-9):
     mixed = alpha * xv1 + (1.0 - alpha) * xv2
     if isinstance(cover.family, TabulatedFamily):
         for lam in cover.family.lams():
-            if cover.family.f(lam, mixed, yv) - inner(mixed, yv) <= tol:
+            if cover.family.f(lam, mixed, yv) - _inner(mixed, yv) <= tol:
                 return lam
         raise CandidateNotFoundError(
             "no tabulated lambda accepts the mixed point as a subgradient point")

@@ -74,17 +74,36 @@ def inner(x, y):
     yv = as_vector(y)
     if xv.size != yv.size:
         raise DimensionMismatchError(f"pairing needs equal dimensions, got {xv.size} and {yv.size}")
-    # Accumulate coordinate by coordinate so every caller (and both kernel
-    # backends) produces bit-identical pairings.
-    s = 0.0
-    for k in range(xv.size):
-        s += xv[k] * yv[k]
-    return s
+    return _inner(xv, yv)
 
 
 def norm(x):
     """Euclidean norm, computed as sqrt(<x, x>) for cross-module consistency."""
-    return math.sqrt(inner(x, x))
+    return _norm(as_vector(x))
+
+
+def _inner(x, y):
+    """:func:`inner` on trusted same-dimension float64 vectors, unchecked."""
+    # Accumulate coordinate by coordinate so every caller (and both kernel
+    # backends) produces bit-identical pairings.
+    s = 0.0
+    for k in range(x.size):
+        s += x[k] * y[k]
+    return s
+
+
+def _norm(x):
+    """:func:`norm` on a trusted float64 vector, unchecked."""
+    return math.sqrt(_inner(x, x))
+
+
+def _batch_inner(xs, ys):
+    """Pairings of two broadcastable stacks of trusted vectors along the last
+    axis, accumulated in :func:`_inner`'s coordinate order."""
+    out = np.zeros(np.broadcast_shapes(xs.shape[:-1], ys.shape[:-1]))
+    for k in range(xs.shape[-1]):
+        out += xs[..., k] * ys[..., k]
+    return out
 
 
 def vec_key(x):

@@ -81,3 +81,92 @@ def python_conjugate(grid, values, dual_grid):
                 best = cand
         out[t] = best
     return out
+
+
+def oracle_bic_check(cover, plan=None, tol=1e-9):
+    """The bi-implicit convexity screen searched tuple by tuple.
+
+    Written against the public API only, as plain loops: per tuple the right
+    side, then the candidate (``p1_candidate`` in the first slot, the
+    subgradient gaps and ``candidate_dual`` in the second), the member
+    parameters, the family's exact minimizers and finiteness boundaries, and
+    finally the whole parameter grid, one scalar ``f`` per parameter.
+    """
+    from bipotkit import (
+        INF,
+        BICCounterexample,
+        BICReport,
+        CandidateNotFoundError,
+        PreconditionError,
+        default_probe_plan,
+        inner,
+        p1_candidate,
+    )
+
+    if plan is None:
+        plan = default_probe_plan(cover)
+    fam = cover.family
+    xs = [np.asarray(p, dtype=np.float64).reshape(cover.dim) for p in plan.primal_points]
+    ys = [np.asarray(p, dtype=np.float64).reshape(cover.dim) for p in plan.dual_points]
+
+    def mix_values(alpha, v1, beta, v2):
+        t1 = 0.0 if alpha == 0.0 else alpha * v1
+        t2 = 0.0 if beta == 0.0 else beta * v2
+        return t1 + t2
+
+    def candidate(lam1, z1, lam2, z2, alpha, fixed, first):
+        try:
+            if first:
+                return p1_candidate(cover, lam1, lam2, alpha, z1, z2, fixed, tol=tol)
+            for lam, z in ((lam1, z1), (lam2, z2)):
+                if fam.f(lam, fixed, z) - inner(fixed, z) > tol:
+                    return None
+            return fam.candidate_dual(lam1, lam2, alpha, fixed)
+        except (PreconditionError, CandidateNotFoundError):
+            return None
+
+    def deficit(lam1, z1, lam2, z2, alpha, fixed, first):
+        beta = 1.0 - alpha
+        if first:
+            rhs = mix_values(alpha, fam.f(lam1, z1, fixed), beta, fam.f(lam2, z2, fixed))
+        else:
+            rhs = mix_values(alpha, fam.f(lam1, fixed, z1), beta, fam.f(lam2, fixed, z2))
+        if rhs == INF:
+            return None
+        mix = alpha * z1 + beta * z2
+        point = (mix, fixed) if first else (fixed, mix)
+        lams = []
+        cand = candidate(lam1, z1, lam2, z2, alpha, fixed, first)
+        if cand is not None:
+            lams.append(cand)
+        lams.extend((lam1, lam2))
+        lams.extend(fam.exact_minimizer_lams(*point))
+        lams.extend(fam.finite_boundary_lams(*point))
+        best = INF
+        for lam in lams:
+            if not cover.domain.contains(lam):
+                continue
+            lhs = fam.f(lam, *point)
+            if lhs <= rhs + tol:
+                return None
+            best = min(best, lhs - rhs)
+        vals = np.array([fam.f(lam, *point) for lam in cover.domain.sample_grid])
+        if bool(np.any(vals <= rhs + tol)):
+            return None
+        return min(best, float(np.min(vals) - rhs))
+
+    counterexamples = []
+    checked = 0
+    for lam1, lam2 in plan.lam_pairs:
+        for alpha in plan.alphas:
+            for first, zs, fixeds in ((True, xs, ys), (False, ys, xs)):
+                for z1 in zs:
+                    for z2 in zs:
+                        for fixed in fixeds:
+                            checked += 1
+                            d = deficit(lam1, z1, lam2, z2, alpha, fixed, first)
+                            if d is not None:
+                                counterexamples.append(BICCounterexample(
+                                    "first" if first else "second",
+                                    lam1, z1, lam2, z2, alpha, fixed, d))
+    return BICReport(not counterexamples, counterexamples, checked)

@@ -1,0 +1,159 @@
+"""The block-vectorized BIC screen against the tuple-by-tuple oracle.
+
+Reports must agree exactly: verdict, tuple count, and every counterexample
+field in order, deficits to the bit.
+"""
+
+import numpy as np
+import pytest
+
+from bipotkit import (
+    INF,
+    Affine,
+    BICProbePlan,
+    ClosedInterval,
+    Cover,
+    IndicatorBall,
+    IndicatorPoint,
+    NormFamily,
+    Quadratic,
+    QuadraticFamily,
+    ScaledNorm,
+    bic_check,
+    default_probe_plan,
+    embed_dual,
+    embed_primal,
+    norm_cover,
+    quadratic_cover,
+    separable_cover,
+    tabulated_cover,
+)
+from bipotkit.demos import nonbic_cover
+
+from .oracles import oracle_bic_check
+
+
+def assert_same_report(got, want):
+    assert got.is_bic == want.is_bic
+    assert got.tuples_checked == want.tuples_checked
+    assert len(got.counterexamples) == len(want.counterexamples)
+    for g, w in zip(got.counterexamples, want.counterexamples):
+        assert (g.argument, g.lam1, g.lam2, g.alpha) == (w.argument, w.lam1, w.lam2, w.alpha)
+        for name in ("z1", "z2", "fixed"):
+            assert getattr(g, name).tolist() == getattr(w, name).tolist()
+        assert float(g.deficit).hex() == float(w.deficit).hex()
+
+
+def check_against_oracle(cover, plan=None):
+    want = oracle_bic_check(cover, plan)
+    got = bic_check(cover, plan)
+    assert_same_report(got, want)
+    return got
+
+
+def interval_cover(family, dim, lo, hi, includes_infinity=False, **grid):
+    fam = QuadraticFamily(dim) if family == "quadratic" else NormFamily(dim)
+    return Cover(ClosedInterval(lo, hi, includes_infinity=includes_infinity, **grid), fam)
+
+
+def tabulated(kind, lams, dim):
+    if kind == "quadratic":
+        return tabulated_cover([(lam, Quadratic(lam, dim), Quadratic(1.0 / lam, dim))
+                                for lam in lams])
+    return tabulated_cover([(lam, ScaledNorm(lam, dim), IndicatorBall(lam, dim))
+                            for lam in lams])
+
+
+@pytest.mark.parametrize("make", [quadratic_cover, norm_cover])
+def test_full_covers_match_oracle(make):
+    report = check_against_oracle(make(dim=1))
+    assert report.is_bic and report.tuples_checked == 40320
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("make", [quadratic_cover, norm_cover])
+def test_full_covers_match_oracle_in_higher_dimensions(make, dim):
+    # equal, ascending and descending member pairs of the default plan
+    cover = make(dim=dim)
+    plan = default_probe_plan(cover)
+    pairs = ((0.5, 0.5), (0.5, 4.0), (4.0, 1.0), (2.0, 1.0))
+    assert set(pairs) <= set(plan.lam_pairs)
+    check_against_oracle(cover, BICProbePlan(pairs, plan.alphas, plan.primal_points,
+                                             plan.dual_points))
+
+
+@pytest.mark.parametrize("family", ["quadratic", "norm"])
+@pytest.mark.parametrize("lo, hi, inf_member, grid", [
+    (0.31, 1.7, False, {"grid_points": 200}),
+    (0.9, 3.3, False, {"grid_points": 450, "grid_lo": 3e-4, "grid_hi": 250.0}),
+    (1.5, INF, False, {"grid_points": 384}),
+    (1.5, INF, True, {"grid_points": 512, "grid_lo": 1e-3, "grid_hi": 5e3}),
+])
+def test_interval_covers_match_oracle(family, lo, hi, inf_member, grid):
+    for dim in (1, 3):
+        check_against_oracle(interval_cover(family, dim, lo, hi, inf_member, **grid))
+
+
+def test_separable_covers_match_oracle():
+    check_against_oracle(separable_cover(Quadratic(2.0, 1)))
+    check_against_oracle(separable_cover(ScaledNorm(1.5, 2)))
+
+
+def test_nonbic_cover_matches_oracle():
+    report = check_against_oracle(nonbic_cover())
+    assert not report.is_bic
+    assert any(c.deficit == INF for c in report.counterexamples)
+
+
+@pytest.mark.parametrize("kind, lams, dim", [
+    ("quadratic", (0.25, 2.0, 8.0), 2),
+    ("quadratic", (0.5, 1.0, 4.0), 1),
+    ("norm", (0.5, 1.0, 4.0), 3),
+    ("norm", (0.25, 2.0, 8.0), 1),
+])
+def test_three_member_tabulated_covers_match_oracle(kind, lams, dim):
+    report = check_against_oracle(tabulated(kind, lams, dim))
+    assert not report.is_bic
+    assert {c.argument for c in report.counterexamples} <= {"first", "second"}
+
+
+def small_plan(dim, lam_pairs, alphas):
+    xs = tuple(embed_primal(s, dim) for s in (-1.5, 0.0, 0.5, 2.0))
+    ys = tuple(embed_dual(t, dim) for t in (-1.0, 0.0, 1.25))
+    return BICProbePlan(tuple(lam_pairs), tuple(alphas), xs, ys)
+
+
+def test_plan_outside_the_domain_matches_oracle():
+    # members outside [lo, hi] and weights outside [0, 1] leave no candidate;
+    # the members still enter the right side
+    pairs = [(0.1, 2.0), (5.0, 0.5), (-1.0, 1.0), (2.0, 2.0)]
+    alphas = (-0.5, 0.0, 0.3, 1.0, 1.5)
+    for family in ("quadratic", "norm"):
+        for dim in (1, 2):
+            cover = interval_cover(family, dim, 0.4, 3.0, grid_points=64)
+            check_against_oracle(cover, small_plan(dim, pairs, alphas))
+    for make in (quadratic_cover, norm_cover):
+        check_against_oracle(make(dim=2, grid_points=64), small_plan(2, pairs, alphas))
+
+
+def test_untabulated_member_raises_like_oracle():
+    cover = tabulated("quadratic", (0.5, 1.0, 4.0), 1)
+    plan = small_plan(1, [(0.5, 1.0), (1.0, 3.0)], (0.5,))
+    with pytest.raises(ValueError) as want:
+        oracle_bic_check(cover, plan)
+    with pytest.raises(ValueError) as got:
+        bic_check(cover, plan)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+
+
+def test_affine_tabulated_plan_matches_oracle():
+    cover = tabulated_cover([
+        (0.0, Affine(np.array([0.5])), IndicatorPoint(np.array([0.5]))),
+        (1.0, Affine(np.array([-1.0])), IndicatorPoint(np.array([-1.0]))),
+        (2.0, Affine(np.array([0.0])), IndicatorPoint(np.array([0.0]))),
+    ])
+    plan = default_probe_plan(cover)
+    check_against_oracle(cover, BICProbePlan(plan.lam_pairs, plan.alphas,
+                                             plan.primal_points, plan.dual_points
+                                             + (np.array([0.5]), np.array([-1.0]))))

@@ -56,6 +56,20 @@ def test_interval_sample_grid_covers_ends():
     assert np.all(np.diff(core) > 0)
 
 
+def test_sample_grids_are_cached_and_read_only():
+    dom = ClosedInterval(0.0, INF, includes_infinity=True,
+                         grid_points=16, grid_lo=1e-2, grid_hi=1e2)
+    core = np.logspace(-2.0, 2.0, 16)
+    fresh = np.append(np.unique(np.concatenate([core, [0.0]])), INF)
+    assert dom.sample_grid is dom.sample_grid
+    assert dom.sample_grid.tolist() == fresh.tolist()
+    finite = FiniteSet((2.0, 0.0, INF))
+    assert finite.sample_grid is finite.sample_grid
+    for grid in (dom.sample_grid, finite.sample_grid):
+        with pytest.raises(ValueError):
+            grid[0] = 1.0
+
+
 def test_degenerate_interval():
     dom = ClosedInterval(1.0, 1.0)
     assert dom.sample_grid.tolist() == [1.0]
@@ -90,6 +104,35 @@ def test_quadratic_f_many_matches_scalar():
     for x, y in [(v(1, 2), v(3, -1)), (v(0, 0), v(1, 1)), (v(2, 0), v(0, 0))]:
         many = fam.f_many(lams, x, y)
         assert many.tolist() == [fam.f(l, x, y) for l in lams]
+
+
+def test_f_many_sentinels_use_exact_zero_vectors():
+    # ||y||^2 underflows to 0 while y != 0: f(0, x, y) and f(inf, y, x) are
+    # +inf, and a grid sweep must not report a finite value at those ends
+    x, tiny = v(1.0), v(1e-200)
+    ends = np.array([0.0, INF])
+    for fam in (QuadraticFamily(1), NormFamily(1)):
+        assert fam.f_many(ends, x, tiny).tolist() == [fam.f(l, x, tiny) for l in ends]
+        assert fam.f_many(ends, tiny, x).tolist() == [fam.f(l, tiny, x) for l in ends]
+        assert fam.f(0.0, x, tiny) == INF and fam.f(INF, tiny, x) == INF
+    cover = quadratic_cover(1)
+    val, lam = cover.grid_infimum(x, tiny)
+    assert lam > 0.0 and val == cover.f_eval(lam, x, tiny)
+    assert cover.grid_infimum_values(x[None], tiny[None]).tolist() == [val]
+
+
+def test_f_many_broadcasts_over_point_stacks():
+    lams = np.array([0.0, 0.5, 2.0, INF])
+    xs = np.array([[1.0, 2.0], [0.0, 0.0], [-1.0, 0.5]])
+    ys = np.array([[0.0, 0.0], [3.0, -1.0], [0.25, 1.0]])
+    for fam in (QuadraticFamily(2), NormFamily(2),
+                SeparableFamily(Quadratic(1.0, 2), Quadratic(1.0, 2))):
+        grid = fam.f_many(lams, xs[:, None, :], ys[:, None, :])
+        assert grid.shape == (3, 4)
+        for i in range(3):
+            assert grid[i].tolist() == fam.f_many(lams, xs[i], ys[i]).tolist()
+        each = fam.f_many(lams[:3], xs, ys)
+        assert each.tolist() == [fam.f(lams[i], xs[i], ys[i]) for i in range(3)]
 
 
 def test_quadratic_exact_minimizer_closes_the_product():

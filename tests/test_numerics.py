@@ -86,3 +86,14 @@ def test_vec_key_round_trip():
     key = vec_key(as_vector([1.5, -2.0]))
     assert key == (1.5, -2.0)
     assert isinstance(key, tuple)
+
+
+def test_trusted_pairing_matches_the_checked_one():
+    from bipotkit.numerics import _batch_inner, _inner, _norm
+
+    x = np.array([0.1, -2.5, 3.0])
+    y = np.array([7.0, 0.3, -1e-3])
+    assert _inner(x, y) == inner(x, y)
+    assert _norm(x) == norm(x)
+    stack = np.stack([x, y])
+    assert _batch_inner(stack, stack[::-1]).tolist() == [inner(x, y), inner(y, x)]
