@@ -14,23 +14,31 @@ the standing condition for the infimum construction to remain separately
 convex. The family's candidate rule is tried first; the fallback sweep is
 augmented with the exact per-probe minimizers, so a reported failure is a
 genuine counterexample and not a grid artifact.
+
+:func:`certify` chains the whole construction for one cover: build the
+infimum bipotential, certify coverage of a sampled law, screen bi-implicit
+convexity, and verify the axioms on probe grids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from . import kernels
 from .convex import _as_grid, conjugate
 from .covers import (
+    GRID_TOL,
     CandidateNotFoundError,
+    CoverageReport,
     FiniteSet,
     NormFamily,
     QuadraticFamily,
     SeparableFamily,
     TabulatedFamily,
+    coverage_check,
 )
 from .laws import LawGraph, NotBBGraphError, bb_check
 from .numerics import INF, _batch_inner, _inner, _norm, as_vector, ensure_extended
@@ -581,3 +589,47 @@ def bic_check(cover, plan=None, tol=1e-9):
                         "first" if first else "second", lam1, zs[a], lam2, zs[b],
                         alpha, fixed[c], float(deficits[a, b, c])))
     return BICReport(not counterexamples, counterexamples, checked)
+
+
+# ---------------------------------------------------------------------------
+# certification pipeline
+
+
+@dataclass(frozen=True)
+class CertificationReport:
+    """Stage reports of :func:`certify` and the bipotential it built;
+    ``coverage`` is None when no law was given."""
+
+    coverage: Optional[CoverageReport]
+    bic: BICReport
+    axioms: AxiomReport
+    bipotential: Bipotential
+
+    @property
+    def ok(self):
+        covered = self.coverage is None or self.coverage.covered
+        return covered and self.bic.is_bic and self.axioms.is_bipotential
+
+    def reports(self):
+        """The stage reports by name, without the absent coverage."""
+        out = {"bic": self.bic, "axioms": self.axioms}
+        if self.coverage is not None:
+            out["coverage"] = self.coverage
+        return out
+
+
+def certify(cover, x_probes, y_probes, *, law=None, mode, tol):
+    """Certify a cover's infimum bipotential end to end.
+
+    Builds the bipotential first, so an unavailable mode fails before any
+    screening; then checks that the member graphs cover ``law`` (at no less
+    than ``GRID_TOL``), screens bi-implicit convexity over the default probe
+    plan, and verifies the axioms on the probe grids at ``tol``.
+    """
+    b = build_inf(cover, mode=mode)
+    coverage = None
+    if law is not None:
+        coverage = coverage_check(cover, law, tol=max(tol, GRID_TOL))
+    bic = bic_check(cover, default_probe_plan(cover))
+    axioms = verify_axioms(b, x_probes, y_probes, tol=tol)
+    return CertificationReport(coverage, bic, axioms, b)

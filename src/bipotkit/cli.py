@@ -19,14 +19,13 @@ import numpy as np
 from .bipotentials import (
     AnalyticFormUnavailableError,
     BInfinityBipotential,
-    bic_check,
     build_inf,
-    default_probe_plan,
+    certify,
     embed_dual,
     embed_primal,
     verify_axioms,
 )
-from .covers import ClosedInterval, Cover, TabulatedFamily, coverage_check
+from .covers import ClosedInterval, Cover, TabulatedFamily
 from .demos import DEMO_NAMES, demo_setup, run_demo
 from .formats import (
     FormatError,
@@ -82,6 +81,12 @@ def _apply_lambda_grid(cover, spec):
     except ValueError as exc:
         raise CLIError(f"--lambda-grid: {exc}") from exc
     return Cover(new_dom, cover.family)
+
+
+def _check_tol(tol):
+    # argparse would exit 2 on a bad value, the code of a failed check
+    if tol is not None and not (np.isfinite(tol) and tol >= 0.0):
+        raise CLIError(f"--tol must be finite and nonnegative, got {tol!r}")
 
 
 def _load_law(path):
@@ -152,28 +157,6 @@ def cmd_build(args):
     return 0
 
 
-def _verify_cover(cover, law, mode, tol, probe_spec):
-    if mode is None:
-        mode = "grid" if isinstance(cover.family, TabulatedFamily) else "analytic"
-    if tol is None:
-        tol = 1e-3 if mode == "grid" else 1e-9
-    reports = {}
-    ok = True
-    if law is not None:
-        coverage = coverage_check(cover, law, tol=max(tol, 1e-3))
-        reports["coverage"] = coverage
-        ok &= coverage.covered
-    bic = bic_check(cover, default_probe_plan(cover))
-    reports["bic"] = bic
-    ok &= bic.is_bic
-    b = build_inf(cover, mode=mode)
-    xs, ys = _probe_stacks(cover.dim, probe_spec)
-    axioms = verify_axioms(b, xs, ys, tol=tol)
-    reports["axioms"] = axioms
-    ok &= axioms.is_bipotential
-    return reports, ok
-
-
 def _verify_law(law, tol):
     tol = 1e-9 if tol is None else tol
     reports = {}
@@ -196,33 +179,30 @@ def cmd_verify(args):
         if args.demo not in DEMO_NAMES:
             raise CLIError(f"unknown demo {args.demo!r}; known: {', '.join(DEMO_NAMES)}")
         setup = demo_setup(args.demo)
-        reports = {}
-        ok = True
-        coverage = coverage_check(setup["cover"], setup["law"],
-                                  tol=max(setup["tol"], 1e-3))
-        reports["coverage"] = coverage
-        ok &= coverage.covered
-        bic = bic_check(setup["cover"], default_probe_plan(setup["cover"]))
-        reports["bic"] = bic
-        ok &= bic.is_bic
-        b = build_inf(setup["cover"], mode=setup["mode"])
-        axioms = verify_axioms(b, setup["x_probes"], setup["y_probes"],
-                               tol=setup["tol"])
-        reports["axioms"] = axioms
-        ok &= axioms.is_bipotential
-        _emit(reports)
-        return 0 if ok else 2
-    if args.cover is not None:
+        cover, law, mode, tol = setup["cover"], setup["law"], setup["mode"], setup["tol"]
+        xs, ys = setup["x_probes"], setup["y_probes"]
+    elif args.cover is not None:
         cover = _apply_lambda_grid(_load_cover(args.cover), args.lambda_grid)
         law = _load_law(args.law) if args.law is not None else None
-        reports, ok = _verify_cover(cover, law, args.mode, args.tol, args.probe_grid)
-        _emit(reports)
-        return 0 if ok else 2
-    if args.law is not None:
+        mode = args.mode or ("grid" if isinstance(cover.family, TabulatedFamily)
+                             else "analytic")
+        tol = args.tol
+        if tol is None:
+            tol = 1e-3 if mode == "grid" else 1e-9
+        xs, ys = _probe_stacks(cover.dim, args.probe_grid)
+    elif args.law is not None:
         reports, ok = _verify_law(_load_law(args.law), args.tol)
         _emit(reports)
         return 0 if ok else 2
-    raise CLIError("verify needs --cover, --law, or --demo")
+    else:
+        raise CLIError("verify needs --cover, --law, or --demo")
+    try:
+        report = certify(cover, xs, ys, law=law, mode=mode, tol=tol)
+    except AnalyticFormUnavailableError as exc:
+        print(str(exc), file=sys.stderr)
+        return 3
+    _emit(report.reports())
+    return 0 if report.ok else 2
 
 
 def cmd_demo(args):
@@ -304,6 +284,7 @@ def main(argv=None):
         argv = sys.argv[1:]
     args = parser.parse_args(_join_grid_flags(list(argv)))
     try:
+        _check_tol(getattr(args, "tol", None))
         return args.fn(args)
     except CLIError as exc:
         print(str(exc), file=sys.stderr)

@@ -1,12 +1,13 @@
 """Worked scenarios: curated laws, covers, and full pipeline runs.
 
 Each demo wires the whole chain together: declare a sampled law, choose a
-cover whose member graphs union to it, certify coverage, screen bi-implicit
-convexity, build the infimum bipotential, verify the axioms on probe grids,
-and extract the contact graph back. The two Cauchy demos reconstruct
-b(x, y) = ||x|| ||y|| from the quadratic and norm covers; the plasticity
-demo drives a single-parameter norm cover against a rigid-plastic yielding
-law; the separable demo closes the loop on an ordinary potential.
+cover whose member graphs union to it, run :func:`certify` (build the
+infimum bipotential, certify coverage, screen bi-implicit convexity, verify
+the axioms on probe grids), and extract the contact graph back. The two
+Cauchy demos reconstruct b(x, y) = ||x|| ||y|| from the quadratic and norm
+covers; the plasticity demo drives a single-parameter norm cover against a
+rigid-plastic yielding law; the separable demo closes the loop on an
+ordinary potential.
 """
 
 from __future__ import annotations
@@ -15,21 +16,12 @@ import os
 
 import numpy as np
 
-from .bipotentials import (
-    bic_check,
-    build_inf,
-    default_probe_plan,
-    embed_dual,
-    embed_primal,
-    graph_of_bipotential,
-    verify_axioms,
-)
+from .bipotentials import certify, embed_dual, embed_primal, graph_of_bipotential
 from .convex import Affine, IndicatorPoint, Quadratic, graph_of
 from .covers import (
     ClosedInterval,
     Cover,
     NormFamily,
-    coverage_check,
     norm_cover,
     quadratic_cover,
     separable_cover,
@@ -209,32 +201,22 @@ def run_demo(name, out_dir, stream):
     except KeyError as exc:
         print(exc.args[0], file=stream)
         return 1
-    law, cover, mode = setup["law"], setup["cover"], setup["mode"]
+    law, cover = setup["law"], setup["cover"]
     xg, yg, tol = setup["x_probes"], setup["y_probes"], setup["tol"]
     os.makedirs(out_dir, exist_ok=True)
     save_law(law, os.path.join(out_dir, "law.json"))
     save_cover(cover, os.path.join(out_dir, "cover.json"))
 
     print(f"demo {name}: dimension {law.dim}, {len(law)} sampled pairs", file=stream)
-    ok = True
-
-    coverage = coverage_check(cover, law, tol=max(tol, 1e-3))
-    ok &= coverage.covered
+    report = certify(cover, xg, yg, law=law, mode=setup["mode"], tol=tol)
+    coverage, bic, axioms, b = report.coverage, report.bic, report.axioms, report.bipotential
     print(f"coverage: {'covered' if coverage.covered else 'FAILED'} "
           f"(missed {len(coverage.missed_pairs)}, "
           f"spurious {len(coverage.spurious_pairs)})", file=stream)
-
-    bic = bic_check(cover, default_probe_plan(cover))
-    ok &= bic.is_bic
     print(f"bic: {'pass' if bic.is_bic else 'FAILED'} "
           f"({bic.tuples_checked} tuples, "
           f"{len(bic.counterexamples)} counterexamples)", file=stream)
-
-    b = build_inf(cover, mode=mode)
     print(f"bipotential: {b.provenance}", file=stream)
-
-    axioms = verify_axioms(b, xg, yg, tol=tol)
-    ok &= axioms.is_bipotential
     print(f"axioms: lower-bound {'ok' if axioms.lower_bound_ok else 'FAILED'}, "
           f"convexity {'ok' if axioms.separate_convexity_ok else 'FAILED'}, "
           f"graph {'ok' if axioms.graph_equivalence_ok else 'FAILED'} "
@@ -247,14 +229,12 @@ def run_demo(name, out_dir, stream):
         fh.write(csv_header(law.dim) + "\n")
         for line in probe_rows(b, xg, yg):
             fh.write(line + "\n")
-    reports = {"coverage": to_jsonable(coverage), "bic": to_jsonable(bic),
-               "axioms": to_jsonable(axioms)}
     with open(os.path.join(out_dir, "reports.json"), "w") as fh:
-        fh.write(dumps(reports))
+        fh.write(dumps(to_jsonable(report.reports())))
         fh.write("\n")
 
     line = _reference_line(setup["reference"], b, setup)
     if line is not None:
         print(line, file=stream)
     print(f"artifacts written to {out_dir}", file=stream)
-    return 0 if ok else 2
+    return 0 if report.ok else 2

@@ -1,69 +1,38 @@
-"""Hot numeric kernels with two interchangeable backends.
+"""Hot numeric kernels: dense pairings, discrete Legendre transforms,
+Bellman-Ford and max-plus sweeps, and the quadratic lambda-grid minimum.
 
-Every kernel has a pure-numpy implementation (suffix ``_np``) and a
-numba-compiled twin (suffix ``_nb``). The active backend is chosen once at
-import time from the ``BIPOTKIT_BACKEND`` environment variable ("numba" or
-"numpy"); the default is numba when it imports, numpy otherwise. Both
-backends keep the same operation order per scalar so results are
-bit-identical; ``benchmarks/bench_kernels.py`` compares their speed.
+Each kernel has one numpy implementation and accumulates every scalar in a
+fixed order, so routes that promise bit-identical results (the merge and
+brute-force conjugates, for one) can rely on it. ``BACKEND`` names that
+implementation for benchmark records.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
+BACKEND = "numpy"
 
 
 # ---------------------------------------------------------------------------
 # pairing matrix
 
 
-def pairing_matrix_np(xs, ys):
+def pairing_matrix(xs, ys):
     """Matrix of pairings P[i, j] = <xs[i], ys[j]> for stacked vectors."""
     gx, n = xs.shape
     gy = ys.shape[0]
     out = np.zeros((gx, gy))
-    # accumulate one coordinate at a time; same order as the numba loop
+    # accumulate one coordinate at a time, the order of numerics.inner
     for k in range(n):
         out += xs[:, k, None] * ys[None, :, k]
-    return out
-
-
-@njit(cache=True)
-def pairing_matrix_nb(xs, ys):
-    """Numba-compiled version of `pairing_matrix_np`."""
-    gx, n = xs.shape
-    gy = ys.shape[0]
-    out = np.zeros((gx, gy))
-    for i in range(gx):
-        for j in range(gy):
-            s = 0.0
-            for k in range(n):
-                s += xs[i, k] * ys[j, k]
-            out[i, j] = s
     return out
 
 
 # ---------------------------------------------------------------------------
 # discrete Legendre transform, O(Gx * Gy) brute force
 
-def conjugate_bruteforce_np(pairings, values):
+def conjugate_bruteforce(pairings, values):
     """Per-column sup of pairings[i, j] - values[i].
 
     ``values`` may contain +inf (excluded points); a column where every term
@@ -73,23 +42,6 @@ def conjugate_bruteforce_np(pairings, values):
     with np.errstate(invalid="ignore"):
         terms = pairings - values[:, None]
     return np.max(terms, axis=0)
-
-
-@njit(cache=True)
-def conjugate_bruteforce_nb(pairings, values):
-    """Numba-compiled version of `conjugate_bruteforce_np`."""
-    gx, gy = pairings.shape
-    out = np.empty(gy)
-    for j in range(gy):
-        best = -np.inf
-        for i in range(gx):
-            if values[i] == np.inf:
-                continue
-            t = pairings[i, j] - values[i]
-            if t > best:
-                best = t
-        out[j] = best
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +66,7 @@ def _lower_hull_indices_py(x, v):
     return np.asarray(hull, dtype=np.int64)
 
 
-def conjugate_merge_np(x, v, y):
+def conjugate_merge(x, v, y):
     """Linear-time conjugate of finite samples (x, v), x strictly increasing,
     evaluated on ascending y. Bit-identical to the brute force on the same
     inputs as long as the samples are not degenerate at rounding scale."""
@@ -131,43 +83,12 @@ def conjugate_merge_np(x, v, y):
     return out
 
 
-@njit(cache=True)
-def conjugate_merge_nb(x, v, y):
-    """Numba-compiled version of `conjugate_merge_np`."""
-    n = x.size
-    hull = np.empty(n, dtype=np.int64)
-    h = 0
-    for i in range(n):
-        while h >= 2:
-            a = hull[h - 2]
-            b = hull[h - 1]
-            if (v[b] - v[a]) * (x[i] - x[a]) - (v[i] - v[a]) * (x[b] - x[a]) >= 0.0:
-                h -= 1
-            else:
-                break
-        hull[h] = i
-        h += 1
-    out = np.empty(y.size)
-    j = 0
-    for t in range(y.size):
-        yt = y[t]
-        while j + 1 < h:
-            a = hull[j]
-            b = hull[j + 1]
-            if x[b] * yt - v[b] >= x[a] * yt - v[a]:
-                j += 1
-            else:
-                break
-        a = hull[j]
-        out[t] = x[a] * yt - v[a]
-    return out
-
-
 # ---------------------------------------------------------------------------
-# Bellman-Ford sweeps (synchronous updates so both backends relax identically)
+# Bellman-Ford sweeps (synchronous updates: every node relaxes against the
+# previous sweep's distances)
 
 
-def bellman_ford_np(w):
+def bellman_ford(w):
     """n-1 shortest-walk sweeps from a virtual zero source plus one check
     sweep. Returns (pred, improvement): improvement[j] > 0 means node j would
     still relax, i.e. a negative cycle feeds it."""
@@ -190,42 +111,7 @@ def bellman_ford_np(w):
     return pred, improvement
 
 
-@njit(cache=True)
-def bellman_ford_nb(w):
-    """Numba-compiled version of `bellman_ford_np`."""
-    n = w.shape[0]
-    dist = np.zeros(n)
-    pred = np.full(n, -1, dtype=np.int64)
-    for _ in range(n - 1):
-        base = dist.copy()
-        for j in range(n):
-            best = base[j]
-            bi = -1
-            for i in range(n):
-                c = base[i] + w[i, j]
-                if c < best:
-                    best = c
-                    bi = i
-            if bi >= 0:
-                dist[j] = best
-                pred[j] = bi
-    improvement = np.zeros(n)
-    base = dist.copy()
-    for j in range(n):
-        best = base[j]
-        bi = -1
-        for i in range(n):
-            c = base[i] + w[i, j]
-            if c < best:
-                best = c
-                bi = i
-        if bi >= 0:
-            improvement[j] = base[j] - best
-            pred[j] = bi
-    return pred, improvement
-
-
-def longest_path_np(w, base):
+def longest_path(w, base):
     """Maximal chain sums from ``base`` under weights w, via max-plus sweeps.
 
     Requires no positive cycle; on a complete digraph every node is reached.
@@ -240,31 +126,11 @@ def longest_path_np(w, base):
     return c
 
 
-@njit(cache=True)
-def longest_path_nb(w, base):
-    """Numba-compiled version of `longest_path_np`."""
-    n = w.shape[0]
-    c = np.full(n, -np.inf)
-    c[base] = 0.0
-    for _ in range(n - 1):
-        prev = c.copy()
-        for j in range(n):
-            best = prev[j]
-            for i in range(n):
-                if prev[i] == -np.inf:
-                    continue
-                cc = prev[i] + w[i, j]
-                if cc > best:
-                    best = cc
-            c[j] = best
-    return c
-
-
 # ---------------------------------------------------------------------------
 # lambda-grid infimum for the quadratic cover objective
 
 
-def quadratic_grid_min_np(nx2, ny2, lams):
+def quadratic_grid_min(nx2, ny2, lams):
     """min over lams of (0.5*lam)*nx2 + (0.5*ny2)/lam per probe.
 
     Returns (values, argmin indices); first index wins ties.
@@ -272,77 +138,3 @@ def quadratic_grid_min_np(nx2, ny2, lams):
     v = (0.5 * lams)[None, :] * nx2[:, None] + (0.5 * ny2)[:, None] / lams[None, :]
     idx = v.argmin(axis=1)
     return v[np.arange(nx2.size), idx], idx
-
-
-@njit(cache=True)
-def quadratic_grid_min_nb(nx2, ny2, lams):
-    """Numba-compiled version of `quadratic_grid_min_np`."""
-    p = nx2.size
-    out = np.empty(p)
-    idx = np.empty(p, dtype=np.int64)
-    for t in range(p):
-        best = np.inf
-        bi = 0
-        for l in range(lams.size):
-            val = (0.5 * lams[l]) * nx2[t] + (0.5 * ny2[t]) / lams[l]
-            if val < best:
-                best = val
-                bi = l
-        out[t] = best
-        idx[t] = bi
-    return out, idx
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-
-_NUMPY_IMPLS = {
-    "pairing_matrix": pairing_matrix_np,
-    "conjugate_bruteforce": conjugate_bruteforce_np,
-    "conjugate_merge": conjugate_merge_np,
-    "bellman_ford": bellman_ford_np,
-    "longest_path": longest_path_np,
-    "quadratic_grid_min": quadratic_grid_min_np,
-}
-
-_NUMBA_IMPLS = {
-    "pairing_matrix": pairing_matrix_nb,
-    "conjugate_bruteforce": conjugate_bruteforce_nb,
-    "conjugate_merge": conjugate_merge_nb,
-    "bellman_ford": bellman_ford_nb,
-    "longest_path": longest_path_nb,
-    "quadratic_grid_min": quadratic_grid_min_nb,
-}
-
-
-def _pick_backend():
-    wanted = os.environ.get("BIPOTKIT_BACKEND", "").strip().lower()
-    if wanted in ("numpy", "numba"):
-        if wanted == "numba" and not HAS_NUMBA:
-            raise ImportError("BIPOTKIT_BACKEND=numba but numba is not installed")
-        return wanted
-    return "numba" if HAS_NUMBA else "numpy"
-
-
-BACKEND = _pick_backend()
-
-_ACTIVE = _NUMBA_IMPLS if BACKEND == "numba" else _NUMPY_IMPLS
-
-pairing_matrix = _ACTIVE["pairing_matrix"]
-conjugate_bruteforce = _ACTIVE["conjugate_bruteforce"]
-conjugate_merge = _ACTIVE["conjugate_merge"]
-bellman_ford = _ACTIVE["bellman_ford"]
-longest_path = _ACTIVE["longest_path"]
-quadratic_grid_min = _ACTIVE["quadratic_grid_min"]
-
-
-def warmup():
-    """Trigger compilation of the active kernel set on tiny inputs."""
-    xs = np.array([[0.0], [1.0]])
-    vals = np.array([0.0, 1.0])
-    pairing_matrix(xs, xs)
-    conjugate_bruteforce(np.zeros((2, 2)), vals)
-    conjugate_merge(np.array([0.0, 1.0]), vals, np.array([0.0, 1.0]))
-    bellman_ford(np.zeros((2, 2)))
-    longest_path(np.zeros((2, 2)), 0)
-    quadratic_grid_min(np.array([1.0]), np.array([1.0]), np.array([0.5, 1.0]))

@@ -287,19 +287,27 @@ def bb_check(law, tol=DEFAULT_TOL):
     membership was validated when the law was built); unhinted slices are
     screened by the midpoint test at tolerance tol.
     """
-    for x in law.domain():
-        if vec_key(x) in law.primal_hints:
-            continue
-        mid = _midpoint_failure(law.slice(x), tol)
-        if mid is not None:
-            return BBReport(False, FailingSlice("primal", x, mid))
-    for y in law.image():
-        if vec_key(y) in law.dual_hints:
-            continue
-        mid = _midpoint_failure(law.dual_slice(y), tol)
-        if mid is not None:
-            return BBReport(False, FailingSlice("dual", y, mid))
+    sides = (("primal", law.xs, law.ys, law.primal_hints),
+             ("dual", law.ys, law.xs, law.dual_hints))
+    for which, coords, others, hints in sides:
+        for key, (at, members) in _slices(coords, others).items():
+            if key in hints:
+                continue
+            mid = _midpoint_failure(members, tol)
+            if mid is not None:
+                return BBReport(False, FailingSlice(which, at.copy(), mid))
     return BBReport(True, None)
+
+
+def _slices(coords, others):
+    """All slices in one pass over the stored pairs: each distinct row of
+    ``coords``, keyed by :func:`vec_key` in first-appearance order, maps to
+    that first row and the rows of ``others`` paired with it, in storage
+    order."""
+    out = {}
+    for c, o in zip(coords, others):
+        out.setdefault(vec_key(c), (c, []))[1].append(o)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -84,8 +84,8 @@ def norm(x):
 
 def _inner(x, y):
     """:func:`inner` on trusted same-dimension float64 vectors, unchecked."""
-    # Accumulate coordinate by coordinate so every caller (and both kernel
-    # backends) produces bit-identical pairings.
+    # Accumulate coordinate by coordinate so every caller (and
+    # kernels.pairing_matrix) produces bit-identical pairings.
     s = 0.0
     for k in range(x.size):
         s += x[k] * y[k]

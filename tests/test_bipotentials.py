@@ -11,6 +11,7 @@ from bipotkit.bipotentials import (
     build_b_infinity,
     build_inf,
     build_separable,
+    certify,
     default_probe_plan,
     embed_dual,
     embed_primal,
@@ -284,3 +285,22 @@ def test_embeddings():
     assert embed_dual(1.5, 2).tolist() == [0.0, 1.5]
     assert embed_primal(2.0, 1).tolist() == [2.0]
     assert embed_dual(2.0, 1).tolist() == [2.0]
+
+
+# ---------------------------------------------------------------------------
+# certification pipeline
+
+
+def test_certify_without_law_skips_coverage():
+    grid = np.linspace(-1.0, 1.0, 5)[:, None]
+    report = certify(quadratic_cover(dim=1), grid, grid, mode="analytic", tol=1e-9)
+    assert report.coverage is None
+    assert report.ok and report.bic.is_bic and report.axioms.is_bipotential
+    assert set(report.reports()) == {"bic", "axioms"}
+    assert report.bipotential.provenance == "inf-of-cover/analytic"
+
+
+def test_certify_builds_before_screening():
+    grid = np.zeros((1, 1))
+    with pytest.raises(AnalyticFormUnavailableError):
+        certify(nonbic_cover(), grid, grid, mode="analytic", tol=1e-9)

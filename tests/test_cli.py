@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bipotkit.cli import main
-from bipotkit.demos import build_antitone_law, build_sign_law, nonbic_cover
+from bipotkit.demos import DEMO_NAMES, build_antitone_law, build_sign_law, nonbic_cover
 from bipotkit.formats import save_cover, save_law
 from bipotkit.laws import LawGraph
 from bipotkit.covers import norm_cover, quadratic_cover, separable_cover
@@ -209,6 +209,17 @@ def test_verify_cover_non_bic_exits_two(files, capsys):
     assert report["bic"]["counterexamples"]
 
 
+def test_verify_cover_without_law_has_no_coverage(files, capsys):
+    code, out, _ = run(capsys, "verify", "--cover", files["quad"])
+    assert code == 0
+    assert set(json.loads(out)) == {"bic", "axioms"}
+
+
+def test_verify_analytic_on_tabulated_exits_three(files, capsys):
+    code, out, err = run(capsys, "verify", "--cover", files["nonbic"], "--mode", "analytic")
+    assert code == 3 and out == "" and "grid" in err
+
+
 def test_verify_demo_plasticity(capsys):
     code, out, _ = run(capsys, "verify", "--demo", "plasticity")
     assert code == 0
@@ -223,6 +234,14 @@ def test_verify_demo_cauchy_quadratic(capsys):
     assert set(report) == {"coverage", "bic", "axioms"}
 
 
+@pytest.mark.parametrize("name", DEMO_NAMES)
+def test_verify_demo_prints_the_demo_reports(name, tmp_path, capsys):
+    code, out, _ = run(capsys, "verify", "--demo", name)
+    assert code == 0
+    assert run(capsys, "demo", name, "--out-dir", str(tmp_path))[0] == 0
+    assert out == (tmp_path / "reports.json").read_text()
+
+
 def test_verify_demo_unknown(capsys):
     code, _, err = run(capsys, "verify", "--demo", "mystery")
     assert code == 1 and "unknown demo" in err
@@ -231,6 +250,16 @@ def test_verify_demo_unknown(capsys):
 def test_verify_requires_a_source(capsys):
     code, _, err = run(capsys, "verify")
     assert code == 1 and "needs" in err
+
+
+@pytest.mark.parametrize("command", [["check-law"], ["reconstruct"], ["verify", "--law"]],
+                         ids=["check-law", "reconstruct", "verify"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-9"])
+def test_tol_must_be_finite_and_nonnegative(files, capsys, command, tol):
+    # the antitone law is not cyclically monotone; a NaN or inf tolerance
+    # used to accept it
+    code, out, err = run(capsys, *command, files["antitone"], f"--tol={tol}")
+    assert code == 1 and out == "" and "--tol" in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,32 +1,21 @@
-"""Backend parity and kernel semantics.
+"""Kernel semantics against scalar loops and brute-force oracles.
 
-Every kernel ships a numpy and a numba implementation; the pair must agree
-bit for bit, not just to rounding, because downstream code promises exact
-equality between routes that go through different kernels.
+Kernels must agree with the scalar definitions bit for bit, not just to
+rounding, because downstream code promises exact equality between routes
+that go through different kernels.
 """
 
-import os
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 
 from bipotkit import kernels
 
 from .oracles import bruteforce_chain_offsets, python_conjugate
-
-needs_numba = pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba not installed")
 
 rng = np.random.default_rng(421)
 
 
 def random_points(m, n):
     return rng.uniform(-1.0, 1.0, size=(m, n))
-
-
-# ---------------------------------------------------------------------------
-# semantics of the active backend
 
 
 def test_pairing_matrix_matches_scalar_loop():
@@ -112,84 +101,3 @@ def test_quadratic_grid_min_matches_scalar_loop():
                 best = cand
                 bi = l
         assert vals[t] == best and idx[t] == bi
-
-
-# ---------------------------------------------------------------------------
-# numpy vs numba bit parity
-
-
-@needs_numba
-def test_parity_pairing_and_conjugate():
-    xs = random_points(9, 3)
-    ys = random_points(6, 3)
-    assert np.array_equal(kernels.pairing_matrix_np(xs, ys),
-                          kernels.pairing_matrix_nb(xs, ys))
-    values = rng.uniform(-1.0, 1.0, size=9)
-    values[2] = np.inf
-    p = kernels.pairing_matrix_np(xs, ys)
-    assert np.array_equal(kernels.conjugate_bruteforce_np(p, values),
-                          kernels.conjugate_bruteforce_nb(p, values))
-
-
-@needs_numba
-def test_parity_conjugate_merge():
-    x = np.sort(rng.uniform(-2.0, 2.0, size=50))
-    v = rng.uniform(-1.0, 1.0, size=50)
-    y = np.sort(rng.uniform(-3.0, 3.0, size=35))
-    assert np.array_equal(kernels.conjugate_merge_np(x, v, y),
-                          kernels.conjugate_merge_nb(x, v, y))
-
-
-@needs_numba
-def test_parity_bellman_ford_and_longest_path():
-    for _ in range(25):
-        m = int(rng.integers(2, 8))
-        w = rng.uniform(-1.0, 1.0, size=(m, m))
-        np.fill_diagonal(w, 0.0)
-        p1, i1 = kernels.bellman_ford_np(w)
-        p2, i2 = kernels.bellman_ford_nb(w)
-        assert np.array_equal(p1, p2) and np.array_equal(i1, i2)
-        shifted = w - abs(w).max()  # nonpositive, so chains stay finite-safe
-        assert np.array_equal(kernels.longest_path_np(shifted, 0),
-                              kernels.longest_path_nb(shifted, 0))
-
-
-@needs_numba
-def test_parity_quadratic_grid_min():
-    nx2 = rng.uniform(0.0, 9.0, size=11)
-    ny2 = rng.uniform(0.0, 9.0, size=11)
-    lams = np.geomspace(1e-4, 1e4, 129)
-    v1, i1 = kernels.quadratic_grid_min_np(nx2, ny2, lams)
-    v2, i2 = kernels.quadratic_grid_min_nb(nx2, ny2, lams)
-    assert np.array_equal(v1, v2) and np.array_equal(i1, i2)
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-
-
-def _backend_under_env(value):
-    env = dict(os.environ)
-    if value is None:
-        env.pop("BIPOTKIT_BACKEND", None)
-    else:
-        env["BIPOTKIT_BACKEND"] = value
-    out = subprocess.run(
-        [sys.executable, "-c", "from bipotkit import kernels; print(kernels.BACKEND)"],
-        env=env, capture_output=True, text=True, check=True)
-    return out.stdout.strip()
-
-
-def test_env_flag_selects_numpy():
-    assert _backend_under_env("numpy") == "numpy"
-
-
-@needs_numba
-def test_env_flag_selects_numba():
-    assert _backend_under_env("numba") == "numba"
-
-
-def test_default_backend_prefers_numba_when_available():
-    expected = "numba" if kernels.HAS_NUMBA else "numpy"
-    assert _backend_under_env(None) == expected
-    assert kernels.BACKEND in ("numba", "numpy")

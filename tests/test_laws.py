@@ -139,6 +139,16 @@ def test_singleton_slices_always_pass():
     assert bb_check(law_1d([(0, 0), (1, 1), (2, 4)])).is_bb_graph
 
 
+def test_slice_gathers_non_adjacent_repeats_in_storage_order():
+    # x = 0 recurs around x = 1; its slice is [2, 0, 1] in storage order, so
+    # the first missing midpoint is (2 + 1) / 2, not (0 + 1) / 2
+    report = bb_check(law_1d([(0, 2), (1, 5), (0, 0), (1, 5), (0, 1)]))
+    assert not report.is_bb_graph
+    assert report.failing_slice.which == "primal"
+    assert report.failing_slice.at.tolist() == [0.0]
+    assert report.failing_slice.witness_midpoint.tolist() == [1.5]
+
+
 # ---------------------------------------------------------------------------
 # cyclic monotonicity
 
