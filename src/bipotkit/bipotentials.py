@@ -31,6 +31,7 @@ from . import kernels
 from .convex import _as_grid, conjugate
 from .covers import (
     GRID_TOL,
+    _batch_norm2,
     CandidateNotFoundError,
     CoverageReport,
     FiniteSet,
@@ -72,9 +73,12 @@ class Bipotential:
         return self.value(xv, yv) - _inner(xv, yv)
 
     def table(self, x_grid, y_grid):
-        """Values over a product grid, x on rows and y on columns."""
-        xg = _as_grid(x_grid, self.dim)
-        yg = _as_grid(y_grid, self.dim)
+        """Values over a product grid, x on rows and y on columns; equal
+        entry for entry to :meth:`value`."""
+        return self._table(_as_grid(x_grid, self.dim), _as_grid(y_grid, self.dim))
+
+    def _table(self, xg, yg):
+        # one value per pair; subclasses with a batched form override this
         out = np.empty((xg.shape[0], yg.shape[0]))
         for i in range(xg.shape[0]):
             for j in range(yg.shape[0]):
@@ -93,6 +97,9 @@ class CauchyProduct(Bipotential):
     def value(self, x, y):
         return _norm(x) * _norm(y)
 
+    def _table(self, xg, yg):
+        return np.sqrt(_batch_norm2(xg))[:, None] * np.sqrt(_batch_norm2(yg))[None, :]
+
 
 class SeparableBipotential(Bipotential):
     """b(x, y) = phi(x) + phi*(y); its graph is the subdifferential of phi."""
@@ -107,6 +114,11 @@ class SeparableBipotential(Bipotential):
 
     def value(self, x, y):
         return self.potential.value(x) + self.potential_star.value(y)
+
+    def _table(self, xg, yg):
+        rows = np.array([self.potential.value(x) for x in xg], dtype=np.float64)
+        cols = np.array([self.potential_star.value(y) for y in yg], dtype=np.float64)
+        return rows[:, None] + cols[None, :]
 
 
 class InfOfCoverBipotential(Bipotential):
@@ -141,20 +153,31 @@ class InfOfCoverBipotential(Bipotential):
         or limiting parameter of the closed form in analytic mode."""
         xv = as_vector(x, self.dim)
         yv = as_vector(y, self.dim)
-        if self.mode == "grid":
+        closed = self._closed_form()
+        if closed is None:
             return self.cover.grid_infimum(xv, yv)
+        val, lam = closed(self.cover.domain, xv, yv)
+        return float(val), float(lam)
+
+    def _table(self, xg, yg):
+        x, y = xg[:, None, :], yg[None, :, :]
+        closed = self._closed_form()
+        if closed is None:
+            return self.cover.grid_infimum_values(x, y)
+        return closed(self.cover.domain, x, y)[0]
+
+    def _closed_form(self):
+        """The closed-form infimum of analytic mode, or None where the
+        parameter sweep runs: in grid mode, over a finite set (whose sweep is
+        exact) and for a separable family (constant in the parameter)."""
         fam = self.cover.family
-        dom = self.cover.domain
-        if isinstance(fam, SeparableFamily):
-            lam = float(dom.sample_grid[0])
-            return fam.f(lam, xv, yv), lam
-        if isinstance(dom, FiniteSet):
-            # minimizing over a finite set exactly is the closed form
-            return self.cover.grid_infimum(xv, yv)
+        if (self.mode == "grid" or isinstance(fam, SeparableFamily)
+                or isinstance(self.cover.domain, FiniteSet)):
+            return None
         if isinstance(fam, QuadraticFamily):
-            return _quadratic_infimum(dom, xv, yv)
+            return _quadratic_infimum
         if isinstance(fam, NormFamily):
-            return _norm_infimum(dom, xv, yv)
+            return _norm_infimum
         raise AnalyticFormUnavailableError(
             f"no closed-form infimum for {type(fam).__name__}; use mode='grid'")
 
@@ -184,55 +207,59 @@ class BInfinityBipotential(Bipotential):
 
 
 def _quadratic_infimum(domain, x, y):
-    """Exact infimum of (lam/2)||x||^2 + ||y||^2/(2 lam) over [lo, hi].
+    """Exact infimum of (lam/2)||x||^2 + ||y||^2/(2 lam) over [lo, hi], with
+    its parameter, for point stacks x, y of shape (..., dim) broadcast
+    against each other.
 
     The unconstrained minimizer is lam = ||y||/||x|| with value ||x|| ||y||;
     outside the interval the objective is monotone, so the nearer end
     attains. The 0 and inf members contribute their indicator values.
     """
-    nx2 = _inner(x, x)
-    ny2 = _inner(y, y)
-    nx = _norm(x)
-    ny = _norm(y)
-    if nx == 0.0:
-        if ny == 0.0:
-            return 0.0, domain.lo
-        if domain.includes_infinity:
-            return 0.0, INF
-        if domain.hi == 0.0:
-            return INF, 0.0
-        return (0.5 * ny2) / domain.hi, domain.hi
-    if ny == 0.0:
-        return (0.5 * domain.lo) * nx2, domain.lo
-    lam_star = ny / nx
-    lam = min(max(lam_star, domain.lo), domain.hi)
-    if lam == lam_star:
-        return nx * ny, lam
-    if lam == 0.0:
-        return INF, 0.0
-    return (0.5 * lam) * nx2 + (0.5 * ny2) / lam, lam
+    nx2 = _batch_norm2(x)
+    ny2 = _batch_norm2(y)
+    nx = np.sqrt(nx2)
+    ny = np.sqrt(ny2)
+    lo, hi = domain.lo, domain.hi
+    # x = 0 and y != 0: the inf member, else the largest finite one
+    if domain.includes_infinity:
+        end_val, end_lam = 0.0, INF
+    elif hi == 0.0:
+        end_val, end_lam = INF, 0.0
+    else:
+        end_val, end_lam = (0.5 * ny2) / hi, hi
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam_star = ny / nx
+        # min(max(lam_star, lo), hi) as Python evaluates it, nan included
+        lam = np.where(lo > lam_star, lo, lam_star)
+        lam = np.where(hi < lam, hi, lam)
+        val = np.where(lam == lam_star, nx * ny,
+                       np.where(lam == 0.0, INF, (0.5 * lam) * nx2 + (0.5 * ny2) / lam))
+        val = np.where(ny == 0.0, (0.5 * lo) * nx2, val)
+    lam = np.where(ny == 0.0, lo, lam)
+    only_y = (nx == 0.0) & (ny != 0.0)
+    return np.where(only_y, end_val, val), np.where(only_y, end_lam, lam)
 
 
 def _norm_infimum(domain, x, y):
-    """Exact infimum of lam ||x|| + indicator(||y|| <= lam) over [lo, hi].
+    """Exact infimum of lam ||x|| + indicator(||y|| <= lam) over [lo, hi],
+    with its parameter, for point stacks x, y of shape (..., dim) broadcast
+    against each other.
 
     The smallest admitted parameter max(||y||, lo) attains; when no finite
     member admits y the value is +inf unless x = 0 meets the inf member.
     """
-    nx = _norm(x)
-    ny = _norm(y)
-    if nx == 0.0:
-        if ny <= domain.hi:
-            return 0.0, max(ny, domain.lo)
-        if domain.includes_infinity:
-            return 0.0, INF
-        return INF, domain.hi
-    lam = max(ny, domain.lo)
-    if lam > domain.hi:
-        return INF, domain.hi
-    if lam == ny:
-        return nx * ny, lam
-    return lam * nx, lam
+    nx = np.sqrt(_batch_norm2(x))
+    ny = np.sqrt(_batch_norm2(y))
+    lo, hi = domain.lo, domain.hi
+    lam = np.where(lo > ny, lo, ny)  # max(ny, lo) as Python evaluates it
+    admitted = lam <= hi
+    with np.errstate(invalid="ignore"):
+        val = np.where(admitted, np.where(lam == ny, nx * ny, lam * nx), INF)
+    # x = 0: an admitting member gives 0, and the inf member admits every y
+    end_val, end_lam = (0.0, INF) if domain.includes_infinity else (INF, hi)
+    val = np.where(nx == 0.0, np.where(admitted, 0.0, end_val), val)
+    lam = np.where(admitted, lam, np.where(nx == 0.0, end_lam, hi))
+    return val, lam
 
 
 # ---------------------------------------------------------------------------

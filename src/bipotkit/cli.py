@@ -174,8 +174,16 @@ def _verify_law(law, tol):
     return reports, ok
 
 
+def _refuse_ignored(args, branch, names):
+    given = [f"--{n.replace('_', '-')}" for n in names if getattr(args, n) is not None]
+    if given:
+        raise CLIError(f"verify {branch} does not take {', '.join(given)}")
+
+
 def cmd_verify(args):
     if args.demo is not None:
+        _refuse_ignored(args, "--demo",
+                        ("cover", "law", "mode", "tol", "probe_grid", "lambda_grid"))
         if args.demo not in DEMO_NAMES:
             raise CLIError(f"unknown demo {args.demo!r}; known: {', '.join(DEMO_NAMES)}")
         setup = demo_setup(args.demo)
@@ -189,8 +197,9 @@ def cmd_verify(args):
         tol = args.tol
         if tol is None:
             tol = 1e-3 if mode == "grid" else 1e-9
-        xs, ys = _probe_stacks(cover.dim, args.probe_grid)
+        xs, ys = _probe_stacks(cover.dim, args.probe_grid or "-2:2:21")
     elif args.law is not None:
+        _refuse_ignored(args, "--law without --cover", ("mode", "probe_grid", "lambda_grid"))
         reports, ok = _verify_law(_load_law(args.law), args.tol)
         _emit(reports)
         return 0 if ok else 2
@@ -246,7 +255,8 @@ def _build_parser():
     p.add_argument("--demo", default=None, help="named demo setup")
     p.add_argument("--mode", choices=("analytic", "grid"), default=None)
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--probe-grid", default="-2:2:21", metavar="LO:HI:COUNT")
+    p.add_argument("--probe-grid", default=None, metavar="LO:HI:COUNT",
+                   help="with --cover (default -2:2:21)")
     p.add_argument("--lambda-grid", default=None, metavar="LO:HI:COUNT")
     p.set_defaults(fn=cmd_verify)
 

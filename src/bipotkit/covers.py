@@ -15,7 +15,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import kernels
 from .convex import (
     ConvexFunction,
     IndicatorBall,
@@ -34,6 +33,10 @@ DEFAULT_GRID_POINTS = 512
 # numeric infima over a log grid carry the grid's own resolution, so
 # sample-based certifications default to a matching tolerance
 GRID_TOL = 1e-3
+
+# most parameter x probe entries one batched infimum sweep holds at once;
+# beyond it the sweep's temporaries grow with the probe count, not its speed
+SWEEP_CHUNK = 2 ** 15
 
 
 class PreconditionError(ValueError):
@@ -146,7 +149,9 @@ class FiniteSet:
 # one probe pair, and ``f_many`` with the parameters broadcast against the
 # leading axes of point stacks x, y of shape (..., dim), the single batched
 # evaluator behind parameter sweeps and the BIC screen. Both take trusted
-# float64 arrays and give bit-identical values. ``special_lams_many`` stacks
+# float64 arrays and give bit-identical values. ``finite_boundary_lams``
+# takes vectors or point stacks alike and returns one value per leading
+# index for each boundary. ``special_lams_many`` stacks
 # ``exact_minimizer_lams`` then ``finite_boundary_lams`` as (lams, present)
 # pairs over the same leading axes.
 
@@ -289,7 +294,7 @@ class NormFamily:
     def finite_boundary_lams(self, x, y):
         # f(., x, y) switches from +inf to finite exactly at lambda = ||y||;
         # a log grid cannot see that edge, so infimum sweeps must add it
-        return [_norm(y)]
+        return [np.sqrt(_batch_norm2(y))]
 
     def exact_minimizer_lams(self, x, y):
         return [_norm(y)]
@@ -458,25 +463,42 @@ class Cover:
         return float(vals[k]), float(lams[k])
 
     def grid_infimum_values(self, xs, ys):
-        """Grid-infimum values over paired probe stacks, entry for entry equal
-        to looping :meth:`grid_infimum`. Quadratic families run on the batched
-        kernel; other families fall back to the scalar sweep."""
-        xs = _as_grid(xs, self.dim)
-        ys = _as_grid(ys, self.dim)
-        if xs.shape != ys.shape:
-            raise ValueError("probe stacks must pair up one x with one y")
-        if isinstance(self.family, QuadraticFamily):
-            grid = self.domain.sample_grid
-            core = np.ascontiguousarray(grid[(grid > 0.0) & (grid < INF)])
-            nx2 = _batch_norm2(xs)
-            ny2 = _batch_norm2(ys)
-            vals, _ = kernels.quadratic_grid_min(nx2, ny2, core)
-            if grid.size and grid[0] == 0.0:
-                vals = np.minimum(vals, np.where(np.any(ys, axis=1), INF, 0.0))
-            if grid.size and grid[-1] == INF:
-                vals = np.minimum(vals, np.where(np.any(xs, axis=1), INF, 0.0))
-            return vals
-        return np.array([self.grid_infimum(xs[i], ys[i])[0] for i in range(xs.shape[0])])
+        """Grid-infimum values over probe stacks of shape (..., dim) that
+        broadcast against each other: paired stacks give one value per pair,
+        ``xs[:, None]`` against ``ys[None]`` the product table. Entry for
+        entry equal to :meth:`grid_infimum`: ``f_many`` over the sample grid,
+        then each probe's finiteness boundaries where the domain holds them,
+        swept at most ``SWEEP_CHUNK`` parameter x probe entries at a time."""
+        xs = _as_stack(xs, self.dim)
+        ys = _as_stack(ys, self.dim)
+        shape = np.broadcast_shapes(xs.shape[:-1], ys.shape[:-1])
+        xs = np.broadcast_to(xs, shape + xs.shape[-1:])
+        ys = np.broadcast_to(ys, shape + ys.shape[-1:])
+        fam, dom = self.family, self.domain
+        grid = dom.sample_grid
+        out = np.empty(shape)
+        flat = out.reshape(-1)
+        step = max(1, SWEEP_CHUNK // grid.size)
+        for start in range(0, flat.size, step):
+            at = np.unravel_index(np.arange(start, min(start + step, flat.size)), shape)
+            x, y = xs[at], ys[at]
+            vals = fam.f_many(grid, x[:, None, :], y[:, None, :]).min(axis=1)
+            for lams in fam.finite_boundary_lams(x, y):
+                inside = dom.contains_many(lams)
+                if inside.any():
+                    edge = fam.f_many(lams[inside], x[inside], y[inside])
+                    vals[inside] = np.minimum(vals[inside], edge)
+            flat[start:start + step] = vals
+        return out
+
+
+def _as_stack(points, dim):
+    """Validated float64 probe stack of shape (..., dim); up to two axes it
+    reads as :func:`_as_grid` does."""
+    p = np.asarray(points, dtype=np.float64)
+    if p.ndim < 3:
+        return _as_grid(p, dim)
+    return _as_grid(p.reshape(-1, p.shape[-1]), dim).reshape(p.shape)
 
 
 def quadratic_cover(dim=1, grid_points=DEFAULT_GRID_POINTS,

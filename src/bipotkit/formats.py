@@ -14,6 +14,7 @@ import json
 
 import numpy as np
 
+from . import kernels
 from .convex import (
     Affine,
     IndicatorBall,
@@ -22,6 +23,7 @@ from .convex import (
     Quadratic,
     Sampled,
     ScaledNorm,
+    _as_grid,
 )
 from .covers import (
     ClosedInterval,
@@ -35,7 +37,7 @@ from .covers import (
     tabulated_cover,
 )
 from .laws import Ball, HalfLineRay, LawGraph, Segment, Singleton
-from .numerics import INF, inner
+from .numerics import INF
 
 
 class FormatError(ValueError):
@@ -403,14 +405,16 @@ def csv_header(dim):
 
 def probe_rows(b, x_probes, y_probes):
     """CSV lines (no header) of b over the probe product, lexicographic in
-    (x, y); probes are iterated in the given order, so pass sorted stacks."""
-    lines = []
-    for x in x_probes:
-        for y in y_probes:
-            coords = [fmt(c) for c in x] + [fmt(c) for c in y]
-            lines.append(",".join(coords + [fmt(b.value(x, y)),
-                                            fmt(inner(x, y))]))
-    return lines
+    (x, y); probes are iterated in the given order, so pass sorted stacks.
+    Values come from one batched table and one pairing matrix."""
+    xg = _as_grid(x_probes, b.dim)
+    yg = _as_grid(y_probes, b.dim)
+    B = b.table(xg, yg).tolist()
+    P = kernels.pairing_matrix(np.ascontiguousarray(xg), np.ascontiguousarray(yg)).tolist()
+    xs = [",".join(fmt(c) for c in x) for x in xg.tolist()]
+    ys = [",".join(fmt(c) for c in y) for y in yg.tolist()]
+    return [f"{x},{y},{fmt(b_row[j])},{fmt(p_row[j])}"
+            for x, b_row, p_row in zip(xs, B, P) for j, y in enumerate(ys)]
 
 
 def to_jsonable(obj):

@@ -1,5 +1,5 @@
 """Hot numeric kernels: dense pairings, discrete Legendre transforms,
-Bellman-Ford and max-plus sweeps, and the quadratic lambda-grid minimum.
+and Bellman-Ford and max-plus sweeps.
 
 Each kernel has one numpy implementation and accumulates every scalar in a
 fixed order, so routes that promise bit-identical results (the merge and
@@ -124,17 +124,3 @@ def longest_path(w, base):
             cand = (c[:, None] + w).max(axis=0)
         c = np.maximum(c, cand)
     return c
-
-
-# ---------------------------------------------------------------------------
-# lambda-grid infimum for the quadratic cover objective
-
-
-def quadratic_grid_min(nx2, ny2, lams):
-    """min over lams of (0.5*lam)*nx2 + (0.5*ny2)/lam per probe.
-
-    Returns (values, argmin indices); first index wins ties.
-    """
-    v = (0.5 * lams)[None, :] * nx2[:, None] + (0.5 * ny2)[:, None] / lams[None, :]
-    idx = v.argmin(axis=1)
-    return v[np.arange(nx2.size), idx], idx

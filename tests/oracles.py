@@ -4,6 +4,7 @@ Everything here trades speed for obviousness: exhaustive enumeration and
 plain python loops, no shared code with the package internals beyond numpy.
 """
 
+import math
 from itertools import permutations
 
 import numpy as np
@@ -170,3 +171,104 @@ def oracle_bic_check(cover, plan=None, tol=1e-9):
                                     "first" if first else "second",
                                     lam1, z1, lam2, z2, alpha, fixed, d))
     return BICReport(not counterexamples, counterexamples, checked)
+
+
+def _square_sum(v):
+    s = 0.0
+    for c in v:
+        s += c * c
+    return s
+
+
+def _oracle_member(cover, lam, x, y):
+    """f(lam, x, y) of the cover's family, written out per family."""
+    kind = type(cover.family).__name__
+    if kind in ("QuadraticFamily", "NormFamily"):
+        if lam == 0.0:
+            return 0.0 if all(c == 0.0 for c in y) else np.inf
+        if lam == np.inf:
+            return 0.0 if all(c == 0.0 for c in x) else np.inf
+        nx2, ny2 = _square_sum(x), _square_sum(y)
+        if kind == "QuadraticFamily":
+            return 0.5 * lam * nx2 + 0.5 * ny2 / lam
+        return lam * math.sqrt(nx2) + (0.0 if math.sqrt(ny2) <= lam else np.inf)
+    if kind == "SeparableFamily":
+        phi, phi_star = cover.family.potential, cover.family.potential_star
+    else:
+        phi, phi_star = cover.family.table[lam]
+    return phi.value(np.array(x)) + phi_star.value(np.array(y))
+
+
+def _oracle_sweep(cover, x, y):
+    """Minimum of f over the sample grid plus, for norms, the boundary ||y||
+    where the parameter set holds it."""
+    dom = cover.domain
+    lams = [float(lam) for lam in dom.sample_grid]
+    if type(cover.family).__name__ == "NormFamily":
+        edge = math.sqrt(_square_sum(y))
+        if hasattr(dom, "values"):
+            held = edge in dom.values
+        else:
+            held = dom.lo <= edge <= dom.hi
+        if held:
+            lams.append(edge)
+    best = np.inf
+    for lam in lams:
+        best = min(best, _oracle_member(cover, lam, x, y))
+    return best
+
+
+def _oracle_analytic(cover, x, y):
+    """Closed-form infimum over an interval [lo, hi], plus inf when held."""
+    dom = cover.domain
+    lo, hi = dom.lo, dom.hi
+    nx2, ny2 = _square_sum(x), _square_sum(y)
+    nx, ny = math.sqrt(nx2), math.sqrt(ny2)
+    if type(cover.family).__name__ == "NormFamily":
+        if nx == 0.0:
+            return 0.0 if ny <= hi or dom.includes_infinity else np.inf
+        if ny > hi:
+            return np.inf
+        return nx * ny if ny >= lo else lo * nx
+    if nx == 0.0:
+        if ny == 0.0 or dom.includes_infinity:
+            return 0.0
+        return np.inf if hi == 0.0 else 0.5 * ny2 / hi
+    if ny == 0.0:
+        return 0.5 * lo * nx2
+    lam = ny / nx
+    if lo <= lam <= hi:
+        return nx * ny
+    lam = lo if lam < lo else hi
+    return np.inf if lam == 0.0 else 0.5 * lam * nx2 + 0.5 * ny2 / lam
+
+
+def oracle_table(cover_or_kind, xs, ys, mode="analytic"):
+    """b over the product of two probe stacks, one pair at a time.
+
+    ``cover_or_kind`` is "cauchy" (||x|| ||y||), a law graph (b-infinity:
+    the pairing on the graph, +inf off it) or a cover. A cover's infimum
+    takes the closed forms above for quadratic and norm families over an
+    interval in analytic mode, and the sweep over the sample grid otherwise
+    (exact for finite sets and for separable families).
+    """
+    xs = [[float(c) for c in x] for x in np.asarray(xs, dtype=np.float64)]
+    ys = [[float(c) for c in y] for y in np.asarray(ys, dtype=np.float64)]
+
+    def value(x, y):
+        if isinstance(cover_or_kind, str):
+            assert cover_or_kind == "cauchy"
+            return math.sqrt(_square_sum(x)) * math.sqrt(_square_sum(y))
+        if hasattr(cover_or_kind, "pairs"):
+            if not cover_or_kind.contains(np.array(x), np.array(y)):
+                return np.inf
+            s = 0.0
+            for a, b in zip(x, y):
+                s += a * b
+            return s
+        cover = cover_or_kind
+        closed = (mode == "analytic" and hasattr(cover.domain, "lo")
+                  and type(cover.family).__name__ in ("QuadraticFamily", "NormFamily"))
+        return _oracle_analytic(cover, x, y) if closed else _oracle_sweep(cover, x, y)
+
+    return np.array([[value(x, y) for y in ys] for x in xs])

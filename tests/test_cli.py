@@ -252,6 +252,44 @@ def test_verify_requires_a_source(capsys):
     assert code == 1 and "needs" in err
 
 
+@pytest.mark.parametrize("extra", [
+    ["--cover", "quad"], ["--law", "sign"], ["--mode", "grid"], ["--tol", "5"],
+    ["--probe-grid", "0:1:2"], ["--lambda-grid", "0.1:10:5"],
+])
+def test_verify_demo_refuses_options_it_ignores(files, capsys, extra):
+    extra = [files.get(a, a) for a in extra]
+    code, out, err = run(capsys, "verify", "--demo", "separable", *extra)
+    assert code == 1 and out == "" and extra[0] in err
+
+
+def test_verify_demo_refuses_a_missing_cover_file(capsys):
+    code, out, err = run(capsys, "verify", "--demo", "separable", "--tol", "5",
+                         "--mode", "grid", "--probe-grid", "0:1:2", "--cover", "nonexist.json")
+    assert code == 1 and out == ""
+    assert all(flag in err for flag in ("--cover", "--mode", "--tol", "--probe-grid"))
+
+
+@pytest.mark.parametrize("extra", [
+    ["--mode", "grid"], ["--probe-grid", "0:1:2"], ["--lambda-grid", "0.1:10:5"],
+])
+def test_verify_law_without_cover_refuses_cover_options(files, capsys, extra):
+    code, out, err = run(capsys, "verify", "--law", files["sign"], *extra)
+    assert code == 1 and out == "" and extra[0] in err
+
+
+def test_verify_law_takes_tol(files, capsys):
+    code, _, _ = run(capsys, "verify", "--law", files["sign"], "--tol", "1e-6")
+    assert code == 0
+
+
+def test_verify_cover_probe_grid_defaults_to_21_points(files, capsys):
+    # the non-BIC cover's axiom report lists probes, so the grid shows
+    _, default, _ = run(capsys, "verify", "--cover", files["nonbic"])
+    _, explicit, _ = run(capsys, "verify", "--cover", files["nonbic"], "--probe-grid", "-2:2:21")
+    _, other, _ = run(capsys, "verify", "--cover", files["nonbic"], "--probe-grid", "-2:2:9")
+    assert default == explicit != other
+
+
 @pytest.mark.parametrize("command", [["check-law"], ["reconstruct"], ["verify", "--law"]],
                          ids=["check-law", "reconstruct", "verify"])
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-9"])

@@ -24,6 +24,8 @@ from bipotkit.covers import (
 from bipotkit.laws import LawGraph
 from bipotkit.numerics import INF, inner, norm
 
+from .oracles import oracle_table
+
 
 def v(*coords):
     return np.array([float(c) for c in coords])
@@ -218,7 +220,7 @@ def test_grid_infimum_values_match_scalar_loop():
         xs[0] = 0.0
         ys[1] = 0.0
         batched = cover.grid_infimum_values(xs, ys)
-        scalar = np.array([cover.grid_infimum(x, y)[0] for x, y in zip(xs, ys)])
+        scalar = np.array([oracle_table(cover, [x], [y], "grid")[0, 0] for x, y in zip(xs, ys)])
         assert np.array_equal(batched, scalar)
 
 

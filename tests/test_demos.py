@@ -1,4 +1,8 @@
+import hashlib
 import io
+import json
+import platform
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,3 +104,26 @@ def test_demo_runs_are_byte_identical(tmp_path):
     for artifact in ("law.json", "cover.json", "build.csv", "reports.json"):
         assert (tmp_path / "a" / artifact).read_bytes() == \
                (tmp_path / "b" / artifact).read_bytes()
+
+
+PINS = Path(__file__).resolve().parents[1] / "perfbench" / "pins.json"
+ARTIFACTS = ("law.json", "cover.json", "build.csv", "reports.json")
+
+
+@pytest.mark.parametrize("name", DEMO_NAMES)
+def test_demo_matches_benchmark_pins(tmp_path, name):
+    # the byte-identity oracle: transcripts and artifacts pinned by sha256
+    pins = json.loads(PINS.read_text())
+    env = pins["baseline_env"]
+    here = {"python": platform.python_version(), "numpy": np.__version__}
+    if any(here[k] != env[k] for k in here):
+        pytest.skip(f"pins recorded under python {env['python']}, numpy {env['numpy']}; "
+                    f"this is python {here['python']}, numpy {here['numpy']}")
+    out_dir = str(tmp_path / name)
+    out = io.StringIO()
+    assert run_demo(name, out_dir, out) == 0
+    digests = {"transcript": out.getvalue().replace(out_dir, "<out-dir>").encode()}
+    for artifact in ARTIFACTS:
+        digests[artifact] = (tmp_path / name / artifact).read_bytes()
+    got = {k: hashlib.sha256(v).hexdigest() for k, v in digests.items()}
+    assert got == pins["demos"][name]

@@ -85,19 +85,3 @@ def test_longest_path_matches_bruteforce_on_dyadic_weights():
         got = kernels.longest_path(w, 0)
         want = bruteforce_chain_offsets(w, 0)
         assert np.array_equal(got, want)
-
-
-def test_quadratic_grid_min_matches_scalar_loop():
-    nx2 = rng.uniform(0.0, 4.0, size=7)
-    ny2 = rng.uniform(0.0, 4.0, size=7)
-    lams = np.geomspace(1e-3, 1e3, 33)
-    vals, idx = kernels.quadratic_grid_min(nx2, ny2, lams)
-    for t in range(7):
-        best = np.inf
-        bi = 0
-        for l, lam in enumerate(lams):
-            cand = (0.5 * lam) * nx2[t] + (0.5 * ny2[t]) / lam
-            if cand < best:
-                best = cand
-                bi = l
-        assert vals[t] == best and idx[t] == bi
