@@ -31,7 +31,7 @@ from . import kernels
 from .convex import _as_grid, conjugate
 from .covers import (
     GRID_TOL,
-    _batch_norm2,
+    SWEEP_CHUNK,
     CandidateNotFoundError,
     CoverageReport,
     FiniteSet,
@@ -42,7 +42,7 @@ from .covers import (
     coverage_check,
 )
 from .laws import LawGraph, NotBBGraphError, bb_check
-from .numerics import INF, _batch_inner, _inner, _norm, as_vector, ensure_extended
+from .numerics import INF, _batch_inner, _batch_norm2, _inner, _norm, as_vector, ensure_extended
 
 
 class AnalyticFormUnavailableError(ValueError):
@@ -78,7 +78,8 @@ class Bipotential:
         return self._table(_as_grid(x_grid, self.dim), _as_grid(y_grid, self.dim))
 
     def _table(self, xg, yg):
-        # one value per pair; subclasses with a batched form override this
+        # one value per pair: the fallback for subclasses without a batched
+        # form; every built-in class overrides it
         out = np.empty((xg.shape[0], yg.shape[0]))
         for i in range(xg.shape[0]):
             for j in range(yg.shape[0]):
@@ -200,6 +201,10 @@ class BInfinityBipotential(Bipotential):
         if self.law.contains(x, y, snap=self.snap):
             return _inner(x, y)
         return INF
+
+    def _table(self, xg, yg):
+        member = self.law._membership(xg, yg, self.snap)
+        return np.where(member, _batch_inner(xg[:, None], yg[None]), INF)
 
 
 # ---------------------------------------------------------------------------
@@ -323,18 +328,52 @@ class AxiomReport:
                 and self.graph_equivalence_ok)
 
 
+def _row_keys(a):
+    """One opaque key per row of a float64 array; two keys are equal exactly
+    when the rows are equal coordinate for coordinate (-0.0 meets 0.0)."""
+    a = np.ascontiguousarray(a + 0.0)
+    return a.view(np.dtype((np.void, a.itemsize * a.shape[1]))).reshape(-1)
+
+
+def _chunks(n, width):
+    """Slices over n items of ``width`` entries each, at most about
+    ``SWEEP_CHUNK`` entries per slice; one slice even when n is 0, so that
+    per-slice results always concatenate."""
+    step = max(1, SWEEP_CHUNK // max(1, width))
+    return [slice(s, s + step) for s in range(0, max(n, 1), step)]
+
+
 def _midpoint_triples(g):
-    """(i, j, k) with g[k] the on-grid midpoint of g[i], g[j]; matched after
-    rounding to 9 decimals so uniform float grids qualify."""
-    index = {}
-    for k in range(g.shape[0]):
-        index.setdefault(tuple(np.round(g[k], 9)), k)
+    """Index arrays (i, j, k) over the pairs i < j in row-major order, with
+    g[k] the first grid point equal to the midpoint of g[i], g[j] after
+    rounding to 9 decimals (so uniform float grids qualify), k not i or j."""
+    n = g.shape[0]
+    keys = _row_keys(np.round(g, 9))
+    order = np.argsort(keys, kind="stable")  # equal keys keep index order
+    table = keys[order]
+    i, j = np.triu_indices(n, 1)
+    hits = []
+    for part in _chunks(i.size, g.shape[1]):
+        a, b = i[part], j[part]
+        mid = _row_keys(np.round(0.5 * (g[a] + g[b]), 9))
+        pos = np.minimum(np.searchsorted(table, mid), n - 1)
+        k = order[pos]
+        keep = (table[pos] == mid) & (k != a) & (k != b)
+        hits.append((a[keep], b[keep], k[keep]))
+    return tuple(np.concatenate(h) for h in zip(*hits))
+
+
+def _midpoint_failures(triples, rows, fails):
+    """(k, column, violation) of each failing entry over the midpoint
+    triples of the first axis of ``rows``, triple by triple and columns
+    ascending. ``fails(lo, hi, mid)`` maps three gathered row stacks, of
+    about ``SWEEP_CHUNK`` entries each, to a failing mask and violations."""
+    i, j, k = triples
     out = []
-    for i in range(g.shape[0]):
-        for j in range(i + 1, g.shape[0]):
-            k = index.get(tuple(np.round(0.5 * (g[i] + g[j]), 9)))
-            if k is not None and k != i and k != j:
-                out.append((i, j, k))
+    for part in _chunks(i.size, rows.shape[1]):
+        mask, violation = fails(rows[i[part]], rows[j[part]], rows[k[part]])
+        t, c = np.nonzero(mask)
+        out.extend(zip(k[part][t].tolist(), c.tolist(), violation[t, c].tolist()))
     return out
 
 
@@ -346,7 +385,8 @@ def verify_axioms(b, x_grid, y_grid, tol=1e-9):
     its grid shadow: the contact set {gap <= tol} must be midpoint-closed in
     every slice, since slices of a true contact graph are convex (2 tol
     absorbs the two endpoints' own slack). Slices with no contact at all go
-    to ``no_contact``, diagnostics rather than failures.
+    to ``no_contact``, diagnostics rather than failures. Every check runs
+    over all midpoint triples at once, in chunks of ``SWEEP_CHUNK`` entries.
     """
     xg = _as_grid(x_grid, b.dim)
     yg = _as_grid(y_grid, b.dim)
@@ -354,71 +394,61 @@ def verify_axioms(b, x_grid, y_grid, tol=1e-9):
     P = kernels.pairing_matrix(np.ascontiguousarray(xg), np.ascontiguousarray(yg))
     G = B - P
 
-    counterexamples = []
-    bad = G < -tol
-    for i, j in zip(*np.nonzero(bad)):
-        counterexamples.append(AxiomCounterexample(
-            "lower-bound", xg[i].copy(), yg[j].copy(), float(-G[i, j])))
-    lower_ok = not bad.any()
+    def witness(axiom, i, j, violation):
+        return AxiomCounterexample(axiom, xg[i].copy(), yg[j].copy(), violation)
 
-    conv = []
+    bad = G < -tol
+    counterexamples = [witness("lower-bound", i, j, v)
+                       for i, j, v in zip(*np.nonzero(bad), (-G[bad]).tolist())]
+    lower_ok = not counterexamples
+
+    def convexity(lo, hi, mid):
+        rhs = 0.5 * (lo + hi)
+        with np.errstate(invalid="ignore"):  # inf - inf where no entry fails
+            return mid > rhs + tol, mid - rhs
+
+    def closure(lo, hi, mid):
+        return (lo <= tol) & (hi <= tol) & ~(mid <= 2.0 * tol), mid
+
     x_triples = _midpoint_triples(xg)
-    for i, j, k in x_triples:
-        rhs = 0.5 * (B[i, :] + B[j, :])
-        for c in np.nonzero(B[k, :] > rhs + tol)[0]:
-            conv.append(AxiomCounterexample(
-                "convexity-x", xg[k].copy(), yg[c].copy(), float(B[k, c] - rhs[c])))
     y_triples = _midpoint_triples(yg)
-    for i, j, k in y_triples:
-        rhs = 0.5 * (B[:, i] + B[:, j])
-        for r in np.nonzero(B[:, k] > rhs + tol)[0]:
-            conv.append(AxiomCounterexample(
-                "convexity-y", xg[r].copy(), yg[k].copy(), float(B[r, k] - rhs[r])))
+    conv = [witness("convexity-x", k, c, v)
+            for k, c, v in _midpoint_failures(x_triples, B, convexity)]
+    conv += [witness("convexity-y", r, k, v)
+             for k, r, v in _midpoint_failures(y_triples, B.T, convexity)]
     convexity_ok = not conv
     counterexamples.extend(conv)
 
-    contact = G <= tol
-    closure = []
-    for i, j, k in y_triples:
-        gone = contact[:, i] & contact[:, j] & ~(G[:, k] <= 2.0 * tol)
-        for r in np.nonzero(gone)[0]:
-            closure.append(AxiomCounterexample(
-                "graph-closure", xg[r].copy(), yg[k].copy(), float(G[r, k])))
-    for i, j, k in x_triples:
-        gone = contact[i, :] & contact[j, :] & ~(G[k, :] <= 2.0 * tol)
-        for c in np.nonzero(gone)[0]:
-            closure.append(AxiomCounterexample(
-                "graph-closure", xg[k].copy(), yg[c].copy(), float(G[k, c])))
-    graph_ok = not closure
-    counterexamples.extend(closure)
+    gone = [witness("graph-closure", r, k, v)
+            for k, r, v in _midpoint_failures(y_triples, G.T, closure)]
+    gone += [witness("graph-closure", k, c, v)
+             for k, c, v in _midpoint_failures(x_triples, G, closure)]
+    graph_ok = not gone
+    counterexamples.extend(gone)
 
-    no_contact = []
-    for i in range(xg.shape[0]):
-        m = float(np.min(G[i, :]))
-        if not m <= tol:
-            no_contact.append(NoContactNote("primal", xg[i].copy(), m))
-    for j in range(yg.shape[0]):
-        m = float(np.min(G[:, j]))
-        if not m <= tol:
-            no_contact.append(NoContactNote("dual", yg[j].copy(), m))
+    row_min = G.min(axis=1)
+    col_min = G.min(axis=0)
+    no_contact = [NoContactNote("primal", xg[i].copy(), float(row_min[i]))
+                  for i in np.flatnonzero(~(row_min <= tol))]
+    no_contact += [NoContactNote("dual", yg[j].copy(), float(col_min[j]))
+                   for j in np.flatnonzero(~(col_min <= tol))]
 
     return AxiomReport(lower_ok, convexity_ok, graph_ok, counterexamples, no_contact)
 
 
 def graph_of_bipotential(b, x_grid, y_grid, tol=1e-9):
     """Law graph of the contact set {b(x, y) - <x, y> <= tol} on a product
-    grid. Raises when empty: a law graph cannot be."""
+    grid, pairs in row-major order. Raises when empty: a law graph cannot
+    be."""
     xg = _as_grid(x_grid, b.dim)
     yg = _as_grid(y_grid, b.dim)
     B = b.table(xg, yg)
     P = kernels.pairing_matrix(np.ascontiguousarray(xg), np.ascontiguousarray(yg))
-    pairs = [(xg[i].copy(), yg[j].copy())
-             for i in range(xg.shape[0]) for j in range(yg.shape[0])
-             if B[i, j] - P[i, j] <= tol]
-    if not pairs:
+    i, j = np.nonzero(B - P <= tol)
+    if not i.size:
         raise ValueError("no contact point on the probe grids; "
                          "a law graph cannot be empty")
-    return LawGraph(pairs)
+    return LawGraph._from_arrays(xg[i], yg[j])
 
 
 # ---------------------------------------------------------------------------

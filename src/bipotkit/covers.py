@@ -24,7 +24,7 @@ from .convex import (
     _as_grid,
     conjugate,
 )
-from .numerics import INF, _batch_inner, _inner, _norm, as_vector, ensure_extended
+from .numerics import INF, _batch_inner, _batch_norm2, _inner, _norm, as_vector, ensure_extended
 
 DEFAULT_GRID_LO = 1e-4
 DEFAULT_GRID_HI = 1e4
@@ -415,11 +415,6 @@ class TabulatedFamily:
 # the cover
 
 
-def _batch_norm2(vs):
-    # same coordinate accumulation order as numerics.inner(v, v)
-    return _batch_inner(vs, vs)
-
-
 @dataclass(frozen=True)
 class Cover:
     domain: object
@@ -551,22 +546,19 @@ def coverage_check(cover, law, tol=GRID_TOL, snap=0.0):
     """
     if cover.dim != law.dim:
         raise ValueError(f"cover dimension {cover.dim} != law dimension {law.dim}")
-    missed = []
-    for x, y in law.pairs:
-        val, _ = cover.grid_infimum(x, y)
-        if val - _inner(x, y) > tol:
-            missed.append((x, y))
+    pairs = law.pairs
+    gaps = cover.grid_infimum_values(law.xs, law.ys) - _batch_inner(law.xs, law.ys)
+    missed = [pairs[i] for i in np.flatnonzero(gaps > tol)]
     spurious = []
-    for x in law.domain():
-        for y in law.image():
-            if law.contains(x, y, snap=snap):
-                continue
-            pairing = _inner(x, y)
-            lams = cover.infimum_lams(x, y)
-            vals = cover.family.f_many(lams, x, y)
-            hit = np.nonzero(vals - pairing <= tol)[0]
-            for k in hit:
-                spurious.append((float(lams[k]), x, y))
+    xs, ys = law.domain(), law.image()
+    member = law._membership(np.array(xs), np.array(ys), snap)
+    for a, b in zip(*np.nonzero(~member)):
+        x, y = xs[a], ys[b]
+        pairing = _inner(x, y)
+        lams = cover.infimum_lams(x, y)
+        vals = cover.family.f_many(lams, x, y)
+        for k in np.nonzero(vals - pairing <= tol)[0]:
+            spurious.append((float(lams[k]), x, y))
     return CoverageReport(not missed and not spurious, missed, spurious)
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import kernels
 from .convex import MaxAffine
-from .numerics import as_vector, inner, norm, vec_key
+from .numerics import _batch_inner, _batch_norm2, _inner, as_vector, inner, norm, vec_key
 
 DEFAULT_TOL = 1e-9
 
@@ -54,19 +54,40 @@ class NotBBGraphError(ValueError):
 # slice hints
 
 
+def _batch_norm(vs):
+    return np.sqrt(_batch_norm2(vs))
+
+
+def _clip_low(t):
+    # max(0.0, t) as Python evaluates it, nan included
+    return np.where(t > 0.0, t, 0.0)
+
+
+class _SliceHint:
+    """A declared slice shape; ``contains_many`` decides a trusted (n, dim)
+    stack at once, and ``contains`` is the same test on one vector."""
+
+    def contains(self, v, tol):
+        return bool(self.contains_many(as_vector(v, self.dim)[None], tol)[0])
+
+
 @dataclass(frozen=True)
-class Singleton:
+class Singleton(_SliceHint):
     point: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "point", as_vector(self.point))
 
-    def contains(self, v, tol):
-        return norm(as_vector(v, self.point.size) - self.point) <= tol
+    @property
+    def dim(self):
+        return self.point.size
+
+    def contains_many(self, vs, tol):
+        return _batch_norm(vs - self.point) <= tol
 
 
 @dataclass(frozen=True)
-class Segment:
+class Segment(_SliceHint):
     a: np.ndarray
     b: np.ndarray
 
@@ -74,18 +95,22 @@ class Segment:
         object.__setattr__(self, "a", as_vector(self.a))
         object.__setattr__(self, "b", as_vector(self.b, self.a.size))
 
-    def contains(self, v, tol):
-        vv = as_vector(v, self.a.size)
+    @property
+    def dim(self):
+        return self.a.size
+
+    def contains_many(self, vs, tol):
         d = self.b - self.a
-        dd = inner(d, d)
+        dd = _inner(d, d)
         if dd == 0.0:
-            return norm(vv - self.a) <= tol
-        t = min(1.0, max(0.0, inner(vv - self.a, d) / dd))
-        return norm(vv - (self.a + t * d)) <= tol
+            return _batch_norm(vs - self.a) <= tol
+        t = _clip_low(_batch_inner(vs - self.a, d) / dd)
+        t = np.where(t < 1.0, t, 1.0)  # min(1.0, t) as Python evaluates it
+        return _batch_norm(vs - (self.a + t[:, None] * d)) <= tol
 
 
 @dataclass(frozen=True)
-class Ball:
+class Ball(_SliceHint):
     center: np.ndarray
     radius: float
 
@@ -96,15 +121,18 @@ class Ball:
             raise ValueError(f"ball radius must be nonnegative, got {r}")
         object.__setattr__(self, "radius", r)
 
-    def contains(self, v, tol):
+    @property
+    def dim(self):
+        return self.center.size
+
+    def contains_many(self, vs, tol):
         if self.radius == np.inf:
-            as_vector(v, self.center.size)
-            return True
-        return norm(as_vector(v, self.center.size) - self.center) <= self.radius + tol
+            return np.ones(vs.shape[0], dtype=bool)
+        return _batch_norm(vs - self.center) <= self.radius + tol
 
 
 @dataclass(frozen=True)
-class HalfLineRay:
+class HalfLineRay(_SliceHint):
     origin: np.ndarray
     direction: np.ndarray
 
@@ -115,11 +143,14 @@ class HalfLineRay:
             raise ValueError("ray direction must be nonzero")
         object.__setattr__(self, "direction", d)
 
-    def contains(self, v, tol):
-        vv = as_vector(v, self.origin.size)
+    @property
+    def dim(self):
+        return self.origin.size
+
+    def contains_many(self, vs, tol):
         d = self.direction
-        t = max(0.0, inner(vv - self.origin, d) / inner(d, d))
-        return norm(vv - (self.origin + t * d)) <= tol
+        t = _clip_low(_batch_inner(vs - self.origin, d) / _inner(d, d))
+        return _batch_norm(vs - (self.origin + t[:, None] * d)) <= tol
 
 
 SLICE_HINT_SHAPES = (Singleton, Segment, Ball, HalfLineRay)
@@ -177,7 +208,19 @@ class LawGraph:
         self.dual_hints = {vec_key(at): hint for at, hint in dict(dual_hints or {}).items()}
         self._validate_hints()
 
+    @classmethod
+    def _from_arrays(cls, xs, ys):
+        """A law without hints over trusted (m, dim) float64 stacks, taken
+        as they are."""
+        law = cls.__new__(cls)
+        law.xs, law.ys, law.dim = xs, ys, xs.shape[1]
+        law.hint_tol = DEFAULT_TOL
+        law.primal_hints, law.dual_hints = {}, {}
+        return law
+
     def _validate_hints(self):
+        if not self.primal_hints and not self.dual_hints:
+            return
         dom = {vec_key(x) for x in self.xs}
         img = {vec_key(y) for y in self.ys}
         for key in self.primal_hints:
@@ -243,21 +286,31 @@ class LawGraph:
         point of a declared slice hint."""
         xv = as_vector(x, self.dim)
         yv = as_vector(y, self.dim)
+        return bool(self._membership(xv[None], yv[None], snap)[0, 0])
+
+    def _membership(self, xg, yg, snap):
+        """:meth:`contains` for every pair of two trusted probe stacks, as a
+        (len(xg), len(yg)) boolean matrix. A stored pair matches exactly, or
+        within ``snap`` in both coordinates when ``snap > 0``; each hint is
+        evaluated only on the rows (primal) or columns (dual) at its anchor."""
         if snap > 0.0:
-            for i in range(len(self)):
-                if norm(self.xs[i] - xv) <= snap and norm(self.ys[i] - yv) <= snap:
-                    return True
+            near_x = _batch_norm(self.xs[None] - xg[:, None]) <= snap
+            near_y = _batch_norm(self.ys[None] - yg[:, None]) <= snap
         else:
-            for i in range(len(self)):
-                if np.all(self.xs[i] == xv) and np.all(self.ys[i] == yv):
-                    return True
-        hint = self.primal_hints.get(vec_key(xv))
-        if hint is not None and hint.contains(yv, self.hint_tol):
-            return True
-        hint = self.dual_hints.get(vec_key(yv))
-        if hint is not None and hint.contains(xv, self.hint_tol):
-            return True
-        return False
+            near_x = np.all(self.xs[None] == xg[:, None], axis=2)
+            near_y = np.all(self.ys[None] == yg[:, None], axis=2)
+        # some stored pair i near both: a product of 0/1 matrices, exact in floats
+        member = near_x.astype(np.float64) @ near_y.T.astype(np.float64) > 0.0
+        # primal hints fill rows, dual hints columns (rows of the transpose)
+        for hints, at, others, view in ((self.primal_hints, xg, yg, member),
+                                        (self.dual_hints, yg, xg, member.T)):
+            if not hints:
+                continue
+            shapes = list(hints.values())
+            anchored = np.all(at[:, None] == np.array(list(hints))[None], axis=2)
+            for h in np.flatnonzero(anchored.any(axis=0)):
+                view[anchored[:, h]] |= shapes[h].contains_many(others, self.hint_tol)
+        return member
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,12 @@ def _batch_inner(xs, ys):
     return out
 
 
+def _batch_norm2(vs):
+    """Squared norms of a stack of trusted vectors, in :func:`inner`'s
+    coordinate order."""
+    return _batch_inner(vs, vs)
+
+
 def vec_key(x):
     """Hashable exact-coordinate key for dictionaries of vectors."""
     v = as_vector(x)

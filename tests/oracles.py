@@ -243,14 +243,64 @@ def _oracle_analytic(cover, x, y):
     return np.inf if lam == 0.0 else 0.5 * lam * nx2 + 0.5 * ny2 / lam
 
 
-def oracle_table(cover_or_kind, xs, ys, mode="analytic"):
+def _pairing(x, y):
+    s = 0.0
+    for a, b in zip(x, y):
+        s += a * b
+    return s
+
+
+def _distance(u, v):
+    return math.sqrt(_square_sum([a - b for a, b in zip(u, v)]))
+
+
+def oracle_hint_holds(hint, v, tol):
+    """Whether the point v lies in a declared slice shape, read off the
+    shape's parameters: the projection onto a segment or ray, clamped to
+    its parameter range, within tol; a ball's radius plus tol."""
+    kind = type(hint).__name__
+    if kind == "Singleton":
+        return _distance(v, hint.point.tolist()) <= tol
+    if kind == "Ball":
+        return hint.radius == np.inf or _distance(v, hint.center.tolist()) <= hint.radius + tol
+    if kind == "Segment":
+        a, b = hint.a.tolist(), hint.b.tolist()
+        d = [q - p for p, q in zip(a, b)]
+        dd = _square_sum(d)
+        if dd == 0.0:
+            return _distance(v, a) <= tol
+        t = min(1.0, max(0.0, _pairing([c - p for c, p in zip(v, a)], d) / dd))
+    else:
+        assert kind == "HalfLineRay"
+        a, d = hint.origin.tolist(), hint.direction.tolist()
+        t = max(0.0, _pairing([c - p for c, p in zip(v, a)], d) / _square_sum(d))
+    return _distance(v, [p + t * q for p, q in zip(a, d)]) <= tol
+
+
+def oracle_law_member(law, x, y, snap=0.0):
+    """(x, y) is a stored pair (within snap in both coordinates when snap is
+    positive), or a point of the hint anchored at x or at y."""
+    for sx, sy in zip(law.xs.tolist(), law.ys.tolist()):
+        if snap > 0.0:
+            if _distance(sx, x) <= snap and _distance(sy, y) <= snap:
+                return True
+        elif sx == x and sy == y:
+            return True
+    for hints, at, point in ((law.primal_hints, x, y), (law.dual_hints, y, x)):
+        for anchor, hint in hints.items():
+            if list(anchor) == at and oracle_hint_holds(hint, point, law.hint_tol):
+                return True
+    return False
+
+
+def oracle_table(cover_or_kind, xs, ys, mode="analytic", snap=0.0):
     """b over the product of two probe stacks, one pair at a time.
 
     ``cover_or_kind`` is "cauchy" (||x|| ||y||), a law graph (b-infinity:
-    the pairing on the graph, +inf off it) or a cover. A cover's infimum
-    takes the closed forms above for quadratic and norm families over an
-    interval in analytic mode, and the sweep over the sample grid otherwise
-    (exact for finite sets and for separable families).
+    the pairing where :func:`oracle_law_member` holds, +inf elsewhere) or a
+    cover. A cover's infimum takes the closed forms above for quadratic and
+    norm families over an interval in analytic mode, and the sweep over the
+    sample grid otherwise (exact for finite sets and for separable families).
     """
     xs = [[float(c) for c in x] for x in np.asarray(xs, dtype=np.float64)]
     ys = [[float(c) for c in y] for y in np.asarray(ys, dtype=np.float64)]
@@ -260,15 +310,94 @@ def oracle_table(cover_or_kind, xs, ys, mode="analytic"):
             assert cover_or_kind == "cauchy"
             return math.sqrt(_square_sum(x)) * math.sqrt(_square_sum(y))
         if hasattr(cover_or_kind, "pairs"):
-            if not cover_or_kind.contains(np.array(x), np.array(y)):
+            if not oracle_law_member(cover_or_kind, x, y, snap):
                 return np.inf
-            s = 0.0
-            for a, b in zip(x, y):
-                s += a * b
-            return s
+            return _pairing(x, y)
         cover = cover_or_kind
         closed = (mode == "analytic" and hasattr(cover.domain, "lo")
                   and type(cover.family).__name__ in ("QuadraticFamily", "NormFamily"))
         return _oracle_analytic(cover, x, y) if closed else _oracle_sweep(cover, x, y)
 
     return np.array([[value(x, y) for y in ys] for x in xs])
+
+
+def _lists(points):
+    return [[float(c) for c in p] for p in np.asarray(points, dtype=np.float64)]
+
+
+def oracle_midpoint_triples(g):
+    """(i, j, k) for i < j in order, k the first point whose coordinates,
+    rounded to 9 decimals, equal those of the rounded midpoint of g[i] and
+    g[j]; dropped when that first k is i or j."""
+    g = _lists(g)
+
+    def rounded(p):
+        return [float(np.round(c, 9)) for c in p]
+
+    keys = [rounded(p) for p in g]
+    out = []
+    for i in range(len(g)):
+        for j in range(i + 1, len(g)):
+            mid = rounded([0.5 * (a + b) for a, b in zip(g[i], g[j])])
+            k = next((k for k in range(len(g)) if keys[k] == mid), None)
+            if k is not None and k != i and k != j:
+                out.append((i, j, k))
+    return out
+
+
+def oracle_verify_axioms(B, xs, ys, tol):
+    """The axiom screen of a table B over probes xs (rows) and ys (columns),
+    entry by entry: (lower_ok, convexity_ok, graph_ok, counterexamples,
+    no_contact), counterexamples as (axiom, x, y, violation) in the order
+    lower bound, convexity in x, convexity in y, closure over y midpoints,
+    closure over x midpoints; no-contact notes as (side, point, min gap),
+    rows first."""
+    xs, ys = _lists(xs), _lists(ys)
+    B = [[float(v) for v in row] for row in np.asarray(B)]
+    G = [[B[r][c] - _pairing(x, y) for c, y in enumerate(ys)] for r, x in enumerate(xs)]
+    rows, cols = range(len(xs)), range(len(ys))
+    tx, ty = oracle_midpoint_triples(xs), oracle_midpoint_triples(ys)
+
+    lower = [("lower-bound", xs[r], ys[c], -G[r][c])
+             for r in rows for c in cols if G[r][c] < -tol]
+    convex = []
+    for i, j, k in tx:
+        for c in cols:
+            rhs = 0.5 * (B[i][c] + B[j][c])
+            if B[k][c] > rhs + tol:
+                convex.append(("convexity-x", xs[k], ys[c], B[k][c] - rhs))
+    for i, j, k in ty:
+        for r in rows:
+            rhs = 0.5 * (B[r][i] + B[r][j])
+            if B[r][k] > rhs + tol:
+                convex.append(("convexity-y", xs[r], ys[k], B[r][k] - rhs))
+    closure = []
+    for i, j, k in ty:
+        for r in rows:
+            if G[r][i] <= tol and G[r][j] <= tol and not G[r][k] <= 2.0 * tol:
+                closure.append(("graph-closure", xs[r], ys[k], G[r][k]))
+    for i, j, k in tx:
+        for c in cols:
+            if G[i][c] <= tol and G[j][c] <= tol and not G[k][c] <= 2.0 * tol:
+                closure.append(("graph-closure", xs[k], ys[c], G[k][c]))
+
+    def least(values):
+        m = values[0]
+        for v in values[1:]:
+            if v < m:
+                m = v
+        return m
+
+    no_contact = [("primal", xs[r], least(G[r])) for r in rows
+                  if not least(G[r]) <= tol]
+    no_contact += [("dual", ys[c], least([G[r][c] for r in rows])) for c in cols
+                   if not least([G[r][c] for r in rows]) <= tol]
+    return (not lower, not convex, not closure, lower + convex + closure, no_contact)
+
+
+def oracle_contacts(B, xs, ys, tol):
+    """The pairs (x, y), rows first, whose gap B - <x, y> is at most tol."""
+    xs, ys = _lists(xs), _lists(ys)
+    B = np.asarray(B)
+    return [(x, y) for r, x in enumerate(xs) for c, y in enumerate(ys)
+            if float(B[r, c]) - _pairing(x, y) <= tol]

@@ -31,6 +31,7 @@ from bipotkit.convex import IndicatorBall, Quadratic, ScaledNorm
 from bipotkit.covers import SWEEP_CHUNK
 from bipotkit.demos import _reference_line, build_cauchy_law, build_sign_law, nonbic_cover
 from bipotkit.formats import fmt, probe_rows
+from bipotkit.laws import Ball, HalfLineRay, LawGraph, Segment, Singleton
 from bipotkit.numerics import inner, norm
 
 from .oracles import oracle_table
@@ -129,6 +130,72 @@ def test_cauchy_and_separable_tables_match_oracle(dim):
 def test_b_infinity_table_matches_oracle(law):
     xs, ys = np.array(law.domain()), np.array(law.image())
     assert np.array_equal(BInfinityBipotential(law).table(xs, ys), oracle_table(law, xs, ys))
+
+
+def hinted_law(dim):
+    """Stored pairs with a hint of every shape: primal segment, ball and
+    singleton slices, a dual ray and an unbounded dual ball."""
+    def v(*c):
+        return np.array(c[:dim], dtype=np.float64)
+
+    pairs = [(v(0, 0, 0), v(-1, 0, 0)), (v(0, 0, 0), v(1, 0, 0)), (v(1, 1, 1), v(2, 0, 1)),
+             (v(2, 0, 0), v(2, 0, 1)), (v(-1, 0.5, 0), v(-1, -1, 0)), (v(0.5, 0, 2), v(0, 0, 0))]
+    primal = {tuple(v(0, 0, 0)): Segment(v(-1, 0, 0), v(1, 0, 0)),
+              tuple(v(1, 1, 1)): Ball(v(2, 0, 1), 0.5),
+              tuple(v(-1, 0.5, 0)): Singleton(v(-1, -1, 0))}
+    dual = {tuple(v(2, 0, 1)): HalfLineRay(v(2, 0, 0), v(-1, 1, 1)),
+            tuple(v(0, 0, 0)): Ball(v(0.5, 0, 2), INF)}
+    return LawGraph(pairs, primal_hints=primal, dual_hints=dual, hint_tol=1e-6)
+
+
+def law_probes(law):
+    """The law's own points, points on and beside its hints, near misses
+    within and beyond a snap radius, and a signed zero."""
+    near = np.concatenate([law.xs, law.ys])
+    return np.concatenate([near, 0.5 * (near[:-1] + near[1:]), near + 1e-4, near - 0.2,
+                           probes(6, law.dim), -0.0 * near[:1]])
+
+
+@pytest.mark.parametrize("snap", [0.0, 1e-3, 0.3])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_b_infinity_table_with_hints_and_snap_matches_oracle(dim, snap):
+    law = hinted_law(dim)
+    pts = law_probes(law)
+    got = BInfinityBipotential(law, snap=snap).table(pts, pts)
+    want = oracle_table(law, pts, pts, snap=snap)
+    assert np.array_equal(got, want)
+    # every kind of membership occurs: stored, hinted only, and off the law
+    stored = oracle_table(LawGraph(law.pairs), pts, pts, snap=snap)
+    assert np.isfinite(want).sum() > np.isfinite(stored).sum() > 0
+    assert np.isinf(want).any()
+
+
+@pytest.mark.parametrize("snap", [0.0, 0.3])
+def test_law_contains_agrees_with_the_b_infinity_table(snap):
+    law = hinted_law(2)
+    pts = law_probes(law)
+    finite = np.isfinite(BInfinityBipotential(law, snap=snap).table(pts, pts))
+    assert [[law.contains(x, y, snap=snap) for y in pts] for x in pts] == finite.tolist()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: CauchyProduct(2),
+    lambda: build_separable(ScaledNorm(1.5, 2)),
+    lambda: build_inf(quadratic_cover(dim=2), mode="analytic"),
+    lambda: build_inf(norm_cover(dim=2, grid_points=40), mode="grid"),
+    lambda: build_inf(TABULATED["tabulated-quadratic"], mode="grid"),
+    lambda: BInfinityBipotential(hinted_law(2), snap=0.3),
+], ids=["cauchy", "separable", "inf-analytic", "inf-grid", "tabulated", "b-infinity"])
+def test_built_in_tables_do_not_call_value(make, monkeypatch):
+    b = make()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("table fell back to per-pair value")
+
+    monkeypatch.setattr(type(b), "value", refuse)
+    monkeypatch.setattr(LawGraph, "contains", refuse)
+    xs, ys = probes(5, 2), probes(4, 2)
+    assert b.table(xs, ys).shape == (5, 4)
 
 
 def test_grid_infimum_values_on_paired_and_product_stacks_agree():
