@@ -42,7 +42,7 @@ from .covers import (
     coverage_check,
 )
 from .laws import LawGraph, NotBBGraphError, bb_check
-from .numerics import INF, _batch_inner, _batch_norm2, _inner, _norm, as_vector, ensure_extended
+from .numerics import INF, _batch_inner, _batch_norm2, _inner, _row_keys, as_vector, ensure_extended
 
 
 class AnalyticFormUnavailableError(ValueError):
@@ -96,10 +96,14 @@ class CauchyProduct(Bipotential):
         self.provenance = "closed-form"
 
     def value(self, x, y):
-        return _norm(x) * _norm(y)
+        return float(self._table(x[None], y[None])[0, 0])
 
     def _table(self, xg, yg):
-        return np.sqrt(_batch_norm2(xg))[:, None] * np.sqrt(_batch_norm2(yg))[None, :]
+        nx = np.sqrt(_batch_norm2(xg))[:, None]
+        ny = np.sqrt(_batch_norm2(yg))[None, :]
+        # a zero norm gives 0 even against a norm that overflowed to inf
+        with np.errstate(invalid="ignore"):
+            return np.where((nx == 0.0) | (ny == 0.0), 0.0, nx * ny)
 
 
 class SeparableBipotential(Bipotential):
@@ -117,9 +121,7 @@ class SeparableBipotential(Bipotential):
         return self.potential.value(x) + self.potential_star.value(y)
 
     def _table(self, xg, yg):
-        rows = np.array([self.potential.value(x) for x in xg], dtype=np.float64)
-        cols = np.array([self.potential_star.value(y) for y in yg], dtype=np.float64)
-        return rows[:, None] + cols[None, :]
+        return self.potential.value_many(xg)[:, None] + self.potential_star.value_many(yg)[None, :]
 
 
 class InfOfCoverBipotential(Bipotential):
@@ -152,20 +154,19 @@ class InfOfCoverBipotential(Bipotential):
     def infimum(self, x, y):
         """(value, parameter): the swept minimum in grid mode, the attaining
         or limiting parameter of the closed form in analytic mode."""
-        xv = as_vector(x, self.dim)
-        yv = as_vector(y, self.dim)
-        closed = self._closed_form()
-        if closed is None:
-            return self.cover.grid_infimum(xv, yv)
-        val, lam = closed(self.cover.domain, xv, yv)
-        return float(val), float(lam)
+        vals, lams = self._infimum(as_vector(x, self.dim)[None], as_vector(y, self.dim)[None])
+        return float(vals[0]), float(lams[0])
 
     def _table(self, xg, yg):
-        x, y = xg[:, None, :], yg[None, :, :]
+        return self._infimum(xg[:, None, :], yg[None, :, :])[0]
+
+    def _infimum(self, x, y):
+        """(values, parameters) over trusted point stacks broadcast against
+        each other."""
         closed = self._closed_form()
         if closed is None:
-            return self.cover.grid_infimum_values(x, y)
-        return closed(self.cover.domain, x, y)[0]
+            return self.cover._sweep(x, y)
+        return closed(self.cover.domain, x, y)
 
     def _closed_form(self):
         """The closed-form infimum of analytic mode, or None where the
@@ -231,15 +232,20 @@ def _quadratic_infimum(domain, x, y):
     elif hi == 0.0:
         end_val, end_lam = INF, 0.0
     else:
-        end_val, end_lam = (0.5 * ny2) / hi, hi
+        # hi = inf: the limit 0, even where ||y||^2 overflowed
+        end_val, end_lam = (0.5 * ny2) / hi if hi < INF else 0.0, hi
     with np.errstate(divide="ignore", invalid="ignore"):
         lam_star = ny / nx
-        # min(max(lam_star, lo), hi) as Python evaluates it, nan included
+        # inf / inf: both norms overflowed, every member is +inf; the first,
+        # lo, attains as in a sweep (0 / 0 is the y = 0 case below)
+        lam_star = np.where(np.isnan(lam_star), lo, lam_star)
+        # min(max(lam_star, lo), hi) as Python evaluates it
         lam = np.where(lo > lam_star, lo, lam_star)
         lam = np.where(hi < lam, hi, lam)
         val = np.where(lam == lam_star, nx * ny,
                        np.where(lam == 0.0, INF, (0.5 * lam) * nx2 + (0.5 * ny2) / lam))
-        val = np.where(ny == 0.0, (0.5 * lo) * nx2, val)
+        # y = 0: the lo member attains; at lo = 0 it gives 0 for any x
+        val = np.where(ny == 0.0, (0.5 * lo) * nx2 if lo > 0.0 else lo, val)
     lam = np.where(ny == 0.0, lo, lam)
     only_y = (nx == 0.0) & (ny != 0.0)
     return np.where(only_y, end_val, val), np.where(only_y, end_lam, lam)
@@ -259,7 +265,9 @@ def _norm_infimum(domain, x, y):
     lam = np.where(lo > ny, lo, ny)  # max(ny, lo) as Python evaluates it
     admitted = lam <= hi
     with np.errstate(invalid="ignore"):
-        val = np.where(admitted, np.where(lam == ny, nx * ny, lam * nx), INF)
+        # the 0 member admits only y = 0, where it gives 0 for any x
+        val = np.where(admitted, np.where(lam == 0.0, 0.0, np.where(lam == ny, nx * ny, lam * nx)),
+                       INF)
     # x = 0: an admitting member gives 0, and the inf member admits every y
     end_val, end_lam = (0.0, INF) if domain.includes_infinity else (INF, hi)
     val = np.where(nx == 0.0, np.where(admitted, 0.0, end_val), val)
@@ -326,13 +334,6 @@ class AxiomReport:
     def is_bipotential(self):
         return (self.lower_bound_ok and self.separate_convexity_ok
                 and self.graph_equivalence_ok)
-
-
-def _row_keys(a):
-    """One opaque key per row of a float64 array; two keys are equal exactly
-    when the rows are equal coordinate for coordinate (-0.0 meets 0.0)."""
-    a = np.ascontiguousarray(a + 0.0)
-    return a.view(np.dtype((np.void, a.itemsize * a.shape[1]))).reshape(-1)
 
 
 def _chunks(n, width):

@@ -192,6 +192,8 @@ def cmd_verify(args):
     elif args.cover is not None:
         cover = _apply_lambda_grid(_load_cover(args.cover), args.lambda_grid)
         law = _load_law(args.law) if args.law is not None else None
+        if law is not None and law.dim != cover.dim:
+            raise CLIError(f"cover dimension {cover.dim} != law dimension {law.dim}")
         mode = args.mode or ("grid" if isinstance(cover.family, TabulatedFamily)
                              else "analytic")
         tol = args.tol

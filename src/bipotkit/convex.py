@@ -19,8 +19,10 @@ from .numerics import (
     DimensionMismatchError,
     MinusInfinityError,
     NegativeFenchelGapError,
+    _batch_inner,
+    _batch_norm2,
     _inner,
-    _norm,
+    _row_keys,
     as_vector,
     ensure_extended,
     ensure_finite,
@@ -42,10 +44,14 @@ def _check_dim(dim):
 
 
 class ConvexFunction:
-    """Base class; subclasses implement ``value`` on validated vectors."""
+    """Base class; subclasses implement ``value_many`` on a trusted (n, dim)
+    stack of vectors, and ``value`` is the same on one vector."""
 
     def __call__(self, x):
         return self.value(as_vector(x, self.dim))
+
+    def value(self, x):
+        return float(self.value_many(x[None])[0])
 
     def __eq__(self, other):
         return type(self) is type(other) and self._key() == other._key()
@@ -69,8 +75,8 @@ class Quadratic(ConvexFunction):
         if self.scale < 0:
             raise ValueError(f"scale must be nonnegative, got {self.scale}")
 
-    def value(self, x):
-        return (0.5 * self.scale) * _inner(x, x)
+    def value_many(self, xs):
+        return (0.5 * self.scale) * _batch_norm2(xs)
 
     def _key(self):
         return (self.scale, self.dim)
@@ -89,8 +95,8 @@ class ScaledNorm(ConvexFunction):
         if self.scale < 0:
             raise ValueError(f"scale must be nonnegative, got {self.scale}")
 
-    def value(self, x):
-        return self.scale * _norm(x)
+    def value_many(self, xs):
+        return self.scale * np.sqrt(_batch_norm2(xs))
 
     def _key(self):
         return (self.scale, self.dim)
@@ -109,8 +115,8 @@ class IndicatorBall(ConvexFunction):
         if self.radius < 0:
             raise ValueError(f"radius must be nonnegative, got {self.radius}")
 
-    def value(self, x):
-        return 0.0 if _norm(x) <= self.radius else INF
+    def value_many(self, xs):
+        return np.where(np.sqrt(_batch_norm2(xs)) <= self.radius, 0.0, INF)
 
     def _key(self):
         return (self.radius, self.dim)
@@ -135,8 +141,8 @@ class IndicatorPoint(ConvexFunction):
     def dim(self):
         return self.point.size
 
-    def value(self, x):
-        return self.offset if bool(np.all(x == self.point)) else INF
+    def value_many(self, xs):
+        return np.where(np.all(xs == self.point, axis=1), self.offset, INF)
 
     def _key(self):
         return (tuple(self.point), self.offset)
@@ -157,8 +163,8 @@ class Affine(ConvexFunction):
     def dim(self):
         return self.slope.size
 
-    def value(self, x):
-        return _inner(self.slope, x) + self.offset
+    def value_many(self, xs):
+        return _batch_inner(xs, self.slope) + self.offset
 
     def _key(self):
         return (tuple(self.slope), self.offset)
@@ -199,13 +205,10 @@ class MaxAffine(ConvexFunction):
     def pieces(self):
         return [(self.slopes[i].copy(), float(self.offsets[i])) for i in range(self.offsets.size)]
 
-    def value(self, x):
-        best = -INF
-        for i in range(self.offsets.size):
-            v = _inner(self.slopes[i], x) + self.offsets[i]
-            if v > best:
-                best = v
-        return best
+    def value_many(self, xs):
+        # the first maximal piece, as a scan over the pieces in order keeps it
+        vals = _batch_inner(xs[:, None, :], self.slopes) + self.offsets
+        return vals[np.arange(xs.shape[0]), vals.argmax(axis=1)]
 
     def _key(self):
         return (tuple(map(tuple, self.slopes)), tuple(self.offsets))
@@ -245,11 +248,13 @@ class Sampled(ConvexFunction):
     def dim(self):
         return self.grid.shape[1]
 
-    def value(self, x):
-        hit = np.nonzero(np.all(self.grid == x, axis=1))[0]
-        if hit.size:
-            return float(self.values[hit[0]])
-        return INF
+    def value_many(self, xs):
+        # the first grid node equal to each probe: a stable sort keeps equal
+        # nodes in index order, and the left search lands on the first
+        keys, probes = _row_keys(self.grid), _row_keys(xs)
+        order = np.argsort(keys, kind="stable")
+        first = order[np.minimum(np.searchsorted(keys[order], probes), keys.size - 1)]
+        return np.where(keys[first] == probes, self.values[first], INF)
 
     def _key(self):
         return (tuple(map(tuple, self.grid)), tuple(self.values))
@@ -333,19 +338,23 @@ def conjugate(phi, dual_grid=None, primal_grid=None, method="auto"):
         return Affine(phi.point, -phi.offset)
     if isinstance(phi, Affine):
         return IndicatorPoint(phi.slope, -phi.offset)
+    vals = _discrete_conjugate(phi, dual_grid, primal_grid, method)
+    return Sampled(_as_grid(dual_grid, phi.dim), vals)
+
+
+def _discrete_conjugate(phi, dual_grid, primal_grid, method="auto"):
+    """Values on dual_grid of the conjugate of a sampled form, or of a
+    max-affine form sampled on primal_grid."""
     if isinstance(phi, Sampled):
         if dual_grid is None:
             raise ConjugateDomainError("conjugating a sampled form needs a dual grid")
-        vals = discrete_conjugate_values(phi.grid, phi.values, dual_grid, method=method)
-        return Sampled(_as_grid(dual_grid, phi.dim), vals)
+        return discrete_conjugate_values(phi.grid, phi.values, dual_grid, method=method)
     if isinstance(phi, MaxAffine):
         if dual_grid is None or primal_grid is None:
             raise ConjugateDomainError(
                 "conjugating a max-affine form needs a primal grid to sample on and a dual grid")
         pg = _as_grid(primal_grid, phi.dim)
-        vals = np.array([phi.value(pg[i]) for i in range(pg.shape[0])])
-        cvals = discrete_conjugate_values(pg, vals, dual_grid, method=method)
-        return Sampled(_as_grid(dual_grid, phi.dim), cvals)
+        return discrete_conjugate_values(pg, phi.value_many(pg), dual_grid, method=method)
     raise TypeError(f"cannot conjugate {type(phi).__name__}")
 
 
@@ -363,23 +372,6 @@ class FenchelGapReport:
     tol: float = field(default=ANALYTIC_TOL, compare=False)
 
 
-def _conjugate_value_at(phi, y, primal_grid):
-    """phi*(y) for a single dual point."""
-    if isinstance(phi, ANALYTIC_FORMS):
-        return conjugate(phi)(y)
-    if isinstance(phi, Sampled):
-        # exact: the sup over the sample grid is the conjugate of a sampled form
-        return float(discrete_conjugate_values(phi.grid, phi.values, [y])[0])
-    if isinstance(phi, MaxAffine):
-        if primal_grid is None:
-            raise ConjugateDomainError(
-                "fenchel_gap for a max-affine form needs primal_grid (the sup is sampled there)")
-        pg = _as_grid(primal_grid, phi.dim)
-        vals = np.array([phi.value(pg[i]) for i in range(pg.shape[0])])
-        return float(discrete_conjugate_values(pg, vals, [y])[0])
-    raise TypeError(f"cannot conjugate {type(phi).__name__}")
-
-
 def fenchel_gap(phi, x, y, tol=None, primal_grid=None):
     """Report the gap phi(x) + phi*(y) - <x, y> at one primal-dual probe.
 
@@ -393,7 +385,8 @@ def fenchel_gap(phi, x, y, tol=None, primal_grid=None):
     xv = as_vector(x, phi.dim)
     yv = as_vector(y, phi.dim)
     px = phi.value(xv)
-    py = _conjugate_value_at(phi, yv, primal_grid)
+    # discrete forms conjugate on the one dual point, exact for sampled forms
+    py = conjugate(phi, dual_grid=yv[None], primal_grid=primal_grid).value(yv)
     ensure_extended(py, "conjugate value")
     pairing = _inner(xv, yv)
     gap = px + py - pairing
@@ -424,24 +417,16 @@ def graph_of(phi, x_grid, y_grid, tol=None):
     xg = _as_grid(x_grid, phi.dim)
     yg = _as_grid(y_grid, phi.dim)
 
-    phi_vals = np.array([phi.value(xg[i]) for i in range(xg.shape[0])])
+    phi_vals = phi.value_many(xg)
     if isinstance(phi, ANALYTIC_FORMS):
-        star = conjugate(phi)
-        conj_vals = np.array([star.value(yg[j]) for j in range(yg.shape[0])])
-    elif isinstance(phi, Sampled):
-        conj_vals = discrete_conjugate_values(phi.grid, phi.values, yg)
-    elif isinstance(phi, MaxAffine):
-        conj_vals = discrete_conjugate_values(xg, phi_vals, yg)
+        conj_vals = conjugate(phi).value_many(yg)
     else:
-        raise TypeError(f"cannot conjugate {type(phi).__name__}")
-
+        conj_vals = _discrete_conjugate(phi, yg, xg)
     pairings = kernels.pairing_matrix(np.ascontiguousarray(xg), np.ascontiguousarray(yg))
     with np.errstate(invalid="ignore"):
         gaps = phi_vals[:, None] + conj_vals[None, :] - pairings
-    pairs = [(xg[i].copy(), yg[j].copy())
-             for i in range(xg.shape[0]) for j in range(yg.shape[0])
-             if gaps[i, j] <= tol]
-    if not pairs:
+    i, j = np.nonzero(gaps <= tol)
+    if not i.size:
         raise ValueError("no pair of the probe grid is in Fenchel equality; "
                          "a law graph cannot be empty")
-    return LawGraph(pairs)
+    return LawGraph._from_arrays(xg[i], yg[j])

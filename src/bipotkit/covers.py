@@ -24,7 +24,7 @@ from .convex import (
     _as_grid,
     conjugate,
 )
-from .numerics import INF, _batch_inner, _batch_norm2, _inner, _norm, as_vector, ensure_extended
+from .numerics import INF, _batch_inner, _batch_norm2, _inner, as_vector, ensure_extended
 
 DEFAULT_GRID_LO = 1e-4
 DEFAULT_GRID_HI = 1e4
@@ -145,28 +145,24 @@ class FiniteSet:
 # ---------------------------------------------------------------------------
 # families
 #
-# Every family evaluates f(lambda, x, y) two ways: ``f`` for one parameter and
-# one probe pair, and ``f_many`` with the parameters broadcast against the
-# leading axes of point stacks x, y of shape (..., dim), the single batched
-# evaluator behind parameter sweeps and the BIC screen. Both take trusted
-# float64 arrays and give bit-identical values. ``finite_boundary_lams``
+# Every family evaluates f(lambda, x, y) one way: ``f_many``, with the
+# parameters broadcast against the leading axes of trusted float64 point
+# stacks x, y of shape (..., dim). It is the single evaluator behind
+# parameter sweeps, the BIC screen, ``Cover.f_eval`` and ``p1_candidate``,
+# which call it on one row. Separable and tabulated families evaluate their
+# members through ``ConvexFunction.value_many``. ``finite_boundary_lams``
 # takes vectors or point stacks alike and returns one value per leading
-# index for each boundary. ``special_lams_many`` stacks
-# ``exact_minimizer_lams`` then ``finite_boundary_lams`` as (lams, present)
+# index for each boundary. ``special_lams_many`` stacks the exact
+# per-probe minimizers then the finiteness boundaries as (lams, present)
 # pairs over the same leading axes.
 
 
-def _f_each(f, lams, x, y):
-    """``f_many`` for families without a closed form: one ``f`` per entry."""
-    lams = np.asarray(lams, dtype=np.float64)
-    shape = np.broadcast_shapes(lams.shape, x.shape[:-1], y.shape[:-1])
-    lams = np.broadcast_to(lams, shape)
-    x = np.broadcast_to(x, shape + x.shape[-1:])
-    y = np.broadcast_to(y, shape + y.shape[-1:])
-    out = np.empty(shape)
-    for idx in np.ndindex(lams.shape):
-        out[idx] = f(lams[idx], x[idx], y[idx])
-    return out
+def _member_values(phi, phi_star, x, y):
+    """phi(x) + phi*(y) over point stacks broadcast against each other, one
+    ``value_many`` per side."""
+    px = phi.value_many(x.reshape(-1, x.shape[-1])).reshape(x.shape[:-1])
+    py = phi_star.value_many(y.reshape(-1, y.shape[-1])).reshape(y.shape[:-1])
+    return px + py
 
 
 def _sentinel_values(lams, out, x, y):
@@ -200,13 +196,6 @@ class QuadraticFamily:
             return Quadratic(0.0, self.dim)
         return Quadratic(1.0 / lam, self.dim)
 
-    def f(self, lam, x, y):
-        if lam == 0.0:
-            return 0.0 if not np.any(y) else INF
-        if lam == INF:
-            return 0.0 if not np.any(x) else INF
-        return (0.5 * lam) * _inner(x, x) + (0.5 * _inner(y, y)) / lam
-
     def f_many(self, lams, x, y):
         with np.errstate(divide="ignore", invalid="ignore"):
             out = (0.5 * lams) * _batch_norm2(x) + (0.5 * _batch_norm2(y)) / lams
@@ -215,19 +204,9 @@ class QuadraticFamily:
     def finite_boundary_lams(self, x, y):
         return []
 
-    def exact_minimizer_lams(self, x, y):
+    def special_lams_many(self, x, y):
         # the unconstrained minimizer ||y||/||x||, with the ends standing in
         # when an argument vanishes
-        nx, ny = _norm(x), _norm(y)
-        if nx == 0.0 and ny == 0.0:
-            return []
-        if nx == 0.0:
-            return [INF]
-        if ny == 0.0:
-            return [0.0]
-        return [ny / nx]
-
-    def special_lams_many(self, x, y):
         nx = np.sqrt(_batch_norm2(x))
         ny = np.sqrt(_batch_norm2(y))
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -278,13 +257,6 @@ class NormFamily:
             return Quadratic(0.0, self.dim)
         return IndicatorBall(lam, self.dim)
 
-    def f(self, lam, x, y):
-        if lam == 0.0:
-            return 0.0 if not np.any(y) else INF
-        if lam == INF:
-            return 0.0 if not np.any(x) else INF
-        return lam * _norm(x) + (0.0 if _norm(y) <= lam else INF)
-
     def f_many(self, lams, x, y):
         with np.errstate(invalid="ignore"):
             out = np.where(np.sqrt(_batch_norm2(y)) <= lams,
@@ -295,9 +267,6 @@ class NormFamily:
         # f(., x, y) switches from +inf to finite exactly at lambda = ||y||;
         # a log grid cannot see that edge, so infimum sweeps must add it
         return [np.sqrt(_batch_norm2(y))]
-
-    def exact_minimizer_lams(self, x, y):
-        return [_norm(y)]
 
     def special_lams_many(self, x, y):
         # the minimizer and the finiteness boundary coincide at ||y||
@@ -329,16 +298,12 @@ class SeparableFamily:
     def phi_star(self, lam):
         return self.potential_star
 
-    def f(self, lam, x, y):
-        return self.potential.value(x) + self.potential_star.value(y)
-
     def f_many(self, lams, x, y):
-        return _f_each(self.f, lams, x, y)
+        shape = np.broadcast_shapes(np.shape(lams), x.shape[:-1], y.shape[:-1])
+        vals = _member_values(self.potential, self.potential_star, x, y)
+        return np.array(np.broadcast_to(vals, shape))
 
     def finite_boundary_lams(self, x, y):
-        return []
-
-    def exact_minimizer_lams(self, x, y):
         return []
 
     def special_lams_many(self, x, y):
@@ -388,17 +353,24 @@ class TabulatedFamily:
     def phi_star(self, lam):
         return self._entry(lam)[1]
 
-    def f(self, lam, x, y):
-        phi, phi_star = self._entry(lam)
-        return phi.value(x) + phi_star.value(y)
-
     def f_many(self, lams, x, y):
-        return _f_each(self.f, lams, x, y)
+        # grouped by member: one value_many per side over the entries at it
+        lams = np.asarray(lams, dtype=np.float64)
+        known = (lams[..., None] == np.array(self.lams())).any(axis=-1)
+        if not known.all():
+            self._entry(lams[~known][0])  # raises for the first untabulated one
+        shape = np.broadcast_shapes(lams.shape, x.shape[:-1], y.shape[:-1])
+        lams = np.broadcast_to(lams, shape)
+        x = np.broadcast_to(x, shape + x.shape[-1:])
+        y = np.broadcast_to(y, shape + y.shape[-1:])
+        out = np.empty(shape)
+        for lam, (phi, phi_star) in self.table.items():
+            at = lams == lam
+            if at.any():
+                out[at] = _member_values(phi, phi_star, x[at], y[at])
+        return out
 
     def finite_boundary_lams(self, x, y):
-        return []
-
-    def exact_minimizer_lams(self, x, y):
         return []
 
     def special_lams_many(self, x, y):
@@ -436,55 +408,49 @@ class Cover:
             raise ValueError(f"lambda {lam} is outside the parameter domain")
         xv = as_vector(x, self.dim)
         yv = as_vector(y, self.dim)
-        return self.family.f(lam, xv, yv)
-
-    def infimum_lams(self, x, y):
-        """Parameter values swept by numeric infima at the probe (x, y):
-        the sample grid plus the family's finiteness boundaries."""
-        grid = self.domain.sample_grid
-        extra = [b for b in self.family.finite_boundary_lams(x, y)
-                 if self.domain.contains(b) and b not in grid]
-        if extra:
-            grid = np.sort(np.append(grid, extra))
-        return grid
+        return float(self.family.f_many(np.array([lam]), xv[None], yv[None])[0])
 
     def grid_infimum(self, x, y):
-        """(value, attaining lambda) of f over :meth:`infimum_lams`."""
-        xv = as_vector(x, self.dim)
-        yv = as_vector(y, self.dim)
-        lams = self.infimum_lams(xv, yv)
-        vals = self.family.f_many(lams, xv, yv)
-        k = int(np.argmin(vals))
-        return float(vals[k]), float(lams[k])
+        """(value, attaining lambda) of f over the sample grid plus the
+        probe's finiteness boundaries where the domain holds them."""
+        vals, lams = self._sweep(as_vector(x, self.dim)[None], as_vector(y, self.dim)[None])
+        return float(vals[0]), float(lams[0])
 
     def grid_infimum_values(self, xs, ys):
         """Grid-infimum values over probe stacks of shape (..., dim) that
         broadcast against each other: paired stacks give one value per pair,
         ``xs[:, None]`` against ``ys[None]`` the product table. Entry for
-        entry equal to :meth:`grid_infimum`: ``f_many`` over the sample grid,
+        entry equal to :meth:`grid_infimum`."""
+        return self._sweep(_as_stack(xs, self.dim), _as_stack(ys, self.dim))[0]
+
+    def _sweep(self, xs, ys):
+        """(values, attaining lambdas) of the grid infimum over trusted probe
+        stacks broadcast against each other: ``f_many`` over the sample grid,
         then each probe's finiteness boundaries where the domain holds them,
-        swept at most ``SWEEP_CHUNK`` parameter x probe entries at a time."""
-        xs = _as_stack(xs, self.dim)
-        ys = _as_stack(ys, self.dim)
+        swept at most ``SWEEP_CHUNK`` parameter x probe entries at a time.
+        The attaining lambda is the first minimum in ascending order: a
+        boundary wins when its value is lower, or equal at a smaller lambda."""
         shape = np.broadcast_shapes(xs.shape[:-1], ys.shape[:-1])
         xs = np.broadcast_to(xs, shape + xs.shape[-1:])
         ys = np.broadcast_to(ys, shape + ys.shape[-1:])
         fam, dom = self.family, self.domain
         grid = dom.sample_grid
-        out = np.empty(shape)
-        flat = out.reshape(-1)
+        out = np.empty((2,) + shape)
+        flat = out.reshape(2, -1)
         step = max(1, SWEEP_CHUNK // grid.size)
-        for start in range(0, flat.size, step):
-            at = np.unravel_index(np.arange(start, min(start + step, flat.size)), shape)
+        for start in range(0, flat.shape[1], step):
+            at = np.unravel_index(np.arange(start, min(start + step, flat.shape[1])), shape)
             x, y = xs[at], ys[at]
-            vals = fam.f_many(grid, x[:, None, :], y[:, None, :]).min(axis=1)
-            for lams in fam.finite_boundary_lams(x, y):
-                inside = dom.contains_many(lams)
-                if inside.any():
-                    edge = fam.f_many(lams[inside], x[inside], y[inside])
-                    vals[inside] = np.minimum(vals[inside], edge)
-            flat[start:start + step] = vals
-        return out
+            sweep = fam.f_many(grid, x[:, None, :], y[:, None, :])
+            k = sweep.argmin(axis=1)
+            vals, lams = sweep[np.arange(k.size), k], grid[k]
+            for edge_lams in fam.finite_boundary_lams(x, y):
+                i = np.flatnonzero(dom.contains_many(edge_lams))
+                edge, edge_lams = fam.f_many(edge_lams[i], x[i], y[i]), edge_lams[i]
+                wins = (edge < vals[i]) | ((edge == vals[i]) & (edge_lams < lams[i]))
+                vals[i[wins]], lams[i[wins]] = edge[wins], edge_lams[wins]
+            flat[:, start:start + step] = vals, lams
+        return out[0], out[1]
 
 
 def _as_stack(points, dim):
@@ -549,17 +515,37 @@ def coverage_check(cover, law, tol=GRID_TOL, snap=0.0):
     pairs = law.pairs
     gaps = cover.grid_infimum_values(law.xs, law.ys) - _batch_inner(law.xs, law.ys)
     missed = [pairs[i] for i in np.flatnonzero(gaps > tol)]
-    spurious = []
     xs, ys = law.domain(), law.image()
-    member = law._membership(np.array(xs), np.array(ys), snap)
-    for a, b in zip(*np.nonzero(~member)):
-        x, y = xs[a], ys[b]
-        pairing = _inner(x, y)
-        lams = cover.infimum_lams(x, y)
-        vals = cover.family.f_many(lams, x, y)
-        for k in np.nonzero(vals - pairing <= tol)[0]:
-            spurious.append((float(lams[k]), x, y))
+    x_stack, y_stack = np.array(xs), np.array(ys)
+    a, b = np.nonzero(~law._membership(x_stack, y_stack, snap))
+    spurious = [(lam, xs[a[k]], ys[b[k]])
+                for k, lam in _touching(cover, x_stack[a], y_stack[b], tol)]
     return CoverageReport(not missed and not spurious, missed, spurious)
+
+
+def _touching(cover, xs, ys, tol):
+    """(k, lambda) wherever f(lambda, xs[k], ys[k]) is within tol of the
+    pairing, for paired (n, dim) stacks: k ascending, then lambda ascending
+    over the sample grid plus each pair's finiteness boundaries off it that
+    the domain holds; ``SWEEP_CHUNK`` parameter x pair entries at a time."""
+    fam, dom = cover.family, cover.domain
+    grid = dom.sample_grid
+    step = max(1, SWEEP_CHUNK // grid.size)
+    out = []
+    for start in range(0, xs.shape[0], step):
+        x, y = xs[start:start + step], ys[start:start + step]
+        pairing = _batch_inner(x, y)
+        k, at = np.nonzero(fam.f_many(grid, x[:, None], y[:, None]) - pairing[:, None] <= tol)
+        ks, lams = [k], [grid[at]]
+        for edge in fam.finite_boundary_lams(x, y):
+            keep = np.flatnonzero(dom.contains_many(edge) & ~np.isin(edge, grid))
+            hit = fam.f_many(edge[keep], x[keep], y[keep]) - pairing[keep] <= tol
+            ks.append(keep[hit])
+            lams.append(edge[keep][hit])
+        k, lam = np.concatenate(ks) + start, np.concatenate(lams)
+        order = np.lexsort((lam, k))
+        out.extend(zip(k[order].tolist(), lam[order].tolist()))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -586,8 +572,9 @@ def p1_candidate(cover, lam1, lam2, alpha, x1, x2, y, tol=1e-9):
     xv1 = as_vector(x1, cover.dim)
     xv2 = as_vector(x2, cover.dim)
     yv = as_vector(y, cover.dim)
-    for name, lam, xv in (("x1", lam1, xv1), ("x2", lam2, xv2)):
-        gap = cover.family.f(lam, xv, yv) - _inner(xv, yv)
+    ends = np.array([xv1, xv2])
+    gaps = cover.family.f_many(np.array([lam1, lam2]), ends, yv) - _batch_inner(ends, yv)
+    for name, lam, gap in (("x1", lam1, gaps[0]), ("x2", lam2, gaps[1])):
         if not gap <= tol:
             raise PreconditionError(
                 f"{name} is not a subgradient point of phi*_lambda at y "
@@ -595,9 +582,12 @@ def p1_candidate(cover, lam1, lam2, alpha, x1, x2, y, tol=1e-9):
 
     mixed = alpha * xv1 + (1.0 - alpha) * xv2
     if isinstance(cover.family, TabulatedFamily):
-        for lam in cover.family.lams():
-            if cover.family.f(lam, mixed, yv) - _inner(mixed, yv) <= tol:
-                return lam
+        # the first member, ascending, at which the mixed point is one
+        members = cover.family.lams()
+        gaps = cover.family.f_many(np.array(members), mixed, yv) - _inner(mixed, yv)
+        accepted = np.flatnonzero(gaps <= tol)
+        if accepted.size:
+            return members[accepted[0]]
         raise CandidateNotFoundError(
             "no tabulated lambda accepts the mixed point as a subgradient point")
     return cover.family.candidate(lam1, lam2, alpha, yv)

@@ -183,8 +183,7 @@ def _reference_line(kind, b, setup):
         label = "||x|| ||y||"
     elif kind == "separable":
         fam = setup["cover"].family
-        target = np.add.outer([fam.potential.value(x) for x in xg],
-                              [fam.potential_star.value(y) for y in yg])
+        target = np.add.outer(fam.potential.value_many(xg), fam.potential_star.value_many(yg))
         label = "(phi(x) + phi*(y))"
     else:
         return None

@@ -219,26 +219,30 @@ class LawGraph:
         return law
 
     def _validate_hints(self):
-        if not self.primal_hints and not self.dual_hints:
-            return
-        dom = {vec_key(x) for x in self.xs}
-        img = {vec_key(y) for y in self.ys}
-        for key in self.primal_hints:
-            if key not in dom:
-                raise ValueError(f"primal hint anchored at {key} but no pair has that x")
-        for key in self.dual_hints:
-            if key not in img:
-                raise ValueError(f"dual hint anchored at {key} but no pair has that y")
-        for i in range(len(self)):
-            kx, ky = vec_key(self.xs[i]), vec_key(self.ys[i])
-            hint = self.primal_hints.get(kx)
-            if hint is not None and not hint.contains(self.ys[i], self.hint_tol):
-                raise ValueError(f"pair {i}: y {self.ys[i].tolist()} lies outside the "
-                                 f"declared primal slice hint at x {list(kx)}")
-            hint = self.dual_hints.get(ky)
-            if hint is not None and not hint.contains(self.xs[i], self.hint_tol):
-                raise ValueError(f"pair {i}: x {self.xs[i].tolist()} lies outside the "
-                                 f"declared dual slice hint at y {list(ky)}")
+        # every anchor needs a pair before any pair is checked
+        sides = (("primal", self.primal_hints, self.xs, self.ys, "x", "y"),
+                 ("dual", self.dual_hints, self.ys, self.xs, "y", "x"))
+        anchored = []
+        for order, (side, hints, at, others, a, o) in enumerate(sides):
+            for key, hint in hints.items():
+                rows = np.flatnonzero(np.all(at == key, axis=1)) if len(key) == self.dim else []
+                if not len(rows):
+                    raise ValueError(f"{side} hint anchored at {key} but no pair has that {a}")
+                anchored.append((order, hint, rows))
+        # one contains_many per hint over the pairs at its anchor; the lowest
+        # failing pair index wins, primal before dual at the same index
+        failures = []
+        for order, hint, rows in anchored:
+            if hint.dim == self.dim:
+                rows = rows[~hint.contains_many(sides[order][3][rows], self.hint_tol)]
+            if len(rows):
+                failures.append((rows[0], order, hint))
+        if failures:
+            i, order, hint = min(failures, key=lambda f: f[:2])
+            side, _, at, others, a, o = sides[order]
+            hint.contains(others[i], self.hint_tol)  # raises for a hint of another dimension
+            raise ValueError(f"pair {i}: {o} {others[i].tolist()} lies outside the "
+                             f"declared {side} slice hint at {a} {at[i].tolist()}")
 
     def __len__(self):
         return self.xs.shape[0]

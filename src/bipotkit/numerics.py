@@ -112,6 +112,13 @@ def _batch_norm2(vs):
     return _batch_inner(vs, vs)
 
 
+def _row_keys(a):
+    """One opaque key per row of a float64 array; two keys are equal exactly
+    when the rows are equal coordinate for coordinate (-0.0 meets 0.0)."""
+    a = np.ascontiguousarray(a + 0.0)
+    return a.view(np.dtype((np.void, a.itemsize * a.shape[1]))).reshape(-1)
+
+
 def vec_key(x):
     """Hashable exact-coordinate key for dictionaries of vectors."""
     v = as_vector(x)

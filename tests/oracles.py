@@ -88,20 +88,20 @@ def oracle_bic_check(cover, plan=None, tol=1e-9):
     """The bi-implicit convexity screen searched tuple by tuple.
 
     Written against the public API only, as plain loops: per tuple the right
-    side, then the candidate (``p1_candidate`` in the first slot, the
-    subgradient gaps and ``candidate_dual`` in the second), the member
-    parameters, the family's exact minimizers and finiteness boundaries, and
-    finally the whole parameter grid, one scalar ``f`` per parameter.
+    side, then the candidate (once both subgradient gaps hold: the family's
+    ``candidate`` rule in the first slot, or the first tabulated member
+    accepting the mixed point, and ``candidate_dual`` in the second), the
+    member parameters, the family's exact minimizers and finiteness
+    boundaries, and finally the whole parameter grid, one
+    :func:`_oracle_member` per parameter.
     """
     from bipotkit import (
         INF,
         BICCounterexample,
         BICReport,
         CandidateNotFoundError,
-        PreconditionError,
         default_probe_plan,
         inner,
-        p1_candidate,
     )
 
     if plan is None:
@@ -116,22 +116,31 @@ def oracle_bic_check(cover, plan=None, tol=1e-9):
         return t1 + t2
 
     def candidate(lam1, z1, lam2, z2, alpha, fixed, first):
+        if first and not (0.0 <= alpha <= 1.0 and cover.domain.contains(lam1)
+                          and cover.domain.contains(lam2)):
+            return None
+        for lam, z in ((lam1, z1), (lam2, z2)):
+            point = (z, fixed) if first else (fixed, z)
+            gap = _oracle_member(cover, lam, *point) - inner(z, fixed)
+            if not (gap <= tol if first else not gap > tol):
+                return None
+        if first and type(fam).__name__ == "TabulatedFamily":
+            mixed = alpha * z1 + (1.0 - alpha) * z2
+            return next((lam for lam in fam.lams()
+                         if _oracle_member(cover, lam, mixed, fixed) - inner(mixed, fixed) <= tol),
+                        None)
         try:
-            if first:
-                return p1_candidate(cover, lam1, lam2, alpha, z1, z2, fixed, tol=tol)
-            for lam, z in ((lam1, z1), (lam2, z2)):
-                if fam.f(lam, fixed, z) - inner(fixed, z) > tol:
-                    return None
-            return fam.candidate_dual(lam1, lam2, alpha, fixed)
-        except (PreconditionError, CandidateNotFoundError):
+            return (fam.candidate if first else fam.candidate_dual)(lam1, lam2, alpha, fixed)
+        except CandidateNotFoundError:
             return None
 
     def deficit(lam1, z1, lam2, z2, alpha, fixed, first):
         beta = 1.0 - alpha
-        if first:
-            rhs = mix_values(alpha, fam.f(lam1, z1, fixed), beta, fam.f(lam2, z2, fixed))
-        else:
-            rhs = mix_values(alpha, fam.f(lam1, fixed, z1), beta, fam.f(lam2, fixed, z2))
+
+        def f(lam, z):
+            return _oracle_member(cover, lam, *((z, fixed) if first else (fixed, z)))
+
+        rhs = mix_values(alpha, f(lam1, z1), beta, f(lam2, z2))
         if rhs == INF:
             return None
         mix = alpha * z1 + beta * z2
@@ -141,17 +150,16 @@ def oracle_bic_check(cover, plan=None, tol=1e-9):
         if cand is not None:
             lams.append(cand)
         lams.extend((lam1, lam2))
-        lams.extend(fam.exact_minimizer_lams(*point))
-        lams.extend(fam.finite_boundary_lams(*point))
+        lams.extend(_oracle_special_lams(cover, *point))
         best = INF
         for lam in lams:
             if not cover.domain.contains(lam):
                 continue
-            lhs = fam.f(lam, *point)
+            lhs = _oracle_member(cover, lam, *point)
             if lhs <= rhs + tol:
                 return None
             best = min(best, lhs - rhs)
-        vals = np.array([fam.f(lam, *point) for lam in cover.domain.sample_grid])
+        vals = np.array([_oracle_member(cover, lam, *point) for lam in cover.domain.sample_grid])
         if bool(np.any(vals <= rhs + tol)):
             return None
         return min(best, float(np.min(vals) - rhs))
@@ -180,6 +188,43 @@ def _square_sum(v):
     return s
 
 
+def _pairing(x, y):
+    s = 0.0
+    for a, b in zip(x, y):
+        s += a * b
+    return s
+
+
+def oracle_form_value(phi, x):
+    """phi(x) at one point, read off the form's parameters: sums accumulated
+    coordinate by coordinate, the first maximal max-affine piece, the first
+    sampled node equal to x."""
+    kind = type(phi).__name__
+    x = [float(c) for c in x]
+    if kind == "Quadratic":
+        return 0.5 * phi.scale * _square_sum(x)
+    if kind == "ScaledNorm":
+        return phi.scale * math.sqrt(_square_sum(x))
+    if kind == "IndicatorBall":
+        return 0.0 if math.sqrt(_square_sum(x)) <= phi.radius else np.inf
+    if kind == "IndicatorPoint":
+        return phi.offset if x == phi.point.tolist() else np.inf
+    if kind == "Affine":
+        return _pairing(phi.slope.tolist(), x) + phi.offset
+    if kind == "MaxAffine":
+        best = -np.inf
+        for slope, offset in zip(phi.slopes.tolist(), phi.offsets.tolist()):
+            v = _pairing(slope, x) + offset
+            if v > best:
+                best = v
+        return best
+    assert kind == "Sampled"
+    for node, v in zip(phi.grid.tolist(), phi.values.tolist()):
+        if node == x:
+            return v
+    return np.inf
+
+
 def _oracle_member(cover, lam, x, y):
     """f(lam, x, y) of the cover's family, written out per family."""
     kind = type(cover.family).__name__
@@ -194,9 +239,26 @@ def _oracle_member(cover, lam, x, y):
         return lam * math.sqrt(nx2) + (0.0 if math.sqrt(ny2) <= lam else np.inf)
     if kind == "SeparableFamily":
         phi, phi_star = cover.family.potential, cover.family.potential_star
-    else:
+    elif lam in cover.family.table:
         phi, phi_star = cover.family.table[lam]
-    return phi.value(np.array(x)) + phi_star.value(np.array(y))
+    else:
+        raise ValueError(f"lambda {lam} is not tabulated")
+    return oracle_form_value(phi, x) + oracle_form_value(phi_star, y)
+
+
+def _oracle_special_lams(cover, x, y):
+    """The family's exact per-probe minimizers of f(., x, y), then its
+    finiteness boundaries: ||y||/||x|| for quadratics (inf when x = 0, 0
+    when y = 0, none when both are), ||y|| twice for norms, none otherwise."""
+    kind = type(cover.family).__name__
+    nx, ny = math.sqrt(_square_sum(x)), math.sqrt(_square_sum(y))
+    if kind == "NormFamily":
+        return [ny, ny]
+    if kind != "QuadraticFamily" or (nx == 0.0 and ny == 0.0):
+        return []
+    if nx == 0.0:
+        return [np.inf]
+    return [0.0] if ny == 0.0 else [ny / nx]
 
 
 def _oracle_sweep(cover, x, y):
@@ -208,6 +270,8 @@ def _oracle_sweep(cover, x, y):
         edge = math.sqrt(_square_sum(y))
         if hasattr(dom, "values"):
             held = edge in dom.values
+        elif edge == np.inf:
+            held = dom.includes_infinity
         else:
             held = dom.lo <= edge <= dom.hi
         if held:
@@ -229,25 +293,25 @@ def _oracle_analytic(cover, x, y):
             return 0.0 if ny <= hi or dom.includes_infinity else np.inf
         if ny > hi:
             return np.inf
-        return nx * ny if ny >= lo else lo * nx
+        if ny < lo:
+            return lo * nx
+        # the 0 member admits y = 0 alone and gives 0 there, whatever x
+        return 0.0 if ny == 0.0 else nx * ny
     if nx == 0.0:
         if ny == 0.0 or dom.includes_infinity:
             return 0.0
+        if hi == np.inf:
+            return 0.0  # ||y||^2 / (2 lam) tends to 0, even from an overflowed norm
         return np.inf if hi == 0.0 else 0.5 * ny2 / hi
     if ny == 0.0:
-        return 0.5 * lo * nx2
+        return 0.0 if lo == 0.0 else 0.5 * lo * nx2
+    if nx == np.inf and ny == np.inf:
+        return np.inf  # both norms overflowed: every member is +inf
     lam = ny / nx
     if lo <= lam <= hi:
         return nx * ny
     lam = lo if lam < lo else hi
     return np.inf if lam == 0.0 else 0.5 * lam * nx2 + 0.5 * ny2 / lam
-
-
-def _pairing(x, y):
-    s = 0.0
-    for a, b in zip(x, y):
-        s += a * b
-    return s
 
 
 def _distance(u, v):
@@ -308,7 +372,8 @@ def oracle_table(cover_or_kind, xs, ys, mode="analytic", snap=0.0):
     def value(x, y):
         if isinstance(cover_or_kind, str):
             assert cover_or_kind == "cauchy"
-            return math.sqrt(_square_sum(x)) * math.sqrt(_square_sum(y))
+            nx, ny = math.sqrt(_square_sum(x)), math.sqrt(_square_sum(y))
+            return 0.0 if nx == 0.0 or ny == 0.0 else nx * ny
         if hasattr(cover_or_kind, "pairs"):
             if not oracle_law_member(cover_or_kind, x, y, snap):
                 return np.inf

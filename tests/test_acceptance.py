@@ -32,7 +32,7 @@ from bipotkit.convex import (
     graph_of,
     subdifferential_contains,
 )
-from bipotkit.covers import QuadraticFamily, norm_cover, quadratic_cover, separable_cover
+from bipotkit.covers import norm_cover, quadratic_cover, separable_cover
 from bipotkit.demos import nonbic_cover
 from bipotkit.laws import (
     LawGraph,
@@ -118,7 +118,8 @@ def test_criterion_3_separable_covers_are_exact():
 
 def test_criterion_4_harmonic_parameter_preserves_convex_mixes():
     rng = np.random.default_rng(20240817)
-    fam = QuadraticFamily(1)
+    cover = quadratic_cover(1)
+    fam = cover.family
     grid = np.linspace(-2.0, 2.0, 41)
     worst = -np.inf
     for _ in range(1000):
@@ -128,8 +129,8 @@ def test_criterion_4_harmonic_parameter_preserves_convex_mixes():
         x1, x2 = y / lam1, y / lam2
         lam = fam.candidate(lam1, lam2, alpha, y)
         mixed = alpha * x1 + (1.0 - alpha) * x2
-        lhs = fam.f(lam, mixed, y)
-        rhs = alpha * fam.f(lam1, x1, y) + (1.0 - alpha) * fam.f(lam2, x2, y)
+        lhs = cover.f_eval(lam, mixed, y)
+        rhs = alpha * cover.f_eval(lam1, x1, y) + (1.0 - alpha) * cover.f_eval(lam2, x2, y)
         worst = max(worst, lhs - rhs)
     ok = worst <= 1e-9
     report(4, ok, f"harmonic interpolation on 1000 random tuples: "

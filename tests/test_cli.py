@@ -215,6 +215,14 @@ def test_verify_cover_without_law_has_no_coverage(files, capsys):
     assert set(json.loads(out)) == {"bic", "axioms"}
 
 
+def test_verify_cover_against_law_of_another_dimension(files, tmp_path, capsys):
+    save_cover(quadratic_cover(dim=3), tmp_path / "quad3.json")
+    code, out, err = run(capsys, "verify", "--cover", str(tmp_path / "quad3.json"),
+                         "--law", files["sign"])
+    assert code == 1 and out == ""
+    assert err == "cover dimension 3 != law dimension 1\n"
+
+
 def test_verify_analytic_on_tabulated_exits_three(files, capsys):
     code, out, err = run(capsys, "verify", "--cover", files["nonbic"], "--mode", "analytic")
     assert code == 3 and out == "" and "grid" in err

@@ -22,7 +22,51 @@ from bipotkit.convex import (
 )
 from bipotkit.numerics import INF
 
-from .oracles import python_conjugate
+from .oracles import oracle_form_value, python_conjugate
+
+
+def seven_forms(dim):
+    """One instance of every form: a sign-carrying -0.0 offset, two tied
+    maximal max-affine pieces, a sampled grid with a node repeated (dims 2
+    and 3) and a -0.0 coordinate."""
+    rng = np.random.default_rng(dim)
+    e = np.eye(dim)[0]
+    grid = np.round(rng.uniform(-2, 2, size=(7, dim)), 1)
+    grid[0] = -0.0
+    if dim == 1:
+        grid = np.unique(grid + 0.0, axis=0)
+    else:
+        grid[5] = grid[2]
+    return [
+        Quadratic(0.75, dim),
+        ScaledNorm(1.25, dim),
+        IndicatorBall(1.5, dim),
+        IndicatorPoint(0.5 * e, offset=-0.0),
+        Affine(np.linspace(-1.0, 1.0, dim), 0.25),
+        MaxAffine(np.array([e, e, -e, np.zeros(dim)]), np.array([0.5, 0.5, 0.5, -1.0])),
+        Sampled(grid, rng.uniform(-1, 1, size=grid.shape[0])),
+    ]
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_value_many_and_value_match_the_oracle(dim):
+    rng = np.random.default_rng(10 + dim)
+    for phi in seven_forms(dim):
+        probes = np.concatenate([
+            np.round(rng.uniform(-2, 2, size=(20, dim)), 1),      # mostly sampled misses
+            rng.choice([-0.0, 0.0, 0.5, 1.0], size=(12, dim)),     # signed zeros, ties
+            phi.grid + 0.0 if isinstance(phi, Sampled) else np.zeros((1, dim)),  # hits
+            np.zeros((1, dim)), -np.zeros((1, dim)),
+        ])
+        want = [oracle_form_value(phi, p) for p in probes]
+        assert bits(phi.value_many(probes)) == bits(want), phi
+        assert bits([phi.value(p) for p in probes]) == bits(want), phi
+        assert bits([phi(p.tolist()) for p in probes]) == bits(want), phi
+        assert phi.value_many(probes[:0]).shape == (0,)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from bipotkit.covers import (
 from bipotkit.laws import LawGraph
 from bipotkit.numerics import INF, inner, norm
 
-from .oracles import oracle_table
+from .oracles import _oracle_member, oracle_table
 
 
 def v(*coords):
@@ -88,24 +88,24 @@ def test_finite_set():
 
 
 def test_quadratic_family_finite_values():
-    fam = QuadraticFamily(1)
-    assert fam.f(2.0, v(1), v(3)) == (0.5 * 2.0) * 1.0 + (0.5 * 9.0) / 2.0
+    cover = quadratic_cover(1)
+    assert cover.f_eval(2.0, v(1), v(3)) == (0.5 * 2.0) * 1.0 + (0.5 * 9.0) / 2.0
 
 
 def test_quadratic_family_end_members():
-    fam = QuadraticFamily(1)
-    assert fam.f(0.0, v(5), v(0)) == 0.0
-    assert fam.f(0.0, v(5), v(1)) == INF
-    assert fam.f(INF, v(0), v(7)) == 0.0
-    assert fam.f(INF, v(1), v(7)) == INF
+    cover = quadratic_cover(1)
+    assert cover.f_eval(0.0, v(5), v(0)) == 0.0
+    assert cover.f_eval(0.0, v(5), v(1)) == INF
+    assert cover.f_eval(INF, v(0), v(7)) == 0.0
+    assert cover.f_eval(INF, v(1), v(7)) == INF
 
 
 def test_quadratic_f_many_matches_scalar():
-    fam = QuadraticFamily(2)
+    cover = quadratic_cover(2)
     lams = np.array([0.0, 1e-3, 1.0, 42.0, INF])
     for x, y in [(v(1, 2), v(3, -1)), (v(0, 0), v(1, 1)), (v(2, 0), v(0, 0))]:
-        many = fam.f_many(lams, x, y)
-        assert many.tolist() == [fam.f(l, x, y) for l in lams]
+        many = cover.family.f_many(lams, x, y)
+        assert many.tolist() == [_oracle_member(cover, l, x, y) for l in lams]
 
 
 def test_f_many_sentinels_use_exact_zero_vectors():
@@ -113,10 +113,13 @@ def test_f_many_sentinels_use_exact_zero_vectors():
     # +inf, and a grid sweep must not report a finite value at those ends
     x, tiny = v(1.0), v(1e-200)
     ends = np.array([0.0, INF])
-    for fam in (QuadraticFamily(1), NormFamily(1)):
-        assert fam.f_many(ends, x, tiny).tolist() == [fam.f(l, x, tiny) for l in ends]
-        assert fam.f_many(ends, tiny, x).tolist() == [fam.f(l, tiny, x) for l in ends]
-        assert fam.f(0.0, x, tiny) == INF and fam.f(INF, tiny, x) == INF
+    for cover in (quadratic_cover(1), norm_cover(1)):
+        fam = cover.family
+        assert fam.f_many(ends, x, tiny).tolist() == [INF, INF]
+        assert fam.f_many(ends, tiny, x).tolist() == [INF, INF]
+        assert fam.f_many(ends, x, tiny).tolist() == [_oracle_member(cover, l, x, tiny)
+                                                      for l in ends]
+        assert cover.f_eval(0.0, x, tiny) == INF and cover.f_eval(INF, tiny, x) == INF
     cover = quadratic_cover(1)
     val, lam = cover.grid_infimum(x, tiny)
     assert lam > 0.0 and val == cover.f_eval(lam, x, tiny)
@@ -127,21 +130,44 @@ def test_f_many_broadcasts_over_point_stacks():
     lams = np.array([0.0, 0.5, 2.0, INF])
     xs = np.array([[1.0, 2.0], [0.0, 0.0], [-1.0, 0.5]])
     ys = np.array([[0.0, 0.0], [3.0, -1.0], [0.25, 1.0]])
-    for fam in (QuadraticFamily(2), NormFamily(2),
-                SeparableFamily(Quadratic(1.0, 2), Quadratic(1.0, 2))):
+    for cover in (quadratic_cover(2), norm_cover(2),
+                  separable_cover(Quadratic(1.0, 2))):
+        fam = cover.family
         grid = fam.f_many(lams, xs[:, None, :], ys[:, None, :])
         assert grid.shape == (3, 4)
         for i in range(3):
             assert grid[i].tolist() == fam.f_many(lams, xs[i], ys[i]).tolist()
         each = fam.f_many(lams[:3], xs, ys)
-        assert each.tolist() == [fam.f(lams[i], xs[i], ys[i]) for i in range(3)]
+        assert each.tolist() == [_oracle_member(cover, lams[i], xs[i], ys[i]) for i in range(3)]
+
+
+def test_separable_and_tabulated_f_many_match_oracle():
+    from .test_convex import bits, seven_forms
+
+    rng = np.random.default_rng(4)
+    for dim in (1, 2, 3):
+        forms = seven_forms(dim)
+        grid = np.round(rng.uniform(-2, 2, size=(9, dim)), 1)
+        grid = np.unique(grid, axis=0)
+        covers = [separable_cover(phi, dual_grid=grid, primal_grid=grid) for phi in forms]
+        covers.append(tabulated_cover([(float(k), phi, phi) for k, phi in enumerate(forms)]))
+        xs = np.concatenate([grid, rng.choice([-0.0, 0.0, 0.5, 1.0], size=(6, dim))])
+        ys = xs[::-1].copy()
+        for cover in covers:
+            lams = cover.domain.sample_grid
+            table = cover.family.f_many(lams, xs[:, None], ys[:, None])
+            want = [[_oracle_member(cover, lam, x, y) for lam in lams] for x, y in zip(xs, ys)]
+            assert bits(table) == bits(want)
+            paired = cover.family.f_many(lams[np.arange(xs.shape[0]) % lams.size], xs, ys)
+            assert bits(paired) == bits([want[k][k % lams.size] for k in range(xs.shape[0])])
 
 
 def test_quadratic_exact_minimizer_closes_the_product():
     fam = QuadraticFamily(2)
     x, y = v(1, 2), v(-2, 1)
-    (lam,) = fam.exact_minimizer_lams(x, y)
-    assert abs(fam.f(lam, x, y) - norm(x) * norm(y)) < 1e-12
+    ((lam, present),) = fam.special_lams_many(x, y)
+    assert present and lam == norm(y) / norm(x)
+    assert abs(fam.f_many(lam, x, y) - norm(x) * norm(y)) < 1e-12
 
 
 def test_quadratic_members_conjugate_pairwise():
@@ -150,17 +176,18 @@ def test_quadratic_members_conjugate_pairwise():
 
 
 def test_norm_family_values():
-    fam = NormFamily(2)
-    assert fam.f(1.0, v(3, 4), v(0.6, 0.8)) == 5.0
-    assert fam.f(1.0, v(3, 4), v(0.8, 0.8)) == INF
-    assert fam.finite_boundary_lams(v(1, 0), v(0, 2)) == [2.0]
+    cover = norm_cover(2)
+    assert cover.f_eval(1.0, v(3, 4), v(0.6, 0.8)) == 5.0
+    assert cover.f_eval(1.0, v(3, 4), v(0.8, 0.8)) == INF
+    assert cover.family.finite_boundary_lams(v(1, 0), v(0, 2)) == [2.0]
 
 
 def test_norm_f_many_matches_scalar():
-    fam = NormFamily(2)
+    cover = norm_cover(2)
     lams = np.array([0.0, 0.5, 2.0, INF])
     for x, y in [(v(1, 1), v(1, 0)), (v(0, 0), v(0, 3))]:
-        assert fam.f_many(lams, x, y).tolist() == [fam.f(l, x, y) for l in lams]
+        assert cover.family.f_many(lams, x, y).tolist() == [
+            _oracle_member(cover, l, x, y) for l in lams]
 
 
 def test_norm_members_conjugate_pairwise():
@@ -171,16 +198,16 @@ def test_norm_members_conjugate_pairwise():
 
 def test_separable_family_ignores_lambda():
     fam = SeparableFamily(Quadratic(1.0, 1), Quadratic(1.0, 1))
-    assert fam.f(0.0, v(1), v(2)) == fam.f(7.0, v(1), v(2)) == 0.5 + 2.0
+    assert fam.f_many(np.array([0.0, 7.0]), v(1), v(2)).tolist() == [0.5 + 2.0] * 2
 
 
 def test_tabulated_family_lookup():
     fam = TabulatedFamily([(1.0, Quadratic(1.0, 1), Quadratic(1.0, 1)),
                            (3.0, Quadratic(3.0, 1), Quadratic(1 / 3, 1))])
     assert fam.lams() == [1.0, 3.0]
-    assert fam.f(3.0, v(1), v(3)) == 1.5 + 1.5
-    with pytest.raises(ValueError):
-        fam.f(2.0, v(1), v(1))
+    assert fam.f_many(np.array(3.0), v(1), v(3)) == 1.5 + 1.5
+    with pytest.raises(ValueError, match="lambda 2.0 is not tabulated"):
+        fam.f_many(np.array([1.0, 2.0, 5.0]), v(1), v(1))
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +249,27 @@ def test_grid_infimum_values_match_scalar_loop():
         batched = cover.grid_infimum_values(xs, ys)
         scalar = np.array([oracle_table(cover, [x], [y], "grid")[0, 0] for x, y in zip(xs, ys)])
         assert np.array_equal(batched, scalar)
+
+
+def test_grid_infimum_reports_the_first_minimum_in_ascending_lambda():
+    # the sweep over the sample grid merged with the boundary ||y||, scanned
+    # in ascending order: x = 0 ties every admitted norm member at 0, so the
+    # boundary wins over the grid points above it
+    assert norm_cover(1).grid_infimum(v(0), v(0.3)) == (0.0, 0.3)
+    rng = np.random.default_rng(12)
+    covers = (quadratic_cover(2, grid_points=40), norm_cover(2, grid_points=40),
+              Cover(ClosedInterval(0.5, 3.0, grid_points=20), NormFamily(2)),
+              Cover(FiniteSet((0.0, 0.5, 2.0, INF)), NormFamily(2)))
+    for cover in covers:
+        xs = rng.choice([0.0, 0.3, 1.0, -2.0], size=(25, 2))
+        ys = rng.choice([0.0, 0.4, 1.0, -1.5], size=(25, 2))
+        for x, y in zip(xs, ys):
+            lams = sorted(set(cover.domain.sample_grid.tolist())
+                          | ({norm(y)} if cover.domain.contains(norm(y))
+                             and isinstance(cover.family, NormFamily) else set()))
+            vals = [_oracle_member(cover, lam, x, y) for lam in lams]
+            k = vals.index(min(vals))
+            assert cover.grid_infimum(x, y) == (vals[k], lams[k])
 
 
 def test_degenerate_probes():
@@ -342,11 +390,11 @@ def test_tabulated_candidate_not_found():
 def test_harmonic_candidate_satisfies_mix_inequality(lam1, lam2, alpha, s):
     # mixing subgradient points of the quadratic members keeps the mixed
     # point subgradient-linked at the interpolated parameter
-    fam = QuadraticFamily(1)
+    cover = quadratic_cover(1)
     y = v(s)
     x1, x2 = y / lam1, y / lam2
-    lam = fam.candidate(lam1, lam2, alpha, y)
+    lam = cover.family.candidate(lam1, lam2, alpha, y)
     mixed = alpha * x1 + (1 - alpha) * x2
-    lhs = fam.f(lam, mixed, y)
-    rhs = alpha * fam.f(lam1, x1, y) + (1 - alpha) * fam.f(lam2, x2, y)
+    lhs = cover.f_eval(lam, mixed, y)
+    rhs = alpha * cover.f_eval(lam1, x1, y) + (1 - alpha) * cover.f_eval(lam2, x2, y)
     assert lhs <= rhs + 1e-9

@@ -185,7 +185,7 @@ def test_separable_cover_round_trip():
     data = cover_to_data(cover)
     back = cover_from_data(data)
     assert cover_to_data(back) == data
-    assert back.family.f(0.0, v(1), v(2)) == 2.5
+    assert back.f_eval(0.0, v(1), v(2)) == 2.5
 
 
 def test_separable_cover_with_explicit_conjugate():

@@ -110,6 +110,44 @@ def test_stored_pair_must_sit_inside_hint():
                primal_hints={(0.0,): Singleton(np.array([-1.0]))})
 
 
+def long_hinted_law(bad_primal=None, bad_dual=None):
+    """300 pairs: x = 0 for the even indices, hinted by the segment [0, 2]
+    of y; y = 5 for the odd ones, hinted by the segment [1, 3] of x. A bad
+    index moves its pair outside the hint on its side."""
+    pairs = [(0.0, (k % 20) / 10) if k % 2 == 0 else (1.0 + (k % 20) / 10, 5.0)
+             for k in range(300)]
+    if bad_primal is not None:
+        pairs[bad_primal] = (0.0, 2.5)
+    if bad_dual is not None:
+        pairs[bad_dual] = (0.5, 5.0)
+    return law_1d(pairs, primal_hints={(0.0,): Segment(np.array([0.0]), np.array([2.0]))},
+                  dual_hints={(5.0,): Segment(np.array([1.0]), np.array([3.0]))})
+
+
+def test_long_hinted_law_reports_its_first_bad_pair():
+    assert len(long_hinted_law()) == 300
+    with pytest.raises(ValueError) as exc:
+        long_hinted_law(bad_primal=288)
+    assert str(exc.value) == ("pair 288: y [2.5] lies outside the declared "
+                              "primal slice hint at x [0.0]")
+    with pytest.raises(ValueError) as exc:
+        long_hinted_law(bad_dual=291)
+    assert str(exc.value) == ("pair 291: x [0.5] lies outside the declared "
+                              "dual slice hint at y [5.0]")
+    # the lowest index wins, whichever side it is on
+    with pytest.raises(ValueError, match="^pair 291: x"):
+        long_hinted_law(bad_primal=298, bad_dual=291)
+    with pytest.raises(ValueError, match="^pair 296: y"):
+        long_hinted_law(bad_primal=296, bad_dual=299)
+
+
+def test_hint_failures_at_one_pair_report_the_primal_side_first():
+    pairs = [(0.0, 0.0)] * 50 + [(0.0, 3.0)]
+    with pytest.raises(ValueError, match="^pair 50: y \\[3.0\\] .* primal"):
+        law_1d(pairs, primal_hints={(0.0,): Singleton(np.array([0.0]))},
+               dual_hints={(3.0,): Singleton(np.array([1.0]))})
+
+
 # ---------------------------------------------------------------------------
 # BB screen
 

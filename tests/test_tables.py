@@ -91,6 +91,43 @@ def test_inf_of_cover_table_matches_oracle(name, mode):
     assert np.array_equal(got, oracle_table(cover, xs, ys, mode))
 
 
+def overflowing(dim):
+    """Probes whose squared norms overflow to inf, next to 0, 1 and 1e-200."""
+    p = np.zeros((6, dim))
+    p[1, 0], p[2, -1], p[3], p[4, 0], p[5, -1] = 1e200, -1e200, 1e200, 1.0, 1e-200
+    return p
+
+
+@pytest.mark.parametrize("mode", ["analytic", "grid"])
+@pytest.mark.parametrize("name", list(COVERS))
+def test_overflowing_probes_give_no_nan(name, mode):
+    # an overflowed norm against a zero one is inf * 0 in a product or a
+    # ratio; the infimum is still an extended real with a parameter
+    cover = COVERS[name]
+    ps = overflowing(cover.dim)
+    b = build_inf(cover, mode=mode)
+    with np.errstate(over="ignore"):
+        got = b.table(ps, ps)
+        pairs = [b.infimum(x, y) for x in ps for y in ps]
+    assert np.array_equal(got, oracle_table(cover, ps, ps, mode))
+    assert [val for val, _ in pairs] == got.ravel().tolist()
+    assert not np.isnan([lam for _, lam in pairs]).any()
+
+
+def test_overflow_cases_match_grid_mode():
+    big, zero = np.array([1e200]), np.array([0.0])
+    with np.errstate(over="ignore"):
+        for cover, x, y, want in ((quadratic_cover(1), big, big, (INF, 0.0)),
+                                  (quadratic_cover(1), big, zero, (0.0, 0.0)),
+                                  (norm_cover(1), big, zero, (0.0, 0.0))):
+            assert build_inf(cover).infimum(x, y) == want
+            assert build_inf(cover, mode="grid").infimum(x, y) == want
+        assert CauchyProduct(1).value(big, zero) == 0.0
+        assert CauchyProduct(1).table([big], [zero]).tolist() == [[0.0]]
+        assert np.array_equal(CauchyProduct(2).table(overflowing(2), overflowing(2)),
+                              oracle_table("cauchy", overflowing(2), overflowing(2)))
+
+
 @pytest.mark.parametrize("name", list(TABULATED))
 def test_tabulated_table_matches_oracle(name):
     cover = TABULATED[name]
