@@ -103,6 +103,8 @@ class ClosedInterval:
         """Built once per domain and read-only."""
         core = np.logspace(math.log10(self.grid_lo), math.log10(self.grid_hi),
                            self.grid_points)
+        # 10 ** log10(t) can round to just outside [lo, hi]; such nodes go
+        core = core[(self.lo <= core) & (core <= self.hi)]
         ends = [self.lo]
         if self.hi < INF:
             ends.append(self.hi)

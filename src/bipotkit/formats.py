@@ -142,6 +142,35 @@ def law_to_data(law, snap_tolerance=None):
     return data
 
 
+def _parse_pairs(raw, dim):
+    """The x and y sides of a list of pairs as two (m, dim) float64 stacks.
+
+    The structure and coordinate types of every pair are checked first, then
+    each side is converted and screened for finiteness at once. When a check
+    fails, the pairs are parsed again one by one, which raises for the first
+    offending pair and coordinate.
+    """
+    ok = all(isinstance(e, (list, tuple)) and len(e) == 2 for e in raw)
+    if ok:
+        sides = [e[0] for e in raw], [e[1] for e in raw]
+        ok = all(isinstance(v, (list, tuple)) and len(v) == dim
+                 and all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in v)
+                 for side in sides for v in side)
+    if ok:
+        try:
+            xs, ys = (np.array(side, dtype=np.float64) for side in sides)
+            ok = bool(np.isfinite(xs).all() and np.isfinite(ys).all())
+        except OverflowError:  # an integer beyond the float range
+            ok = False
+    if not ok:
+        for k, entry in enumerate(raw):
+            if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+                raise FormatError(f"pair {k} must be [[x...], [y...]]")
+            _parse_vector(entry[0], f"pair {k} x", dim)
+            _parse_vector(entry[1], f"pair {k} y", dim)
+    return xs, ys
+
+
 def law_from_data(data):
     """Law graph from a LawGraphFile document.
 
@@ -165,15 +194,10 @@ def law_from_data(data):
     def q(v):
         return np.round(v / snap) * snap if snap > 0.0 else v
 
-    pairs = []
-    for k, entry in enumerate(raw):
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise FormatError(f"pair {k} must be [[x...], [y...]]")
-        x = q(_parse_vector(entry[0], f"pair {k} x", dim))
-        y = q(_parse_vector(entry[1], f"pair {k} y", dim))
-        pairs.append((x, y))
+    xs, ys = (q(side) for side in _parse_pairs(raw, dim))
 
     primal_hints, dual_hints = {}, {}
+    anchors = []
     for k, h in enumerate(data.get("slice_hints", [])):
         if not isinstance(h, dict):
             raise FormatError(f"slice hint {k} must be an object")
@@ -182,8 +206,12 @@ def law_from_data(data):
             raise FormatError(f"slice hint side must be primal or dual, got {side!r}")
         at = q(_parse_vector(h.get("at"), f"slice hint {k} anchor", dim))
         hint = _hint_from_data(h, dim)
-        (primal_hints if side == "primal" else dual_hints)[tuple(at)] = hint
-    return LawGraph(pairs, primal_hints=primal_hints, dual_hints=dual_hints)
+        anchors.append(at)
+        (primal_hints if side == "primal" else dual_hints)[tuple(at.tolist())] = hint
+    if not all(np.isfinite(v).all() for v in (xs, ys, *anchors)):
+        # quantizing overflowed; the checking constructor names what it hit
+        return LawGraph(list(zip(xs, ys)), primal_hints=primal_hints, dual_hints=dual_hints)
+    return LawGraph._from_arrays(xs, ys, primal_hints, dual_hints)
 
 
 def load_law(path):

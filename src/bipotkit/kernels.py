@@ -5,6 +5,12 @@ Each kernel has one numpy implementation and accumulates every scalar in a
 fixed order, so routes that promise bit-identical results (the merge and
 brute-force conjugates, for one) can rely on it. ``BACKEND`` names that
 implementation for benchmark records.
+
+The sweeps are synchronous: each one reads only the previous sweep's
+distances. Both therefore stop at the first sweep that changes nothing,
+since every later sweep would repeat it, and return exactly what the full
+n - 1 sweeps return. Data with a negative cycle (for Bellman-Ford) keeps
+relaxing and still runs all n - 1 sweeps and the check sweep.
 """
 
 from __future__ import annotations
@@ -91,28 +97,26 @@ def conjugate_merge(x, v, y):
 def bellman_ford(w):
     """n-1 shortest-walk sweeps from a virtual zero source plus one check
     sweep. Returns (pred, improvement): improvement[j] > 0 means node j would
-    still relax, i.e. a negative cycle feeds it."""
+    still relax, i.e. a negative cycle feeds it. The first sweep in which no
+    node strictly improves ends the run, and stands for the check sweep."""
     n = w.shape[0]
     dist = np.zeros(n)
     pred = np.full(n, -1, dtype=np.int64)
-    for _ in range(n - 1):
+    cols = np.arange(n)
+    for sweep in range(n):
         cand = dist[:, None] + w
-        best = cand.min(axis=0)
         arg = cand.argmin(axis=0)
+        best = cand[arg, cols]
         improved = best < dist
         pred = np.where(improved, arg, pred)
+        if sweep == n - 1 or not improved.any():
+            return pred, np.where(improved, dist - best, 0.0)
         dist = np.where(improved, best, dist)
-    cand = dist[:, None] + w
-    best = cand.min(axis=0)
-    arg = cand.argmin(axis=0)
-    improved = best < dist
-    pred = np.where(improved, arg, pred)
-    improvement = np.where(improved, dist - best, 0.0)
-    return pred, improvement
 
 
 def longest_path(w, base):
-    """Maximal chain sums from ``base`` under weights w, via max-plus sweeps.
+    """Maximal chain sums from ``base`` under weights w, via at most n - 1
+    max-plus sweeps, stopping at the first that leaves the sums unchanged.
 
     Requires no positive cycle; on a complete digraph every node is reached.
     """
@@ -122,5 +126,9 @@ def longest_path(w, base):
     for _ in range(n - 1):
         with np.errstate(invalid="ignore"):
             cand = (c[:, None] + w).max(axis=0)
-        c = np.maximum(c, cand)
+        grown = np.maximum(c, cand)
+        # a NaN never compares equal, so sums that went NaN keep sweeping
+        if np.array_equal(grown, c):
+            break
+        c = grown
     return c

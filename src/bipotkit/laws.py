@@ -12,7 +12,13 @@ indices with edge weight w(i, j) = <x_j - x_i, y_i>: the samples are
 cyclically monotone iff no directed cycle has positive weight. Detection
 negates the weights and runs Bellman-Ford sweeps; a relaxation that still
 succeeds after n-1 sweeps exposes a positive cycle, which is extracted and
-returned as the witness.
+returned as the witness. The sweeps stop at their fixed point, which
+monotone samples reach early; samples with a positive cycle still run all
+n - 1 sweeps, since their witness is read from the last one.
+
+Both tests work on whole arrays: slices are grouped by exact row keys and
+screened through all their midpoints at once, and the predecessor walks
+that find cycles advance every improving node together.
 """
 
 from __future__ import annotations
@@ -24,7 +30,8 @@ import numpy as np
 
 from . import kernels
 from .convex import MaxAffine
-from .numerics import _batch_inner, _batch_norm2, _inner, as_vector, inner, norm, vec_key
+from .covers import SWEEP_CHUNK
+from .numerics import _batch_inner, _batch_norm2, _inner, _row_keys, as_vector, norm, vec_key
 
 DEFAULT_TOL = 1e-9
 
@@ -200,23 +207,25 @@ class LawGraph:
         dim = xs[0].size
         xs = [as_vector(x, dim) for x in xs]
         ys = [as_vector(y, dim) for _, y in pairs]
-        self.xs = np.array(xs)
-        self.ys = np.array(ys)
-        self.dim = dim
-        self.hint_tol = float(hint_tol)
-        self.primal_hints = {vec_key(at): hint for at, hint in dict(primal_hints or {}).items()}
-        self.dual_hints = {vec_key(at): hint for at, hint in dict(dual_hints or {}).items()}
-        self._validate_hints()
+        self._assign(np.array(xs), np.array(ys),
+                     {vec_key(at): hint for at, hint in dict(primal_hints or {}).items()},
+                     {vec_key(at): hint for at, hint in dict(dual_hints or {}).items()},
+                     float(hint_tol))
 
     @classmethod
-    def _from_arrays(cls, xs, ys):
-        """A law without hints over trusted (m, dim) float64 stacks, taken
-        as they are."""
+    def _from_arrays(cls, xs, ys, primal_hints=None, dual_hints=None):
+        """A law over trusted (m, dim) float64 stacks, taken as they are.
+        Hints come keyed by exact coordinate tuples, as :func:`vec_key`
+        makes them, and are validated against the pairs."""
         law = cls.__new__(cls)
-        law.xs, law.ys, law.dim = xs, ys, xs.shape[1]
-        law.hint_tol = DEFAULT_TOL
-        law.primal_hints, law.dual_hints = {}, {}
+        law._assign(xs, ys, primal_hints or {}, dual_hints or {}, DEFAULT_TOL)
         return law
+
+    def _assign(self, xs, ys, primal_hints, dual_hints, hint_tol):
+        self.xs, self.ys, self.dim = xs, ys, xs.shape[1]
+        self.hint_tol = hint_tol
+        self.primal_hints, self.dual_hints = primal_hints, dual_hints
+        self._validate_hints()
 
     def _validate_hints(self):
         # every anchor needs a pair before any pair is checked
@@ -325,14 +334,18 @@ def _midpoint_failure(members, tol):
     """First midpoint not within tol of some member, or None.
 
     Finite sets are closed, so closedness holds vacuously; convexity of a
-    finite sample is testable only through midpoint membership.
+    finite sample is testable only through midpoint membership. The
+    midpoints of the pairs i < j of the (k, dim) stack ``members`` are
+    screened in row-major order, ``SWEEP_CHUNK`` distances at a time.
     """
-    m = len(members)
-    for i in range(m):
-        for j in range(i + 1, m):
-            mid = 0.5 * (members[i] + members[j])
-            if min(norm(mid - mem) for mem in members) > tol:
-                return mid
+    k, dim = members.shape
+    i, j = np.triu_indices(k, 1)
+    step = max(1, SWEEP_CHUNK // (k * dim))
+    for start in range(0, i.size, step):
+        mids = 0.5 * (members[i[start:start + step]] + members[j[start:start + step]])
+        far = np.flatnonzero((_batch_norm(mids[:, None] - members[None]) > tol).all(axis=1))
+        if far.size:
+            return mids[far[0]].copy()
     return None
 
 
@@ -347,8 +360,8 @@ def bb_check(law, tol=DEFAULT_TOL):
     sides = (("primal", law.xs, law.ys, law.primal_hints),
              ("dual", law.ys, law.xs, law.dual_hints))
     for which, coords, others, hints in sides:
-        for key, (at, members) in _slices(coords, others).items():
-            if key in hints:
+        for at, members in _slices(coords, others):
+            if tuple(at.tolist()) in hints:
                 continue
             mid = _midpoint_failure(members, tol)
             if mid is not None:
@@ -357,14 +370,17 @@ def bb_check(law, tol=DEFAULT_TOL):
 
 
 def _slices(coords, others):
-    """All slices in one pass over the stored pairs: each distinct row of
-    ``coords``, keyed by :func:`vec_key` in first-appearance order, maps to
-    that first row and the rows of ``others`` paired with it, in storage
-    order."""
-    out = {}
-    for c, o in zip(coords, others):
-        out.setdefault(vec_key(c), (c, []))[1].append(o)
-    return out
+    """Every slice with two or more members (a single point is convex), in
+    first-appearance order: the first row of ``coords`` at each distinct
+    coordinate (-0.0 meets 0.0) and the rows of ``others`` paired with it,
+    in storage order."""
+    _, first, group = np.unique(_row_keys(coords), return_index=True, return_inverse=True)
+    counts = np.bincount(group)
+    rows = np.argsort(group, kind="stable")
+    starts = np.cumsum(counts) - counts
+    order = np.argsort(first)
+    return [(coords[first[g]], others[rows[starts[g]:starts[g] + counts[g]]])
+            for g in order[counts[order] >= 2]]
 
 
 # ---------------------------------------------------------------------------
@@ -399,22 +415,30 @@ def _canonical_cycle(cycle):
     return tuple(cycle[k:] + cycle[:k])
 
 
-def _cycle_from_pred(pred, start, m):
-    u = int(start)
+def _cycle_entries(pred, starts):
+    """Distinct nodes that m steps along ``pred`` lead to from ``starts``,
+    in first-appearance order, walked for all starts at once. A walk of m
+    steps over m nodes ends on a cycle of ``pred``; one that meets a -1
+    (no predecessor) has no cycle and is dropped."""
+    m = pred.size
+    step = np.append(np.where(pred < 0, m, pred), m)  # node m: a sink for -1
+    u = starts
     for _ in range(m):
-        if pred[u] < 0:
-            return None
-        u = int(pred[u])
+        u = step[u]
+    u = u[u < m]
+    _, first = np.unique(u, return_index=True)
+    return u[np.sort(first)].tolist()
+
+
+def _cycle_through(pred, u):
+    """The cycle of ``pred`` through node u, in edge order, rotated so its
+    smallest index leads."""
     seq = [u]
-    v = int(pred[u])
-    steps = 0
+    v = pred[u]
     while v != u:
-        if v < 0 or steps > m:
-            return None
         seq.append(v)
-        v = int(pred[v])
-        steps += 1
-    return _canonical_cycle(list(reversed(seq)))
+        v = pred[v]
+    return _canonical_cycle(seq[::-1])
 
 
 def cyclic_monotonicity_check(law, tol=DEFAULT_TOL):
@@ -424,16 +448,22 @@ def cyclic_monotonicity_check(law, tol=DEFAULT_TOL):
     genuinely monotone data land there. The witness, when present, is a
     positive cycle with sum above tol, rotated so its smallest index leads.
     """
-    w = weight_matrix(law)
+    return _cycle_report(weight_matrix(law), tol)
+
+
+def _cycle_report(w, tol):
+    """:func:`cyclic_monotonicity_check` on a weight matrix. Each cycle the
+    predecessors close is summed once; the first with the largest sum wins."""
     m = w.shape[0]
     if m < 2:
         return CycleReport(True, None, 0.0)
     pred, improvement = kernels.bellman_ford(-w)
+    pred_list = pred.tolist()
     best_cycle, best_sum = None, 0.0
     seen = set()
-    for j in np.nonzero(improvement > 0.0)[0]:
-        cyc = _cycle_from_pred(pred, j, m)
-        if cyc is None or cyc in seen:
+    for u in _cycle_entries(pred, np.flatnonzero(improvement > 0.0)):
+        cyc = _cycle_through(pred_list, u)
+        if cyc in seen:
             continue
         seen.add(cyc)
         s = cycle_sum(w, list(cyc))
@@ -459,10 +489,9 @@ def rockafellar_reconstruct(law, base=0, tol=DEFAULT_TOL):
     m = len(law)
     if not 0 <= base < m:
         raise ValueError(f"base index {base} out of range for {m} samples")
-    report = cyclic_monotonicity_check(law, tol)
+    w = weight_matrix(law)
+    report = _cycle_report(w, tol)
     if not report.cyclically_monotone:
         raise NotCyclicallyMonotoneError(report)
-    w = weight_matrix(law)
     c = kernels.longest_path(w, base)
-    offsets = np.array([c[i] - inner(law.xs[i], law.ys[i]) for i in range(m)])
-    return MaxAffine(law.ys.copy(), offsets)
+    return MaxAffine(law.ys.copy(), c - _batch_inner(law.xs, law.ys))

@@ -466,3 +466,114 @@ def oracle_contacts(B, xs, ys, tol):
     B = np.asarray(B)
     return [(x, y) for r, x in enumerate(xs) for c, y in enumerate(ys)
             if float(B[r, c]) - _pairing(x, y) <= tol]
+
+
+# ---------------------------------------------------------------------------
+# law layer: the full-sweep kernels and the per-node cycle extraction, as
+# they stood before the sweeps learned to stop at their fixed point
+
+
+def oracle_bellman_ford(w):
+    """n-1 shortest-walk sweeps from a virtual zero source plus one check
+    sweep, every sweep run. Returns (pred, improvement)."""
+    n = w.shape[0]
+    dist = np.zeros(n)
+    pred = np.full(n, -1, dtype=np.int64)
+    for _ in range(n - 1):
+        cand = dist[:, None] + w
+        best = cand.min(axis=0)
+        arg = cand.argmin(axis=0)
+        improved = best < dist
+        pred = np.where(improved, arg, pred)
+        dist = np.where(improved, best, dist)
+    cand = dist[:, None] + w
+    best = cand.min(axis=0)
+    arg = cand.argmin(axis=0)
+    improved = best < dist
+    pred = np.where(improved, arg, pred)
+    improvement = np.where(improved, dist - best, 0.0)
+    return pred, improvement
+
+
+def oracle_longest_path(w, base):
+    """Maximal chain sums from ``base`` after all n-1 max-plus sweeps."""
+    n = w.shape[0]
+    c = np.full(n, -np.inf)
+    c[base] = 0.0
+    for _ in range(n - 1):
+        with np.errstate(invalid="ignore"):
+            cand = (c[:, None] + w).max(axis=0)
+        c = np.maximum(c, cand)
+    return c
+
+
+def _oracle_canonical_cycle(cycle):
+    k = int(np.argmin(cycle))
+    return tuple(cycle[k:] + cycle[:k])
+
+
+def _oracle_cycle_from_pred(pred, start, m):
+    u = int(start)
+    for _ in range(m):
+        if pred[u] < 0:
+            return None
+        u = int(pred[u])
+    seq = [u]
+    v = int(pred[u])
+    steps = 0
+    while v != u:
+        if v < 0 or steps > m:
+            return None
+        seq.append(v)
+        v = int(pred[v])
+        steps += 1
+    return _oracle_canonical_cycle(list(reversed(seq)))
+
+
+def oracle_cycle_witness(w, tol):
+    """(cyclically monotone, witness cycle, cycle sum) of the weights w: the
+    full-sweep Bellman-Ford screen, then one predecessor walk per improving
+    node; the first cycle with the largest sum above tol is the witness."""
+    m = w.shape[0]
+    if m < 2:
+        return True, None, 0.0
+    pred, improvement = oracle_bellman_ford(-w)
+    best_cycle, best_sum = None, 0.0
+    seen = set()
+    for j in np.nonzero(improvement > 0.0)[0]:
+        cyc = _oracle_cycle_from_pred(pred, j, m)
+        if cyc is None or cyc in seen:
+            continue
+        seen.add(cyc)
+        s = oracle_cycle_sum(w, cyc)
+        if s > best_sum:
+            best_cycle, best_sum = cyc, s
+    if best_cycle is not None and best_sum > tol:
+        return False, best_cycle, best_sum
+    return True, None, 0.0
+
+
+def oracle_bb_check(law, tol):
+    """(is BB-graph, which, at, witness midpoint) from plain loops: slices
+    gathered by coordinate equality in first-appearance order, each unhinted
+    one tested pair by pair (i < j) for a midpoint within tol of a member."""
+    sides = (("primal", law.xs.tolist(), law.ys.tolist(), law.primal_hints),
+             ("dual", law.ys.tolist(), law.xs.tolist(), law.dual_hints))
+    for which, coords, others, hints in sides:
+        slices = []
+        for c, o in zip(coords, others):
+            for at, members in slices:
+                if at == c:
+                    members.append(o)
+                    break
+            else:
+                slices.append((c, [o]))
+        for at, members in slices:
+            if tuple(at) in hints:
+                continue
+            for i in range(len(members)):
+                for j in range(i + 1, len(members)):
+                    mid = [0.5 * (a + b) for a, b in zip(members[i], members[j])]
+                    if min(_distance(mid, mem) for mem in members) > tol:
+                        return False, which, at, mid
+    return True, None, None, None

@@ -72,6 +72,18 @@ def test_sample_grids_are_cached_and_read_only():
             grid[0] = 1.0
 
 
+def test_sample_grid_stays_inside_the_interval():
+    # 10 ** log10(0.3) is 0.29999999999999993, below lo
+    dom = ClosedInterval(0.3, INF, includes_infinity=True)
+    assert dom.sample_grid[0] == 0.3
+    cover = Cover(dom, QuadraticFamily(1))
+    assert cover.grid_infimum([1.0], [0.0]) == (0.15, 0.3)
+    for lo, hi in ((0.3, INF), (0.0, INF), (0.1, 7.0), (1e-3, 0.7), (0.7, 0.7),
+                   (0.007, 30.0), (2.9, 300.0)):
+        dom = ClosedInterval(lo, hi, includes_infinity=hi == INF)
+        assert dom.contains_many(dom.sample_grid).all(), (lo, hi)
+
+
 def test_degenerate_interval():
     dom = ClosedInterval(1.0, 1.0)
     assert dom.sample_grid.tolist() == [1.0]

@@ -255,3 +255,153 @@ def test_to_jsonable_dataclasses():
     from bipotkit.laws import BBReport
     out = to_jsonable(BBReport(is_bb_graph=True, failing_slice=None))
     assert out == {"is_bb_graph": True, "failing_slice": None}
+
+
+# ---------------------------------------------------------------------------
+# the array loader: same errors, same arrays
+
+
+def long_law(bad_index=None, bad_pair=None, dim=2, m=300):
+    pairs = [[[0.25 * k, -1.0][:dim], [1.0, 0.5 * k][:dim]] for k in range(m)]
+    if bad_index is not None:
+        pairs[bad_index] = bad_pair
+    return {"dimension": dim, "pairs": pairs}
+
+
+@pytest.mark.parametrize("bad_pair, message", [
+    ("x", "pair {k} must be [[x...], [y...]]"),
+    ({"x": [1.0]}, "pair {k} must be [[x...], [y...]]"),
+    ([[0.0, 1.0]], "pair {k} must be [[x...], [y...]]"),
+    ([[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]], "pair {k} must be [[x...], [y...]]"),
+    ([[], [1.0, 2.0]], "pair {k} x must be a nonempty list of numbers"),
+    ([[1.0, 2.0], []], "pair {k} y must be a nonempty list of numbers"),
+    ([3.0, [1.0, 2.0]], "pair {k} x must be a nonempty list of numbers"),
+    ([[True, 1.0], [1.0, 2.0]], "pair {k} x coordinate must be a number, got True"),
+    ([[0.0, 1.0], [1.0, False]], "pair {k} y coordinate must be a number, got False"),
+    ([[0.0, "1"], [1.0, 2.0]], "pair {k} x coordinate must be a number, got '1'"),
+    ([[0.0, None], [1.0, 2.0]], "pair {k} x coordinate must be a number, got None"),
+    ([[float("nan"), 1.0], [1.0, 2.0]], "pair {k} x coordinate must be finite, got nan"),
+    ([[0.0, 1.0], [1.0, float("-inf")]], "pair {k} y coordinate must be finite, got -inf"),
+    ([[0.0], [1.0, 2.0]], "pair {k} x has 1 coordinates, expected 2"),
+    ([[0.0, 1.0], [1.0, 2.0, 3.0]], "pair {k} y has 3 coordinates, expected 2"),
+    # within a pair: x before y, coordinates in order, values before the count
+    ([[float("nan")], [1.0, 2.0]], "pair {k} x coordinate must be finite, got nan"),
+    ([[float("nan"), "a"], [1.0, 2.0]], "pair {k} x coordinate must be finite, got nan"),
+    ([[0.0, 1.0, 2.0], [float("nan"), 2.0]], "pair {k} x has 3 coordinates, expected 2"),
+])
+@pytest.mark.parametrize("k", [0, 7, 299])
+def test_malformed_pairs_name_the_first_offending_pair(bad_pair, message, k):
+    with pytest.raises(FormatError) as exc:
+        law_from_data(long_law(k, bad_pair))
+    assert str(exc.value) == message.format(k=k)
+
+
+def test_the_earliest_of_several_bad_pairs_is_reported():
+    data = long_law(250, [[0.0, 1.0], [1.0, True]])
+    data["pairs"][40] = [[0.0, 1.0], [1.0, 2.0, 5.0]]
+    data["pairs"][260] = "x"
+    with pytest.raises(FormatError, match=r"^pair 40 y has 3 coordinates, expected 2$"):
+        law_from_data(data)
+    # a non-finite value late in the list does not hide an earlier bad type
+    data = long_law(290, [[float("nan"), 0.0], [1.0, 2.0]])
+    data["pairs"][120] = [[0.0, 1.0], ["2", 2.0]]
+    with pytest.raises(FormatError, match=r"^pair 120 y coordinate must be a number, got '2'$"):
+        law_from_data(data)
+    # an integer beyond the float range fails where float() fails
+    data = long_law(200, [[0.0, 10 ** 400], [1.0, 2.0]])
+    data["pairs"][100] = [[0.0, float("inf")], [1.0, 2.0]]
+    with pytest.raises(FormatError, match=r"^pair 100 x coordinate must be finite, got inf$"):
+        law_from_data(data)
+    with pytest.raises(OverflowError):
+        law_from_data(long_law(200, [[0.0, 10 ** 400], [1.0, 2.0]]))
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"dimension": 1, "pairs": [[[0.0], [0.0]]], "snap_tolerance": -1.0},
+     "snap_tolerance must be nonnegative, got -1.0"),
+    ({"dimension": 1, "pairs": [[[0.0], [0.0]]], "snap_tolerance": True},
+     "snap_tolerance must be a number, got True"),
+    ({"dimension": 1, "pairs": [[[0.0], [0.0]]], "slice_hints": [3]},
+     "slice hint 0 must be an object"),
+    ({"dimension": 1, "pairs": [[[0.0], [0.0]]],
+      "slice_hints": [{"at": [0.0], "side": "up", "shape": "ball"}]},
+     "slice hint side must be primal or dual, got 'up'"),
+    ({"dimension": 1, "pairs": [[[0.0], [0.0]]],
+      "slice_hints": [{"at": [0.0, 1.0], "shape": "ball"}]},
+     "slice hint 0 anchor has 2 coordinates, expected 1"),
+    ({"dimension": 1, "pairs": [[[0.0], [0.0]]], "slice_hints": [{"at": [0.0], "shape": "ball"}]},
+     "hint needs a params object"),
+])
+def test_malformed_snap_and_hints_keep_their_messages(data, message):
+    with pytest.raises(FormatError) as exc:
+        law_from_data(data)
+    assert str(exc.value) == message
+
+
+HINTED = {"dimension": 1, "pairs": [[[0.0], [-1.0]], [[0.0], [1.0]], [[2.0], [3.0]]]}
+
+
+@pytest.mark.parametrize("hint, message", [
+    ({"at": [5.0], "shape": "singleton", "params": {"point": [0.0]}},
+     "primal hint anchored at (5.0,) but no pair has that x"),
+    ({"at": [0.0], "shape": "segment", "params": {"a": [-0.5], "b": [1.0]}},
+     "pair 0: y [-1.0] lies outside the declared primal slice hint at x [0.0]"),
+    ({"at": [3.0], "side": "dual", "shape": "singleton", "params": {"point": [1.0]}},
+     "pair 2: x [2.0] lies outside the declared dual slice hint at y [3.0]"),
+    ({"at": [0.0], "shape": "ball", "params": {"center": [0.0], "radius": -1}},
+     "ball radius must be nonnegative, got -1.0"),
+    ({"at": [0.0], "shape": "ray", "params": {"origin": [0.0], "direction": [0.0]}},
+     "ray direction must be nonzero"),
+])
+def test_bad_hints_keep_their_messages(hint, message):
+    with pytest.raises(ValueError) as exc:
+        law_from_data({**HINTED, "slice_hints": [hint]})
+    assert str(exc.value) == message
+
+
+def test_snapping_that_overflows_names_the_first_pair():
+    data = {"dimension": 1, "snap_tolerance": 1e-300,
+            "pairs": [[[1.0], [2.0]], [[1.0], [1e12]], [[1e10], [1.0]]]}
+    with np.errstate(over="ignore"), pytest.raises(ValueError) as exc:
+        law_from_data(data)
+    assert str(exc.value) == "vector coordinates must be finite, got [inf]"
+
+
+def reference_law(data):
+    """The law that per-vector parsing and the checking constructor build."""
+    snap = data.get("snap_tolerance", 0.0)
+
+    def q(v):
+        v = np.array([float(c) for c in v])
+        return np.round(v / snap) * snap if snap > 0.0 else v
+
+    return LawGraph([(q(x), q(y)) for x, y in data["pairs"]])
+
+
+@pytest.mark.parametrize("snap", [None, 1e-6, 0.3])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_loaded_arrays_equal_the_checking_constructor(snap, dim):
+    rng = np.random.default_rng(dim)
+    pts = rng.normal(size=(50, 2, dim)) * 10.0 ** rng.uniform(-3, 3, size=(50, 1, 1))
+    pairs = [[list(map(float, x)), list(map(float, y))] for x, y in pts]
+    pairs[3] = [[-0.0] * dim, [0.0] * dim]
+    pairs[4] = [[1] * dim, [2 ** 53 + 1] * dim]  # integers convert like float()
+    data = {"dimension": dim, "pairs": pairs}
+    if snap is not None:
+        data["snap_tolerance"] = snap
+    got, want = law_from_data(data), reference_law(data)
+    for a, b in ((got.xs, want.xs), (got.ys, want.ys)):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.flags.c_contiguous
+        assert a.tobytes() == b.tobytes()
+    assert got.primal_hints == {} and got.dual_hints == {}
+
+
+def test_snapped_hint_anchors_key_like_vec_key():
+    data = {"dimension": 1, "snap_tolerance": 0.25,
+            "pairs": [[[-0.0], [-1.0]], [[0.0], [1.0]]],
+            "slice_hints": [{"at": [0.1], "shape": "segment",
+                             "params": {"a": [-1.0], "b": [1.0]}}]}
+    law = law_from_data(data)
+    assert list(law.primal_hints) == [(0.0,)]
+    assert all(type(c) is float for c in next(iter(law.primal_hints)))
+    assert law.contains([0.0], [0.5])

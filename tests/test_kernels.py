@@ -6,10 +6,18 @@ that go through different kernels.
 """
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bipotkit import kernels
 
-from .oracles import bruteforce_chain_offsets, python_conjugate
+from .oracles import (
+    bruteforce_chain_offsets,
+    oracle_bellman_ford,
+    oracle_longest_path,
+    python_conjugate,
+)
 
 rng = np.random.default_rng(421)
 
@@ -85,3 +93,29 @@ def test_longest_path_matches_bruteforce_on_dyadic_weights():
         got = kernels.longest_path(w, 0)
         want = bruteforce_chain_offsets(w, 0)
         assert np.array_equal(got, want)
+
+
+@st.composite
+def square_weights(draw):
+    n = draw(st.integers(1, 8))
+    return draw(arrays(np.float64, (n, n), elements=st.integers(-3, 3).map(float)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_weights())
+def test_sweeps_that_stop_early_equal_the_full_sweeps(w):
+    # small integer weights: many ties, some negative cycles, n from 1
+    pred, improvement = kernels.bellman_ford(w)
+    want_pred, want_improvement = oracle_bellman_ford(w)
+    assert pred.tobytes() == want_pred.tobytes()
+    assert improvement.tobytes() == want_improvement.tobytes()
+    for base in range(w.shape[0]):
+        assert kernels.longest_path(w, base).tobytes() == oracle_longest_path(w, base).tobytes()
+
+
+def test_longest_path_keeps_sweeping_through_nan():
+    # an infinite weight makes -inf + inf = nan, which never settles
+    w = np.array([[0.0, 1.0, -np.inf], [np.inf, 0.0, 1.0], [0.0, 2.0, 0.0]])
+    with np.errstate(invalid="ignore"):
+        got = kernels.longest_path(w, 0)
+    assert got.tobytes() == oracle_longest_path(w, 0).tobytes()

@@ -18,7 +18,15 @@ from bipotkit.laws import (
     weight_matrix,
 )
 
-from .oracles import exhaustive_cycle_check
+from bipotkit import kernels
+
+from .oracles import (
+    exhaustive_cycle_check,
+    oracle_bb_check,
+    oracle_bellman_ford,
+    oracle_cycle_witness,
+    oracle_longest_path,
+)
 
 
 def law_1d(pairs, **kw):
@@ -291,3 +299,141 @@ def test_reconstruct_interpolates_subgradients():
     phi = rockafellar_reconstruct(law)
     for x, y in law.pairs:
         assert subdifferential_contains(phi, x, y, tol=1e-9, primal_grid=law.xs)
+
+
+# ---------------------------------------------------------------------------
+# oracle parity: the sweeps that stop at their fixed point, the one-shot
+# cycle extraction and the array slice screen against the full-sweep,
+# per-node and pair-by-pair originals, bit for bit
+
+DYADIC = st.integers(-8, 8).map(lambda k: k / 4)
+
+
+@st.composite
+def oracle_laws(draw):
+    """Small laws over dyadic coordinates, so weights tie and cycle sums are
+    exact: monotone (a nondecreasing map per coordinate), arbitrary, or
+    monotone with a tiny noise that leaves cycle sums in (0, tol]."""
+    m = draw(st.integers(1, 9))
+    dim = draw(st.integers(1, 3))
+    xs = np.array(draw(st.lists(st.lists(DYADIC, min_size=dim, max_size=dim),
+                                min_size=m, max_size=m)))
+    kind = draw(st.sampled_from(["monotone", "arbitrary", "arbitrary", "borderline", "borderline"]))
+    if kind == "arbitrary":
+        ys = np.array(draw(st.lists(st.lists(DYADIC, min_size=dim, max_size=dim),
+                                    min_size=m, max_size=m)))
+    else:
+        # y_d = slope_d * x_d rounded down to a step: nondecreasing in x_d
+        slopes = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=dim, max_size=dim))
+        steps = draw(st.lists(st.sampled_from([0.25, 1.0]), min_size=dim, max_size=dim))
+        ys = np.floor(xs * slopes / steps) * steps
+        if kind == "borderline":
+            noise = draw(st.lists(st.floats(-2e-10, 2e-10), min_size=m * dim, max_size=m * dim))
+            ys = ys + np.array(noise).reshape(m, dim)
+    return LawGraph(list(zip(xs, ys)))
+
+
+def assert_reports_match_oracles(law, tol):
+    w = weight_matrix(law)
+    pred, improvement = kernels.bellman_ford(-w)
+    want_pred, want_improvement = oracle_bellman_ford(-w)
+    assert pred.tobytes() == want_pred.tobytes()
+    assert improvement.tobytes() == want_improvement.tobytes()
+    for base in range(len(law)):
+        assert kernels.longest_path(w, base).tobytes() == oracle_longest_path(w, base).tobytes()
+    report = cyclic_monotonicity_check(law, tol)
+    ok, cycle, total = oracle_cycle_witness(w, tol)
+    assert (report.cyclically_monotone, report.witness_cycle) == (ok, cycle)
+    assert np.float64(report.cycle_sum).tobytes() == np.float64(total).tobytes()
+    if ok:
+        phi = rockafellar_reconstruct(law, base=len(law) - 1, tol=tol)
+        c = oracle_longest_path(w, len(law) - 1)
+        want = [c[i] - sum([a * b for a, b in zip(x, y)], 0.0)
+                for i, (x, y) in enumerate(zip(law.xs.tolist(), law.ys.tolist()))]
+        assert phi.offsets.tobytes() == np.array(want).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_laws(), st.sampled_from([0.0, 1e-9]))
+def test_sweeps_and_witness_match_the_full_sweep_oracles(law, tol):
+    assert_reports_match_oracles(law, tol)
+
+
+def test_oracle_parity_on_edge_laws():
+    tol = 1e-9
+    cases = [
+        law_1d([(0.5, 2.0)]),                          # n = 1
+        law_1d([(0, 0), (1, -1)]),                     # n = 2, refuting
+        law_1d([(0, 0), (1, 1)]),                      # n = 2, monotone
+        law_1d([(0, 0), (1, -tol / 2)]),               # cycle sum in (0, tol]
+        law_1d([(0, 0), (0, 0), (1, 0), (1, 0)]),      # every weight tied at 0
+        law_1d([(0, 1), (1, 0), (2, -1), (0, 1)]),     # repeated pairs, refuting
+    ]
+    for law in cases:
+        assert_reports_match_oracles(law, tol)
+
+
+def test_tied_cycles_keep_the_first_found_witness():
+    # the predecessors close two cycles with the same sum; the one reached
+    # from the lowest improving node wins
+    law = law_1d([(-1, 1), (0, -2), (1, -1), (-2, 0), (-1, 0), (-2, -2)])
+    assert_reports_match_oracles(law, 1e-9)
+    report = cyclic_monotonicity_check(law)
+    assert (report.witness_cycle, report.cycle_sum) == ((0, 2), 4.0)
+    law = LawGraph([(np.array(x), np.array(y)) for x, y in zip(
+        [[1.0, 0.0], [0.0, -1.0], [1.0, 1.0], [-1.0, -1.0], [-1.0, 2.0], [2.0, -1.0]],
+        [[1.0, 0.0], [-2.0, -2.0], [2.0, -2.0], [0.0, 1.0], [-1.0, -2.0], [1.0, 2.0]])])
+    assert_reports_match_oracles(law, 1e-9)
+    assert cyclic_monotonicity_check(law).witness_cycle == (3, 4)
+
+
+def test_refuting_law_runs_every_sweep():
+    # a positive 3-cycle with sum 3 among 40 monotone samples: its witness
+    # comes from the predecessors of the last sweep
+    rng = np.random.default_rng(11)
+    x = np.sort(rng.uniform(-2, 2, 40))
+    pairs = [(v, 2 * v) for v in x] + [(0.0, 3.0), (1.0, 1.0), (2.0, -1.0)]
+    law = law_1d(pairs)
+    assert_reports_match_oracles(law, 1e-9)
+    assert not cyclic_monotonicity_check(law).cyclically_monotone
+
+
+def assert_bb_matches_oracle(law, tol):
+    report = bb_check(law, tol)
+    ok, which, at, mid = oracle_bb_check(law, tol)
+    assert report.is_bb_graph == ok
+    if not ok:
+        fs = report.failing_slice
+        assert fs.which == which
+        assert fs.at.tobytes() == np.array(at).tobytes()
+        assert fs.witness_midpoint.tobytes() == np.array(mid).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0]), min_size=2, max_size=2),
+                          st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.25, 1.0]), min_size=2, max_size=2)),
+                min_size=1, max_size=12),
+       st.sampled_from([0.0, 0.3, 1.0]))
+def test_bb_check_matches_the_midpoint_oracle(pairs, tol):
+    assert_bb_matches_oracle(LawGraph([(np.array(x), np.array(y)) for x, y in pairs]), tol)
+
+
+def test_bb_check_signed_zero_slices_match_the_oracle():
+    # -0.0 and 0.0 share a slice, led by the first stored row
+    law = law_1d([(-0.0, 1.0), (0.0, -1.0), (0.0, 0.5), (2.0, -0.0), (3.0, 0.0)])
+    assert_bb_matches_oracle(law, 1e-9)
+    report = bb_check(law)
+    assert report.failing_slice.at.tobytes() == np.array([-0.0]).tobytes()
+    assert report.failing_slice.witness_midpoint.tolist() == [0.0]
+    assert_bb_matches_oracle(law_1d([(1.0, -0.0), (1.0, 0.0), (2.0, 1.0)]), 0.0)
+    hinted = law_1d([(-0.0, 1.0), (0.0, -1.0), (1.0, 3.0), (1.0, 5.0)],
+                    primal_hints={(0.0,): Segment(np.array([-1.0]), np.array([1.0]))})
+    assert_bb_matches_oracle(hinted, 1e-9)
+    assert bb_check(hinted).failing_slice.at.tolist() == [1.0]
+
+
+def test_bb_check_large_slice_matches_the_oracle():
+    # 120 members on one slice: the midpoints span several chunks
+    ys = list(np.linspace(0.0, 1.0, 119)) + [3.0]
+    assert_bb_matches_oracle(law_1d([(0.0, y) for y in ys]), 1e-9)
+    assert_bb_matches_oracle(law_1d([(0.0, y) for y in ys[:-1]]), 1e-3)
