@@ -205,7 +205,7 @@ class BInfinityBipotential(Bipotential):
 
     def _table(self, xg, yg):
         member = self.law._membership(xg, yg, self.snap)
-        return np.where(member, _batch_inner(xg[:, None], yg[None]), INF)
+        return np.where(member, kernels.pairing_matrix(xg, yg), INF)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +392,7 @@ def verify_axioms(b, x_grid, y_grid, tol=1e-9):
     xg = _as_grid(x_grid, b.dim)
     yg = _as_grid(y_grid, b.dim)
     B = b.table(xg, yg)
-    P = kernels.pairing_matrix(np.ascontiguousarray(xg), np.ascontiguousarray(yg))
+    P = kernels.pairing_matrix(xg, yg)
     G = B - P
 
     def witness(axiom, i, j, violation):
@@ -444,7 +444,7 @@ def graph_of_bipotential(b, x_grid, y_grid, tol=1e-9):
     xg = _as_grid(x_grid, b.dim)
     yg = _as_grid(y_grid, b.dim)
     B = b.table(xg, yg)
-    P = kernels.pairing_matrix(np.ascontiguousarray(xg), np.ascontiguousarray(yg))
+    P = kernels.pairing_matrix(xg, yg)
     i, j = np.nonzero(B - P <= tol)
     if not i.size:
         raise ValueError("no contact point on the probe grids; "
@@ -560,22 +560,9 @@ def _bic_block(cover, lam1, lam2, alpha, zs, fixed, first, tol):
     undecided = rhs != INF  # an infinite right side holds vacuously
     best = np.full(n, INF)
 
-    cand, cand_lhs = np.zeros(n), None
+    cand = 0.0
     if first and not (0.0 <= alpha <= 1.0 and dom.contains(lam1) and dom.contains(lam2)):
         pre = False
-    elif first and isinstance(fam, TabulatedFamily):
-        # p1_candidate's scan: the first member, ascending, at which the mixed
-        # point is a subgradient point
-        idx = np.flatnonzero(pre & undecided)
-        members = np.array(fam.lams())
-        vals = fam.f_many(members, mixed[idx, None, :], held_fixed[idx, None, :])
-        ok = vals - _batch_inner(mixed[idx], held_fixed[idx])[:, None] <= tol
-        pick = ok.argmax(axis=1)
-        pre = np.zeros(n, dtype=bool)
-        pre[idx] = ok.any(axis=1)
-        cand[idx] = members[pick]
-        cand_lhs = np.zeros(n)
-        cand_lhs[idx] = vals[np.arange(idx.size), pick]
     else:
         rule = fam.candidate if first else fam.candidate_dual
         try:
@@ -584,9 +571,8 @@ def _bic_block(cover, lam1, lam2, alpha, zs, fixed, first, tol):
         except CandidateNotFoundError:
             pre = False
 
-    stages = [(cand, pre, cand_lhs), (lam1, True, None), (lam2, True, None)]
-    stages += [(lams, present, None) for lams, present in fam.special_lams_many(*point)]
-    for lams, present, lhs in stages:
+    stages = [(cand, pre), (lam1, True), (lam2, True)] + fam.special_lams_many(*point)
+    for lams, present in stages:
         idx = np.flatnonzero(undecided & present)
         lam = np.broadcast_to(lams, (n,))[idx]
         bad = np.isnan(lam) | (lam == -INF)
@@ -596,7 +582,7 @@ def _bic_block(cover, lam1, lam2, alpha, zs, fixed, first, tol):
         idx, lam = idx[inside], lam[inside]
         if not idx.size:
             continue
-        lhs = fam.f_many(lam, point[0][idx], point[1][idx]) if lhs is None else lhs[idx]
+        lhs = fam.f_many(lam, point[0][idx], point[1][idx])
         d = lhs - rhs[idx]
         best[idx] = np.where(d < best[idx], d, best[idx])
         undecided[idx] = ~(lhs <= rhs[idx] + tol)

@@ -12,6 +12,7 @@ tabulated cover.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -225,7 +226,9 @@ def cmd_demo(args):
 # argument wiring
 
 
+@functools.cache
 def _build_parser():
+    # built once per process: parse_args keeps no state between calls
     parser = argparse.ArgumentParser(
         prog="bipotkit",
         description="Bipotential toolkit: sampled laws, convex lagrangian "

@@ -276,12 +276,12 @@ def _as_grid(grid, dim=None):
     return g
 
 
-def discrete_conjugate_values(grid, values, dual_grid, method="auto"):
+def discrete_conjugate_values(grid, values, dual_grid):
     """Values of the discrete conjugate sup_i (<x_i, y> - v_i) on dual_grid.
 
-    ``method`` is "bruteforce", "merge" (1-d, both grids ascending) or "auto",
-    which picks the linear-time merge when it applies. Raises if every sample
-    is +inf (the sup would be -inf).
+    1-d samples on an ascending dual grid take the linear-time merge, any
+    other input the brute force; both give the same bits. Raises if every
+    sample is +inf (the sup would be -inf).
     """
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim == 1:
@@ -292,29 +292,18 @@ def discrete_conjugate_values(grid, values, dual_grid, method="auto"):
     if not finite.any():
         raise ConjugateDomainError("conjugate of an everywhere-infinite function is -inf")
 
-    one_d = grid.shape[1] == 1
-    dual_sorted = one_d and (dual.shape[0] < 2 or bool(np.all(np.diff(dual[:, 0]) >= 0)))
-    if method == "auto":
-        method = "merge" if (one_d and dual_sorted) else "bruteforce"
-    if method == "merge":
-        if not (one_d and dual_sorted):
-            raise ValueError("merge path needs 1-d samples and an ascending dual grid")
+    if grid.shape[1] == 1 and bool(np.all(np.diff(dual[:, 0]) >= 0)):
         xf = grid[finite, 0]
         vf = values[finite]
         order = np.argsort(xf, kind="stable")
-        return kernels.conjugate_merge(np.ascontiguousarray(xf[order]),
-                                       np.ascontiguousarray(vf[order]),
-                                       np.ascontiguousarray(dual[:, 0]))
-    if method != "bruteforce":
-        raise ValueError(f"unknown conjugation method {method!r}")
-    pairings = kernels.pairing_matrix(np.ascontiguousarray(grid), np.ascontiguousarray(dual))
-    out = kernels.conjugate_bruteforce(pairings, values)
+        return kernels.conjugate_merge(xf[order], vf[order], dual[:, 0])
+    out = kernels.conjugate_bruteforce(kernels.pairing_matrix(grid, dual), values)
     if np.any(out == -INF):
         raise ConjugateDomainError("conjugate of an everywhere-infinite function is -inf")
     return out
 
 
-def conjugate(phi, dual_grid=None, primal_grid=None, method="auto"):
+def conjugate(phi, dual_grid=None, primal_grid=None):
     """Fenchel conjugate of phi.
 
     Analytic forms map through the closed table. Sampled forms need a
@@ -338,23 +327,23 @@ def conjugate(phi, dual_grid=None, primal_grid=None, method="auto"):
         return Affine(phi.point, -phi.offset)
     if isinstance(phi, Affine):
         return IndicatorPoint(phi.slope, -phi.offset)
-    vals = _discrete_conjugate(phi, dual_grid, primal_grid, method)
+    vals = _discrete_conjugate(phi, dual_grid, primal_grid)
     return Sampled(_as_grid(dual_grid, phi.dim), vals)
 
 
-def _discrete_conjugate(phi, dual_grid, primal_grid, method="auto"):
+def _discrete_conjugate(phi, dual_grid, primal_grid):
     """Values on dual_grid of the conjugate of a sampled form, or of a
     max-affine form sampled on primal_grid."""
     if isinstance(phi, Sampled):
         if dual_grid is None:
             raise ConjugateDomainError("conjugating a sampled form needs a dual grid")
-        return discrete_conjugate_values(phi.grid, phi.values, dual_grid, method=method)
+        return discrete_conjugate_values(phi.grid, phi.values, dual_grid)
     if isinstance(phi, MaxAffine):
         if dual_grid is None or primal_grid is None:
             raise ConjugateDomainError(
                 "conjugating a max-affine form needs a primal grid to sample on and a dual grid")
         pg = _as_grid(primal_grid, phi.dim)
-        return discrete_conjugate_values(pg, phi.value_many(pg), dual_grid, method=method)
+        return discrete_conjugate_values(pg, phi.value_many(pg), dual_grid)
     raise TypeError(f"cannot conjugate {type(phi).__name__}")
 
 
@@ -422,7 +411,7 @@ def graph_of(phi, x_grid, y_grid, tol=None):
         conj_vals = conjugate(phi).value_many(yg)
     else:
         conj_vals = _discrete_conjugate(phi, yg, xg)
-    pairings = kernels.pairing_matrix(np.ascontiguousarray(xg), np.ascontiguousarray(yg))
+    pairings = kernels.pairing_matrix(xg, yg)
     with np.errstate(invalid="ignore"):
         gaps = phi_vals[:, None] + conj_vals[None, :] - pairings
     i, j = np.nonzero(gaps <= tol)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 
@@ -54,13 +55,20 @@ def dump_extended(v):
     return "inf" if v == INF else v
 
 
+def _to_float(v, what):
+    try:
+        return float(v)
+    except OverflowError:
+        raise FormatError(f"{what} must be finite, got an integer beyond the float range") from None
+
+
 def parse_extended(v, what):
     """Accept a finite number or the "inf" sentinel."""
     if v == "inf":
         return INF
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise FormatError(f"{what} must be a number or \"inf\", got {v!r}")
-    out = float(v)
+    out = _to_float(v, what)
     if out != out or out in (INF, -INF):
         raise FormatError(f"{what} must be finite or the \"inf\" sentinel, got {v!r}")
     return out
@@ -69,19 +77,24 @@ def parse_extended(v, what):
 def parse_finite(v, what):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise FormatError(f"{what} must be a number, got {v!r}")
-    out = float(v)
-    if not np.isfinite(out):
+    out = _to_float(v, what)
+    if not math.isfinite(out):
         raise FormatError(f"{what} must be finite, got {v!r}")
     return out
 
 
-def _parse_vector(v, what, dim=None):
+def _check_vector(v, what, dim=None):
+    """The coordinates of a vector as floats, checked in order."""
     if not isinstance(v, (list, tuple)) or not v:
         raise FormatError(f"{what} must be a nonempty list of numbers")
-    out = np.array([parse_finite(c, f"{what} coordinate") for c in v])
-    if dim is not None and out.size != dim:
-        raise FormatError(f"{what} has {out.size} coordinates, expected {dim}")
+    out = [parse_finite(c, f"{what} coordinate") for c in v]
+    if dim is not None and len(out) != dim:
+        raise FormatError(f"{what} has {len(out)} coordinates, expected {dim}")
     return out
+
+
+def _parse_vector(v, what, dim=None):
+    return np.array(_check_vector(v, what, dim))
 
 
 # ---------------------------------------------------------------------------
@@ -143,32 +156,16 @@ def law_to_data(law, snap_tolerance=None):
 
 
 def _parse_pairs(raw, dim):
-    """The x and y sides of a list of pairs as two (m, dim) float64 stacks.
-
-    The structure and coordinate types of every pair are checked first, then
-    each side is converted and screened for finiteness at once. When a check
-    fails, the pairs are parsed again one by one, which raises for the first
-    offending pair and coordinate.
-    """
-    ok = all(isinstance(e, (list, tuple)) and len(e) == 2 for e in raw)
-    if ok:
-        sides = [e[0] for e in raw], [e[1] for e in raw]
-        ok = all(isinstance(v, (list, tuple)) and len(v) == dim
-                 and all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in v)
-                 for side in sides for v in side)
-    if ok:
-        try:
-            xs, ys = (np.array(side, dtype=np.float64) for side in sides)
-            ok = bool(np.isfinite(xs).all() and np.isfinite(ys).all())
-        except OverflowError:  # an integer beyond the float range
-            ok = False
-    if not ok:
-        for k, entry in enumerate(raw):
-            if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-                raise FormatError(f"pair {k} must be [[x...], [y...]]")
-            _parse_vector(entry[0], f"pair {k} x", dim)
-            _parse_vector(entry[1], f"pair {k} y", dim)
-    return xs, ys
+    """The x and y sides of a list of pairs as two (m, dim) float64 stacks,
+    each pair checked in order, so the first offending pair and coordinate
+    is the one reported."""
+    for k, entry in enumerate(raw):
+        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+            raise FormatError(f"pair {k} must be [[x...], [y...]]")
+        _check_vector(entry[0], f"pair {k} x", dim)
+        _check_vector(entry[1], f"pair {k} y", dim)
+    return (np.array([e[0] for e in raw], dtype=np.float64),
+            np.array([e[1] for e in raw], dtype=np.float64))
 
 
 def law_from_data(data):
@@ -438,7 +435,7 @@ def probe_rows(b, x_probes, y_probes):
     xg = _as_grid(x_probes, b.dim)
     yg = _as_grid(y_probes, b.dim)
     B = b.table(xg, yg).tolist()
-    P = kernels.pairing_matrix(np.ascontiguousarray(xg), np.ascontiguousarray(yg)).tolist()
+    P = kernels.pairing_matrix(xg, yg).tolist()
     xs = [",".join(fmt(c) for c in x) for x in xg.tolist()]
     ys = [",".join(fmt(c) for c in y) for y in yg.tolist()]
     return [f"{x},{y},{fmt(b_row[j])},{fmt(p_row[j])}"

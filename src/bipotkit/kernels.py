@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .numerics import _batch_inner
+
 BACKEND = "numpy"
 
 
@@ -25,14 +27,9 @@ BACKEND = "numpy"
 
 
 def pairing_matrix(xs, ys):
-    """Matrix of pairings P[i, j] = <xs[i], ys[j]> for stacked vectors."""
-    gx, n = xs.shape
-    gy = ys.shape[0]
-    out = np.zeros((gx, gy))
-    # accumulate one coordinate at a time, the order of numerics.inner
-    for k in range(n):
-        out += xs[:, k, None] * ys[None, :, k]
-    return out
+    """Matrix of pairings P[i, j] = <xs[i], ys[j]> for stacked vectors,
+    accumulated in the coordinate order of :func:`numerics.inner`."""
+    return _batch_inner(xs[:, None], ys[None])
 
 
 # ---------------------------------------------------------------------------

@@ -276,23 +276,11 @@ class LawGraph:
 
     def domain(self):
         """Distinct x coordinates in first-appearance order."""
-        seen, out = set(), []
-        for i in range(len(self)):
-            k = vec_key(self.xs[i])
-            if k not in seen:
-                seen.add(k)
-                out.append(self.xs[i].copy())
-        return out
+        return _distinct_rows(self.xs)
 
     def image(self):
         """Distinct y coordinates in first-appearance order."""
-        seen, out = set(), []
-        for i in range(len(self)):
-            k = vec_key(self.ys[i])
-            if k not in seen:
-                seen.add(k)
-                out.append(self.ys[i].copy())
-        return out
+        return _distinct_rows(self.ys)
 
     def contains(self, x, y, snap=0.0):
         """Membership of (x, y) in the law: a stored pair up to ``snap``, or a
@@ -324,6 +312,13 @@ class LawGraph:
             for h in np.flatnonzero(anchored.any(axis=0)):
                 view[anchored[:, h]] |= shapes[h].contains_many(others, self.hint_tol)
         return member
+
+
+def _distinct_rows(a):
+    """Copies of the first row at each distinct coordinate of a (m, dim)
+    stack (-0.0 meets 0.0), in first-appearance order."""
+    _, first = np.unique(_row_keys(a), return_index=True)
+    return [a[i].copy() for i in np.sort(first)]
 
 
 # ---------------------------------------------------------------------------
@@ -394,12 +389,7 @@ def weight_matrix(law):
     :func:`bipotkit.numerics.inner` applied to (x_j - x_i, y_i), so scalar
     re-checks reproduce the matrix entries bit for bit.
     """
-    xs, ys = law.xs, law.ys
-    m, n = xs.shape
-    w = np.zeros((m, m))
-    for k in range(n):
-        w += (xs[None, :, k] - xs[:, None, k]) * ys[:, None, k]
-    return w
+    return _batch_inner(law.xs[None] - law.xs[:, None], law.ys[:, None])
 
 
 def cycle_sum(w, cycle):

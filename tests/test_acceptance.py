@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 
+from bipotkit import kernels
 from bipotkit.bipotentials import (
     bic_check,
     build_b_infinity,
@@ -262,9 +263,10 @@ def test_criterion_8_fenchel_young_and_conjugation():
     values = rng.uniform(-1, 1, 200)
     values[rng.uniform(size=200) < 0.05] = INF
     dual = np.sort(rng.uniform(-3, 3, 200))
-    star = discrete_conjugate_values(nodes, values, dual[:, None], method="merge")
-    star_brute = discrete_conjugate_values(nodes, values, dual[:, None],
-                                           method="bruteforce")
+    # ascending 1-d samples take the merge, the same bits as the brute force
+    star = discrete_conjugate_values(nodes, values, dual[:, None])
+    star_brute = kernels.conjugate_bruteforce(
+        kernels.pairing_matrix(nodes[:, None], dual[:, None]), values)
     merge_exact = np.array_equal(star, star_brute)
     back = discrete_conjugate_values(dual, star, nodes[:, None])
     dominated = bool(np.all(back <= values + 1e-9))

@@ -6,6 +6,8 @@ field in order, deficits to the bit.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bipotkit import (
     INF,
@@ -13,12 +15,14 @@ from bipotkit import (
     BICProbePlan,
     ClosedInterval,
     Cover,
+    FiniteSet,
     IndicatorBall,
     IndicatorPoint,
     NormFamily,
     Quadratic,
     QuadraticFamily,
     ScaledNorm,
+    TabulatedFamily,
     bic_check,
     default_probe_plan,
     embed_dual,
@@ -157,3 +161,47 @@ def test_affine_tabulated_plan_matches_oracle():
     check_against_oracle(cover, BICProbePlan(plan.lam_pairs, plan.alphas,
                                              plan.primal_points, plan.dual_points
                                              + (np.array([0.5]), np.array([-1.0]))))
+
+
+COORDS = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
+
+
+@st.composite
+def tabulated_covers_and_plans(draw):
+    """A tabulated cover of 2-4 quadratic, scaled-norm or affine members in
+    dims 1-3 whose domain may hold only some of them, and a small plan over
+    all members (so some lambdas lie outside the domain) with weights inside
+    and outside [0, 1]."""
+    dim = draw(st.integers(1, 3))
+    lams = draw(st.lists(st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0]),
+                         min_size=2, max_size=4, unique=True))
+    rows = []
+    for lam in lams:
+        kind = draw(st.sampled_from(["quadratic", "norm", "affine"]))
+        if kind == "quadratic":
+            rows.append((lam, Quadratic(lam, dim), Quadratic(1.0 / lam, dim)))
+        elif kind == "norm":
+            rows.append((lam, ScaledNorm(lam, dim), IndicatorBall(lam, dim)))
+        else:
+            a = np.array(draw(st.lists(COORDS, min_size=dim, max_size=dim)))
+            rows.append((lam, Affine(a), IndicatorPoint(a)))
+    family = TabulatedFamily(rows)
+    domain = draw(st.lists(st.sampled_from(lams), min_size=1, unique=True))
+    cover = Cover(FiniteSet(tuple(domain)), family)
+    vectors = st.lists(COORDS, min_size=dim, max_size=dim).map(np.array)
+    plan = BICProbePlan(
+        tuple(draw(st.lists(st.tuples(st.sampled_from(lams), st.sampled_from(lams)),
+                            min_size=1, max_size=3))),
+        tuple(draw(st.lists(st.sampled_from([-0.5, 0.0, 0.25, 0.5, 1.0, 1.5]),
+                            min_size=1, max_size=3))),
+        tuple(draw(st.lists(vectors, min_size=1, max_size=3))),
+        tuple(draw(st.lists(vectors, min_size=1, max_size=3))))
+    return cover, plan
+
+
+@settings(max_examples=40, deadline=None)
+@given(tabulated_covers_and_plans())
+def test_random_tabulated_covers_match_oracle(cover_and_plan):
+    # tabulated covers have no candidate rule: the screen searches the
+    # members and the domain, the oracle scans members for a candidate first
+    check_against_oracle(*cover_and_plan)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bipotkit
 from bipotkit.cli import main
 from bipotkit.demos import DEMO_NAMES, build_antitone_law, build_sign_law, nonbic_cover
 from bipotkit.formats import save_cover, save_law
@@ -77,6 +82,15 @@ def test_check_law_malformed_json(files, capsys):
 def test_check_law_missing_file(capsys):
     code, _, err = run(capsys, "check-law", "no-such-file.json")
     assert code == 1 and err
+
+
+def test_check_law_integer_beyond_float_range(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"dimension": 1, "pairs": [[[10 ** 400], [1.0]]]}))
+    code, out, err = run(capsys, "check-law", str(path))
+    assert code == 1 and out == ""
+    assert err == ("pair 0 x coordinate must be finite, "
+                   "got an integer beyond the float range\n")
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +237,16 @@ def test_verify_cover_against_law_of_another_dimension(files, tmp_path, capsys):
     assert err == "cover dimension 3 != law dimension 1\n"
 
 
+def test_verify_cover_integer_beyond_float_range(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"family": "quadratic", "dimension": 1,
+                                "lambda_domain": {"lo": 10 ** 400, "hi": "inf"}}))
+    code, out, err = run(capsys, "verify", "--cover", str(path))
+    assert code == 1 and out == ""
+    assert err == ("lambda_domain.lo must be finite, "
+                   "got an integer beyond the float range\n")
+
+
 def test_verify_analytic_on_tabulated_exits_three(files, capsys):
     code, out, err = run(capsys, "verify", "--cover", files["nonbic"], "--mode", "analytic")
     assert code == 3 and out == "" and "grid" in err
@@ -337,3 +361,22 @@ def test_grid_flag_equals_form(files, capsys):
 def test_grid_flag_split_form_with_dash(files, capsys):
     code, out, _ = run(capsys, "build", files["quad"], "--probe-grid", "-1:1:3")
     assert code == 0 and len(out.splitlines()) == 10
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def test_consecutive_calls_match_fresh_processes(files, capsys):
+    # main builds its parser once; a call must not see an earlier call's
+    # arguments or defaults
+    calls = [["verify", "--demo", "separable", "--tol", "5"],
+             ["verify", "--demo", "separable"],
+             ["check-law", files["sign"]]]
+    in_process = [run(capsys, *argv)[:2] for argv in calls]
+    assert [code for code, _ in in_process] == [1, 0, 0]
+    env = dict(os.environ, PYTHONPATH=str(Path(bipotkit.__file__).parents[1]))
+    for argv, (code, out) in zip(calls, in_process):
+        fresh = subprocess.run([sys.executable, "-m", "bipotkit.cli", *argv], env=env,
+                               capture_output=True, text=True)
+        assert (fresh.returncode, fresh.stdout) == (code, out)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bipotkit import kernels
 from bipotkit.convex import (
     Affine,
     ConjugateDomainError,
@@ -119,16 +120,36 @@ def test_discrete_conjugate_methods_agree_exactly():
     grid = np.sort(rng.uniform(-2, 2, size=30))
     values = rng.uniform(-1, 1, size=30)
     dual = np.sort(rng.uniform(-3, 3, size=17))
-    merge = discrete_conjugate_values(grid, values, dual[:, None], method="merge")
-    brute = discrete_conjugate_values(grid, values, dual[:, None], method="bruteforce")
-    assert np.array_equal(merge, brute)
-    assert np.array_equal(merge, python_conjugate(grid[:, None], values, dual[:, None]))
+    got = discrete_conjugate_values(grid, values, dual[:, None])
+    brute = kernels.conjugate_bruteforce(kernels.pairing_matrix(grid[:, None], dual[:, None]),
+                                         values)
+    assert np.array_equal(got, brute)
+    assert np.array_equal(got, python_conjugate(grid[:, None], values, dual[:, None]))
 
 
-def test_discrete_conjugate_merge_needs_one_dimension():
-    grid = np.zeros((3, 2))
-    with pytest.raises(ValueError):
-        discrete_conjugate_values(grid, np.zeros(3), np.zeros((2, 2)), method="merge")
+@pytest.mark.parametrize("dim, ascending, path", [
+    (1, True, "conjugate_merge"),
+    (1, False, "conjugate_bruteforce"),
+    (2, True, "conjugate_bruteforce"),
+])
+def test_discrete_conjugate_path_is_chosen_by_the_input(monkeypatch, dim, ascending, path):
+    rng = np.random.default_rng(11)
+    grid = rng.uniform(-2, 2, size=(25, dim))
+    if dim == 1:
+        grid = np.sort(grid, axis=0)
+    values = rng.uniform(-1, 1, size=25)
+    values[3] = INF
+    dual = rng.uniform(-3, 3, size=(13, dim))
+    order = np.argsort(dual[:, 0])
+    dual = dual[order if ascending else order[::-1]]
+    calls = []
+    for name in ("conjugate_merge", "conjugate_bruteforce"):
+        kernel = getattr(kernels, name)
+        monkeypatch.setattr(kernels, name,
+                            lambda *a, name=name, kernel=kernel: calls.append(name) or kernel(*a))
+    got = discrete_conjugate_values(grid, values, dual)
+    assert calls == [path]
+    assert np.array_equal(got, python_conjugate(grid, values, dual))
 
 
 def test_discrete_conjugate_rejects_all_infinite():

@@ -312,7 +312,8 @@ def test_the_earliest_of_several_bad_pairs_is_reported():
     data["pairs"][100] = [[0.0, float("inf")], [1.0, 2.0]]
     with pytest.raises(FormatError, match=r"^pair 100 x coordinate must be finite, got inf$"):
         law_from_data(data)
-    with pytest.raises(OverflowError):
+    with pytest.raises(FormatError, match=r"^pair 200 x coordinate must be finite, got an "
+                                           r"integer beyond the float range$"):
         law_from_data(long_law(200, [[0.0, 10 ** 400], [1.0, 2.0]]))
 
 

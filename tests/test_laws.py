@@ -15,6 +15,7 @@ from bipotkit.laws import (
     cycle_sum,
     cyclic_monotonicity_check,
     rockafellar_reconstruct,
+    _distinct_rows,
     weight_matrix,
 )
 
@@ -27,6 +28,10 @@ from .oracles import (
     oracle_cycle_witness,
     oracle_longest_path,
 )
+
+
+def v(*coords):
+    return np.array([float(c) for c in coords])
 
 
 def law_1d(pairs, **kw):
@@ -85,6 +90,39 @@ def test_domain_image_first_appearance_order():
     law = law_1d([(1, 5), (0, 5), (1, 6)])
     assert [v[0] for v in law.domain()] == [1.0, 0.0]
     assert [v[0] for v in law.image()] == [5.0, 6.0]
+
+
+def loop_distinct_rows(a):
+    """First row at each distinct coordinate, by pairwise float comparison."""
+    out = []
+    for row in a:
+        if not any(np.array_equal(row, seen) for seen in out):
+            out.append(row.copy())
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_distinct_rows_match_a_plain_loop(dim):
+    rng = np.random.default_rng(dim)
+    values = np.array([0.0, -0.0, 1.5, -2.0])
+    for _ in range(20):
+        a = rng.choice(values, size=(int(rng.integers(1, 30)), dim))
+        got, want = _distinct_rows(a), loop_distinct_rows(a)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            # the first row itself, its zero signs included
+            assert g.tolist() == w.tolist() and np.array_equal(np.signbit(g), np.signbit(w))
+        got[0][0] = 7.0
+        assert 7.0 not in a
+
+
+def test_domain_and_image_keep_the_first_signed_zero():
+    law = LawGraph([(v(-0.0, 1.0), v(0.0, 0.0)), (v(0.0, 1.0), v(-0.0, -0.0)),
+                    (v(2.0, 0.0), v(0.0, 0.0))])
+    assert [x.tolist() for x in law.domain()] == [[-0.0, 1.0], [2.0, 0.0]]
+    assert np.signbit(law.domain()[0][0])
+    assert [y.tolist() for y in law.image()] == [[0.0, 0.0]]
+    assert not np.signbit(law.image()[0]).any()
 
 
 def test_slices():
