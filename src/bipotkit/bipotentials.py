@@ -44,6 +44,10 @@ from .covers import (
 from .laws import LawGraph, NotBBGraphError, bb_check
 from .numerics import INF, _batch_inner, _batch_norm2, _inner, _row_keys, as_vector, ensure_extended
 
+# most tuples one chunk of the BIC screen holds, in whole (lam1, lam2, alpha)
+# blocks; beyond it the screen's temporaries grow, not its speed
+_BIC_CHUNK = 2 ** 12
+
 
 class AnalyticFormUnavailableError(ValueError):
     """Closed-form infimum requested for a family that has none."""
@@ -517,84 +521,124 @@ def default_probe_plan(cover):
     return BICProbePlan(pairs, alphas, xs, ys)
 
 
-def _mix_values(alpha, v1, beta, v2):
-    # zero-weight members drop out entirely, so 0 * inf never appears
-    t1 = 0.0 if alpha == 0.0 else alpha * v1
-    t2 = 0.0 if beta == 0.0 else beta * v2
-    return t1 + t2
+def _bic_screen(cover, lams, alphas, zs, fixed, first, tol):
+    """Failing mask, of shape (len(lams), len(alphas), len(zs), len(zs),
+    len(fixed)), of the tuples (lams[p, 0], zs[a], lams[p, 1], zs[b],
+    alphas[k], fixed[c]) mixed in the first slot, or in the second when
+    ``first`` is false; and the least deficits of the failing tuples, in
+    the mask's row-major order.
 
-
-def _bic_block(cover, lam1, lam2, alpha, zs, fixed, first, tol):
-    """Failing mask and deficits, both of shape (len(zs), len(zs), len(fixed)),
-    of the tuples (lam1, zs[a], lam2, zs[b], alpha, fixed[c]) mixed in the
-    first slot, or in the second when ``first`` is false.
-
-    Each search stage (candidate, lam1, lam2, the family's special
-    parameters) is evaluated at once over the tuples it still has to decide,
-    then the parameter grid over the tuples none of them accepted.
+    What the searches share is computed once for the slot: the right-side
+    terms f(lam, z, fixed) of every plan parameter and their Fenchel gaps
+    (the subgradient preconditions of the candidate rules), the candidates
+    of each (lam1, lam2, alpha) block, the mixed points of each alpha, and
+    the family's special parameters at every (mixed, fixed) point. The
+    blocks are then screened in order, in chunks of whole blocks of at most
+    about ``_BIC_CHUNK`` tuples: each search stage (candidate, lam1, lam2,
+    the special parameters) evaluates one ``f_many`` over the chunk's tuples
+    it still has to decide, then the parameter grid sweeps the tuples none
+    of them accepted, ``SWEEP_CHUNK`` parameter x tuple entries at a time.
     """
-    fam = cover.family
-    dom = cover.domain
-    beta = 1.0 - alpha
-    shape = (zs.shape[0], zs.shape[0], fixed.shape[0])
-    n = zs.shape[0] * zs.shape[0] * fixed.shape[0]
+    fam, dom = cover.family, cover.domain
+    n, m, dim = zs.shape[0], fixed.shape[0], zs.shape[1]
+    shape = (lams.shape[0], len(alphas), n, n, m)
+    fails = np.zeros(shape, dtype=bool)
+    deficits = [np.empty(0)]
+    nblocks = shape[0] * shape[1]
+    if not nblocks:
+        return fails, deficits[0]
+    alphas = np.array([float(alpha) for alpha in alphas])
+    betas = 1.0 - alphas
 
-    # right-side terms f(lam_i, z, fixed), once per (z, fixed); their Fenchel
-    # gaps are the subgradient preconditions of the candidate rules
-    zt = zs[:, None, None, :]
-    ft = fixed[None, :, None, :]
-    terms = fam.f_many(np.array([lam1, lam2]), *((zt, ft) if first else (ft, zt)))
+    # terms[2p + i, a, c] = f(lams[p, i]) at (zs[a], fixed[c]) in this slot
+    za, fa = zs[:, None, None, :], fixed[None, :, None, :]
+    terms = fam.f_many(lams.reshape(-1), *((za, fa) if first else (fa, za)))
     gaps = terms - _batch_inner(zs[:, None, :], fixed[None, :, :])[..., None]
-    held = gaps <= tol if first else ~(gaps > tol)
-    pre = held[:, None, :, 0] & held[None, :, :, 1]
-    with np.errstate(invalid="ignore"):  # inf - inf under weights outside [0, 1]
-        rhs = _mix_values(alpha, terms[:, None, :, 0], beta, terms[None, :, :, 1])
+    held = (gaps <= tol if first else ~(gaps > tol)).transpose(2, 0, 1)
+    terms = terms.transpose(2, 0, 1)
 
-    mix = alpha * zs[:, None, :] + beta * zs[None, :, :]
-    dim = zs.shape[1]
-    mixed = np.broadcast_to(mix[:, :, None, :], shape + (dim,)).reshape(n, dim)
-    held_fixed = np.broadcast_to(fixed[None, None], shape + (dim,)).reshape(n, dim)
-    point = (mixed, held_fixed) if first else (held_fixed, mixed)
-    rhs = np.broadcast_to(rhs, shape).reshape(n)
-    pre = np.broadcast_to(pre, shape).reshape(n)
-    undecided = rhs != INF  # an infinite right side holds vacuously
-    best = np.full(n, INF)
+    # cands[p * len(alphas) + k, c]; a block whose rule is barred or finds
+    # no candidate skips that stage
+    rule = fam.candidate if first else fam.candidate_dual
+    cands = np.zeros((nblocks, m))
+    ruled = np.zeros(nblocks, dtype=bool)
+    for p, (lam1, lam2) in enumerate(lams.tolist()):
+        in_domain = not first or (dom.contains(lam1) and dom.contains(lam2))
+        for k, alpha in enumerate(alphas.tolist()):
+            if first and not (0.0 <= alpha <= 1.0 and in_domain):
+                continue
+            try:
+                cands[p * shape[1] + k] = [rule(lam1, lam2, alpha, f) for f in fixed]
+            except CandidateNotFoundError:
+                continue
+            ruled[p * shape[1] + k] = True
 
-    cand = 0.0
-    if first and not (0.0 <= alpha <= 1.0 and dom.contains(lam1) and dom.contains(lam2)):
-        pre = False
-    else:
-        rule = fam.candidate if first else fam.candidate_dual
-        try:
-            per_fixed = [rule(lam1, lam2, alpha, f) for f in fixed]
-            cand = np.broadcast_to(np.array(per_fixed, dtype=np.float64), shape).reshape(n)
-        except CandidateNotFoundError:
-            pre = False
+    # mixed[k * n * n + ab] = alphas[k] zs[a] + betas[k] zs[b] with
+    # ab = a * n + b, and the special parameters at (mixed[k * n * n + ab],
+    # fixed[c]) at [k, ab, c]
+    mixed = (alphas[:, None, None, None] * zs[None, :, None, :]
+             + betas[:, None, None, None] * zs[None, None, :, :]).reshape(-1, dim)
+    mb, fb = mixed.reshape(shape[1:4] + (1, dim)), fixed[None, None, None]
+    points = (len(alphas), n * n, m)
+    specials = [(np.broadcast_to(lam, shape[1:]).reshape(points),
+                 np.broadcast_to(present, shape[1:]).reshape(points))
+                for lam, present in fam.special_lams_many(*((mb, fb) if first else (fb, mb)))]
 
-    stages = [(cand, pre), (lam1, True), (lam2, True)] + fam.special_lams_many(*point)
-    for lams, present in stages:
-        idx = np.flatnonzero(undecided & present)
-        lam = np.broadcast_to(lams, (n,))[idx]
-        bad = np.isnan(lam) | (lam == -INF)
-        if bad.any():
-            ensure_extended(lam[bad][0], "lambda")
-        inside = dom.contains_many(lam)
-        idx, lam = idx[inside], lam[inside]
-        if not idx.size:
-            continue
-        lhs = fam.f_many(lam, point[0][idx], point[1][idx])
-        d = lhs - rhs[idx]
-        best[idx] = np.where(d < best[idx], d, best[idx])
-        undecided[idx] = ~(lhs <= rhs[idx] + tol)
+    step = max(1, _BIC_CHUNK // max(1, n * n * m))
+    grid = dom.sample_grid
+    sweep = max(1, SWEEP_CHUNK // grid.size)
+    for start in range(0, nblocks, step):
+        # the chunk's tuples, flat in (block, ab, c) order
+        blocks = np.arange(start, min(start + step, nblocks))
+        p, k = np.divmod(blocks, shape[1])
+        chunk = (blocks.size, n * n, m)
 
-    idx = np.flatnonzero(undecided)
-    if idx.size:
-        vals = fam.f_many(dom.sample_grid, point[0][idx, None, :], point[1][idx, None, :])
-        r = rhs[idx]
-        d = vals.min(axis=1) - r
-        best[idx] = np.where(d < best[idx], d, best[idx])
-        undecided[idx] = ~np.any(vals <= (r + tol)[:, None], axis=1)
-    return undecided.reshape(shape), best.reshape(shape)
+        def point(blk, ab, c):
+            z, f = mixed[k[blk] * (n * n) + ab], fixed[c]
+            return (z, f) if first else (f, z)
+
+        al, be = alphas[k, None, None, None], betas[k, None, None, None]
+        # a zero-weight member drops out, even where its term is inf
+        with np.errstate(invalid="ignore"):  # 0 * inf, and inf - inf under weights outside [0, 1]
+            rhs = (np.where(al == 0.0, 0.0, al * terms[2 * p, :, None, :])
+                   + np.where(be == 0.0, 0.0, be * terms[2 * p + 1, None, :, :])).reshape(-1)
+        pre = (held[2 * p, :, None, :] & held[2 * p + 1, None, :, :]
+               & ruled[blocks, None, None, None]).reshape(-1)
+        undecided = rhs != INF  # an infinite right side holds vacuously
+        low = np.full(rhs.size, INF)
+
+        # (offered to, parameters by (block, ab, c)) per search stage
+        stages = [(pre, np.broadcast_to(cands[blocks, None, :], chunk)),
+                  (True, np.broadcast_to(lams[p, 0, None, None], chunk)),
+                  (True, np.broadcast_to(lams[p, 1, None, None], chunk))]
+        stages += [(present[k].reshape(-1), lam[k]) for lam, present in specials]
+        for present, stage_lams in stages:
+            i = np.flatnonzero(undecided & present)
+            at = np.unravel_index(i, chunk)
+            lam = stage_lams[at]
+            bad = np.isnan(lam) | (lam == -INF)
+            if bad.any():
+                ensure_extended(lam[bad][0], "lambda")
+            inside = dom.contains_many(lam)
+            i, lam = i[inside], lam[inside]
+            if not i.size:
+                continue
+            lhs = fam.f_many(lam, *point(*[ix[inside] for ix in at]))
+            d = lhs - rhs[i]
+            low[i] = np.where(d < low[i], d, low[i])
+            undecided[i] = ~(lhs <= rhs[i] + tol)
+
+        left = np.flatnonzero(undecided)
+        for s in range(0, left.size, sweep):
+            i = left[s:s + sweep]
+            x, y = point(*np.unravel_index(i, chunk))
+            vals = fam.f_many(grid, x[:, None, :], y[:, None, :])
+            d = vals.min(axis=1) - rhs[i]
+            low[i] = np.where(d < low[i], d, low[i])
+            undecided[i] = ~np.any(vals <= (rhs[i] + tol)[:, None], axis=1)
+        fails[p, k] = undecided.reshape(chunk[:1] + shape[2:])
+        deficits.append(low[undecided])
+    return fails, np.concatenate(deficits)
 
 
 def bic_check(cover, plan=None, tol=1e-9):
@@ -607,8 +651,9 @@ def bic_check(cover, plan=None, tol=1e-9):
     first, then the member parameters themselves, the exact per-probe
     minimizers and finiteness boundaries, then the whole parameter grid in
     ascending order; a failure records the tuple with its least deficit.
-    Tuples are screened one (lam1, lam2, alpha, slot) block at a time, with
-    the same values and verdicts as searching tuple by tuple.
+    Each argument slot is screened once over every (lam1, lam2, alpha)
+    block of the plan, in chunks of whole blocks, with the same values,
+    verdicts and errors as searching tuple by tuple in plan order.
     """
     if plan is None:
         plan = default_probe_plan(cover)
@@ -618,21 +663,32 @@ def bic_check(cover, plan=None, tol=1e-9):
     x_stack = np.array(xs).reshape(len(xs), dim)
     y_stack = np.array(ys).reshape(len(ys), dim)
     slots = ((True, xs, ys, x_stack, y_stack), (False, ys, xs, y_stack, x_stack))
-    counterexamples = []
-    checked = 0
-    for lam1, lam2 in plan.lam_pairs:
-        l1 = ensure_extended(lam1, "lambda1")
-        l2 = ensure_extended(lam2, "lambda2")
-        for alpha in plan.alphas:
-            for first, zs, fixed, z_stack, fixed_stack in slots:
-                fails, deficits = _bic_block(cover, l1, l2, float(alpha), z_stack,
-                                             fixed_stack, first, tol)
-                checked += fails.size
-                for a, b, c in zip(*np.nonzero(fails)):
-                    counterexamples.append(BICCounterexample(
-                        "first" if first else "second", lam1, zs[a], lam2, zs[b],
-                        alpha, fixed[c], float(deficits[a, b, c])))
-    return BICReport(not counterexamples, counterexamples, checked)
+
+    def screen(lam_pairs, alphas):
+        lams = np.array([(ensure_extended(lam1, "lambda1"), ensure_extended(lam2, "lambda2"))
+                         for lam1, lam2 in lam_pairs]).reshape(-1, 2)
+        return [_bic_screen(cover, lams, alphas, z, f, first, tol)
+                for first, _, _, z, f in slots]
+
+    try:
+        screens = screen(plan.lam_pairs, plan.alphas)
+    except Exception:
+        # a stacked stage raises for whichever of its tuples fails first;
+        # block by block, the first failing block of the plan raises instead
+        for pair in plan.lam_pairs:
+            for alpha in plan.alphas:
+                screen([pair], [alpha])
+        raise
+
+    found = []
+    for s, ((first, zs, fixed, _, _), (fails, deficits)) in enumerate(zip(slots, screens)):
+        for p, k, a, b, c, d in zip(*np.nonzero(fails), deficits.tolist()):
+            (lam1, lam2), alpha = plan.lam_pairs[p], plan.alphas[k]
+            found.append(((p, k, s), BICCounterexample(
+                "first" if first else "second", lam1, zs[a], lam2, zs[b], alpha, fixed[c], d)))
+    found.sort(key=lambda f: f[0])  # stable: (a, b, c) order within a block
+    checked = sum(fails.size for fails, _ in screens)
+    return BICReport(not found, [cx for _, cx in found], checked)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ import numpy as np
 from . import kernels
 from .convex import MaxAffine
 from .covers import SWEEP_CHUNK
-from .numerics import _batch_inner, _batch_norm2, _inner, _row_keys, as_vector, norm, vec_key
+from .numerics import _batch_inner, _batch_norm2, _row_keys, as_vector, norm, vec_key
 
 DEFAULT_TOL = 1e-9
 
@@ -71,11 +71,20 @@ def _clip_low(t):
 
 
 class _SliceHint:
-    """A declared slice shape; ``contains_many`` decides a trusted (n, dim)
-    stack at once, and ``contains`` is the same test on one vector."""
+    """A declared slice shape. ``_holds(vs, tol, *params)`` decides each row
+    of a trusted (n, dim) stack against shape parameters given per row or
+    once for all, in field order; ``contains_many`` is that test with the
+    hint's own parameters, and ``contains`` the same on one vector."""
 
     def contains(self, v, tol):
         return bool(self.contains_many(as_vector(v, self.dim)[None], tol)[0])
+
+    def contains_many(self, vs, tol):
+        return self._holds(vs, tol, *self._params())
+
+    def _params(self):
+        # the dataclass fields in declaration order
+        return [getattr(self, name) for name in self.__dataclass_fields__]
 
 
 @dataclass(frozen=True)
@@ -89,8 +98,9 @@ class Singleton(_SliceHint):
     def dim(self):
         return self.point.size
 
-    def contains_many(self, vs, tol):
-        return _batch_norm(vs - self.point) <= tol
+    @staticmethod
+    def _holds(vs, tol, point):
+        return _batch_norm(vs - point) <= tol
 
 
 @dataclass(frozen=True)
@@ -106,14 +116,17 @@ class Segment(_SliceHint):
     def dim(self):
         return self.a.size
 
-    def contains_many(self, vs, tol):
-        d = self.b - self.a
-        dd = _inner(d, d)
-        if dd == 0.0:
-            return _batch_norm(vs - self.a) <= tol
-        t = _clip_low(_batch_inner(vs - self.a, d) / dd)
-        t = np.where(t < 1.0, t, 1.0)  # min(1.0, t) as Python evaluates it
-        return _batch_norm(vs - (self.a + t[:, None] * d)) <= tol
+    @staticmethod
+    def _holds(vs, tol, a, b):
+        d = b - a
+        dd = _batch_inner(d, d)
+        # a degenerate segment (dd = 0) is its end a; the projection below
+        # is then 0 / 0 and is not used
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = _clip_low(_batch_inner(vs - a, d) / dd)
+            t = np.where(t < 1.0, t, 1.0)  # min(1.0, t) as Python evaluates it
+            near = _batch_norm(vs - (a + t[..., None] * d)) <= tol
+        return np.where(dd == 0.0, _batch_norm(vs - a) <= tol, near)
 
 
 @dataclass(frozen=True)
@@ -132,10 +145,9 @@ class Ball(_SliceHint):
     def dim(self):
         return self.center.size
 
-    def contains_many(self, vs, tol):
-        if self.radius == np.inf:
-            return np.ones(vs.shape[0], dtype=bool)
-        return _batch_norm(vs - self.center) <= self.radius + tol
+    @staticmethod
+    def _holds(vs, tol, center, radius):
+        return (radius == np.inf) | (_batch_norm(vs - center) <= radius + tol)
 
 
 @dataclass(frozen=True)
@@ -154,10 +166,10 @@ class HalfLineRay(_SliceHint):
     def dim(self):
         return self.origin.size
 
-    def contains_many(self, vs, tol):
-        d = self.direction
-        t = _clip_low(_batch_inner(vs - self.origin, d) / _inner(d, d))
-        return _batch_norm(vs - (self.origin + t[:, None] * d)) <= tol
+    @staticmethod
+    def _holds(vs, tol, origin, direction):
+        t = _clip_low(_batch_inner(vs - origin, direction) / _batch_inner(direction, direction))
+        return _batch_norm(vs - (origin + t[..., None] * direction)) <= tol
 
 
 SLICE_HINT_SHAPES = (Singleton, Segment, Ball, HalfLineRay)
@@ -233,19 +245,30 @@ class LawGraph:
                  ("dual", self.dual_hints, self.ys, self.xs, "y", "x"))
         anchored = []
         for order, (side, hints, at, others, a, o) in enumerate(sides):
-            for key, hint in hints.items():
-                rows = np.flatnonzero(np.all(at == key, axis=1)) if len(key) == self.dim else []
-                if not len(rows):
+            for (key, hint), rows in zip(hints.items(), _anchor_rows(at, list(hints))):
+                if not rows.size:
                     raise ValueError(f"{side} hint anchored at {key} but no pair has that {a}")
                 anchored.append((order, hint, rows))
-        # one contains_many per hint over the pairs at its anchor; the lowest
-        # failing pair index wins, primal before dual at the same index
-        failures = []
+        # the hints of one shape in one call over the pairs at their anchors;
+        # the lowest failing pair index wins, primal before dual at the same
+        # index (a hint of another dimension fails at its first pair)
+        failures, shapes = [], {}
         for order, hint, rows in anchored:
-            if hint.dim == self.dim:
-                rows = rows[~hint.contains_many(sides[order][3][rows], self.hint_tol)]
-            if len(rows):
+            if hint.dim != self.dim:
                 failures.append((rows[0], order, hint))
+            else:
+                shapes.setdefault(type(hint), []).append((order, hint, rows))
+        for shape, group in shapes.items():
+            which = np.repeat(np.arange(len(group)), [rows.size for _, _, rows in group])
+            orders = np.array([order for order, _, _ in group])[which]
+            rows = np.concatenate([rows for _, _, rows in group])
+            vs = np.where((orders == 0)[:, None], self.ys[rows], self.xs[rows])
+            params = zip(*[hint._params() for _, hint, _ in group])
+            fail = ~shape._holds(vs, self.hint_tol, *[np.array(p)[which] for p in params])
+            if fail.any():
+                f = np.flatnonzero(fail)
+                f = f[np.lexsort((orders[f], rows[f]))[0]]
+                failures.append((rows[f], orders[f], group[which[f]][1]))
         if failures:
             i, order, hint = min(failures, key=lambda f: f[:2])
             side, _, at, others, a, o = sides[order]
@@ -312,6 +335,24 @@ class LawGraph:
             for h in np.flatnonzero(anchored.any(axis=0)):
                 view[anchored[:, h]] |= shapes[h].contains_many(others, self.hint_tol)
         return member
+
+
+def _anchor_rows(at, keys):
+    """Ascending indices of the rows of the (m, dim) stack ``at`` equal to
+    each anchor key (-0.0 meets 0.0), from one sort of the row keys; none
+    for a key of another length."""
+    if not keys:
+        return []
+    dim = at.shape[1]
+    fit = [len(key) == dim for key in keys]
+    anchors = _row_keys(np.array([key for key, ok in zip(keys, fit) if ok],
+                                 dtype=np.float64).reshape(-1, dim))
+    row_keys = _row_keys(at)
+    order = np.argsort(row_keys, kind="stable")
+    table = row_keys[order]
+    spans = iter(zip(np.searchsorted(table, anchors, "left").tolist(),
+                     np.searchsorted(table, anchors, "right").tolist()))
+    return [order[slice(*next(spans))] if ok else order[:0] for ok in fit]
 
 
 def _distinct_rows(a):

@@ -1,7 +1,7 @@
-"""The block-vectorized BIC screen against the tuple-by-tuple oracle.
+"""The stacked BIC screen against the tuple-by-tuple oracle.
 
 Reports must agree exactly: verdict, tuple count, and every counterexample
-field in order, deficits to the bit.
+field in order, deficits to the bit; errors must match in type and message.
 """
 
 import numpy as np
@@ -32,6 +32,7 @@ from bipotkit import (
     separable_cover,
     tabulated_cover,
 )
+from bipotkit import bipotentials
 from bipotkit.demos import nonbic_cover
 
 from .oracles import oracle_bic_check
@@ -151,6 +152,19 @@ def test_untabulated_member_raises_like_oracle():
     assert str(got.value) == str(want.value)
 
 
+def test_errors_come_in_plan_order():
+    # the NaN in the later pair is rejected by validation, which would run
+    # first if the whole plan were validated up front
+    cover = tabulated("quadratic", (0.5, 1.0, 4.0), 1)
+    plan = small_plan(1, [(0.5, 3.0), (1.0, np.nan)], (0.5, 1.0))
+    with pytest.raises(ValueError) as want:
+        oracle_bic_check(cover, plan)
+    with pytest.raises(ValueError) as got:
+        bic_check(cover, plan)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value) == "lambda 3.0 is not tabulated"
+
+
 def test_affine_tabulated_plan_matches_oracle():
     cover = tabulated_cover([
         (0.0, Affine(np.array([0.5])), IndicatorPoint(np.array([0.5]))),
@@ -205,3 +219,63 @@ def test_random_tabulated_covers_match_oracle(cover_and_plan):
     # tabulated covers have no candidate rule: the screen searches the
     # members and the domain, the oracle scans members for a candidate first
     check_against_oracle(*cover_and_plan)
+
+
+def report_bytes(report):
+    """A report as comparable values: the counterexamples in order, their
+    points and deficits as raw bytes."""
+    rows = [(c.argument, c.lam1, c.lam2, c.alpha, c.z1.tobytes(), c.z2.tobytes(),
+             c.fixed.tobytes()) for c in report.counterexamples]
+    deficits = np.array([c.deficit for c in report.counterexamples], dtype=np.float64)
+    return report.is_bic, report.tuples_checked, rows, deficits.tobytes()
+
+
+PLAN_LAMS = [0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 7.5, INF]
+
+
+@st.composite
+def covers_and_plans(draw):
+    """A quadratic, norm or tabulated cover in dims 1-3 and a plan of 1-12
+    parameter pairs (0 and inf among them, some outside the domain), 1-5
+    weights inside and outside [0, 1], and 1-3 points per slot."""
+    dim = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["quadratic", "norm", "tabulated"]))
+    if kind == "tabulated":
+        lams = draw(st.lists(st.sampled_from(PLAN_LAMS), min_size=1, max_size=4, unique=True))
+        families = [QuadraticFamily(dim), NormFamily(dim)]
+        rows = []
+        for lam in lams:
+            fam = draw(st.sampled_from(families))
+            rows.append((lam, fam.phi(lam), fam.phi_star(lam)))
+        domain = FiniteSet(tuple(draw(st.lists(st.sampled_from(lams), min_size=1, unique=True))))
+        cover = Cover(domain, TabulatedFamily(rows))
+    else:
+        lams = PLAN_LAMS
+        lo, hi, inf_member = draw(st.sampled_from([(0.0, INF, True), (0.4, 5.0, False),
+                                                   (0.5, INF, False)]))
+        cover = interval_cover(kind, dim, lo, hi, inf_member, grid_points=48)
+    vectors = st.lists(COORDS, min_size=dim, max_size=dim).map(np.array)
+    plan = BICProbePlan(
+        tuple(draw(st.lists(st.tuples(st.sampled_from(lams), st.sampled_from(lams)),
+                            min_size=1, max_size=12))),
+        tuple(draw(st.lists(st.sampled_from([-0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5]),
+                            min_size=1, max_size=5))),
+        tuple(draw(st.lists(vectors, min_size=1, max_size=3))),
+        tuple(draw(st.lists(vectors, min_size=1, max_size=3))))
+    return cover, plan
+
+
+@settings(max_examples=30, deadline=None)
+@given(covers_and_plans())
+def test_chunk_edges_match_oracle(cover_and_plan):
+    # chunks of one block each, and chunks that hold a whole number of
+    # blocks but not of the first slot's block size, split the plan
+    # unevenly; every split must give the oracle's report
+    cover, plan = cover_and_plan
+    want = report_bytes(oracle_bic_check(cover, plan))
+    block = len(plan.primal_points) ** 2 * len(plan.dual_points)
+    for chunk in (None, 1, 3 * block - 1):
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk is not None:
+                mp.setattr(bipotentials, "_BIC_CHUNK", chunk)
+            assert report_bytes(bic_check(cover, plan)) == want, chunk

@@ -26,6 +26,7 @@ from .oracles import (
     oracle_bb_check,
     oracle_bellman_ford,
     oracle_cycle_witness,
+    oracle_hint_holds,
     oracle_longest_path,
 )
 
@@ -192,6 +193,57 @@ def test_hint_failures_at_one_pair_report_the_primal_side_first():
     with pytest.raises(ValueError, match="^pair 50: y \\[3.0\\] .* primal"):
         law_1d(pairs, primal_hints={(0.0,): Singleton(np.array([0.0]))},
                dual_hints={(3.0,): Singleton(np.array([1.0]))})
+
+
+HINT_COORDS = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0])
+
+
+@st.composite
+def hinted_pairs(draw):
+    """1-12 pairs in dims 1-3, and hints of every shape (degenerate
+    segments, zero and infinite radii among them) anchored at some of the
+    stored x and y coordinates."""
+    dim = draw(st.integers(1, 3))
+    vec = st.lists(HINT_COORDS, min_size=dim, max_size=dim).map(np.array)
+    pairs = draw(st.lists(st.tuples(vec, vec), min_size=1, max_size=12))
+
+    def hint():
+        shape = draw(st.sampled_from([Singleton, Segment, Ball, HalfLineRay]))
+        if shape is Singleton:
+            return Singleton(draw(vec))
+        if shape is Segment:
+            return Segment(draw(vec), draw(vec))
+        if shape is Ball:
+            return Ball(draw(vec), draw(st.sampled_from([0.0, 0.5, 1.5, np.inf])))
+        return HalfLineRay(draw(vec), draw(vec.filter(lambda d: d.any())))
+
+    def hints(points):
+        keys = {tuple(p.tolist()): None for p in points}
+        return {key: hint() for key in draw(st.lists(st.sampled_from(list(keys)), unique=True))}
+
+    return pairs, hints([x for x, _ in pairs]), hints([y for _, y in pairs])
+
+
+@settings(max_examples=150, deadline=None)
+@given(hinted_pairs())
+def test_hint_validation_reports_the_oracles_first_bad_pair(data):
+    # pair by pair, primal before dual: the first stored pair outside a
+    # hint that mentions it
+    pairs, primal, dual = data
+    want = None
+    for i, (x, y) in enumerate(pairs):
+        for side, hints, at, other, a, o in (("primal", primal, x, y, "x", "y"),
+                                              ("dual", dual, y, x, "y", "x")):
+            held = hints.get(tuple(at.tolist()))
+            if want is None and held is not None and not oracle_hint_holds(held, other.tolist(), 1e-9):
+                want = (f"pair {i}: {o} {other.tolist()} lies outside the declared "
+                        f"{side} slice hint at {a} {at.tolist()}")
+    if want is None:
+        LawGraph(pairs, primal_hints=primal, dual_hints=dual)
+    else:
+        with pytest.raises(ValueError) as exc:
+            LawGraph(pairs, primal_hints=primal, dual_hints=dual)
+        assert str(exc.value) == want
 
 
 # ---------------------------------------------------------------------------
