@@ -557,10 +557,11 @@ def _bic_screen(cover, lams, alphas, zs, fixed, first, tol):
     held = (gaps <= tol if first else ~(gaps > tol)).transpose(2, 0, 1)
     terms = terms.transpose(2, 0, 1)
 
-    # cands[p * len(alphas) + k, c]; a block whose rule is barred or finds
-    # no candidate skips that stage
+    # cands[p * len(alphas) + k], one per block since the rules read no
+    # point; a block whose rule is barred or finds no candidate skips that
+    # stage
     rule = fam.candidate if first else fam.candidate_dual
-    cands = np.zeros((nblocks, m))
+    cands = np.zeros(nblocks)
     ruled = np.zeros(nblocks, dtype=bool)
     for p, (lam1, lam2) in enumerate(lams.tolist()):
         in_domain = not first or (dom.contains(lam1) and dom.contains(lam2))
@@ -568,7 +569,7 @@ def _bic_screen(cover, lams, alphas, zs, fixed, first, tol):
             if first and not (0.0 <= alpha <= 1.0 and in_domain):
                 continue
             try:
-                cands[p * shape[1] + k] = [rule(lam1, lam2, alpha, f) for f in fixed]
+                cands[p * shape[1] + k] = rule(lam1, lam2, alpha, None)
             except CandidateNotFoundError:
                 continue
             ruled[p * shape[1] + k] = True
@@ -608,7 +609,7 @@ def _bic_screen(cover, lams, alphas, zs, fixed, first, tol):
         low = np.full(rhs.size, INF)
 
         # (offered to, parameters by (block, ab, c)) per search stage
-        stages = [(pre, np.broadcast_to(cands[blocks, None, :], chunk)),
+        stages = [(pre, np.broadcast_to(cands[blocks, None, None], chunk)),
                   (True, np.broadcast_to(lams[p, 0, None, None], chunk)),
                   (True, np.broadcast_to(lams[p, 1, None, None], chunk))]
         stages += [(present[k].reshape(-1), lam[k]) for lam, present in specials]

@@ -147,32 +147,48 @@ class FiniteSet:
 # ---------------------------------------------------------------------------
 # families
 #
-# Every family evaluates f(lambda, x, y) one way: ``f_many``, with the
-# parameters broadcast against the leading axes of trusted float64 point
-# stacks x, y of shape (..., dim). It is the single evaluator behind
-# parameter sweeps, the BIC screen, ``Cover.f_eval`` and ``p1_candidate``,
-# which call it on one row. Separable and tabulated families evaluate their
-# members through ``ConvexFunction.value_many``. ``finite_boundary_lams``
-# takes vectors or point stacks alike and returns one value per leading
-# index for each boundary. ``special_lams_many`` stacks the exact
-# per-probe minimizers then the finiteness boundaries as (lams, present)
-# pairs over the same leading axes.
+# Every family evaluates f(lambda, x, y) one way: ``parts`` returns its two
+# terms apart, phi_lambda(x) with the parameters broadcast against the
+# leading axes of the trusted float64 point stack x of shape (..., dim), and
+# phi*_lambda(y) likewise against y's, so a sweep evaluates each term once
+# per probe of its own stack. ``f_many`` is their sum, broadcast over both
+# stacks, and is what the BIC screen, ``Cover.f_eval`` and ``p1_candidate``
+# call, on one row for the scalar entry points. At the 0 and inf members of
+# the quadratic and norm families each term is decided on exact coordinates:
+# at 0 the phi term is 0 and the phi* term the indicator of y = 0, at inf the
+# phi term is the indicator of x = 0 and the phi* term 0; a nonzero vector
+# whose squared norm underflows is still nonzero. Separable and tabulated
+# families evaluate their members through ``ConvexFunction.value_many``.
+# ``finite_boundary_lams`` takes vectors or point stacks alike and returns one
+# value per leading index for each boundary. ``special_lams_many`` stacks the
+# exact per-probe minimizers then the finiteness boundaries as (lams, present)
+# pairs over the same leading axes. The candidate rules ``candidate`` and
+# ``candidate_dual`` depend on (lambda1, lambda2, alpha) only: the BIC screen
+# calls them once per (lambda1, lambda2, alpha) block with the point None.
 
 
-def _member_values(phi, phi_star, x, y):
-    """phi(x) + phi*(y) over point stacks broadcast against each other, one
-    ``value_many`` per side."""
-    px = phi.value_many(x.reshape(-1, x.shape[-1])).reshape(x.shape[:-1])
-    py = phi_star.value_many(y.reshape(-1, y.shape[-1])).reshape(y.shape[:-1])
-    return px + py
+def _sum_of_parts(self, lams, x, y):
+    """f(lambda, x, y): the two terms of ``parts`` added."""
+    p, d = self.parts(lams, x, y)
+    with np.errstate(over="ignore"):  # a sum beyond the float range is +inf
+        return p + d
 
 
-def _sentinel_values(lams, out, x, y):
-    # f(0, x, y) is the indicator of y = 0 and f(inf, x, y) that of x = 0,
-    # decided on the exact coordinates: a nonzero vector whose squared norm
-    # underflows is still nonzero
-    out = np.where(lams == 0.0, np.where(np.any(y, axis=-1), INF, 0.0), out)
-    return np.where(lams == INF, np.where(np.any(x, axis=-1), INF, 0.0), out)
+def _with_ends(lams, term, v, indicator_end):
+    """``term`` at the 0 and inf members: the indicator of v = 0, on the
+    exact coordinates, at ``indicator_end`` and 0 at the other end; a pass
+    over ``term`` only for an end that ``lams`` holds."""
+    for end in (0.0, INF):
+        at = np.equal(lams, end)
+        if at.any():
+            value = np.where(v.any(axis=-1), INF, 0.0) if end == indicator_end else 0.0
+            term = np.where(at, value, term)
+    return term
+
+
+def _form_values(form, v):
+    """form(v) over a point stack of shape (..., dim)."""
+    return form.value_many(v.reshape(-1, v.shape[-1])).reshape(v.shape[:-1])
 
 
 @dataclass(frozen=True)
@@ -198,10 +214,13 @@ class QuadraticFamily:
             return Quadratic(0.0, self.dim)
         return Quadratic(1.0 / lam, self.dim)
 
-    def f_many(self, lams, x, y):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = (0.5 * lams) * _batch_norm2(x) + (0.5 * _batch_norm2(y)) / lams
-        return _sentinel_values(lams, out, x, y)
+    def parts(self, lams, x, y):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            p = (0.5 * lams) * _batch_norm2(x)
+            d = (0.5 * _batch_norm2(y)) / lams
+        return _with_ends(lams, p, x, INF), _with_ends(lams, d, y, 0.0)
+
+    f_many = _sum_of_parts
 
     def finite_boundary_lams(self, x, y):
         return []
@@ -259,11 +278,13 @@ class NormFamily:
             return Quadratic(0.0, self.dim)
         return IndicatorBall(lam, self.dim)
 
-    def f_many(self, lams, x, y):
-        with np.errstate(invalid="ignore"):
-            out = np.where(np.sqrt(_batch_norm2(y)) <= lams,
-                           lams * np.sqrt(_batch_norm2(x)), INF)
-        return _sentinel_values(lams, out, x, y)
+    def parts(self, lams, x, y):
+        with np.errstate(invalid="ignore", over="ignore"):
+            p = lams * np.sqrt(_batch_norm2(x))
+        d = np.where(np.sqrt(_batch_norm2(y)) <= lams, 0.0, INF)
+        return _with_ends(lams, p, x, INF), _with_ends(lams, d, y, 0.0)
+
+    f_many = _sum_of_parts
 
     def finite_boundary_lams(self, x, y):
         # f(., x, y) switches from +inf to finite exactly at lambda = ||y||;
@@ -300,10 +321,13 @@ class SeparableFamily:
     def phi_star(self, lam):
         return self.potential_star
 
-    def f_many(self, lams, x, y):
-        shape = np.broadcast_shapes(np.shape(lams), x.shape[:-1], y.shape[:-1])
-        vals = _member_values(self.potential, self.potential_star, x, y)
-        return np.array(np.broadcast_to(vals, shape))
+    def parts(self, lams, x, y):
+        # the one member at every parameter
+        return tuple(np.broadcast_to(vals, np.broadcast_shapes(np.shape(lams), vals.shape))
+                     for vals in (_form_values(self.potential, x),
+                                  _form_values(self.potential_star, y)))
+
+    f_many = _sum_of_parts
 
     def finite_boundary_lams(self, x, y):
         return []
@@ -355,22 +379,22 @@ class TabulatedFamily:
     def phi_star(self, lam):
         return self._entry(lam)[1]
 
-    def f_many(self, lams, x, y):
-        # grouped by member: one value_many per side over the entries at it
+    def parts(self, lams, x, y):
+        # each member's forms once over the rows of x, and of y
         lams = np.asarray(lams, dtype=np.float64)
         known = (lams[..., None] == np.array(self.lams())).any(axis=-1)
         if not known.all():
             self._entry(lams[~known][0])  # raises for the first untabulated one
-        shape = np.broadcast_shapes(lams.shape, x.shape[:-1], y.shape[:-1])
-        lams = np.broadcast_to(lams, shape)
-        x = np.broadcast_to(x, shape + x.shape[-1:])
-        y = np.broadcast_to(y, shape + y.shape[-1:])
-        out = np.empty(shape)
+        p = np.empty(np.broadcast_shapes(lams.shape, x.shape[:-1]))
+        d = np.empty(np.broadcast_shapes(lams.shape, y.shape[:-1]))
         for lam, (phi, phi_star) in self.table.items():
             at = lams == lam
             if at.any():
-                out[at] = _member_values(phi, phi_star, x[at], y[at])
-        return out
+                np.copyto(p, _form_values(phi, x), where=at)
+                np.copyto(d, _form_values(phi_star, y), where=at)
+        return p, d
+
+    f_many = _sum_of_parts
 
     def finite_boundary_lams(self, x, y):
         return []
@@ -427,32 +451,54 @@ class Cover:
 
     def _sweep(self, xs, ys):
         """(values, attaining lambdas) of the grid infimum over trusted probe
-        stacks broadcast against each other: ``f_many`` over the sample grid,
-        then each probe's finiteness boundaries where the domain holds them,
-        swept at most ``SWEEP_CHUNK`` parameter x probe entries at a time.
-        The attaining lambda is the first minimum in ascending order: a
-        boundary wins when its value is lower, or equal at a smaller lambda."""
-        shape = np.broadcast_shapes(xs.shape[:-1], ys.shape[:-1])
-        xs = np.broadcast_to(xs, shape + xs.shape[-1:])
-        ys = np.broadcast_to(ys, shape + ys.shape[-1:])
+        stacks broadcast against each other, with at least one leading axis.
+
+        The sample grid runs in blocks of parameters. Per block, ``parts``
+        evaluates phi over the x stack and phi* over the y stack, once per
+        probe of each; their broadcast sums, at most about ``SWEEP_CHUNK``
+        entries at a time, update a running first minimum that only a
+        strictly lower value replaces. Each probe's finiteness boundaries
+        where the domain holds them follow: a boundary wins when its value
+        is lower, or equal at a smaller lambda. The attaining lambda is thus
+        the first minimum in ascending order."""
         fam, dom = self.family, self.domain
         grid = dom.sample_grid
-        out = np.empty((2,) + shape)
-        flat = out.reshape(2, -1)
-        step = max(1, SWEEP_CHUNK // grid.size)
-        for start in range(0, flat.shape[1], step):
-            at = np.unravel_index(np.arange(start, min(start + step, flat.shape[1])), shape)
-            x, y = xs[at], ys[at]
-            sweep = fam.f_many(grid, x[:, None, :], y[:, None, :])
-            k = sweep.argmin(axis=1)
-            vals, lams = sweep[np.arange(k.size), k], grid[k]
+        shape = np.broadcast_shapes(xs.shape[:-1], ys.shape[:-1])
+        # entries per index of the first axis; a block's parts and one such
+        # index across the block each hold at most SWEEP_CHUNK entries
+        width = max(1, math.prod(shape[1:]))
+        probes = math.prod(xs.shape[:-1]) + math.prod(ys.shape[:-1])
+        block = max(1, min(grid.size, SWEEP_CHUNK // max(probes, width)))
+        rows = max(1, SWEEP_CHUNK // (block * width))
+        vals = np.full(shape, INF)
+        first = np.zeros(shape, dtype=np.intp)
+        for lo in range(0, grid.size, block):
+            lams = grid[lo:lo + block]
+            p, d = fam.parts(lams, xs[..., None, :], ys[..., None, :])
+            p = np.broadcast_to(p, shape + lams.shape)
+            d = np.broadcast_to(d, shape + lams.shape)
+            for r in range(0, shape[0], rows):
+                with np.errstate(over="ignore"):  # a sum beyond the float range is +inf
+                    total = p[r:r + rows] + d[r:r + rows]
+                k = total.argmin(axis=-1)
+                low = np.take_along_axis(total, k[..., None], axis=-1)[..., 0]
+                wins = low < vals[r:r + rows]
+                vals[r:r + rows][wins] = low[wins]
+                first[r:r + rows][wins] = k[wins] + lo
+        lams = grid[first]
+        xs = np.broadcast_to(xs, shape + xs.shape[-1:])
+        ys = np.broadcast_to(ys, shape + ys.shape[-1:])
+        step = max(1, SWEEP_CHUNK // width)
+        for r in range(0, shape[0], step):
+            x, y = xs[r:r + step], ys[r:r + step]
+            v, lam = vals[r:r + step], lams[r:r + step]
             for edge_lams in fam.finite_boundary_lams(x, y):
-                i = np.flatnonzero(dom.contains_many(edge_lams))
-                edge, edge_lams = fam.f_many(edge_lams[i], x[i], y[i]), edge_lams[i]
-                wins = (edge < vals[i]) | ((edge == vals[i]) & (edge_lams < lams[i]))
-                vals[i[wins]], lams[i[wins]] = edge[wins], edge_lams[wins]
-            flat[:, start:start + step] = vals, lams
-        return out[0], out[1]
+                at = np.nonzero(dom.contains_many(edge_lams))
+                edge, edge_lams = fam.f_many(edge_lams[at], x[at], y[at]), edge_lams[at]
+                wins = (edge < v[at]) | ((edge == v[at]) & (edge_lams < lam[at]))
+                won = tuple(i[wins] for i in at)
+                v[won], lam[won] = edge[wins], edge_lams[wins]
+        return vals, lams
 
 
 def _as_stack(points, dim):

@@ -445,26 +445,42 @@ def probe_rows(b, x_probes, y_probes):
 def to_jsonable(obj):
     """Recursive JSON conversion for reports: dataclasses to objects, arrays
     to lists, non-finite floats to sentinels."""
+    kind = type(obj)
+    if kind is float:
+        return obj if math.isfinite(obj) else _nonfinite(obj)
+    if kind is str or kind is int or kind is bool or obj is None:
+        return obj
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f" and obj.ndim:
+            return _float_entries(obj.tolist(), obj.ndim)
+        return [to_jsonable(v) for v in obj.tolist()]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: to_jsonable(getattr(obj, f.name))
                 for f in dataclasses.fields(obj)}
-    if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
-        if v == INF:
-            return "inf"
-        if v == -INF:
-            return "-inf"
-        if v != v:
-            return "nan"
-        return v
+        return v if math.isfinite(v) else _nonfinite(v)
     if isinstance(obj, (np.integer,)):
         return int(obj)
-    if isinstance(obj, (bool, int, str)) or obj is None:
+    if isinstance(obj, (bool, int, str)):
         return obj
     return str(obj)
+
+
+def _nonfinite(v):
+    """The JSON sentinel of a non-finite float."""
+    if v == INF:
+        return "inf"
+    return "-inf" if v == -INF else "nan"
+
+
+def _float_entries(rows, depth):
+    """Nested lists of floats ``depth`` deep with the non-finite entries as
+    sentinels."""
+    if depth > 1:
+        return [_float_entries(row, depth - 1) for row in rows]
+    return [v if math.isfinite(v) else _nonfinite(v) for v in rows]

@@ -99,10 +99,12 @@ def _norm(x):
 
 def _batch_inner(xs, ys):
     """Pairings of two broadcastable stacks of trusted vectors along the last
-    axis, accumulated in :func:`_inner`'s coordinate order."""
+    axis, accumulated in :func:`_inner`'s coordinate order. A pairing beyond
+    the float range is +inf or -inf, as :func:`_inner` gives it."""
     out = np.zeros(np.broadcast_shapes(xs.shape[:-1], ys.shape[:-1]))
-    for k in range(xs.shape[-1]):
-        out += xs[..., k] * ys[..., k]
+    with np.errstate(over="ignore"):
+        for k in range(xs.shape[-1]):
+            out += xs[..., k] * ys[..., k]
     return out
 
 

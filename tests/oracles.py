@@ -261,9 +261,11 @@ def _oracle_special_lams(cover, x, y):
     return [0.0] if ny == 0.0 else [ny / nx]
 
 
-def _oracle_sweep(cover, x, y):
-    """Minimum of f over the sample grid plus, for norms, the boundary ||y||
-    where the parameter set holds it."""
+def oracle_sweep(cover, x, y):
+    """(value, attaining lambda) of the minimum of f over the sample grid
+    plus, for norms, the boundary ||y|| where the parameter set holds it:
+    the first minimum in ascending grid order, which the boundary replaces
+    when lower, or equal at a smaller lambda."""
     dom = cover.domain
     lams = [float(lam) for lam in dom.sample_grid]
     if type(cover.family).__name__ == "NormFamily":
@@ -276,10 +278,12 @@ def _oracle_sweep(cover, x, y):
             held = dom.lo <= edge <= dom.hi
         if held:
             lams.append(edge)
-    best = np.inf
+    best, best_lam = np.inf, lams[0]
     for lam in lams:
-        best = min(best, _oracle_member(cover, lam, x, y))
-    return best
+        val = _oracle_member(cover, lam, x, y)
+        if val < best or (val == best and lam < best_lam):
+            best, best_lam = val, lam
+    return best, best_lam
 
 
 def _oracle_analytic(cover, x, y):
@@ -381,7 +385,7 @@ def oracle_table(cover_or_kind, xs, ys, mode="analytic", snap=0.0):
         cover = cover_or_kind
         closed = (mode == "analytic" and hasattr(cover.domain, "lo")
                   and type(cover.family).__name__ in ("QuadraticFamily", "NormFamily"))
-        return _oracle_analytic(cover, x, y) if closed else _oracle_sweep(cover, x, y)
+        return _oracle_analytic(cover, x, y) if closed else oracle_sweep(cover, x, y)[0]
 
     return np.array([[value(x, y) for y in ys] for x in xs])
 

@@ -21,10 +21,11 @@ from bipotkit.covers import (
     separable_cover,
     tabulated_cover,
 )
+from bipotkit import covers
 from bipotkit.laws import LawGraph
 from bipotkit.numerics import INF, inner, norm
 
-from .oracles import _oracle_member, oracle_table
+from .oracles import _oracle_member, oracle_sweep, oracle_table
 
 
 def v(*coords):
@@ -295,6 +296,76 @@ def test_separable_cover_is_constant_in_lambda():
     cover = separable_cover(Quadratic(1.0, 1))
     val, lam = cover.grid_infimum(v(1), v(2))
     assert val == 2.5 and lam == 0.0
+
+
+SWEEP_COORDS = st.sampled_from([-1e200, -1.5, -1e-200, 0.0, 0.25, 1.0, 1e-200, 1e200])
+MEMBER_LAMS = [0.0, 0.25, 0.5, 1.0, 2.0, 4.0, INF]
+
+
+@st.composite
+def covers_and_probes(draw):
+    """A quadratic, norm, separable or tabulated cover in dims 1-3 (interval
+    and finite domains with and without the 0 and inf members) and two probe
+    stacks of 1-6 vectors with zero, tiny and huge coordinates; the stacks
+    are of equal length when ``paired`` is drawn."""
+    dim = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["quadratic", "norm", "separable", "tabulated"]))
+    if kind == "separable":
+        form = draw(st.sampled_from([Quadratic, ScaledNorm, IndicatorBall]))
+        cover = separable_cover(form(draw(st.sampled_from([0.5, 1.0, 3.0])), dim))
+    elif kind == "tabulated":
+        lams = draw(st.lists(st.sampled_from(MEMBER_LAMS), min_size=1, max_size=5, unique=True))
+        families = [QuadraticFamily(dim), NormFamily(dim)]
+        rows = []
+        for lam in lams:
+            fam = draw(st.sampled_from(families))
+            rows.append((lam, fam.phi(lam), fam.phi_star(lam)))
+        cover = tabulated_cover(rows)
+    else:
+        fam = QuadraticFamily(dim) if kind == "quadratic" else NormFamily(dim)
+        finite = draw(st.booleans())
+        if finite:
+            domain = FiniteSet(tuple(draw(st.lists(st.sampled_from(MEMBER_LAMS),
+                                                   min_size=1, unique=True))))
+        else:
+            lo, hi, inf_member = draw(st.sampled_from([(0.0, INF, True), (0.0, 5.0, False),
+                                                       (0.4, 5.0, False), (0.5, INF, True)]))
+            domain = ClosedInterval(lo, hi, includes_infinity=inf_member,
+                                    grid_points=draw(st.integers(2, 41)),
+                                    grid_lo=1e-2, grid_hi=1e2)
+        cover = Cover(domain, fam)
+    paired = draw(st.booleans())
+    vectors = st.lists(SWEEP_COORDS, min_size=dim, max_size=dim)
+    xs = draw(st.lists(vectors, min_size=1, max_size=6))
+    ys = draw(st.lists(vectors, min_size=len(xs) if paired else 1,
+                       max_size=len(xs) if paired else 6))
+    return cover, np.array(xs), np.array(ys), paired
+
+
+@settings(max_examples=80, deadline=None)
+@given(covers_and_probes())
+def test_sweep_matches_the_scalar_sweep(case):
+    # the default chunk, then chunks that split the grid into parameter
+    # blocks and the probes into slabs along the first axis: 1 evenly, the
+    # others with uneven edges on one or both (2 on paired stacks)
+    cover, xs, ys, paired = case
+    if paired:
+        x, y = xs, ys
+        pairs = list(zip(xs, ys))
+    else:
+        x, y = xs[:, None, :], ys[None, :, :]
+        pairs = [(a, b) for a in xs for b in ys]
+    want = [oracle_sweep(cover, a.tolist(), b.tolist()) for a, b in pairs]
+    want_vals = np.array([val for val, _ in want])
+    want_lams = np.array([lam for _, lam in want])
+    probes = xs.shape[0] + ys.shape[0]
+    for chunk in (None, 1, 2, 3 * probes - 1, 2 * cover.domain.sample_grid.size + 1):
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk is not None:
+                mp.setattr(covers, "SWEEP_CHUNK", chunk)
+            vals, lams = cover._sweep(x, y)
+        assert vals.reshape(-1).tobytes() == want_vals.tobytes(), chunk
+        assert lams.reshape(-1).tobytes() == want_lams.tobytes(), chunk
 
 
 # ---------------------------------------------------------------------------

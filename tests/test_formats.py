@@ -1,8 +1,12 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bipotkit.bipotentials import CauchyProduct
 from bipotkit.convex import (
@@ -255,6 +259,61 @@ def test_to_jsonable_dataclasses():
     from bipotkit.laws import BBReport
     out = to_jsonable(BBReport(is_bb_graph=True, failing_slice=None))
     assert out == {"is_bb_graph": True, "failing_slice": None}
+
+
+def reference_to_jsonable(obj):
+    """Element-by-element conversion: every array entry and container item
+    goes through the full chain of type tests."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: reference_to_jsonable(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)}
+    if isinstance(obj, np.ndarray):
+        return [reference_to_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (list, tuple)):
+        return [reference_to_jsonable(v) for v in obj]
+    if isinstance(obj, dict):
+        return {str(k): reference_to_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (np.floating, float)):
+        v = float(obj)
+        if v == INF:
+            return "inf"
+        if v == -INF:
+            return "-inf"
+        if v != v:
+            return "nan"
+        return v
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, (bool, int, str)) or obj is None:
+        return obj
+    return str(obj)
+
+
+@dataclasses.dataclass(frozen=True)
+class Box:
+    value: object
+    label: str = "box"
+
+
+ARRAY_SHAPES = hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=3)
+JSON_LEAVES = st.one_of(
+    st.floats(), st.integers(-2 ** 70, 2 ** 70), st.booleans(), st.none(), st.text(max_size=3),
+    st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-5, 5).map(np.int64), st.booleans().map(np.bool_),
+    hnp.arrays(np.float64, ARRAY_SHAPES, elements=st.floats()),
+    hnp.arrays(np.float32, ARRAY_SHAPES, elements=st.floats(width=32)),
+    hnp.arrays(np.int64, ARRAY_SHAPES, elements=st.integers(-9, 9)),
+    hnp.arrays(np.bool_, ARRAY_SHAPES))
+JSON_VALUES = st.recursive(JSON_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.lists(inner, max_size=3).map(tuple),
+    st.dictionaries(st.one_of(st.text(max_size=2), st.integers(0, 3)), inner, max_size=3),
+    inner.map(Box)), max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_to_jsonable_emits_the_bytes_of_the_reference(obj):
+    assert dumps(to_jsonable(obj)) == dumps(reference_to_jsonable(obj))
 
 
 # ---------------------------------------------------------------------------

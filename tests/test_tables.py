@@ -6,6 +6,7 @@ the oracle's scalar evaluation bit for bit, inf included.
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -27,10 +28,11 @@ from bipotkit import (
     separable_cover,
     tabulated_cover,
 )
+from bipotkit.cli import main
 from bipotkit.convex import IndicatorBall, Quadratic, ScaledNorm
 from bipotkit.covers import SWEEP_CHUNK
 from bipotkit.demos import _reference_line, build_cauchy_law, build_sign_law, nonbic_cover
-from bipotkit.formats import fmt, probe_rows
+from bipotkit.formats import fmt, probe_rows, save_cover
 from bipotkit.laws import Ball, HalfLineRay, LawGraph, Segment, Singleton
 from bipotkit.numerics import inner, norm
 
@@ -241,6 +243,32 @@ def test_grid_infimum_values_on_paired_and_product_stacks_agree():
     product = cover.grid_infimum_values(xs[:, None], ys[None])
     paired = cover.grid_infimum_values(np.repeat(xs, 5, axis=0), np.tile(ys, (7, 1)))
     assert np.array_equal(product.reshape(-1), paired)
+
+
+def test_huge_probes_overflow_to_inf_without_warnings(tmp_path, capsys):
+    # squared norms, pairings and member sums beyond the float range are
+    # +inf or -inf, their intended values, and warn nothing
+    big = np.array([-1e200, -1e154, 0.0, 1e154, 1e200])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for dim in (1, 2):
+            xs = np.stack([big] * dim, axis=1)
+            ys = xs[::-1] * 0.5
+            for cover in (quadratic_cover(dim), norm_cover(dim)):
+                for mode in ("grid", "analytic"):
+                    got = build_inf(cover, mode=mode).table(xs, ys)
+                    assert np.array_equal(got, oracle_table(cover, xs, ys, mode))
+                paired = cover.grid_infimum_values(xs, ys)
+                want = [oracle_table(cover, [x], [y], "grid")[0, 0] for x, y in zip(xs, ys)]
+                assert np.array_equal(paired, want)
+        save_cover(quadratic_cover(1), tmp_path / "quad.json")
+        assert main(["build", str(tmp_path / "quad.json"), "--mode", "grid",
+                     "--probe-grid=-1e200:1e200:3"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "x,y,b,pairing",
+        "-1e+200,-1e+200,inf,inf", "-1e+200,0,0,0", "-1e+200,1e+200,inf,-inf",
+        "0,-1e+200,0,0", "0,0,0,0", "0,1e+200,0,0",
+        "1e+200,-1e+200,inf,-inf", "1e+200,0,0,0", "1e+200,1e+200,inf,inf"]
 
 
 # ---------------------------------------------------------------------------
