@@ -35,7 +35,6 @@ from .formats import (
     load_cover,
     load_law,
     probe_rows,
-    to_jsonable,
 )
 from .laws import NotCyclicallyMonotoneError, bb_check, cyclic_monotonicity_check
 from .laws import rockafellar_reconstruct
@@ -57,7 +56,12 @@ def _parse_grid_spec(spec, what):
         raise CLIError(f"{what} needs finite lo <= hi, got {spec!r}")
     if count < 2:
         raise CLIError(f"{what} needs at least 2 points, got {count}")
-    return np.linspace(lo, hi, count)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # hi - lo can overflow even when both ends are finite
+        nodes = np.linspace(lo, hi, count)
+    if not np.isfinite(nodes).all():
+        raise CLIError(f"{what} nodes must be finite, got {spec!r}")
+    return nodes
 
 
 def _probe_stacks(dim, spec):
@@ -105,7 +109,7 @@ def _load_cover(path):
 
 
 def _emit(data):
-    print(dumps(to_jsonable(data)))
+    print(dumps(data))
 
 
 # ---------------------------------------------------------------------------

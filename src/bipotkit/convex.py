@@ -76,6 +76,9 @@ class Quadratic(ConvexFunction):
             raise ValueError(f"scale must be nonnegative, got {self.scale}")
 
     def value_many(self, xs):
+        if self.scale == 0.0:
+            # the zero function, also where the squared norm overflows
+            return np.zeros(xs.shape[:-1])
         return (0.5 * self.scale) * _batch_norm2(xs)
 
     def _key(self):
@@ -96,6 +99,8 @@ class ScaledNorm(ConvexFunction):
             raise ValueError(f"scale must be nonnegative, got {self.scale}")
 
     def value_many(self, xs):
+        if self.scale == 0.0:
+            return np.zeros(xs.shape[:-1])
         return self.scale * np.sqrt(_batch_norm2(xs))
 
     def _key(self):

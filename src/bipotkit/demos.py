@@ -27,7 +27,7 @@ from .covers import (
     separable_cover,
     tabulated_cover,
 )
-from .formats import csv_header, dumps, probe_rows, save_cover, save_law, to_jsonable
+from .formats import csv_header, dumps, probe_rows, save_cover, save_law
 from .laws import Ball, HalfLineRay, LawGraph, Segment, Singleton
 from .numerics import norm
 
@@ -230,7 +230,7 @@ def run_demo(name, out_dir, stream):
         for line in probe_rows(b, xg, yg):
             fh.write(line + "\n")
     with open(os.path.join(out_dir, "reports.json"), "w") as fh:
-        fh.write(dumps(to_jsonable(report.reports())))
+        fh.write(dumps(report.reports()))
         fh.write("\n")
 
     line = _reference_line(setup["reference"], b, setup)

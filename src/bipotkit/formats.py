@@ -5,11 +5,17 @@ accepted only where the schema allows an extended value (radii, offsets,
 sampled values, parameters, interval ends). Coordinates must be finite and
 parse rejects NaN/Inf outright. All emission is deterministic: sorted JSON
 keys, 12-significant-digit numbers in CSV, fixed row order.
+
+Every JSON document, file or report, comes from one writer, :func:`dumps`.
+It takes report objects (dataclasses, arrays, numpy scalars, tuples) as well
+as plain data and writes them in one pass. :func:`to_jsonable` is its round
+trip, the plain data that the written text parses back to.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 
@@ -407,9 +413,125 @@ def save_cover(cover, path):
 # deterministic emission
 
 
-def dumps(data):
-    """Canonical JSON: sorted keys, two-space indent."""
-    return json.dumps(data, indent=2, sort_keys=True)
+def dumps(obj):
+    """Canonical JSON of a report or of plain data: sorted keys, two-space
+    indent, ASCII strings.
+
+    Dataclasses become objects of their fields, tuples and arrays become
+    lists, numpy scalars become the Python numbers they hold, dict keys
+    become ``str(k)`` (the later of two equal keys wins), non-finite floats
+    become the sentinels "inf", "-inf" and "nan", and any other object
+    becomes its ``str``. The text is the one ``json.dumps`` with
+    ``indent=2, sort_keys=True`` prints for that plain data, written in one
+    pass without building the plain data first.
+    """
+    out = []
+    _write(obj, out, "\n")
+    return "".join(out)
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _float_text(v):
+    if math.isfinite(v):
+        return float.__repr__(v)
+    if v == INF:
+        return '"inf"'
+    return '"-inf"' if v == -INF else '"nan"'
+
+
+def _write(obj, out, nl):
+    """Append the JSON text of ``obj`` to ``out``; ``nl`` is the newline and
+    indent of the line the value starts on."""
+    kind = type(obj)
+    if kind is float:
+        out.append(_float_text(obj))
+    elif kind is str:
+        out.append(_encode_str(obj))
+    elif kind is int:
+        out.append(int.__repr__(obj))
+    elif kind is bool:
+        out.append("true" if obj else "false")
+    elif obj is None:
+        out.append("null")
+    elif kind is np.float64:
+        out.append(_float_text(float(obj)))
+    elif isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f" and obj.ndim:
+            _write_floats(obj.tolist(), obj.ndim, out, nl)
+        else:
+            _write(obj.tolist(), out, nl)
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        _write_members([(key, getattr(obj, name)) for name, key in _field_keys(kind)],
+                       out, nl)
+    elif isinstance(obj, (list, tuple)):
+        _write_list(obj, out, nl)
+    elif isinstance(obj, dict):
+        fields = {str(k): v for k, v in obj.items()}
+        _write_members([(_encode_str(k) + ": ", fields[k]) for k in sorted(fields)],
+                       out, nl)
+    elif isinstance(obj, (np.floating, float)):
+        out.append(_float_text(float(obj)))
+    elif isinstance(obj, np.integer):
+        out.append(int.__repr__(int(obj)))
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, str):
+        out.append(_encode_str(obj))
+    else:
+        out.append(_encode_str(str(obj)))
+
+
+def _write_list(items, out, nl):
+    if not items:
+        out.append("[]")
+        return
+    inner = nl + "  "
+    sep = "[" + inner
+    for v in items:
+        out.append(sep)
+        sep = "," + inner
+        _write(v, out, inner)
+    out.append(nl + "]")
+
+
+def _write_members(members, out, nl):
+    """An object from (written key and colon, value) pairs in key order."""
+    if not members:
+        out.append("{}")
+        return
+    inner = nl + "  "
+    sep = "{" + inner
+    for key, v in members:
+        out.append(sep + key)
+        sep = "," + inner
+        _write(v, out, inner)
+    out.append(nl + "}")
+
+
+@functools.cache
+def _field_keys(cls):
+    """(name, written key and colon) of a dataclass's fields, by name."""
+    return tuple((name, _encode_str(name) + ": ")
+                 for name in sorted(f.name for f in dataclasses.fields(cls)))
+
+
+def _write_floats(rows, depth, out, nl):
+    """Nested lists of floats ``depth`` deep."""
+    if not rows:
+        out.append("[]")
+        return
+    inner = nl + "  "
+    if depth > 1:
+        sep = "[" + inner
+        for row in rows:
+            out.append(sep)
+            sep = "," + inner
+            _write_floats(row, depth - 1, out, inner)
+    else:
+        out.append("[" + inner + ("," + inner).join(map(_float_text, rows)))
+    out.append(nl + "]")
 
 
 def fmt(v):
@@ -443,44 +565,6 @@ def probe_rows(b, x_probes, y_probes):
 
 
 def to_jsonable(obj):
-    """Recursive JSON conversion for reports: dataclasses to objects, arrays
-    to lists, non-finite floats to sentinels."""
-    kind = type(obj)
-    if kind is float:
-        return obj if math.isfinite(obj) else _nonfinite(obj)
-    if kind is str or kind is int or kind is bool or obj is None:
-        return obj
-    if isinstance(obj, np.ndarray):
-        if obj.dtype.kind == "f" and obj.ndim:
-            return _float_entries(obj.tolist(), obj.ndim)
-        return [to_jsonable(v) for v in obj.tolist()]
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: to_jsonable(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        return v if math.isfinite(v) else _nonfinite(v)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (bool, int, str)):
-        return obj
-    return str(obj)
-
-
-def _nonfinite(v):
-    """The JSON sentinel of a non-finite float."""
-    if v == INF:
-        return "inf"
-    return "-inf" if v == -INF else "nan"
-
-
-def _float_entries(rows, depth):
-    """Nested lists of floats ``depth`` deep with the non-finite entries as
-    sentinels."""
-    if depth > 1:
-        return [_float_entries(row, depth - 1) for row in rows]
-    return [v if math.isfinite(v) else _nonfinite(v) for v in rows]
+    """The plain data that :func:`dumps` writes for ``obj``: dataclasses as
+    objects, tuples and arrays as lists, non-finite floats as sentinels."""
+    return json.loads(dumps(obj))

@@ -11,6 +11,14 @@ distances. Both therefore stop at the first sweep that changes nothing,
 since every later sweep would repeat it, and return exactly what the full
 n - 1 sweeps return. Data with a negative cycle (for Bellman-Ford) keeps
 relaxing and still runs all n - 1 sweeps and the check sweep.
+
+Both sweeps reduce along the contiguous axis of a C-ordered array.
+Bellman-Ford transposes the weights once, so that row j lists the edges
+into node j, and takes each sweep's minimum along rows. The sums are the
+same floats as dist[i] + w[i, j], since IEEE addition is commutative, and
+``argmin`` keeps the first minimal index and stops at the first NaN either
+way. The max-plus sweep keeps ``max(axis=0)``, which numpy already
+computes as a pairwise reduction over contiguous rows.
 """
 
 from __future__ import annotations
@@ -97,13 +105,14 @@ def bellman_ford(w):
     still relax, i.e. a negative cycle feeds it. The first sweep in which no
     node strictly improves ends the run, and stands for the check sweep."""
     n = w.shape[0]
+    wt = np.ascontiguousarray(w.T)  # row j: the weights of the edges into j
     dist = np.zeros(n)
     pred = np.full(n, -1, dtype=np.int64)
-    cols = np.arange(n)
+    rows = np.arange(n)
     for sweep in range(n):
-        cand = dist[:, None] + w
-        arg = cand.argmin(axis=0)
-        best = cand[arg, cols]
+        cand = wt + dist
+        arg = cand.argmin(axis=1)
+        best = cand[rows, arg]
         improved = best < dist
         pred = np.where(improved, arg, pred)
         if sweep == n - 1 or not improved.any():

@@ -4,6 +4,8 @@ Everything here trades speed for obviousness: exhaustive enumeration and
 plain python loops, no shared code with the package internals beyond numpy.
 """
 
+import dataclasses
+import json
 import math
 from itertools import permutations
 
@@ -201,6 +203,8 @@ def oracle_form_value(phi, x):
     sampled node equal to x."""
     kind = type(phi).__name__
     x = [float(c) for c in x]
+    if kind in ("Quadratic", "ScaledNorm") and phi.scale == 0.0:
+        return 0.0  # the zero function, even where the square sum overflows
     if kind == "Quadratic":
         return 0.5 * phi.scale * _square_sum(x)
     if kind == "ScaledNorm":
@@ -581,3 +585,41 @@ def oracle_bb_check(law, tol):
                     if min(_distance(mid, mem) for mem in members) > tol:
                         return False, which, at, mid
     return True, None, None, None
+
+
+# ---------------------------------------------------------------------------
+# canonical JSON
+
+
+def reference_to_jsonable(obj):
+    """Element-by-element conversion: every array entry and container item
+    goes through the full chain of type tests."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: reference_to_jsonable(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)}
+    if isinstance(obj, np.ndarray):
+        return [reference_to_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (list, tuple)):
+        return [reference_to_jsonable(v) for v in obj]
+    if isinstance(obj, dict):
+        return {str(k): reference_to_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (np.floating, float)):
+        v = float(obj)
+        if v == math.inf:
+            return "inf"
+        if v == -math.inf:
+            return "-inf"
+        if v != v:
+            return "nan"
+        return v
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, (bool, int, str)) or obj is None:
+        return obj
+    return str(obj)
+
+
+def oracle_dumps(obj):
+    """The canonical text of a report, as the standard library's encoder
+    prints the reference conversion."""
+    return json.dumps(reference_to_jsonable(obj), indent=2, sort_keys=True)

@@ -183,6 +183,15 @@ def test_build_bad_probe_grid(files, capsys):
     assert code == 1 and "lo:hi:count" in err
 
 
+@pytest.mark.parametrize("flag", ["--probe-grid", "--lambda-grid"])
+def test_grid_spanning_the_float_range_is_a_usage_error(files, capsys, flag):
+    # both ends are finite, but hi - lo overflows, so the nodes would not be
+    code, out, err = run(capsys, "build", files["quad"], "--mode", "grid",
+                         f"{flag}=-1.7e308:1.7e308:3")
+    assert code == 1 and out == ""
+    assert err == f"{flag} nodes must be finite, got '-1.7e308:1.7e308:3'\n"
+
+
 def test_build_lambda_grid_applies_to_grid_mode(files, capsys):
     code, out, _ = run(capsys, "build", files["quad"], "--mode", "grid",
                        "--probe-grid", "1:1:2", "--lambda-grid", "0.5:2:3")

@@ -70,6 +70,19 @@ def test_value_many_and_value_match_the_oracle(dim):
         assert phi.value_many(probes[:0]).shape == (0,)
 
 
+@pytest.mark.parametrize("form", [Quadratic, ScaledNorm])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_zero_scale_forms_are_zero_where_the_squared_norm_overflows(form, dim):
+    # scale 0 is the zero function; 0 * inf would make these rows NaN
+    phi = form(0.0, dim)
+    probes = np.array([[1e200] * dim, [-1e300] + [0.0] * (dim - 1), [0.0] * dim, [1.5] * dim])
+    with np.errstate(all="raise"):
+        got = phi.value_many(probes)
+        one = [phi.value(p) for p in probes]
+    assert bits(got) == bits(one) == bits(np.zeros(4))
+    assert bits([oracle_form_value(phi, p) for p in probes]) == bits(np.zeros(4))
+
+
 # ---------------------------------------------------------------------------
 # closed conjugate table
 

@@ -1,13 +1,13 @@
 import dataclasses
 import json
-import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from bipotkit import cli
 from bipotkit.bipotentials import CauchyProduct
 from bipotkit.convex import (
     Affine,
@@ -19,7 +19,7 @@ from bipotkit.convex import (
     ScaledNorm,
 )
 from bipotkit.covers import TabulatedFamily, norm_cover, quadratic_cover, separable_cover, tabulated_cover
-from bipotkit.demos import build_plasticity_law, build_sign_law
+from bipotkit.demos import build_antitone_law, build_plasticity_law, build_sign_law, nonbic_cover
 from bipotkit.formats import (
     FormatError,
     cover_from_data,
@@ -40,8 +40,10 @@ from bipotkit.formats import (
     save_law,
     to_jsonable,
 )
-from bipotkit.laws import LawGraph, Segment
+from bipotkit.laws import FailingSlice, LawGraph, Segment
 from bipotkit.numerics import INF
+
+from .oracles import oracle_dumps, reference_to_jsonable
 
 
 def v(*coords):
@@ -261,34 +263,6 @@ def test_to_jsonable_dataclasses():
     assert out == {"is_bb_graph": True, "failing_slice": None}
 
 
-def reference_to_jsonable(obj):
-    """Element-by-element conversion: every array entry and container item
-    goes through the full chain of type tests."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: reference_to_jsonable(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
-    if isinstance(obj, np.ndarray):
-        return [reference_to_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (list, tuple)):
-        return [reference_to_jsonable(v) for v in obj]
-    if isinstance(obj, dict):
-        return {str(k): reference_to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        if v == INF:
-            return "inf"
-        if v == -INF:
-            return "-inf"
-        if v != v:
-            return "nan"
-        return v
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (bool, int, str)) or obj is None:
-        return obj
-    return str(obj)
-
-
 @dataclasses.dataclass(frozen=True)
 class Box:
     value: object
@@ -313,7 +287,64 @@ JSON_VALUES = st.recursive(JSON_LEAVES, lambda inner: st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(JSON_VALUES)
 def test_to_jsonable_emits_the_bytes_of_the_reference(obj):
-    assert dumps(to_jsonable(obj)) == dumps(reference_to_jsonable(obj))
+    # the round trip writes back to the same text
+    assert dumps(to_jsonable(obj)) == oracle_dumps(obj)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+@example({0: "int key", "0": "str key", "True": 1, True: 2})  # the later key wins
+def test_dumps_writes_the_stdlib_text_of_the_reference(obj):
+    assert dumps(obj) == oracle_dumps(obj)
+
+
+def emitted(monkeypatch, capsys, argv):
+    """Exit code, the objects the CLI hands to the writer, and its stdout."""
+    seen = []
+
+    def record(obj):
+        seen.append(obj)
+        return dumps(obj)
+
+    monkeypatch.setattr(cli, "dumps", record)
+    code = cli.main(argv)
+    return code, seen, capsys.readouterr().out
+
+
+@pytest.fixture
+def report_files(tmp_path):
+    save_law(LawGraph([(v(0), v(-1)), (v(0), v(1))]), tmp_path / "nonbb.json")
+    save_law(build_antitone_law(), tmp_path / "antitone.json")
+    save_law(LawGraph([(v(0, 1), v(0, 1)), (v(1, 0), v(2, -1)), (v(2, 2), v(3, 1))]),
+             tmp_path / "monotone.json")
+    save_cover(nonbic_cover(), tmp_path / "nonbic.json")
+    return tmp_path
+
+
+def test_dumps_writes_the_stdlib_text_of_real_reports(monkeypatch, capsys, report_files):
+    d = report_files
+    code, seen, out = emitted(monkeypatch, capsys, ["check-law", str(d / "nonbb.json")])
+    assert code == 2 and isinstance(seen[0]["bb_report"].failing_slice, FailingSlice)
+    texts = [out]
+    code, more, out = emitted(monkeypatch, capsys, ["check-law", str(d / "antitone.json")])
+    assert type(more[0]["cycle_report"].witness_cycle) is tuple
+    seen += more
+    texts.append(out)
+    code, more, out = emitted(monkeypatch, capsys, ["reconstruct", str(d / "antitone.json")])
+    assert code == 2 and more[0]["error"] == "not-cyclically-monotone"
+    seen += more
+    texts.append(out)
+    code, more, out = emitted(monkeypatch, capsys, ["reconstruct", str(d / "monotone.json")])
+    assert code == 0 and type(more[0]["pieces"][0]["slope"][0]) is np.float64
+    seen += more
+    texts.append(out)
+    code, more, out = emitted(monkeypatch, capsys, ["verify", "--cover", str(d / "nonbic.json")])
+    assert code == 2 and not more[0]["bic"].is_bic and more[0]["bic"].counterexamples
+    seen += more
+    texts.append(out)
+    assert "".join(texts) == "".join(oracle_dumps(obj) + "\n" for obj in seen)
+    for obj in seen:
+        assert to_jsonable(obj) == reference_to_jsonable(obj)
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,35 @@ def test_sweeps_that_stop_early_equal_the_full_sweeps(w):
         assert kernels.longest_path(w, base).tobytes() == oracle_longest_path(w, base).tobytes()
 
 
+@st.composite
+def weights_with_a_negative_cycle(draw):
+    """n up to 40, integer weights, a planted cycle of negative sum, and on
+    some draws a share of +-inf entries (which make NaN candidates)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(2, 40))
+    w = rng.integers(-3, 4, size=(n, n)).astype(np.float64)
+    cycle = rng.permutation(n)[:draw(st.integers(2, n))]
+    w[cycle, np.roll(cycle, -1)] = -1.0
+    share = draw(st.sampled_from([0.0, 0.02, 0.2]))
+    hit = rng.random((n, n)) < share
+    w[hit] = rng.choice([np.inf, -np.inf], size=int(hit.sum()))
+    return w
+
+
+@settings(max_examples=100, deadline=None)
+@given(weights_with_a_negative_cycle())
+def test_row_major_sweeps_equal_the_column_sweeps_at_scale(w):
+    # the oracle reduces down the columns of dist[:, None] + w
+    with np.errstate(invalid="ignore"):
+        pred, improvement = kernels.bellman_ford(w)
+        want_pred, want_improvement = oracle_bellman_ford(w)
+    assert pred.tobytes() == want_pred.tobytes()
+    assert improvement.tobytes() == want_improvement.tobytes()
+    if np.isfinite(w).all():
+        # the cycle still relaxes in the check sweep, so no sweep was skipped
+        assert improvement.max() > 0.0
+
+
 def test_longest_path_keeps_sweeping_through_nan():
     # an infinite weight makes -inf + inf = nan, which never settles
     w = np.array([[0.0, 1.0, -np.inf], [np.inf, 0.0, 1.0], [0.0, 2.0, 0.0]])
