@@ -42,11 +42,21 @@ from .covers import (
     coverage_check,
 )
 from .laws import LawGraph, NotBBGraphError, bb_check
-from .numerics import INF, _batch_inner, _batch_norm2, _inner, _row_keys, as_vector, ensure_extended
+from .numerics import (
+    INF,
+    _batch_inner,
+    _batch_norm2,
+    _inner,
+    _row_keys,
+    as_vector,
+    ensure_extended,
+    ensure_finite,
+)
 
 # most tuples one chunk of the BIC screen holds, in whole (lam1, lam2, alpha)
-# blocks; beyond it the screen's temporaries grow, not its speed
-_BIC_CHUNK = 2 ** 12
+# blocks; the default plan's slots each fit in one, and beyond it the
+# screen's temporaries grow, not its speed
+_BIC_CHUNK = 2 ** 15
 
 
 class AnalyticFormUnavailableError(ValueError):
@@ -507,7 +517,12 @@ def embed_dual(t, dim=1):
 
 def default_probe_plan(cover):
     """Probe tuples sized to the family: member parameters spanning two
-    decades, the full [0, 1] mixing range, and probe points across [-2, 2]."""
+    decades, the full [0, 1] mixing range, and probe points across [-2, 2].
+
+    Quadratic and norm covers probe the members 0.5, 1, 2 and 4 that the
+    domain holds; a domain that holds none of them gives four finite nodes
+    of its sample grid at evenly spaced indices instead, so the plan is
+    never empty. Other families probe their first eight grid nodes."""
     fam = cover.family
     dim = cover.dim
     xs = tuple(embed_primal(s, dim) for s in np.linspace(-2.0, 2.0, 9))
@@ -515,6 +530,11 @@ def default_probe_plan(cover):
     alphas = (0.0, 0.25, 0.5, 1.0)
     if isinstance(fam, (QuadraticFamily, NormFamily)):
         lams = [lam for lam in (0.5, 1.0, 2.0, 4.0) if cover.domain.contains(lam)]
+        if not lams:
+            # a domain away from [0.5, 4]: four finite nodes of its own grid
+            grid = cover.domain.sample_grid
+            grid = grid[np.isfinite(grid)]
+            lams = grid[np.unique(np.linspace(0, grid.size - 1, 4).round().astype(int))].tolist()
     else:
         lams = [float(lam) for lam in cover.domain.sample_grid[:8]]
     pairs = tuple((a, b) for a in lams for b in lams)
@@ -534,10 +554,16 @@ def _bic_screen(cover, lams, alphas, zs, fixed, first, tol):
     of each (lam1, lam2, alpha) block, the mixed points of each alpha, and
     the family's special parameters at every (mixed, fixed) point. The
     blocks are then screened in order, in chunks of whole blocks of at most
-    about ``_BIC_CHUNK`` tuples: each search stage (candidate, lam1, lam2,
-    the special parameters) evaluates one ``f_many`` over the chunk's tuples
-    it still has to decide, then the parameter grid sweeps the tuples none
-    of them accepted, ``SWEEP_CHUNK`` parameter x tuple entries at a time.
+    about ``_BIC_CHUNK`` tuples. The candidate, lam1 and lam2 stages have
+    one parameter per block: for each block that still offers the stage a
+    tuple and whose parameter lies in the domain, ``parts`` evaluates phi
+    over the block's mixed points and phi* over the fixed probes (the
+    other way round in the second slot), their broadcast sum is the left
+    side of every tuple of the block, and one masked update over the chunk
+    records the offered tuples it accepts and their deficits. The special
+    parameters, one per tuple, take one ``f_many`` over the tuples still
+    undecided; the parameter grid then sweeps the tuples none of the
+    stages accepted, ``SWEEP_CHUNK`` parameter x tuple entries at a time.
     """
     fam, dom = cover.family, cover.domain
     n, m, dim = zs.shape[0], fixed.shape[0], zs.shape[1]
@@ -585,11 +611,14 @@ def _bic_screen(cover, lams, alphas, zs, fixed, first, tol):
                  np.broadcast_to(present, shape[1:]).reshape(points))
                 for lam, present in fam.special_lams_many(*((mb, fb) if first else (fb, mb)))]
 
+    # mixed points by alpha, shaped to broadcast against the fixed probes
+    mixed_k = mixed.reshape(len(alphas), n * n, 1, dim)
+    fixed_b = fixed[None, None]
     step = max(1, _BIC_CHUNK // max(1, n * n * m))
     grid = dom.sample_grid
     sweep = max(1, SWEEP_CHUNK // grid.size)
     for start in range(0, nblocks, step):
-        # the chunk's tuples, flat in (block, ab, c) order
+        # the chunk's tuples, by (block, ab, c)
         blocks = np.arange(start, min(start + step, nblocks))
         p, k = np.divmod(blocks, shape[1])
         chunk = (blocks.size, n * n, m)
@@ -602,21 +631,45 @@ def _bic_screen(cover, lams, alphas, zs, fixed, first, tol):
         # a zero-weight member drops out, even where its term is inf
         with np.errstate(invalid="ignore"):  # 0 * inf, and inf - inf under weights outside [0, 1]
             rhs = (np.where(al == 0.0, 0.0, al * terms[2 * p, :, None, :])
-                   + np.where(be == 0.0, 0.0, be * terms[2 * p + 1, None, :, :])).reshape(-1)
+                   + np.where(be == 0.0, 0.0, be * terms[2 * p + 1, None, :, :])).reshape(chunk)
         pre = (held[2 * p, :, None, :] & held[2 * p + 1, None, :, :]
-               & ruled[blocks, None, None, None]).reshape(-1)
+               & ruled[blocks, None, None, None]).reshape(chunk)
         undecided = rhs != INF  # an infinite right side holds vacuously
-        low = np.full(rhs.size, INF)
+        low = np.full(chunk, INF)
+        rtol = rhs + tol
 
-        # (offered to, parameters by (block, ab, c)) per search stage
-        stages = [(pre, np.broadcast_to(cands[blocks, None, None], chunk)),
-                  (True, np.broadcast_to(lams[p, 0, None, None], chunk)),
-                  (True, np.broadcast_to(lams[p, 1, None, None], chunk))]
-        stages += [(present[k].reshape(-1), lam[k]) for lam, present in specials]
-        for present, stage_lams in stages:
-            i = np.flatnonzero(undecided & present)
+        # the stages with one parameter per block (candidate, lam1, lam2):
+        # phi over each block's mixed points and phi* over the fixed probes,
+        # or the other way round in the second slot, then their sums
+        for present, block_lams in ((pre, cands[blocks]), (True, lams[p, 0]), (True, lams[p, 1])):
+            offered = undecided & present
+            at = np.flatnonzero(offered.any(axis=(1, 2)))
+            lam = block_lams[at]
+            bad = np.isnan(lam) | (lam == -INF)
+            if bad.any():
+                ensure_extended(lam[bad][0], "lambda")
+            at = at[dom.contains_many(lam)]
+            if not at.size:
+                continue
+            if at.size == blocks.size:
+                at = slice(None)  # every block: views, not gathers
+            lam, z = block_lams[at, None, None], mixed_k[k[at]]
+            x_part, y_part = fam.parts(lam, *((z, fixed_b) if first else (fixed_b, z)))
+            with np.errstate(over="ignore"):  # a sum beyond the float range is +inf
+                lhs = x_part + y_part
+            with np.errstate(invalid="ignore"):  # inf - inf only where rhs is inf, never offered
+                d = lhs - rhs[at]
+            offered = offered[at]
+            low[at] = np.where(offered & (d < low[at]), d, low[at])
+            undecided[at] = np.where(offered, ~(lhs <= rtol[at]), undecided[at])
+
+        # the special parameters, one per tuple
+        rhs, rtol = rhs.reshape(-1), rtol.reshape(-1)
+        undecided, low = undecided.reshape(-1), low.reshape(-1)
+        for lam_k, present in specials:
+            i = np.flatnonzero(undecided & present[k].reshape(-1))
             at = np.unravel_index(i, chunk)
-            lam = stage_lams[at]
+            lam = lam_k[k[at[0]], at[1], at[2]]
             bad = np.isnan(lam) | (lam == -INF)
             if bad.any():
                 ensure_extended(lam[bad][0], "lambda")
@@ -627,7 +680,7 @@ def _bic_screen(cover, lams, alphas, zs, fixed, first, tol):
             lhs = fam.f_many(lam, *point(*[ix[inside] for ix in at]))
             d = lhs - rhs[i]
             low[i] = np.where(d < low[i], d, low[i])
-            undecided[i] = ~(lhs <= rhs[i] + tol)
+            undecided[i] = ~(lhs <= rtol[i])
 
         left = np.flatnonzero(undecided)
         for s in range(0, left.size, sweep):
@@ -636,7 +689,7 @@ def _bic_screen(cover, lams, alphas, zs, fixed, first, tol):
             vals = fam.f_many(grid, x[:, None, :], y[:, None, :])
             d = vals.min(axis=1) - rhs[i]
             low[i] = np.where(d < low[i], d, low[i])
-            undecided[i] = ~np.any(vals <= (rhs[i] + tol)[:, None], axis=1)
+            undecided[i] = ~np.any(vals <= rtol[i, None], axis=1)
         fails[p, k] = undecided.reshape(chunk[:1] + shape[2:])
         deficits.append(low[undecided])
     return fails, np.concatenate(deficits)
@@ -654,7 +707,8 @@ def bic_check(cover, plan=None, tol=1e-9):
     ascending order; a failure records the tuple with its least deficit.
     Each argument slot is screened once over every (lam1, lam2, alpha)
     block of the plan, in chunks of whole blocks, with the same values,
-    verdicts and errors as searching tuple by tuple in plan order.
+    verdicts and errors as searching tuple by tuple in plan order; a mixing
+    weight that is not finite is a ``ValueError`` of its own block.
     """
     if plan is None:
         plan = default_probe_plan(cover)
@@ -668,6 +722,7 @@ def bic_check(cover, plan=None, tol=1e-9):
     def screen(lam_pairs, alphas):
         lams = np.array([(ensure_extended(lam1, "lambda1"), ensure_extended(lam2, "lambda2"))
                          for lam1, lam2 in lam_pairs]).reshape(-1, 2)
+        alphas = [ensure_finite(alpha, "alpha") for alpha in alphas]
         return [_bic_screen(cover, lams, alphas, z, f, first, tol)
                 for first, _, _, z, f in slots]
 

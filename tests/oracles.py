@@ -95,7 +95,8 @@ def oracle_bic_check(cover, plan=None, tol=1e-9):
     accepting the mixed point, and ``candidate_dual`` in the second), the
     member parameters, the family's exact minimizers and finiteness
     boundaries, and finally the whole parameter grid, one
-    :func:`_oracle_member` per parameter.
+    :func:`_oracle_member` per parameter. A block whose mixing weight is not
+    finite raises before any of its tuples.
     """
     from bipotkit import (
         INF,
@@ -170,6 +171,8 @@ def oracle_bic_check(cover, plan=None, tol=1e-9):
     checked = 0
     for lam1, lam2 in plan.lam_pairs:
         for alpha in plan.alphas:
+            if not math.isfinite(alpha):
+                raise ValueError(f"alpha must be finite, got {float(alpha)}")
             for first, zs, fixeds in ((True, xs, ys), (False, ys, xs)):
                 for z1 in zs:
                     for z2 in zs:

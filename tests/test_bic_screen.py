@@ -4,6 +4,8 @@ Reports must agree exactly: verdict, tuple count, and every counterexample
 field in order, deficits to the bit; errors must match in type and message.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -165,6 +167,49 @@ def test_errors_come_in_plan_order():
     assert str(got.value) == str(want.value) == "lambda 3.0 is not tabulated"
 
 
+def raises_like_oracle(cover, plan):
+    """The error message of ``bic_check``, which must raise what the oracle
+    raises, without a warning on the way."""
+    with pytest.raises(ValueError) as want:
+        oracle_bic_check(cover, plan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as got:
+            bic_check(cover, plan)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+    return str(got.value)
+
+
+@pytest.mark.parametrize("alpha", [np.nan, INF, -INF])
+def test_non_finite_weights_raise_from_their_own_block(alpha):
+    cover = tabulated("quadratic", (0.5, 1.0, 4.0), 1)
+    # an untabulated member in an earlier block still wins
+    plan = small_plan(1, [(0.5, 3.0), (1.0, 1.0)], (0.5, alpha))
+    assert raises_like_oracle(cover, plan) == "lambda 3.0 is not tabulated"
+    # the weight's block comes before a later untabulated member
+    plan = small_plan(1, [(0.5, 1.0), (1.0, 3.0)], (0.5, alpha))
+    message = f"alpha must be finite, got {alpha}"
+    assert raises_like_oracle(cover, plan) == message
+    for make in (quadratic_cover, norm_cover):
+        plan = small_plan(2, [(1.0, 2.0), (0.5, 4.0)], (0.25, alpha, 0.5))
+        assert raises_like_oracle(make(dim=2, grid_points=32), plan) == message
+
+
+@pytest.mark.parametrize("family", ["quadratic", "norm"])
+@pytest.mark.parametrize("lo, hi, inf_member", [(10.0, 20.0, False), (5.0, INF, True)])
+def test_default_plan_of_a_domain_without_the_probe_members(family, lo, hi, inf_member):
+    # none of 0.5, 1, 2, 4 lies in the domain: the plan probes four finite
+    # nodes of the domain's own grid, its first and last among them
+    cover = interval_cover(family, 1, lo, hi, inf_member, grid_points=64)
+    lams = sorted({lam for pair in default_probe_plan(cover).lam_pairs for lam in pair})
+    finite = cover.domain.sample_grid[:-1] if inf_member else cover.domain.sample_grid
+    assert len(lams) == 4 and set(lams) <= set(finite.tolist())
+    assert (lams[0], lams[-1]) == (finite[0], finite[-1])
+    report = check_against_oracle(cover)
+    assert report.tuples_checked == 40320
+
+
 def test_affine_tabulated_plan_matches_oracle():
     cover = tabulated_cover([
         (0.0, Affine(np.array([0.5])), IndicatorPoint(np.array([0.5]))),
@@ -279,3 +324,46 @@ def test_chunk_edges_match_oracle(cover_and_plan):
             if chunk is not None:
                 mp.setattr(bipotentials, "_BIC_CHUNK", chunk)
             assert report_bytes(bic_check(cover, plan)) == want, chunk
+
+
+SPLIT_LAMS = [0.0, 0.25, 0.4, 1.0, 2.5, 5.0, 6.0, INF]
+
+
+@st.composite
+def interval_covers_and_split_plans(draw):
+    """A quadratic or norm interval cover in dims 1-3 and a plan whose
+    parameters lie inside and outside its domain, with weights inside and
+    outside [0, 1] (the second slot's rule then extrapolates below lo), and
+    a chunk size in tuples that may split either slot between blocks."""
+    dim = draw(st.integers(1, 3))
+    family = draw(st.sampled_from(["quadratic", "norm"]))
+    lo, hi, inf_member = draw(st.sampled_from([(0.4, 5.0, False), (0.0, INF, True),
+                                               (0.0, INF, False), (1.0, INF, True)]))
+    cover = interval_cover(family, dim, lo, hi, inf_member, grid_points=24)
+    vectors = st.lists(COORDS, min_size=dim, max_size=dim).map(np.array)
+    plan = BICProbePlan(
+        tuple(draw(st.lists(st.tuples(st.sampled_from(SPLIT_LAMS), st.sampled_from(SPLIT_LAMS)),
+                            min_size=1, max_size=8))),
+        tuple(draw(st.lists(st.sampled_from([-0.5, 0.0, 0.25, 0.5, 1.0, 1.5]),
+                            min_size=1, max_size=4))),
+        tuple(draw(st.lists(vectors, min_size=1, max_size=3))),
+        tuple(draw(st.lists(vectors, min_size=1, max_size=3))))
+    n, m = len(plan.primal_points), len(plan.dual_points)
+    chunk = draw(st.integers(1, 4 * max(n * n * m, m * m * n)))
+    return cover, plan, chunk
+
+
+@settings(max_examples=40, deadline=None)
+@given(interval_covers_and_split_plans())
+def test_split_stages_match_oracle(case):
+    # the candidate, lam1 and lam2 stages evaluate phi and phi* per block;
+    # blocks whose parameter lies outside the domain, in one chunk or split
+    # across chunks, must leave the oracle's report and raise no warning
+    cover, plan, chunk = case
+    want = report_bytes(oracle_bic_check(cover, plan))
+    for size in (None, chunk):
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if size is not None:
+                mp.setattr(bipotentials, "_BIC_CHUNK", size)
+            assert report_bytes(bic_check(cover, plan)) == want, size
