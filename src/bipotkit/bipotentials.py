@@ -22,7 +22,7 @@ convexity, and verify the axioms on probe grids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -110,6 +110,7 @@ class CauchyProduct(Bipotential):
         self.provenance = "closed-form"
 
     def value(self, x, y):
+        x, y = as_vector(x, self.dim), as_vector(y, self.dim)
         return float(self._table(x[None], y[None])[0, 0])
 
     def _table(self, xg, yg):
@@ -132,7 +133,8 @@ class SeparableBipotential(Bipotential):
         self.provenance = "separable"
 
     def value(self, x, y):
-        return self.potential.value(x) + self.potential_star.value(y)
+        return (self.potential.value(as_vector(x, self.dim))
+                + self.potential_star.value(as_vector(y, self.dim)))
 
     def _table(self, xg, yg):
         return self.potential.value_many(xg)[:, None] + self.potential_star.value_many(yg)[None, :]
@@ -213,6 +215,7 @@ class BInfinityBipotential(Bipotential):
         self.provenance = "b-infinity"
 
     def value(self, x, y):
+        x, y = as_vector(x, self.dim), as_vector(y, self.dim)
         if self.law.contains(x, y, snap=self.snap):
             return _inner(x, y)
         return INF
@@ -392,6 +395,15 @@ def _midpoint_failures(triples, rows, fails):
     return out
 
 
+def _probe_table(b, x_grid, y_grid):
+    """(xg, yg, B, P): the validated probe stacks, b over their product (x
+    on rows) and the pairing matrix, all that the axiom check, the contact
+    graph, the CSV rows and the demos' reference line read."""
+    xg = _as_grid(x_grid, b.dim)
+    yg = _as_grid(y_grid, b.dim)
+    return xg, yg, b.table(xg, yg), kernels.pairing_matrix(xg, yg)
+
+
 def verify_axioms(b, x_grid, y_grid, tol=1e-9):
     """Check the bipotential axioms on a finite product grid.
 
@@ -403,10 +415,12 @@ def verify_axioms(b, x_grid, y_grid, tol=1e-9):
     to ``no_contact``, diagnostics rather than failures. Every check runs
     over all midpoint triples at once, in chunks of ``SWEEP_CHUNK`` entries.
     """
-    xg = _as_grid(x_grid, b.dim)
-    yg = _as_grid(y_grid, b.dim)
-    B = b.table(xg, yg)
-    P = kernels.pairing_matrix(xg, yg)
+    return _axiom_report(_probe_table(b, x_grid, y_grid), tol)
+
+
+def _axiom_report(table, tol):
+    """:func:`verify_axioms` over an evaluated probe table."""
+    xg, yg, B, P = table
     G = B - P
 
     def witness(axiom, i, j, violation):
@@ -455,10 +469,12 @@ def graph_of_bipotential(b, x_grid, y_grid, tol=1e-9):
     """Law graph of the contact set {b(x, y) - <x, y> <= tol} on a product
     grid, pairs in row-major order. Raises when empty: a law graph cannot
     be."""
-    xg = _as_grid(x_grid, b.dim)
-    yg = _as_grid(y_grid, b.dim)
-    B = b.table(xg, yg)
-    P = kernels.pairing_matrix(xg, yg)
+    return _contact_graph(_probe_table(b, x_grid, y_grid), tol)
+
+
+def _contact_graph(table, tol):
+    """:func:`graph_of_bipotential` over an evaluated probe table."""
+    xg, yg, B, P = table
     i, j = np.nonzero(B - P <= tol)
     if not i.size:
         raise ValueError("no contact point on the probe grids; "
@@ -754,12 +770,15 @@ def bic_check(cover, plan=None, tol=1e-9):
 @dataclass(frozen=True)
 class CertificationReport:
     """Stage reports of :func:`certify` and the bipotential it built;
-    ``coverage`` is None when no law was given."""
+    ``coverage`` is None when no law was given. ``table`` is the probe
+    table (xg, yg, B, P) the axioms were checked on, kept for the run's
+    other consumers and left out of :meth:`reports`, repr and comparison."""
 
     coverage: Optional[CoverageReport]
     bic: BICReport
     axioms: AxiomReport
     bipotential: Bipotential
+    table: tuple = field(repr=False, compare=False)
 
     @property
     def ok(self):
@@ -780,12 +799,13 @@ def certify(cover, x_probes, y_probes, *, law=None, mode, tol):
     Builds the bipotential first, so an unavailable mode fails before any
     screening; then checks that the member graphs cover ``law`` (at no less
     than ``GRID_TOL``), screens bi-implicit convexity over the default probe
-    plan, and verifies the axioms on the probe grids at ``tol``.
+    plan, and verifies the axioms on the probe grids at ``tol``. The probe
+    table is evaluated once and returned on the report.
     """
     b = build_inf(cover, mode=mode)
     coverage = None
     if law is not None:
         coverage = coverage_check(cover, law, tol=max(tol, GRID_TOL))
     bic = bic_check(cover, default_probe_plan(cover))
-    axioms = verify_axioms(b, x_probes, y_probes, tol=tol)
-    return CertificationReport(coverage, bic, axioms, b)
+    table = _probe_table(b, x_probes, y_probes)
+    return CertificationReport(coverage, bic, _axiom_report(table, tol), b, table)

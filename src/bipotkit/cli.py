@@ -156,9 +156,7 @@ def cmd_build(args):
         print(str(exc), file=sys.stderr)
         return 3
     xs, ys = _probe_stacks(cover.dim, args.probe_grid)
-    print(csv_header(cover.dim))
-    for line in probe_rows(b, xs, ys):
-        print(line)
+    sys.stdout.write("\n".join([csv_header(cover.dim), *probe_rows(b, xs, ys), ""]))
     return 0
 
 

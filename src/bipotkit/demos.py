@@ -16,7 +16,7 @@ import os
 
 import numpy as np
 
-from .bipotentials import certify, embed_dual, embed_primal, graph_of_bipotential
+from .bipotentials import _contact_graph, certify, embed_dual, embed_primal
 from .convex import Affine, IndicatorPoint, Quadratic, graph_of
 from .covers import (
     ClosedInterval,
@@ -27,7 +27,7 @@ from .covers import (
     separable_cover,
     tabulated_cover,
 )
-from .formats import csv_header, dumps, probe_rows, save_cover, save_law
+from .formats import _probe_lines, csv_header, dumps, save_cover, save_law
 from .laws import Ball, HalfLineRay, LawGraph, Segment, Singleton
 from .numerics import norm
 
@@ -174,10 +174,10 @@ def demo_setup(name):
     raise KeyError(f"unknown demo {name!r}; known: {', '.join(DEMO_NAMES)}")
 
 
-def _reference_line(kind, b, setup):
-    """The demo's closing comparison against its closed-form target, over
-    one table of b; NaN differences (inf against inf) are skipped."""
-    xg, yg = setup["x_probes"], setup["y_probes"]
+def _reference_line(kind, table, setup):
+    """The demo's closing comparison of the probe table of b against its
+    closed-form target; NaN differences (inf against inf) are skipped."""
+    xg, yg, B, _ = table
     if kind == "cauchy":
         target = np.multiply.outer([norm(x) for x in xg], [norm(y) for y in yg])
         label = "||x|| ||y||"
@@ -188,7 +188,7 @@ def _reference_line(kind, b, setup):
     else:
         return None
     with np.errstate(invalid="ignore"):
-        diff = np.abs(b.table(xg, yg) - target)
+        diff = np.abs(B - target)
     worst = float(np.fmax.reduce(diff, axis=None, initial=0.0))
     return f"max |b - {label}| = {worst:.6g}"
 
@@ -222,18 +222,18 @@ def run_demo(name, out_dir, stream):
           f"graph {'ok' if axioms.graph_equivalence_ok else 'FAILED'} "
           f"(no-contact slices {len(axioms.no_contact)})", file=stream)
 
-    graph = graph_of_bipotential(b, xg, yg, tol=tol)
+    # the table certify checked the axioms on: graph, CSV and reference
+    # line read it instead of evaluating b again
+    graph = _contact_graph(report.table, tol)
     print(f"graph: {len(graph)} contact pairs on the probe grids", file=stream)
 
     with open(os.path.join(out_dir, "build.csv"), "w") as fh:
-        fh.write(csv_header(law.dim) + "\n")
-        for line in probe_rows(b, xg, yg):
-            fh.write(line + "\n")
+        fh.write("\n".join([csv_header(law.dim), *_probe_lines(report.table), ""]))
     with open(os.path.join(out_dir, "reports.json"), "w") as fh:
         fh.write(dumps(report.reports()))
         fh.write("\n")
 
-    line = _reference_line(setup["reference"], b, setup)
+    line = _reference_line(setup["reference"], report.table, setup)
     if line is not None:
         print(line, file=stream)
     print(f"artifacts written to {out_dir}", file=stream)

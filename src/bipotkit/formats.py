@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from . import kernels
+from .bipotentials import _probe_table
 from .convex import (
     Affine,
     IndicatorBall,
@@ -30,7 +30,6 @@ from .convex import (
     Quadratic,
     Sampled,
     ScaledNorm,
-    _as_grid,
 )
 from .covers import (
     ClosedInterval,
@@ -554,10 +553,13 @@ def probe_rows(b, x_probes, y_probes):
     """CSV lines (no header) of b over the probe product, lexicographic in
     (x, y); probes are iterated in the given order, so pass sorted stacks.
     Values come from one batched table and one pairing matrix."""
-    xg = _as_grid(x_probes, b.dim)
-    yg = _as_grid(y_probes, b.dim)
-    B = b.table(xg, yg).tolist()
-    P = kernels.pairing_matrix(xg, yg).tolist()
+    return _probe_lines(_probe_table(b, x_probes, y_probes))
+
+
+def _probe_lines(table):
+    """:func:`probe_rows` over an evaluated probe table."""
+    xg, yg, B, P = table
+    B, P = B.tolist(), P.tolist()
     xs = [",".join(fmt(c) for c in x) for x in xg.tolist()]
     ys = [",".join(fmt(c) for c in y) for y in yg.tolist()]
     return [f"{x},{y},{fmt(b_row[j])},{fmt(p_row[j])}"

@@ -7,6 +7,7 @@ from bipotkit.bipotentials import (
     Bipotential,
     CauchyProduct,
     InfOfCoverBipotential,
+    SeparableBipotential,
     bic_check,
     build_b_infinity,
     build_inf,
@@ -31,7 +32,7 @@ from bipotkit.covers import (
 )
 from bipotkit.demos import build_antitone_law, build_sign_law, nonbic_cover
 from bipotkit.laws import LawGraph, NotBBGraphError
-from bipotkit.numerics import INF, inner, norm
+from bipotkit.numerics import INF, DimensionMismatchError, inner, norm
 
 
 def v(*coords):
@@ -160,6 +161,24 @@ def test_b_infinity_values():
     assert b(v(1), v(-1)) == INF
     # hinted continuum points count as on-graph
     assert b(v(0), v(0.25)) == 0.0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: CauchyProduct(1),
+    lambda: build_b_infinity(build_sign_law()),
+], ids=["cauchy", "b-infinity"])
+def test_value_takes_plain_lists(make):
+    assert make().value([1.0], [1.0]) == 1.0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: CauchyProduct(1),
+    lambda: SeparableBipotential(Quadratic(1.0, 1), Quadratic(1.0, 1)),
+], ids=["cauchy", "separable"])
+def test_value_refuses_a_wrong_dimension(make):
+    # value validates as __call__ does, not reading a 2-vector as dimension 1
+    with pytest.raises(DimensionMismatchError):
+        make().value(np.array([3.0, 4.0]), np.array([1.0]))
 
 
 def test_b_infinity_refuses_non_bb():

@@ -7,6 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bipotkit.bipotentials import (
+    InfOfCoverBipotential,
+    _contact_graph,
+    certify,
+    graph_of_bipotential,
+    verify_axioms,
+)
 from bipotkit.demos import (
     DEMO_NAMES,
     build_antitone_law,
@@ -17,6 +24,7 @@ from bipotkit.demos import (
     nonbic_cover,
     run_demo,
 )
+from bipotkit.formats import _probe_lines, dumps, probe_rows
 from bipotkit.laws import bb_check, cyclic_monotonicity_check
 
 
@@ -96,6 +104,33 @@ def test_cauchy_quadratic_demo_within_grid_tolerance(tmp_path):
     line = [l for l in out.getvalue().splitlines() if l.startswith("max |b -")][-1]
     worst = float(line.split("=")[1])
     assert 0 < worst <= 1e-3
+
+
+@pytest.mark.parametrize("name", DEMO_NAMES)
+def test_run_demo_tabulates_the_probe_product_once(tmp_path, monkeypatch, name):
+    calls = []
+    table = InfOfCoverBipotential._table
+
+    def counted(self, xg, yg):
+        calls.append(self)
+        return table(self, xg, yg)
+
+    monkeypatch.setattr(InfOfCoverBipotential, "_table", counted)
+    assert run_demo(name, tmp_path / name, io.StringIO()) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", DEMO_NAMES)
+def test_certify_table_gives_what_the_public_functions_give(name):
+    setup = demo_setup(name)
+    xs, ys, tol = setup["x_probes"], setup["y_probes"], setup["tol"]
+    report = certify(setup["cover"], xs, ys, law=setup["law"], mode=setup["mode"], tol=tol)
+    b = report.bipotential
+    assert dumps(report.axioms) == dumps(verify_axioms(b, xs, ys, tol))
+    graph, public = _contact_graph(report.table, tol), graph_of_bipotential(b, xs, ys, tol)
+    # the same pairs in the same row-major order
+    assert np.array_equal(graph.xs, public.xs) and np.array_equal(graph.ys, public.ys)
+    assert _probe_lines(report.table) == probe_rows(b, xs, ys)
 
 
 def test_demo_runs_are_byte_identical(tmp_path):

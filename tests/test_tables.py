@@ -28,6 +28,7 @@ from bipotkit import (
     separable_cover,
     tabulated_cover,
 )
+from bipotkit.bipotentials import _probe_table
 from bipotkit.cli import main
 from bipotkit.convex import IndicatorBall, Quadratic, ScaledNorm
 from bipotkit.covers import SWEEP_CHUNK
@@ -323,7 +324,8 @@ def test_reference_line_skips_nan_like_the_python_fold():
     setup = {"x_probes": grid, "y_probes": grid}
     worst = python_fold(_Stub(), setup, lambda x, y: norm(x) * norm(y))
     assert worst == 0.25
-    assert _reference_line("cauchy", _Stub(), setup) == f"max |b - ||x|| ||y||| = {worst:.6g}"
+    table = _probe_table(_Stub(), grid, grid)
+    assert _reference_line("cauchy", table, setup) == f"max |b - ||x|| ||y||| = {worst:.6g}"
 
 
 def test_reference_line_skips_inf_against_inf():
@@ -334,9 +336,10 @@ def test_reference_line_skips_inf_against_inf():
     b = build_inf(cover)
     fam = cover.family
     worst = python_fold(b, setup, lambda x, y: fam.potential.value(x) + fam.potential_star.value(y))
-    line = _reference_line("separable", b, setup)
+    table = _probe_table(b, setup["x_probes"], setup["y_probes"])
+    line = _reference_line("separable", table, setup)
     assert line == f"max |b - (phi(x) + phi*(y))| = {worst:.6g}" == "max |b - (phi(x) + phi*(y))| = 0"
-    assert _reference_line(None, b, setup) is None
+    assert _reference_line(None, table, setup) is None
 
 
 # ---------------------------------------------------------------------------
