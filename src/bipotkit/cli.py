@@ -136,14 +136,14 @@ def cmd_reconstruct(args):
                "cycle_sum": exc.report.cycle_sum})
         print(str(exc), file=sys.stderr)
         return 2
-    order = sorted(range(phi.slopes.shape[0]),
-                   key=lambda i: (tuple(phi.slopes[i]), float(phi.offsets[i])))
+    # pieces by slope, coordinate by coordinate, then by offset
+    order = np.lexsort((phi.offsets, *phi.slopes.T[::-1]))
     _emit({
         "form": "max-affine",
         "dimension": law.dim,
         "base_index": args.base,
-        "pieces": [{"slope": list(phi.slopes[i]), "offset": float(phi.offsets[i])}
-                   for i in order],
+        "pieces": [{"slope": list(slope), "offset": offset}
+                   for slope, offset in zip(phi.slopes[order], phi.offsets[order].tolist())],
     })
     return 0
 

@@ -18,6 +18,8 @@ import dataclasses
 import functools
 import json
 import math
+from itertools import chain, repeat
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -43,7 +45,7 @@ from .covers import (
     tabulated_cover,
 )
 from .laws import Ball, HalfLineRay, LawGraph, Segment, Singleton
-from .numerics import INF
+from .numerics import INF, _batch_norm2
 
 
 class FormatError(ValueError):
@@ -88,6 +90,13 @@ def parse_finite(v, what):
     return out
 
 
+def _parse_dimension(value, what):
+    """A dimension of a law, cover or function form: an integer in [1, 3]."""
+    if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value <= 3:
+        raise FormatError(f"{what} must be an integer in [1, 3], got {value!r}")
+    return value
+
+
 def _check_vector(v, what, dim=None):
     """The coordinates of a vector as floats, checked in order."""
     if not isinstance(v, (list, tuple)) or not v:
@@ -106,7 +115,10 @@ def _parse_vector(v, what, dim=None):
 # law graphs
 
 
-_HINT_SHAPES = {"singleton", "segment", "ball", "ray"}
+# the params of each shape are its fields: vectors, then a ball's radius
+_HINT_SHAPES = {"singleton": Singleton, "segment": Segment, "ball": Ball, "ray": HalfLineRay}
+_HINT_VECTORS = {cls: tuple(name for name in cls.__dataclass_fields__ if name != "radius")
+                 for cls in _HINT_SHAPES.values()}
 
 
 def _hint_to_data(hint):
@@ -123,9 +135,17 @@ def _hint_to_data(hint):
     raise FormatError(f"unknown hint shape {type(hint).__name__}")
 
 
-def _hint_from_data(data, dim):
+def _hint_from_data(k, data, dim):
+    """Slice hint ``k`` checked field by field through the checking
+    constructors, so the first fault in it is the one raised."""
+    if not isinstance(data, dict):
+        raise FormatError(f"slice hint {k} must be an object")
+    side = data.get("side", "primal")
+    if side not in ("primal", "dual"):
+        raise FormatError(f"slice hint side must be primal or dual, got {side!r}")
+    _check_vector(data.get("at"), f"slice hint {k} anchor", dim)
     shape = data.get("shape")
-    if shape not in _HINT_SHAPES:
+    if not isinstance(shape, str) or shape not in _HINT_SHAPES:
         raise FormatError(f"hint shape must be one of {sorted(_HINT_SHAPES)}, got {shape!r}")
     params = data.get("params")
     if not isinstance(params, dict):
@@ -160,21 +180,93 @@ def law_to_data(law, snap_tolerance=None):
     return data
 
 
-def _parse_pairs(raw, dim):
-    """The x and y sides of a list of pairs as two (m, dim) float64 stacks,
-    each pair checked in order, so the first offending pair and coordinate
-    is the one reported."""
+def _ball_radius(v):
+    """The radius :func:`parse_extended` and :class:`Ball` accept, else None."""
+    try:
+        r = parse_extended(v, "ball radius")
+    except FormatError:
+        return None
+    return r if r >= 0.0 else None
+
+
+def _check_law(raw, hints, dim):
+    """The pairs and slice hints of a law document, checked in one pass.
+
+    Every vector (x and y sides, then each hint's anchor and vector params
+    in field order) must be a list of ``dim`` numbers; all coordinates are
+    type-checked in one map, converted in one array and tested for
+    finiteness at once, with ball radii and ray directions checked beside
+    them. Returns the (n, dim) float64 rows, pairs first, and one
+    (side, shape class, anchor row, end row, radius or ()) entry per hint;
+    returns None on any fault, which :func:`_raise_first_fault` then names.
+    """
+    if not (all(map(isinstance, raw, repeat((list, tuple)))) and set(map(len, raw)) == {2}
+            and isinstance(hints, list) and all(map(isinstance, hints, repeat(dict)))):
+        return None
+    vectors = [e[0] for e in raw]
+    vectors += [e[1] for e in raw]
+    layout, directions = [], []
+    for h in hints:
+        shape, params, side = h.get("shape"), h.get("params"), h.get("side", "primal")
+        cls = _HINT_SHAPES.get(shape) if isinstance(shape, str) else None
+        if cls is None or not isinstance(params, dict) or side not in ("primal", "dual"):
+            return None
+        start = len(vectors)
+        vectors.append(h.get("at"))
+        vectors += [params.get(name) for name in _HINT_VECTORS[cls]]
+        radius = ()
+        if cls is Ball:
+            radius = (_ball_radius(params.get("radius")),)
+            if radius[0] is None:
+                return None
+        elif cls is HalfLineRay:
+            directions.append(len(vectors) - 1)
+        layout.append((side, cls, start, len(vectors), radius))
+    if not (all(map(isinstance, vectors, repeat((list, tuple))))
+            and set(map(len, vectors)) == {dim}):
+        return None
+    flat = list(chain.from_iterable(vectors))
+    # numbers: int and float, or a subclass of them other than bool
+    types = set(map(type, flat))
+    if not types <= {int, float} and (
+            bool in types or not all(map(isinstance, flat, repeat((int, float))))):
+        return None
+    try:
+        rows = np.array(flat, dtype=np.float64)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    if not np.isfinite(rows).all():
+        return None
+    rows = rows.reshape(-1, dim)
+    # HalfLineRay refuses a direction whose norm, accumulated in order, is 0
+    if directions and (_batch_norm2(rows[directions]) == 0.0).any():
+        return None
+    return rows, layout
+
+
+def _raise_first_fault(raw, hints, dim):
+    """Check the pairs, then the hints, one at a time in file order, and
+    raise the first fault: the message names the offending pair or hint and
+    coordinate. Called only once :func:`_check_law` has found a fault."""
     for k, entry in enumerate(raw):
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise FormatError(f"pair {k} must be [[x...], [y...]]")
         _check_vector(entry[0], f"pair {k} x", dim)
         _check_vector(entry[1], f"pair {k} y", dim)
-    return (np.array([e[0] for e in raw], dtype=np.float64),
-            np.array([e[1] for e in raw], dtype=np.float64))
+    if not isinstance(hints, list):
+        raise FormatError("slice_hints must be a list")
+    for k, h in enumerate(hints):
+        _hint_from_data(k, h, dim)
+    raise AssertionError("the one-pass law check refused a law the per-item checks accept")
 
 
 def law_from_data(data):
     """Law graph from a LawGraphFile document.
+
+    The pairs and slice hints are checked in one pass (:func:`_check_law`);
+    only a faulty document is then checked item by item, in file order, so
+    the error names its first offending pair or hint. The hints are built
+    from their checked rows without checking them again.
 
     A positive snap_tolerance quantizes every coordinate to its grid before
     slicing, so laws sampled with floating noise form exact slices; hint
@@ -182,9 +274,7 @@ def law_from_data(data):
     """
     if not isinstance(data, dict):
         raise FormatError("a law file must be a JSON object")
-    dim = data.get("dimension")
-    if not isinstance(dim, int) or not 1 <= dim <= 3:
-        raise FormatError(f"dimension must be an integer in [1, 3], got {dim!r}")
+    dim = _parse_dimension(data.get("dimension"), "dimension")
     raw = data.get("pairs")
     if not isinstance(raw, list) or not raw:
         raise FormatError("pairs must be a nonempty list")
@@ -192,25 +282,23 @@ def law_from_data(data):
     snap = parse_finite(snap, "snap_tolerance")
     if snap < 0:
         raise FormatError(f"snap_tolerance must be nonnegative, got {snap}")
+    hints = data.get("slice_hints", [])
+    checked = _check_law(raw, hints, dim)
+    if checked is None:
+        _raise_first_fault(raw, hints, dim)
+    rows, layout = checked
 
     def q(v):
         return np.round(v / snap) * snap if snap > 0.0 else v
 
-    xs, ys = (q(side) for side in _parse_pairs(raw, dim))
-
+    m = len(raw)
+    xs, ys = q(rows[:m]), q(rows[m:2 * m])
+    anchors = q(rows[[start for _, _, start, _, _ in layout]])
     primal_hints, dual_hints = {}, {}
-    anchors = []
-    for k, h in enumerate(data.get("slice_hints", [])):
-        if not isinstance(h, dict):
-            raise FormatError(f"slice hint {k} must be an object")
-        side = h.get("side", "primal")
-        if side not in ("primal", "dual"):
-            raise FormatError(f"slice hint side must be primal or dual, got {side!r}")
-        at = q(_parse_vector(h.get("at"), f"slice hint {k} anchor", dim))
-        hint = _hint_from_data(h, dim)
-        anchors.append(at)
-        (primal_hints if side == "primal" else dual_hints)[tuple(at.tolist())] = hint
-    if not all(np.isfinite(v).all() for v in (xs, ys, *anchors)):
+    for (side, cls, start, stop, radius), key in zip(layout, map(tuple, anchors.tolist())):
+        hint = cls._from_fields(*rows[start + 1:stop], *radius)
+        (primal_hints if side == "primal" else dual_hints)[key] = hint
+    if not all(np.isfinite(v).all() for v in (xs, ys, anchors)):
         # quantizing overflowed; the checking constructor names what it hit
         return LawGraph(list(zip(xs, ys)), primal_hints=primal_hints, dual_hints=dual_hints)
     return LawGraph._from_arrays(xs, ys, primal_hints, dual_hints)
@@ -265,13 +353,13 @@ def function_from_data(data):
     form = data.get("form")
     if form == "quadratic":
         return Quadratic(parse_finite(data.get("scale"), "scale"),
-                         int(data.get("dimension", 1)))
+                         _parse_dimension(data.get("dimension", 1), "dimension"))
     if form == "scaled-norm":
         return ScaledNorm(parse_finite(data.get("scale"), "scale"),
-                          int(data.get("dimension", 1)))
+                          _parse_dimension(data.get("dimension", 1), "dimension"))
     if form == "indicator-ball":
         return IndicatorBall(parse_extended(data.get("radius"), "radius"),
-                             int(data.get("dimension", 1)))
+                             _parse_dimension(data.get("dimension", 1), "dimension"))
     if form == "indicator-point":
         return IndicatorPoint(_parse_vector(data.get("point"), "point"),
                               parse_finite(data.get("offset", 0.0), "offset"))
@@ -351,9 +439,7 @@ def cover_from_data(data):
                                  grid_points=grid_points)
         except ValueError as exc:
             raise FormatError(str(exc)) from exc
-        dim = data.get("dimension", 1)
-        if isinstance(dim, bool) or not isinstance(dim, int) or not 1 <= dim <= 3:
-            raise FormatError(f"dimension must be an integer in [1, 3], got {dim!r}")
+        dim = _parse_dimension(data.get("dimension", 1), "dimension")
         fam = QuadraticFamily(dim) if family == "quadratic" else NormFamily(dim)
         return Cover(dom, fam)
     if family == "separable":
@@ -423,6 +509,14 @@ def dumps(obj):
     becomes its ``str``. The text is the one ``json.dumps`` with
     ``indent=2, sort_keys=True`` prints for that plain data, written in one
     pass without building the plain data first.
+
+    A list of records, two or more items that are all the same dataclass or
+    all dicts with the same string keys in the same order, is written
+    column by column: a column of floats (``np.float64`` included) takes
+    one map of ``float.__repr__``, a column of strings one map of the string
+    encoder, and a column of equal-length 1-d float64 arrays, or of float
+    lists, one flat list and one row template; any other column is written
+    value by value. Each record is then one ``%`` template over its columns.
     """
     out = []
     _write(obj, out, "\n")
@@ -430,6 +524,8 @@ def dumps(obj):
 
 
 _encode_str = json.encoder.encode_basestring_ascii
+_FLOAT_TYPES = frozenset((float, np.float64))
+_NON_FINITE = frozenset(("inf", "-inf", "nan"))  # float.__repr__ of the sentinels
 
 
 def _float_text(v):
@@ -438,6 +534,12 @@ def _float_text(v):
     if v == INF:
         return '"inf"'
     return '"-inf"' if v == -INF else '"nan"'
+
+
+def _float_texts(values):
+    """:func:`_float_text` of each float, in one map while all are finite."""
+    texts = list(map(float.__repr__, values))
+    return texts if _NON_FINITE.isdisjoint(texts) else list(map(_float_text, values))
 
 
 def _write(obj, out, nl):
@@ -462,8 +564,7 @@ def _write(obj, out, nl):
         else:
             _write(obj.tolist(), out, nl)
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        _write_members([(key, getattr(obj, name)) for name, key in _field_keys(kind)],
-                       out, nl)
+        _write_members([(key, get(obj)) for key, get in _field_keys(kind)], out, nl)
     elif isinstance(obj, (list, tuple)):
         _write_list(obj, out, nl)
     elif isinstance(obj, dict):
@@ -482,11 +583,22 @@ def _write(obj, out, nl):
         out.append(_encode_str(str(obj)))
 
 
+def _text(obj, nl):
+    out = []
+    _write(obj, out, nl)
+    return "".join(out)
+
+
 def _write_list(items, out, nl):
     if not items:
         out.append("[]")
         return
     inner = nl + "  "
+    fields = _record_fields(items) if len(items) > 1 else None
+    if fields is not None:
+        out.append("[" + inner + ("," + inner).join(_record_texts(items, fields, inner))
+                   + nl + "]")
+        return
     sep = "[" + inner
     for v in items:
         out.append(sep)
@@ -511,9 +623,62 @@ def _write_members(members, out, nl):
 
 @functools.cache
 def _field_keys(cls):
-    """(name, written key and colon) of a dataclass's fields, by name."""
-    return tuple((name, _encode_str(name) + ": ")
+    """(written key and colon, getter) of a dataclass's fields, by name."""
+    return tuple((_encode_str(name) + ": ", attrgetter(name))
                  for name in sorted(f.name for f in dataclasses.fields(cls)))
+
+
+def _record_fields(items):
+    """(written key and colon, getter) by key when ``items`` are records:
+    all the same dataclass, or all dicts with the same string keys in the
+    same order. None otherwise."""
+    kind = type(items[0])
+    if len(set(map(type, items))) != 1:
+        return None
+    if kind is not dict:
+        return (_field_keys(kind) or None) if dataclasses.is_dataclass(kind) else None
+    keys = tuple(items[0])
+    if not keys or not all(type(k) is str for k in keys) \
+            or not all(map(keys.__eq__, map(tuple, items))):
+        return None
+    return tuple((_encode_str(k) + ": ", itemgetter(k)) for k in sorted(keys))
+
+
+def _record_texts(items, fields, nl):
+    """The text of each record in ``items``, which start on lines ``nl``:
+    one column of value texts per field, then one template per record."""
+    inner = nl + "  "
+    template = "{" + inner + ("," + inner).join(key.replace("%", "%%") + "%s"
+                                                 for key, _ in fields) + nl + "}"
+    columns = [_column_texts(list(map(get, items)), inner) for _, get in fields]
+    return [template % row for row in zip(*columns)]
+
+
+def _column_texts(values, nl):
+    """The texts of one record field's values, which start on lines ``nl``."""
+    kinds = set(map(type, values))
+    if kinds <= _FLOAT_TYPES:
+        return _float_texts(values)
+    if kinds == {str}:
+        return list(map(_encode_str, values))
+    flat = None
+    if kinds == {np.ndarray}:
+        if len(set(map(attrgetter("shape"), values))) == 1 and values[0].ndim == 1 \
+                and set(map(attrgetter("dtype"), values)) == {np.dtype(np.float64)}:
+            flat = np.concatenate(values).tolist()
+    elif kinds <= {list, tuple} and len(set(map(len, values))) == 1:
+        flat = list(chain.from_iterable(values))
+        if not set(map(type, flat)) <= _FLOAT_TYPES:
+            flat = None
+    if flat is None:
+        return [_text(v, nl) for v in values]
+    size = len(flat) // len(values)
+    if not size:
+        return ["[]"] * len(values)
+    inner = nl + "  "
+    row = "[" + inner + ("," + inner).join(["%s"] * size) + nl + "]"
+    texts = iter(_float_texts(flat))
+    return [row % cells for cells in zip(*[texts] * size)]
 
 
 def _write_floats(rows, depth, out, nl):
@@ -529,7 +694,7 @@ def _write_floats(rows, depth, out, nl):
             sep = "," + inner
             _write_floats(row, depth - 1, out, inner)
     else:
-        out.append("[" + inner + ("," + inner).join(map(_float_text, rows)))
+        out.append("[" + inner + ("," + inner).join(_float_texts(rows)))
     out.append(nl + "]")
 
 

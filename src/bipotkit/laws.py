@@ -82,6 +82,15 @@ class _SliceHint:
     def contains_many(self, vs, tol):
         return self._holds(vs, tol, *self._params())
 
+    @classmethod
+    def _from_fields(cls, *values):
+        """A hint of trusted fields in declaration order (float64 vectors of
+        one dimension, a float radius), taken as they are."""
+        hint = object.__new__(cls)
+        for name, value in zip(cls.__dataclass_fields__, values):
+            object.__setattr__(hint, name, value)
+        return hint
+
     def _params(self):
         # the dataclass fields in declaration order
         return [getattr(self, name) for name in self.__dataclass_fields__]

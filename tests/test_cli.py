@@ -93,6 +93,23 @@ def test_check_law_integer_beyond_float_range(tmp_path, capsys):
                    "got an integer beyond the float range\n")
 
 
+def test_check_law_hint_shape_that_is_not_a_string(tmp_path, capsys):
+    path = tmp_path / "law.json"
+    path.write_text(json.dumps({"dimension": 1, "pairs": [[[0.0], [0.0]]], "slice_hints": [
+        {"at": [0.0], "shape": ["ball"], "params": {}}]}))
+    code, out, err = run(capsys, "check-law", str(path))
+    assert code == 1 and out == ""
+    assert err == ("hint shape must be one of ['ball', 'ray', 'segment', 'singleton'], "
+                   "got ['ball']\n")
+
+
+def test_check_law_slice_hints_that_are_not_a_list(tmp_path, capsys):
+    path = tmp_path / "law.json"
+    path.write_text(json.dumps({"dimension": 1, "pairs": [[[0.0], [0.0]]],
+                                "slice_hints": {"at": [0.0]}}))
+    assert run(capsys, "check-law", str(path)) == (1, "", "slice_hints must be a list\n")
+
+
 # ---------------------------------------------------------------------------
 # reconstruct
 
@@ -176,6 +193,17 @@ def test_build_grid_mode_on_tabulated(files, capsys):
     code, out, _ = run(capsys, "build", files["nonbic"], "--mode", "grid",
                        "--probe-grid", "0:1:2")
     assert code == 0 and out.splitlines()[0] == "x,y,b,pairing"
+
+
+@pytest.mark.parametrize("dim", [None, 2.7, "2", True])
+def test_build_on_a_form_of_bad_dimension(tmp_path, capsys, dim):
+    form = {"form": "quadratic", "scale": 1.0, "dimension": dim}
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps({"family": "tabulated", "entries": [
+        {"lambda": 1.0, "potential": form, "conjugate": {"form": "quadratic", "scale": 1.0}}]}))
+    code, out, err = run(capsys, "build", str(path), "--mode", "grid")
+    assert (code, out) == (1, "")
+    assert err == f"dimension must be an integer in [1, 3], got {dim!r}\n"
 
 
 def test_build_bad_probe_grid(files, capsys):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from bipotkit import cli
-from bipotkit.bipotentials import CauchyProduct
+from bipotkit.bipotentials import Bipotential, CauchyProduct, certify, verify_axioms
 from bipotkit.convex import (
     Affine,
     IndicatorBall,
@@ -40,7 +40,7 @@ from bipotkit.formats import (
     save_law,
     to_jsonable,
 )
-from bipotkit.laws import FailingSlice, LawGraph, Segment
+from bipotkit.laws import Ball, FailingSlice, HalfLineRay, LawGraph, Segment, Singleton
 from bipotkit.numerics import INF
 
 from .oracles import oracle_dumps, reference_to_jsonable
@@ -108,6 +108,43 @@ def test_law_parse_rejects_unknown_hint_shape():
     with pytest.raises(FormatError):
         law_from_data({"dimension": 1, "pairs": [[[0.0], [0.0]]],
                        "slice_hints": [{"at": [0.0], "shape": "torus", "params": {}}]})
+
+
+def law_doc(dim):
+    return {"dimension": dim, "pairs": [[[0.0], [0.0]]]}
+
+
+def cover_doc(dim):
+    return {"family": "norm", "dimension": dim, "lambda_domain": {"lo": 0, "hi": "inf"}}
+
+
+def form_docs(dim):
+    return [{"form": "quadratic", "scale": 1.0, "dimension": dim},
+            {"form": "scaled-norm", "scale": 1.0, "dimension": dim},
+            {"form": "indicator-ball", "radius": "inf", "dimension": dim}]
+
+
+@pytest.mark.parametrize("dim", [True, False, 2.7, 2.0, "2", None, 0, 4, [2]])
+def test_dimensions_parse_one_way(dim):
+    message = f"dimension must be an integer in [1, 3], got {dim!r}"
+    for parse, doc in [(law_from_data, law_doc(dim)), (cover_from_data, cover_doc(dim)),
+                       *[(function_from_data, d) for d in form_docs(dim)]]:
+        with pytest.raises(FormatError) as exc:
+            parse(doc)
+        assert str(exc.value) == message
+
+
+def test_dimensions_default_where_the_schema_allows():
+    for doc in form_docs(3):
+        assert function_from_data(doc).dim == 3
+        del doc["dimension"]
+        assert function_from_data(doc).dim == 1
+    doc = cover_doc(2)
+    assert cover_from_data(doc).dim == 2
+    del doc["dimension"]
+    assert cover_from_data(doc).dim == 1
+    with pytest.raises(FormatError, match=r"got None$"):
+        law_from_data({"pairs": [[[0.0], [0.0]]]})
 
 
 def test_snap_tolerance_quantizes_coordinates():
@@ -298,6 +335,78 @@ def test_dumps_writes_the_stdlib_text_of_the_reference(obj):
     assert dumps(obj) == oracle_dumps(obj)
 
 
+@dataclasses.dataclass(frozen=True)
+class Triple:
+    a: object
+    b: object
+    c: object
+
+
+# record lists: columns that take the fast paths (floats, strings, equal-length
+# float arrays and float lists) and columns that do not (mixed values, unequal
+# lengths, nested record lists), then one odd record or a reordered dict
+FLOATS = st.one_of(st.floats(), st.sampled_from([INF, -INF, float("nan"), -0.0, 0.0, 1e-320]))
+ANY_FLOAT = st.one_of(FLOATS, FLOATS.map(np.float64))
+SCALARS = st.one_of(ANY_FLOAT, st.text(max_size=3), st.none(), st.booleans(),
+                    st.integers(-2 ** 70, 2 ** 70))
+
+
+def columns(n, nested):
+    """Strategies of one field's values over ``n`` records."""
+    rows = st.integers(0, 3)
+    kinds = [
+        st.lists(FLOATS, min_size=n, max_size=n),
+        st.lists(ANY_FLOAT, min_size=n, max_size=n),
+        st.lists(st.text(max_size=3), min_size=n, max_size=n),
+        st.lists(SCALARS, min_size=n, max_size=n),
+        rows.flatmap(lambda d: st.lists(hnp.arrays(np.float64, d, elements=FLOATS),
+                                        min_size=n, max_size=n)),
+        rows.flatmap(lambda d: st.lists(st.lists(ANY_FLOAT, min_size=d, max_size=d),
+                                        min_size=n, max_size=n)),
+        st.lists(hnp.arrays(np.float64, rows, elements=FLOATS), min_size=n, max_size=n),
+        st.lists(st.lists(ANY_FLOAT, max_size=3).map(tuple), min_size=n, max_size=n),
+        st.lists(hnp.arrays(np.float64, (2, 2), elements=FLOATS), min_size=n, max_size=n),
+        st.lists(st.one_of(hnp.arrays(np.float32, 2), st.lists(SCALARS, min_size=2, max_size=2)),
+                 min_size=n, max_size=n),
+        st.sampled_from([np.int64, np.bool_, np.float32]).flatmap(
+            lambda t: st.lists(hnp.arrays(t, 2), min_size=n, max_size=n)),
+    ]
+    if nested:
+        kinds.append(st.lists(record_lists(nested=False), min_size=n, max_size=n))
+    return st.one_of(kinds)
+
+
+@st.composite
+def record_lists(draw, nested=True):
+    n = draw(st.integers(2, 5))
+    if draw(st.booleans()):
+        cols = [draw(columns(n, nested)) for _ in range(3)]
+        items = [Triple(*vals) for vals in zip(*cols)]
+    else:
+        keys = draw(st.lists(st.text(alphabet="ab%s\u00e9\"", max_size=3), min_size=1,
+                             max_size=3, unique=True))
+        cols = [draw(columns(n, nested)) for _ in keys]
+        items = [dict(zip(keys, vals)) for vals in zip(*cols)]
+        if len(keys) > 1 and draw(st.booleans()):
+            k = draw(st.integers(0, n - 1))
+            items[k] = dict(reversed(items[k].items()))
+    if draw(st.integers(0, 3)) == 0:
+        odd = draw(st.one_of(SCALARS, st.builds(Box, SCALARS), st.just({"a": 1.0}),
+                             st.just({}), st.builds(Triple, SCALARS, SCALARS, SCALARS)))
+        items[draw(st.integers(0, n - 1))] = odd
+    return items if draw(st.booleans()) else tuple(items)
+
+
+@settings(max_examples=400, deadline=None)
+@given(record_lists())
+@example([{"x": 1.0, "y": "a"}, {"y": "b", "x": 2.0}])  # keys in another order
+@example([Box(np.array([1.0, 2.0])), Box(np.array([3.0]))])  # arrays of unequal length
+@example([{"%s": INF, "%%": [np.float64(-0.0)]}, {"%s": 1.0, "%%": [float("nan")]}])
+def test_record_lists_write_the_stdlib_text(items):
+    assert dumps(items) == oracle_dumps(items)
+    assert dumps({"r": items, "s": [items, items]}) == oracle_dumps({"r": items, "s": [items, items]})
+
+
 def emitted(monkeypatch, capsys, argv):
     """Exit code, the objects the CLI hands to the writer, and its stdout."""
     seen = []
@@ -309,6 +418,18 @@ def emitted(monkeypatch, capsys, argv):
     monkeypatch.setattr(cli, "dumps", record)
     code = cli.main(argv)
     return code, seen, capsys.readouterr().out
+
+
+class Formula(Bipotential):
+    """A 1-d b from a plain function, tabulated pair by pair."""
+
+    dim = 1
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def value(self, x, y):
+        return self.fn(x.tolist(), y.tolist())
 
 
 @pytest.fixture
@@ -339,9 +460,23 @@ def test_dumps_writes_the_stdlib_text_of_real_reports(monkeypatch, capsys, repor
     seen += more
     texts.append(out)
     code, more, out = emitted(monkeypatch, capsys, ["verify", "--cover", str(d / "nonbic.json")])
-    assert code == 2 and not more[0]["bic"].is_bic and more[0]["bic"].counterexamples
+    bic, axioms = more[0]["bic"], more[0]["axioms"]
+    assert code == 2 and not bic.is_bic
+    # record lists: BIC counterexamples, some with an infinite deficit, and
+    # no-contact notes
+    assert len(bic.counterexamples) > 1 and len(axioms.no_contact) > 1
+    assert any(c.deficit == INF for c in bic.counterexamples)
     seen += more
     texts.append(out)
+    # the refused report written directly, and axiom counterexamples
+    report = certify(nonbic_cover(), np.linspace(-2, 2, 9)[:, None],
+                     np.linspace(-2, 2, 9)[:, None], mode="grid", tol=1e-3).reports()
+    bumpy = verify_axioms(Formula(lambda x, y: abs(x[0] * y[0]) + (x[0] ** 2 - 1) ** 2 - 0.3),
+                          np.linspace(-2, 2, 9)[:, None], np.linspace(-2, 2, 9)[:, None])
+    assert not report["bic"].is_bic and len(bumpy.counterexamples) > 1
+    for obj in (report, bumpy):
+        seen.append(obj)
+        texts.append(dumps(obj) + "\n")
     assert "".join(texts) == "".join(oracle_dumps(obj) + "\n" for obj in seen)
     for obj in seen:
         assert to_jsonable(obj) == reference_to_jsonable(obj)
@@ -358,7 +493,7 @@ def long_law(bad_index=None, bad_pair=None, dim=2, m=300):
     return {"dimension": dim, "pairs": pairs}
 
 
-@pytest.mark.parametrize("bad_pair, message", [
+PAIR_FAULTS = [
     ("x", "pair {k} must be [[x...], [y...]]"),
     ({"x": [1.0]}, "pair {k} must be [[x...], [y...]]"),
     ([[0.0, 1.0]], "pair {k} must be [[x...], [y...]]"),
@@ -378,7 +513,10 @@ def long_law(bad_index=None, bad_pair=None, dim=2, m=300):
     ([[float("nan")], [1.0, 2.0]], "pair {k} x coordinate must be finite, got nan"),
     ([[float("nan"), "a"], [1.0, 2.0]], "pair {k} x coordinate must be finite, got nan"),
     ([[0.0, 1.0, 2.0], [float("nan"), 2.0]], "pair {k} x has 3 coordinates, expected 2"),
-])
+]
+
+
+@pytest.mark.parametrize("bad_pair, message", PAIR_FAULTS)
 @pytest.mark.parametrize("k", [0, 7, 299])
 def test_malformed_pairs_name_the_first_offending_pair(bad_pair, message, k):
     with pytest.raises(FormatError) as exc:
@@ -459,14 +597,81 @@ def test_snapping_that_overflows_names_the_first_pair():
 
 
 def reference_law(data):
-    """The law that per-vector parsing and the checking constructor build."""
+    """The law that per-vector parsing and the checking constructors build."""
     snap = data.get("snap_tolerance", 0.0)
 
     def q(v):
         v = np.array([float(c) for c in v])
         return np.round(v / snap) * snap if snap > 0.0 else v
 
-    return LawGraph([(q(x), q(y)) for x, y in data["pairs"]])
+    hints = {"primal": {}, "dual": {}}
+    for h in data.get("slice_hints", []):
+        hints[h.get("side", "primal")][tuple(q(h["at"]))] = reference_hint(h["shape"], h["params"])
+    return LawGraph([(q(x), q(y)) for x, y in data["pairs"]],
+                    primal_hints=hints["primal"], dual_hints=hints["dual"])
+
+
+def reference_hint(shape, p):
+    def vec(c):
+        return np.array([float(t) for t in c])
+
+    if shape == "singleton":
+        return Singleton(vec(p["point"]))
+    if shape == "segment":
+        return Segment(vec(p["a"]), vec(p["b"]))
+    if shape == "ball":
+        return Ball(vec(p["center"]), INF if p["radius"] == "inf" else p["radius"])
+    return HalfLineRay(vec(p["origin"]), vec(p["direction"]))
+
+
+def assert_same_hints(got, want):
+    """Same anchor keys (as floats, -0.0 kept) in the same order, and hints
+    of the same shapes with bit-identical fields."""
+    assert repr(list(got)) == repr(list(want))
+    assert all(type(c) is float for key in got for c in key)
+    for a, b in zip(got.values(), want.values()):
+        assert type(a) is type(b)
+        for name in b.__dataclass_fields__:
+            u, w = getattr(a, name), getattr(b, name)
+            if isinstance(w, np.ndarray):
+                assert u.dtype == w.dtype and u.shape == w.shape and u.flags.c_contiguous
+                assert u.tobytes() == w.tobytes()
+            else:
+                assert type(u) is type(w) and u == w
+
+
+def with_hints(data, rng):
+    """``data`` with hints of every shape on both sides, each at a slice of
+    one (snapped) pair, plus a replaced hint and an infinite ball at a
+    zero anchor, which the -0.0 of pair 3 meets."""
+    dim, snap = data["dimension"], data.get("snap_tolerance", 0.0)
+
+    def q(v):
+        v = np.array(v, dtype=float)
+        return (np.round(v / snap) * snap if snap > 0.0 else v).tolist()
+
+    sides = {"primal": [q(x) for x, _ in data["pairs"]],
+             "dual": [q(y) for _, y in data["pairs"]]}
+    hints = []
+    for j, k in enumerate(range(4, len(data["pairs"]), 3)):
+        side = ("primal", "dual")[j % 2]
+        at, other = (0, 1) if side == "primal" else (1, 0)
+        if sides[side].count(sides[side][k]) > 1:
+            continue  # a slice of several pairs
+        inside = q(data["pairs"][k][other])
+        shape = ("singleton", "segment", "ball", "ray")[j // 2 % 4]
+        params = {
+            "singleton": {"point": inside},
+            "segment": {"a": [c - 1.0 for c in inside], "b": [c + 2 for c in inside]},
+            "ball": {"center": [c + 0.125 for c in inside], "radius": [1.0, 2, "inf"][j % 3]},
+            "ray": {"origin": inside, "direction": rng.normal(size=dim).tolist()},
+        }[shape]
+        hints.append({"at": data["pairs"][k][at], "side": side, "shape": shape,
+                      "params": params})
+    for center in ([5.0] * dim, [-1] * dim):
+        hints.append({"at": [0.0] * dim, "shape": "ball",
+                      "params": {"center": center, "radius": "inf"}})
+    return {**data, "slice_hints": hints}
 
 
 @pytest.mark.parametrize("snap", [None, 1e-6, 0.3])
@@ -480,11 +685,17 @@ def test_loaded_arrays_equal_the_checking_constructor(snap, dim):
     data = {"dimension": dim, "pairs": pairs}
     if snap is not None:
         data["snap_tolerance"] = snap
-    got, want = law_from_data(data), reference_law(data)
-    for a, b in ((got.xs, want.xs), (got.ys, want.ys)):
-        assert a.dtype == b.dtype and a.shape == b.shape and a.flags.c_contiguous
-        assert a.tobytes() == b.tobytes()
-    assert got.primal_hints == {} and got.dual_hints == {}
+    hinted = with_hints(data, rng)
+    assert {h["shape"] for h in hinted["slice_hints"]} == {"singleton", "segment", "ball", "ray"}
+    assert {h.get("side") for h in hinted["slice_hints"]} == {"primal", "dual", None}
+    for doc in (data, hinted):
+        got, want = law_from_data(doc), reference_law(doc)
+        for a, b in ((got.xs, want.xs), (got.ys, want.ys)):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.flags.c_contiguous
+            assert a.tobytes() == b.tobytes()
+        assert_same_hints(got.primal_hints, want.primal_hints)
+        assert_same_hints(got.dual_hints, want.dual_hints)
+        assert bool(got.primal_hints) == (doc is hinted)
 
 
 def test_snapped_hint_anchors_key_like_vec_key():
@@ -496,3 +707,189 @@ def test_snapped_hint_anchors_key_like_vec_key():
     assert list(law.primal_hints) == [(0.0,)]
     assert all(type(c) is float for c in next(iter(law.primal_hints)))
     assert law.contains([0.0], [0.5])
+
+
+# ---------------------------------------------------------------------------
+# the one-pass check: hints name their first fault as pairs do
+
+
+def hinted_law(m=60):
+    """long_law's 2-d pairs with a valid hint at every third pair: the four
+    shapes in turn, primal and dual alternately."""
+    data = long_law(m=m)
+    hints = []
+    for j, k in enumerate(range(0, m, 3)):
+        x, y = data["pairs"][k]
+        side = ("primal", "dual")[j % 2]
+        at, inside = (x, y) if side == "primal" else (y, x)
+        shape = ("singleton", "segment", "ball", "ray")[j // 2 % 4]
+        params = {
+            "singleton": {"point": inside},
+            "segment": {"a": inside, "b": [c + 1.0 for c in inside]},
+            "ball": {"center": [c + 0.25 for c in inside], "radius": [1.0, "inf"][j % 2]},
+            "ray": {"origin": inside, "direction": [1.0, -1.0]},
+        }[shape]
+        hints.append({"at": at, "side": side, "shape": shape, "params": params})
+    data["slice_hints"] = hints
+    return data
+
+
+def bad(shape="singleton", at=(0.0, -1.0), **params):
+    return {"at": list(at), "shape": shape, "params": params}
+
+
+SHAPES = "['ball', 'ray', 'segment', 'singleton']"
+HINT_FAULTS = [
+    (3, "slice hint {k} must be an object"),
+    ([[0.0, -1.0], "singleton"], "slice hint {k} must be an object"),
+    ({**bad(point=[1.0, 0.0]), "side": "up"}, "slice hint side must be primal or dual, got 'up'"),
+    ({"shape": "singleton", "params": {"point": [1.0, 0.0]}},
+     "slice hint {k} anchor must be a nonempty list of numbers"),
+    (bad(at=[], point=[1.0, 0.0]), "slice hint {k} anchor must be a nonempty list of numbers"),
+    (bad(at=[True, -1.0], point=[1.0, 0.0]),
+     "slice hint {k} anchor coordinate must be a number, got True"),
+    (bad(at=[0.0, "1"], point=[1.0, 0.0]),
+     "slice hint {k} anchor coordinate must be a number, got '1'"),
+    (bad(at=[0.0], point=[1.0, 0.0]), "slice hint {k} anchor has 1 coordinates, expected 2"),
+    (bad(at=[0.0, float("nan")], point=[1.0, 0.0]),
+     "slice hint {k} anchor coordinate must be finite, got nan"),
+    (bad(at=[10 ** 400, 0.0], point=[1.0, 0.0]), "slice hint {k} anchor coordinate must be "
+                                                 "finite, got an integer beyond the float range"),
+    (bad(shape=["ball"], center=[0.0, 0.0], radius=1.0),
+     f"hint shape must be one of {SHAPES}, got ['ball']"),
+    (bad(shape="torus"), f"hint shape must be one of {SHAPES}, got 'torus'"),
+    ({"at": [0.0, -1.0], "params": {}}, f"hint shape must be one of {SHAPES}, got None"),
+    ({"at": [0.0, -1.0], "shape": "ball"}, "hint needs a params object"),
+    ({"at": [0.0, -1.0], "shape": "ball", "params": [0.0]}, "hint needs a params object"),
+    (bad(point="x"), "singleton point must be a nonempty list of numbers"),
+    (bad(point=[]), "singleton point must be a nonempty list of numbers"),
+    (bad(), "singleton point must be a nonempty list of numbers"),
+    (bad(point=[None, 0.0]), "singleton point coordinate must be a number, got None"),
+    (bad(point=[1.0, False]), "singleton point coordinate must be a number, got False"),
+    (bad("segment", a=["1", 0.0], b=[1.0, 0.0]),
+     "segment end a coordinate must be a number, got '1'"),
+    (bad("segment", a=[1.0, 0.0], b=[0.0, float("-inf")]),
+     "segment end b coordinate must be finite, got -inf"),
+    (bad("segment", a=[1.0, 0.0], b=[0.0, 1.0, 2.0]), "segment end b has 3 coordinates, expected 2"),
+    (bad("segment", b=[1.0, 0.0]), "segment end a must be a nonempty list of numbers"),
+    (bad("ball", center=[False, 0.0], radius=1.0),
+     "ball center coordinate must be a number, got False"),
+    (bad("ball", center=[0.0, 0.0], radius=-1), "ball radius must be nonnegative, got -1.0"),
+    (bad("ball", center=[0.0, 0.0], radius=-0.5), "ball radius must be nonnegative, got -0.5"),
+    (bad("ball", center=[0.0, 0.0], radius=True), 'ball radius must be a number or "inf", got True'),
+    (bad("ball", center=[0.0, 0.0], radius="-inf"),
+     "ball radius must be a number or \"inf\", got '-inf'"),
+    (bad("ball", center=[0.0, 0.0]), 'ball radius must be a number or "inf", got None'),
+    (bad("ball", center=[0.0, 0.0], radius=float("nan")),
+     'ball radius must be finite or the "inf" sentinel, got nan'),
+    (bad("ball", center=[0.0, 0.0], radius=float("inf")),
+     'ball radius must be finite or the "inf" sentinel, got inf'),
+    (bad("ball", center=[0.0, 0.0], radius=10 ** 400),
+     "ball radius must be finite, got an integer beyond the float range"),
+    (bad("ray", origin=[0.0, 10 ** 400], direction=[1.0, 0.0]),
+     "ray origin coordinate must be finite, got an integer beyond the float range"),
+    (bad("ray", origin=[0.0, 0.0], direction=[0.0, 0.0]), "ray direction must be nonzero"),
+    (bad("ray", origin=[0.0, 0.0], direction=[-0.0, 0]), "ray direction must be nonzero"),
+    # a squared norm that underflows to 0 is a zero direction, as norm() has it
+    (bad("ray", origin=[0.0, 0.0], direction=[1e-200, 0.0]), "ray direction must be nonzero"),
+    (bad("ray", origin=[0.0, 0.0], direction=[1.0]), "ray direction has 1 coordinates, expected 2"),
+    # within a hint: side, anchor, shape, params, then the fields in order
+    ({**bad("torus", at=[True, 0.0]), "side": "up"},
+     "slice hint side must be primal or dual, got 'up'"),
+    (bad("torus", at=[True, 0.0]), "slice hint {k} anchor coordinate must be a number, got True"),
+    ({"at": [0.0, 0.0], "shape": "torus", "params": 3},
+     f"hint shape must be one of {SHAPES}, got 'torus'"),
+    (bad("segment", a=[0.0], b=[True, 0.0]), "segment end a has 1 coordinates, expected 2"),
+    (bad("segment", a=[float("nan"), "x"], b=[0.0, 0.0]),
+     "segment end a coordinate must be finite, got nan"),
+    (bad("ball", center=[float("nan"), 0.0], radius=-1),
+     "ball center coordinate must be finite, got nan"),
+    (bad("ball", center=[0.0, 0.0, 0.0], radius=-1), "ball center has 3 coordinates, expected 2"),
+    (bad("ray", origin=[0.0], direction=[0.0, 0.0]), "ray origin has 1 coordinates, expected 2"),
+]
+
+
+@pytest.mark.parametrize("bad_hint, message", HINT_FAULTS)
+@pytest.mark.parametrize("k", [0, 7, 19])
+def test_malformed_hints_name_the_first_offending_hint(bad_hint, message, k):
+    data = hinted_law()
+    assert len(data["slice_hints"]) == 20
+    data["slice_hints"][k] = bad_hint
+    with pytest.raises(ValueError) as exc:
+        law_from_data(data)
+    assert str(exc.value) == message.format(k=k)
+
+
+def test_the_hinted_law_loads():
+    law = law_from_data(hinted_law())
+    assert len(law.primal_hints) == len(law.dual_hints) == 10
+    assert {type(h) for h in law.primal_hints.values()} == {Singleton, Segment, Ball, HalfLineRay}
+
+
+@pytest.mark.parametrize("hints", [{"a": 1}, "ab", None, 3, ({"at": [0.0]},)])
+def test_slice_hints_must_be_a_list(hints):
+    data = {**hinted_law(), "slice_hints": hints}
+    with pytest.raises(FormatError, match=r"^slice_hints must be a list$"):
+        law_from_data(data)
+    # a bad pair comes first
+    data["pairs"][5] = "x"
+    with pytest.raises(FormatError, match=r"^pair 5 must be"):
+        law_from_data(data)
+
+
+def test_the_earliest_fault_across_pairs_and_hints_is_reported():
+    data = hinted_law()
+    data["slice_hints"][0] = bad("torus")
+    data["pairs"][40] = [[0.0, 1.0], [1.0, True]]
+    with pytest.raises(FormatError, match=r"^pair 40 y coordinate must be a number, got True$"):
+        law_from_data(data)
+    data = hinted_law()
+    data["slice_hints"][12] = bad(at=[0.0, 1.0, 2.0])
+    data["slice_hints"][5] = bad("ray", origin=[0.0, 0.0], direction=[0.0, 0.0])
+    data["slice_hints"][16] = 3
+    with pytest.raises(ValueError, match=r"^ray direction must be nonzero$"):
+        law_from_data(data)
+    # a non-finite value in a late hint does not hide an earlier bad type
+    data = hinted_law()
+    data["slice_hints"][18] = bad(point=[float("nan"), 0.0])
+    data["slice_hints"][9] = bad("ball", center=[0.0, 0.0], radius="1")
+    with pytest.raises(FormatError, match=r"^ball radius must be a number or \"inf\", got '1'$"):
+        law_from_data(data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_injected_faults_report_the_earliest(data):
+    law = hinted_law(m=30)
+    m, n_hints = len(law["pairs"]), len(law["slice_hints"])
+    # positions in file order: the pairs, then the hints
+    spots = data.draw(st.lists(st.integers(0, m + n_hints - 1), min_size=1, max_size=3,
+                               unique=True))
+    messages = {}
+    for spot in spots:
+        if spot < m:
+            fault, message = data.draw(st.sampled_from(PAIR_FAULTS))
+            law["pairs"][spot] = fault
+            messages[spot] = message.format(k=spot)
+        else:
+            fault, message = data.draw(st.sampled_from(HINT_FAULTS))
+            law["slice_hints"][spot - m] = fault
+            messages[spot] = message.format(k=spot - m)
+    with pytest.raises(ValueError) as exc:
+        law_from_data(law)
+    assert str(exc.value) == messages[min(spots)]
+
+
+def test_number_subclasses_load_like_their_values():
+    class Count(int):
+        pass
+
+    data = {"dimension": 2, "pairs": [[[np.float64(0.5), Count(2)], [1.0, 2.0]]],
+            "slice_hints": [{"at": [0.5, Count(2)], "shape": "singleton",
+                             "params": {"point": [np.float64(1.0), 2]}}]}
+    law = law_from_data(data)
+    assert law.xs.tolist() == [[0.5, 2.0]] and list(law.primal_hints) == [(0.5, 2.0)]
+    assert_same_hints(law.primal_hints, reference_law(data).primal_hints)
+    data["pairs"][0][0][1] = True
+    with pytest.raises(FormatError, match=r"^pair 0 x coordinate must be a number, got True$"):
+        law_from_data(data)
