@@ -22,7 +22,9 @@ convexity, and verify the axioms on probe grids.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -321,6 +323,19 @@ def build_b_infinity(law, tol=1e-9, snap=0.0):
 # axiom verification on finite probe grids
 
 
+def _records(cls, *columns):
+    """Records of ``cls``, a frozen dataclass, one per row of the trusted
+    field columns (in declaration order), taken as they are."""
+    names = tuple(cls.__dataclass_fields__)
+    new = object.__new__
+    out = []
+    for values in zip(*columns):
+        record = new(cls)
+        record.__dict__.update(zip(names, values))
+        out.append(record)
+    return out
+
+
 @dataclass(frozen=True)
 class AxiomCounterexample:
     axiom: str            # "lower-bound", "convexity-x", "convexity-y", "graph-closure"
@@ -361,11 +376,28 @@ def _chunks(n, width):
     return [slice(s, s + step) for s in range(0, max(n, 1), step)]
 
 
+# a grid whose largest magnitude lies in this range keys its probes as they
+# are, to 9 decimals; any other grid is first scaled by the power of two that
+# brings its largest magnitude into [0.5, 1)
+_KEY_RANGE = (2.0 ** -10, 2.0 ** 16)
+
+
+def _key_grid(g):
+    """``g`` at the scale its midpoint keys are rounded at (see _KEY_RANGE);
+    the power-of-two scaling is exact, so it keeps every midpoint."""
+    s = float(np.abs(g).max())
+    if s == 0.0 or _KEY_RANGE[0] <= s <= _KEY_RANGE[1]:
+        return g
+    return np.ldexp(g, -math.frexp(s)[1])
+
+
 def _midpoint_triples(g):
     """Index arrays (i, j, k) over the pairs i < j in row-major order, with
     g[k] the first grid point equal to the midpoint of g[i], g[j] after
-    rounding to 9 decimals (so uniform float grids qualify), k not i or j."""
+    rounding to 9 decimals at the grid's own scale (so uniform float grids
+    qualify), k not i or j."""
     n = g.shape[0]
+    g = _key_grid(g)
     keys = _row_keys(np.round(g, 9))
     order = np.argsort(keys, kind="stable")  # equal keys keep index order
     table = keys[order]
@@ -381,18 +413,20 @@ def _midpoint_triples(g):
     return tuple(np.concatenate(h) for h in zip(*hits))
 
 
-def _midpoint_failures(triples, rows, fails):
-    """(k, column, violation) of each failing entry over the midpoint
-    triples of the first axis of ``rows``, triple by triple and columns
-    ascending. ``fails(lo, hi, mid)`` maps three gathered row stacks, of
-    about ``SWEEP_CHUNK`` entries each, to a failing mask and violations."""
+def _midpoint_failures(triples, width, fails):
+    """Index arrays (k, column) and the violations of each failing entry of
+    a (triple, column) table over the midpoint triples, triple by triple and
+    columns ascending. ``fails(i, j, k)`` maps the index arrays of about
+    ``SWEEP_CHUNK / width`` triples to (triple, column, violation) arrays of
+    their failing entries, in row-major order."""
     i, j, k = triples
-    out = []
-    for part in _chunks(i.size, rows.shape[1]):
-        mask, violation = fails(rows[i[part]], rows[j[part]], rows[k[part]])
-        t, c = np.nonzero(mask)
-        out.extend(zip(k[part][t].tolist(), c.tolist(), violation[t, c].tolist()))
-    return out
+    ks, cols, violations = [], [], []
+    for part in _chunks(i.size, width):
+        t, c, v = fails(i[part], j[part], k[part])
+        ks.append(k[part][t])
+        cols.append(c)
+        violations.append(v)
+    return np.concatenate(ks), np.concatenate(cols), np.concatenate(violations)
 
 
 def _probe_table(b, x_grid, y_grid):
@@ -423,44 +457,54 @@ def _axiom_report(table, tol):
     xg, yg, B, P = table
     G = B - P
 
-    def witness(axiom, i, j, violation):
-        return AxiomCounterexample(axiom, xg[i].copy(), yg[j].copy(), violation)
+    def witnesses(axiom, rows, cols, violations):
+        # one gather per side: every record owns its rows of a fresh stack
+        return _records(AxiomCounterexample, repeat(axiom), xg[rows], yg[cols],
+                        violations.tolist())
+
+    def convexity(rows):
+        def fails(i, j, k):
+            mid = rows[k]
+            rhs = 0.5 * (rows[i] + rows[j])
+            t, c = np.nonzero(mid > rhs + tol)
+            return t, c, mid[t, c] - rhs[t, c]
+        return fails
+
+    def closure(touch, loose, gaps):
+        def fails(i, j, k):
+            t, c = np.nonzero(touch[i] & touch[j] & loose[k])
+            return t, c, gaps[k[t], c]
+        return fails
 
     bad = G < -tol
-    counterexamples = [witness("lower-bound", i, j, v)
-                       for i, j, v in zip(*np.nonzero(bad), (-G[bad]).tolist())]
+    counterexamples = witnesses("lower-bound", *np.nonzero(bad), -G[bad])
     lower_ok = not counterexamples
-
-    def convexity(lo, hi, mid):
-        rhs = 0.5 * (lo + hi)
-        with np.errstate(invalid="ignore"):  # inf - inf where no entry fails
-            return mid > rhs + tol, mid - rhs
-
-    def closure(lo, hi, mid):
-        return (lo <= tol) & (hi <= tol) & ~(mid <= 2.0 * tol), mid
 
     x_triples = _midpoint_triples(xg)
     y_triples = _midpoint_triples(yg)
-    conv = [witness("convexity-x", k, c, v)
-            for k, c, v in _midpoint_failures(x_triples, B, convexity)]
-    conv += [witness("convexity-y", r, k, v)
-             for k, r, v in _midpoint_failures(y_triples, B.T, convexity)]
+    n, m = B.shape
+    k, c, v = _midpoint_failures(x_triples, m, convexity(B))
+    conv = witnesses("convexity-x", k, c, v)
+    k, r, v = _midpoint_failures(y_triples, n, convexity(B.T))
+    conv += witnesses("convexity-y", r, k, v)
     convexity_ok = not conv
     counterexamples.extend(conv)
 
-    gone = [witness("graph-closure", r, k, v)
-            for k, r, v in _midpoint_failures(y_triples, G.T, closure)]
-    gone += [witness("graph-closure", k, c, v)
-             for k, c, v in _midpoint_failures(x_triples, G, closure)]
+    touch = G <= tol
+    loose = ~(G <= 2.0 * tol)
+    ky, ry, vy = _midpoint_failures(y_triples, n, closure(touch.T, loose.T, G.T))
+    kx, cx, vx = _midpoint_failures(x_triples, m, closure(touch, loose, G))
+    gone = witnesses("graph-closure", np.concatenate([ry, kx]),
+                     np.concatenate([ky, cx]), np.concatenate([vy, vx]))
     graph_ok = not gone
     counterexamples.extend(gone)
 
     row_min = G.min(axis=1)
     col_min = G.min(axis=0)
-    no_contact = [NoContactNote("primal", xg[i].copy(), float(row_min[i]))
-                  for i in np.flatnonzero(~(row_min <= tol))]
-    no_contact += [NoContactNote("dual", yg[j].copy(), float(col_min[j]))
-                   for j in np.flatnonzero(~(col_min <= tol))]
+    rows = np.flatnonzero(~(row_min <= tol))
+    cols = np.flatnonzero(~(col_min <= tol))
+    no_contact = _records(NoContactNote, repeat("primal"), xg[rows], row_min[rows].tolist())
+    no_contact += _records(NoContactNote, repeat("dual"), yg[cols], col_min[cols].tolist())
 
     return AxiomReport(lower_ok, convexity_ok, graph_ok, counterexamples, no_contact)
 

@@ -22,8 +22,6 @@ from .bipotentials import (
     BInfinityBipotential,
     build_inf,
     certify,
-    embed_dual,
-    embed_primal,
     verify_axioms,
 )
 from .covers import ClosedInterval, Cover, TabulatedFamily
@@ -65,9 +63,13 @@ def _parse_grid_spec(spec, what):
 
 
 def _probe_stacks(dim, spec):
+    """The grid's nodes as primal and dual probes, placed on the axes that
+    :func:`embed_primal` and :func:`embed_dual` use."""
     g = _parse_grid_spec(spec, "--probe-grid")
-    xs = np.array([embed_primal(s, dim) for s in g])
-    ys = np.array([embed_dual(t, dim) for t in g])
+    xs = np.zeros((g.size, dim))
+    ys = np.zeros((g.size, dim))
+    xs[:, 0] = g
+    ys[:, min(1, dim - 1)] = g
     return xs, ys
 
 

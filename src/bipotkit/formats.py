@@ -698,14 +698,6 @@ def _write_floats(rows, depth, out, nl):
     out.append(nl + "]")
 
 
-def fmt(v):
-    """12-significant-digit decimal; +inf prints as inf, -0 normalizes to 0."""
-    v = float(v)
-    if v == 0.0:
-        v = 0.0
-    return f"{v:.12g}"
-
-
 def csv_header(dim):
     if dim == 1:
         return "x,y,b,pairing"
@@ -722,13 +714,23 @@ def probe_rows(b, x_probes, y_probes):
 
 
 def _probe_lines(table):
-    """:func:`probe_rows` over an evaluated probe table."""
+    """:func:`probe_rows` over an evaluated probe table. Every number prints
+    as ``"%.12g"`` (inf, -inf and nan as Python spells them) after adding
+    0.0, which turns -0.0 into 0; each probe's coordinates print once, and
+    each x row's lines come from one template over its interleaved (b,
+    pairing) values."""
     xg, yg, B, P = table
-    B, P = B.tolist(), P.tolist()
-    xs = [",".join(fmt(c) for c in x) for x in xg.tolist()]
-    ys = [",".join(fmt(c) for c in y) for y in yg.tolist()]
-    return [f"{x},{y},{fmt(b_row[j])},{fmt(p_row[j])}"
-            for x, b_row, p_row in zip(xs, B, P) for j, y in enumerate(ys)]
+    coords = ",".join(["%.12g"] * xg.shape[1])
+    xs = [coords % tuple(x) for x in (xg + 0.0).tolist()]
+    tails = [f",{coords % tuple(y)},%.12g,%.12g" for y in (yg + 0.0).tolist()]
+    values = np.empty((B.shape[0], 2 * B.shape[1]))
+    values[:, 0::2] = B
+    values[:, 1::2] = P
+    values += 0.0
+    lines = []
+    for x, row in zip(xs, values.tolist()):
+        lines += (x + ("\n" + x).join(tails) % tuple(row)).split("\n")
+    return lines
 
 
 def to_jsonable(obj):

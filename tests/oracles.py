@@ -397,15 +397,36 @@ def oracle_table(cover_or_kind, xs, ys, mode="analytic", snap=0.0):
     return np.array([[value(x, y) for y in ys] for x in xs])
 
 
+def oracle_fmt(v):
+    """The CSV number: 12 significant digits, -0.0 printed as 0."""
+    v = float(v)
+    if v == 0.0:
+        v = 0.0
+    return f"{v:.12g}"
+
+
 def _lists(points):
     return [[float(c) for c in p] for p in np.asarray(points, dtype=np.float64)]
 
 
+def oracle_key_exponent(g):
+    """The exponent e of the exact scaling by 2**-e at which a grid rounds
+    its midpoint keys: 0 when its largest magnitude s is 0 or lies in
+    [2**-10, 2**16], else the e with 0.5 <= s / 2**e < 1."""
+    s = max(abs(c) for p in g for c in p)
+    if s == 0.0 or 2.0 ** -10 <= s <= 2.0 ** 16:
+        return 0
+    return math.frexp(s)[1]
+
+
 def oracle_midpoint_triples(g):
     """(i, j, k) for i < j in order, k the first point whose coordinates,
-    rounded to 9 decimals, equal those of the rounded midpoint of g[i] and
+    scaled by 2**-e (:func:`oracle_key_exponent`) and rounded to 9
+    decimals, equal those of the scaled and rounded midpoint of g[i] and
     g[j]; dropped when that first k is i or j."""
     g = _lists(g)
+    e = oracle_key_exponent(g)
+    g = [[math.ldexp(c, -e) for c in p] for p in g]
 
     def rounded(p):
         return [float(np.round(c, 9)) for c in p]

@@ -7,9 +7,13 @@ their reports must equal the triple-by-triple and pair-by-pair searches in
 
 import math
 import tracemalloc
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bipotkit import (
     BInfinityBipotential,
@@ -21,10 +25,12 @@ from bipotkit import (
     build_inf,
     graph_of_bipotential,
     quadratic_cover,
+    tabulated_cover,
     verify_axioms,
 )
 from bipotkit import bipotentials
 from bipotkit.bipotentials import _midpoint_triples
+from bipotkit.convex import Quadratic
 from bipotkit.laws import LawGraph
 
 from .oracles import (
@@ -77,17 +83,23 @@ def grids(dim):
         "duplicates": np.concatenate([uniform[4:9], uniform[5:7], uniform[:4]]),
         "signed-zeros": np.concatenate([signed_zeros, 0.0 * signed_zeros[:1]]),
         "random": np.round(rng.uniform(-2.0, 2.0, size=(14, dim)), 1),
+        "dense": line(np.linspace(-2.0, 2.0, 31), dim),
     }
 
 
 def cases(dim):
     """(name, bipotential, its table by the oracle or the formula)."""
     bounded = Cover(ClosedInterval(0.0, 1.5), NormFamily(dim))  # +inf past ||y|| = 1.5
+    # the least of three quadratic members: convex in neither argument
+    members = tabulated_cover([(lam, Quadratic(lam, dim), Quadratic(1.0 / lam, dim))
+                               for lam in (0.25, 2.0, 8.0)])
     return [
         ("cauchy", CauchyProduct(dim), lambda xs, ys: oracle_table("cauchy", xs, ys)),
         ("bounded-norm", build_inf(bounded), lambda xs, ys: oracle_table(bounded, xs, ys)),
         ("bumpy", Formula(dim, bumpy),
          lambda xs, ys: np.array([[bumpy(x, y) for y in ys.tolist()] for x in xs.tolist()])),
+        ("tabulated", build_inf(members, mode="grid"),
+         lambda xs, ys: oracle_table(members, xs, ys, mode="grid")),
     ]
 
 
@@ -97,7 +109,19 @@ def report_fields(r):
             [(n.side, n.at.tolist(), n.min_gap) for n in r.no_contact])
 
 
-GRIDS = ["uniform", "geomspace", "shuffled", "duplicates", "signed-zeros", "random"]
+def assert_records_own_their_rows(report, xs, ys):
+    """No witness row shares memory with the probe stacks or with any other
+    witness row (rows are contiguous, so disjoint byte ranges suffice)."""
+    rows = [a for c in report.counterexamples for a in (c.x, c.y)]
+    rows += [n.at for n in report.no_contact]
+    for a in rows:
+        assert not np.shares_memory(a, xs) and not np.shares_memory(a, ys)
+        assert a.flags.c_contiguous
+    spans = sorted((a.__array_interface__["data"][0], a.nbytes) for a in rows)
+    assert all(lo + size <= hi for (lo, size), (hi, _) in zip(spans, spans[1:]))
+
+
+GRIDS = ["uniform", "geomspace", "shuffled", "duplicates", "signed-zeros", "random", "dense"]
 # the default chunk holds these probes whole; 7 entries split every stage
 CHUNKS = [bipotentials.SWEEP_CHUNK, 7]
 
@@ -121,6 +145,55 @@ def test_midpoint_triples_keep_the_first_match_and_drop_the_ends():
     assert [a.size for a in _midpoint_triples(np.zeros((1, 2)))] == [0, 0, 0]
 
 
+def triples(g):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return [tuple(t) for t in np.stack(_midpoint_triples(g), axis=1).tolist()]
+
+
+@pytest.mark.parametrize("scale", [2.0 ** -40, 1e-12, 1e12, 2.0 ** 990, 1e300])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_midpoint_triples_match_oracle_at_every_scale(dim, scale):
+    for name, g in grids(dim).items():
+        assert triples(g * scale) == oracle_midpoint_triples(g * scale), name
+
+
+def test_midpoint_keys_follow_the_grid_scale():
+    # at an absolute 1e-9 these probes all keyed as 0 (or overflowed to inf)
+    assert triples(np.array([[0.0], [1e-12], [2e-12]])) == [(0, 2, 1)]
+    assert triples(np.array([[1e300], [2e300], [3e300], [5e300]])) == [(0, 2, 1), (0, 3, 2)]
+    report = verify_axioms(CauchyProduct(1), [[-3e-12], [-2e-12], [-1e-12]], [[1e12], [2e12]])
+    assert report.is_bipotential and not report.counterexamples
+
+
+def exact_midpoint_triples(g):
+    """(i, j, k) for i < j in order, k the first point exactly equal to the
+    midpoint of g[i] and g[j]; dropped when that first k is i or j."""
+    points = [tuple(Fraction(c) for c in p) for p in g.tolist()]
+    out = []
+    for i, p in enumerate(points):
+        for j in range(i + 1, len(points)):
+            mid = tuple((a + b) / 2 for a, b in zip(p, points[j]))
+            k = next((k for k, q in enumerate(points) if q == mid), None)
+            if k is not None and k != i and k != j:
+                out.append((i, j, k))
+    return out
+
+
+DYADIC_GRIDS = st.integers(1, 3).flatmap(lambda dim: st.lists(
+    st.lists(st.integers(-16, 16), min_size=dim, max_size=dim), min_size=1, max_size=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(DYADIC_GRIDS, st.sampled_from([-40, 0, 990]))
+def test_midpoint_triples_on_dyadic_grids_are_exact(points, exponent):
+    # multiples of 1/8 scaled by 2**exponent: every midpoint is exact
+    g = np.ldexp(np.array(points, dtype=np.float64) / 8.0, exponent)
+    want = exact_midpoint_triples(g)
+    assert triples(g) == want
+    assert oracle_midpoint_triples(g) == want
+
+
 @pytest.mark.parametrize("chunk", CHUNKS)
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("grid", GRIDS)
@@ -130,9 +203,10 @@ def test_verify_axioms_matches_oracle(dim, grid, tol, chunk, monkeypatch):
     g = grids(dim)[grid]
     xs, ys = g, g[::-1] + 0.25
     for name, b, table in cases(dim):
-        got = report_fields(verify_axioms(b, xs, ys, tol=tol))
+        report = verify_axioms(b, xs, ys, tol=tol)
         want = oracle_verify_axioms(table(xs, ys), xs, ys, tol)
-        assert got == want, name
+        assert report_fields(report) == want, name
+        assert_records_own_their_rows(report, xs, ys)
 
 
 def test_oracle_cases_reach_every_axiom():
@@ -148,6 +222,11 @@ def test_oracle_cases_reach_every_axiom():
     assert seen == {"lower-bound", "convexity-x", "convexity-y", "graph-closure", "no-contact"}
     b = Formula(2, bumpy)
     assert np.isinf(b.table(g, g)).any()
+    # the tabulated cover on the dense grid fails more than 1,000 entries
+    g = grids(2)["dense"]
+    name, b, _ = cases(2)[3]
+    assert name == "tabulated"
+    assert len(verify_axioms(b, g, g[::-1] + 0.25).counterexamples) > 1000
 
 
 def test_verify_axioms_on_a_b_infinity_table_matches_oracle():

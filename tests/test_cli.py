@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import bipotkit
-from bipotkit.cli import main
+from bipotkit.bipotentials import embed_dual, embed_primal
+from bipotkit.cli import _probe_stacks, main
 from bipotkit.demos import DEMO_NAMES, build_antitone_law, build_sign_law, nonbic_cover
 from bipotkit.formats import save_cover, save_law
 from bipotkit.laws import LawGraph
@@ -204,6 +205,17 @@ def test_build_on_a_form_of_bad_dimension(tmp_path, capsys, dim):
     code, out, err = run(capsys, "build", str(path), "--mode", "grid")
     assert (code, out) == (1, "")
     assert err == f"dimension must be an integer in [1, 3], got {dim!r}\n"
+
+
+@pytest.mark.parametrize("spec", ["-2:2:9", "-0.0:-0.0:2", "-1e-300:3:4"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_probe_stacks_equal_the_embedded_probes_bit_for_bit(spec, dim):
+    xs, ys = _probe_stacks(dim, spec)
+    g = np.linspace(*map(float, spec.split(":")[:2]), int(spec.split(":")[2]))
+    want_x = np.array([embed_primal(s, dim) for s in g])
+    want_y = np.array([embed_dual(t, dim) for t in g])
+    assert xs.shape == want_x.shape and xs.tobytes() == want_x.tobytes()
+    assert ys.shape == want_y.shape and ys.tobytes() == want_y.tobytes()
 
 
 def test_build_bad_probe_grid(files, capsys):

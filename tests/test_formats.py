@@ -22,12 +22,12 @@ from bipotkit.covers import TabulatedFamily, norm_cover, quadratic_cover, separa
 from bipotkit.demos import build_antitone_law, build_plasticity_law, build_sign_law, nonbic_cover
 from bipotkit.formats import (
     FormatError,
+    _probe_lines,
     cover_from_data,
     cover_to_data,
     csv_header,
     dump_extended,
     dumps,
-    fmt,
     function_from_data,
     function_to_data,
     law_from_data,
@@ -43,7 +43,7 @@ from bipotkit.formats import (
 from bipotkit.laws import Ball, FailingSlice, HalfLineRay, LawGraph, Segment, Singleton
 from bipotkit.numerics import INF
 
-from .oracles import oracle_dumps, reference_to_jsonable
+from .oracles import oracle_dumps, oracle_fmt, reference_to_jsonable
 
 
 def v(*coords):
@@ -266,10 +266,10 @@ def test_save_load_cover(tmp_path):
 
 
 def test_fmt_significant_digits_and_negative_zero():
-    assert fmt(1.0) == "1"
-    assert fmt(-0.0) == "0"
-    assert fmt(1 / 3) == "0.333333333333"
-    assert fmt(INF) == "inf"
+    assert oracle_fmt(1.0) == "1"
+    assert oracle_fmt(-0.0) == "0"
+    assert oracle_fmt(1 / 3) == "0.333333333333"
+    assert oracle_fmt(INF) == "inf"
 
 
 def test_csv_header_by_dimension():
@@ -283,6 +283,37 @@ def test_probe_rows_lexicographic():
     ys = np.array([[-1.0], [1.0]])
     rows = list(probe_rows(b, xs, ys))
     assert rows == ["0,-1,0,0", "0,1,0,0", "1,-1,1,-1", "1,1,1,1"]
+
+
+CSV_SPECIALS = [-0.0, 0.0, INF, -INF, float("nan"), -float("nan"), 5e-324, -5e-324,
+                1e308, -1e308, 1 / 3, 999999999999.5, 1e16, 0.1]
+CSV_VALUES = st.one_of(st.sampled_from(CSV_SPECIALS), st.floats())
+
+
+@st.composite
+def probe_tables(draw):
+    """Hand-made (xg, yg, B, P) tables of special values: 1 x 1, 1 x m,
+    n x 1 and n x m, in dimensions 1 to 3."""
+    n, m = draw(st.sampled_from([(1, 1), (1, 4), (4, 1), (3, 2)]))
+    dim = draw(st.integers(1, 3))
+
+    def stack(shape):
+        return np.array(draw(st.lists(CSV_VALUES, min_size=shape[0] * shape[1],
+                                      max_size=shape[0] * shape[1]))).reshape(shape)
+
+    return stack((n, dim)), stack((m, dim)), stack((n, m)), stack((n, m))
+
+
+@settings(max_examples=300, deadline=None)
+@given(probe_tables())
+@example((np.array([[-0.0]]), np.array([[5e-324]]), np.array([[float("nan")]]),
+          np.array([[999999999999.5]])))
+def test_probe_lines_print_each_value_as_the_reference(table):
+    xg, yg, B, P = table
+    coords = [[oracle_fmt(c) for c in p] for p in (*xg, *yg)]
+    want = [",".join(coords[i] + coords[len(xg) + j] + [oracle_fmt(B[i, j]), oracle_fmt(P[i, j])])
+            for i in range(len(xg)) for j in range(len(yg))]
+    assert _probe_lines(table) == want
 
 
 # ---------------------------------------------------------------------------

@@ -33,11 +33,11 @@ from bipotkit.cli import main
 from bipotkit.convex import IndicatorBall, Quadratic, ScaledNorm
 from bipotkit.covers import SWEEP_CHUNK
 from bipotkit.demos import _reference_line, build_cauchy_law, build_sign_law, nonbic_cover
-from bipotkit.formats import fmt, probe_rows, save_cover
+from bipotkit.formats import probe_rows, save_cover
 from bipotkit.laws import Ball, HalfLineRay, LawGraph, Segment, Singleton
 from bipotkit.numerics import inner, norm
 
-from .oracles import oracle_table
+from .oracles import oracle_fmt, oracle_table
 
 rng = np.random.default_rng(2024)
 
@@ -277,8 +277,8 @@ def test_huge_probes_overflow_to_inf_without_warnings(tmp_path, capsys):
 
 
 def old_probe_rows(b, xs, ys):
-    return [",".join([fmt(c) for c in x] + [fmt(c) for c in y]
-                     + [fmt(b.value(x, y)), fmt(inner(x, y))])
+    return [",".join([oracle_fmt(c) for c in x] + [oracle_fmt(c) for c in y]
+                     + [oracle_fmt(b.value(x, y)), oracle_fmt(inner(x, y))])
             for x in xs for y in ys]
 
 
