@@ -9,8 +9,13 @@ implementation for benchmark records.
 The sweeps are synchronous: each one reads only the previous sweep's
 distances. Both therefore stop at the first sweep that changes nothing,
 since every later sweep would repeat it, and return exactly what the full
-n - 1 sweeps return. Data with a negative cycle (for Bellman-Ford) keeps
-relaxing and still runs all n - 1 sweeps and the check sweep.
+n - 1 sweeps return. Bellman-Ford also stops on data with a negative cycle:
+after sweeps 1, 2, 4, 8, ... it checks whether its predecessors close a
+cycle that weighs below -tol, and returns at the first check that finds one.
+That is at most ceil(log2 n) checks on data that converges, and a stop at
+most twice as late as the first sweep that closes such a cycle; data that
+neither converges nor shows such a cycle at a check runs all n - 1 sweeps
+and the check sweep.
 
 Both sweeps reduce along the contiguous axis of a C-ordered array.
 Bellman-Ford transposes the weights once, so that row j lists the edges
@@ -99,25 +104,86 @@ def conjugate_merge(x, v, y):
 # previous sweep's distances)
 
 
-def bellman_ford(w):
-    """n-1 shortest-walk sweeps from a virtual zero source plus one check
-    sweep. Returns (pred, improvement): improvement[j] > 0 means node j would
-    still relax, i.e. a negative cycle feeds it. The first sweep in which no
-    node strictly improves ends the run, and stands for the check sweep."""
+def cycle_sum(w, cycle):
+    """Weight of a directed cycle, accumulated in traversal order."""
+    s = 0.0
+    for t in range(len(cycle)):
+        s += w[cycle[t], cycle[(t + 1) % len(cycle)]]
+    return s
+
+
+def pred_cycles(pred):
+    """The distinct cycles of a predecessor array (pred[v] = u is the edge
+    u -> v, -1 none), each in edge order and led by its smallest node, in
+    order of that node.
+
+    The nodes on cycles come from pointer doubling: ceil(log2 n) gathers of
+    the array into itself, with a sink appended at index n (which -1 also
+    indexes), move every node 2^k >= n steps back, which ends on a cycle or
+    in the sink, and the cycle nodes are what the nodes land on. Only those
+    are walked, one cycle each.
+    """
+    n = pred.size
+    jump = np.empty(n + 1, dtype=np.int64)
+    jump[:n] = pred
+    jump[n] = n
+    for _ in range((n - 1).bit_length()):
+        jump = jump[jump]
+    if jump.min() == n:  # every walk ended in the sink
+        return []
+    on = np.zeros(n + 1, dtype=bool)
+    on[jump] = True
+    back = pred.tolist()
+    cycles, seen = [], set()
+    for u in np.flatnonzero(on[:n]).tolist():
+        if u not in seen:
+            seq = [u]  # u, pred[u], pred[pred[u]], ...: the edges reversed
+            while back[seq[-1]] != u:
+                seq.append(back[seq[-1]])
+            seen.update(seq)
+            cycles.append((u, *seq[:0:-1]))
+    return cycles
+
+
+def bellman_ford(w, tol=0.0):
+    """Shortest-walk sweeps from a virtual zero source: n - 1 sweeps plus
+    one check sweep at most. Returns (pred, improvement) of the sweep that
+    ends the run: improvement[j] > 0 means node j still relaxes, i.e. a
+    negative cycle feeds it.
+
+    The run ends at the first sweep in which no node strictly improves
+    (a fixed point, which stands for the check sweep), at the first check
+    after sweeps 1, 2, 4, 8, ... in which ``pred`` closes a cycle whose
+    :func:`cycle_sum` lies below -tol, or after sweep n. Each distinct
+    cycle is summed once per run.
+    """
     n = w.shape[0]
     wt = np.ascontiguousarray(w.T)  # row j: the weights of the edges into j
     dist = np.zeros(n)
     pred = np.full(n, -1, dtype=np.int64)
     rows = np.arange(n)
-    for sweep in range(n):
+    sums = {}
+    for sweep in range(1, n + 1):
         cand = wt + dist
         arg = cand.argmin(axis=1)
         best = cand[rows, arg]
         improved = best < dist
         pred = np.where(improved, arg, pred)
-        if sweep == n - 1 or not improved.any():
+        if sweep == n or not improved.any() or (
+                sweep & (sweep - 1) == 0 and _closes_cycle(w, pred, tol, sums)):
             return pred, np.where(improved, dist - best, 0.0)
         dist = np.where(improved, best, dist)
+
+
+def _closes_cycle(w, pred, tol, sums):
+    """Whether a cycle of ``pred`` weighs below -tol; ``sums`` keeps the
+    weight of every cycle seen in the run."""
+    for cycle in pred_cycles(pred):
+        if cycle not in sums:
+            sums[cycle] = cycle_sum(w, cycle)
+        if sums[cycle] < -tol:
+            return True
+    return False
 
 
 def longest_path(w, base):

@@ -10,15 +10,16 @@ express on its own.
 Cyclic monotonicity is decided on the complete digraph over the sample
 indices with edge weight w(i, j) = <x_j - x_i, y_i>: the samples are
 cyclically monotone iff no directed cycle has positive weight. Detection
-negates the weights and runs Bellman-Ford sweeps; a relaxation that still
-succeeds after n-1 sweeps exposes a positive cycle, which is extracted and
-returned as the witness. The sweeps stop at their fixed point, which
-monotone samples reach early; samples with a positive cycle still run all
-n - 1 sweeps, since their witness is read from the last one.
+negates the weights and runs Bellman-Ford sweeps, which stop at their fixed
+point (monotone samples reach it early) or at the first check, after sweeps
+1, 2, 4, 8, ..., whose predecessors close a cycle with sum above tol;
+otherwise a relaxation that still succeeds after n-1 sweeps keeps the
+verdict open until the last one. The witness is read from the predecessors
+of the sweep where the run ended.
 
 Both tests work on whole arrays: slices are grouped by exact row keys and
-screened through all their midpoints at once, and the predecessor walks
-that find cycles advance every improving node together.
+screened through all their midpoints at once, and the cycles of the
+predecessors are found by pointer doubling.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
+from .kernels import cycle_sum
 from .convex import MaxAffine
 from .covers import SWEEP_CHUNK
 from .numerics import _batch_inner, _batch_norm2, _row_keys, as_vector, norm, vec_key
@@ -442,73 +444,35 @@ def weight_matrix(law):
     return _batch_inner(law.xs[None] - law.xs[:, None], law.ys[:, None])
 
 
-def cycle_sum(w, cycle):
-    """Weight of a directed cycle, accumulated in traversal order."""
-    s = 0.0
-    for t in range(len(cycle)):
-        s += w[cycle[t], cycle[(t + 1) % len(cycle)]]
-    return s
-
-
-def _canonical_cycle(cycle):
-    k = int(np.argmin(cycle))
-    return tuple(cycle[k:] + cycle[:k])
-
-
-def _cycle_entries(pred, starts):
-    """Distinct nodes that m steps along ``pred`` lead to from ``starts``,
-    in first-appearance order, walked for all starts at once. A walk of m
-    steps over m nodes ends on a cycle of ``pred``; one that meets a -1
-    (no predecessor) has no cycle and is dropped."""
-    m = pred.size
-    step = np.append(np.where(pred < 0, m, pred), m)  # node m: a sink for -1
-    u = starts
-    for _ in range(m):
-        u = step[u]
-    u = u[u < m]
-    _, first = np.unique(u, return_index=True)
-    return u[np.sort(first)].tolist()
-
-
-def _cycle_through(pred, u):
-    """The cycle of ``pred`` through node u, in edge order, rotated so its
-    smallest index leads."""
-    seq = [u]
-    v = pred[u]
-    while v != u:
-        seq.append(v)
-        v = pred[v]
-    return _canonical_cycle(seq[::-1])
-
-
 def cyclic_monotonicity_check(law, tol=DEFAULT_TOL):
     """Bellman-Ford screen for positive cycles in the sample weights.
 
     Cycle sums in (0, tol] are treated as zero: floating chain sums of
-    genuinely monotone data land there. The witness, when present, is a
-    positive cycle with sum above tol, rotated so its smallest index leads.
+    genuinely monotone data land there. The sweeps stop at the first check,
+    after sweeps 1, 2, 4, 8, ..., whose predecessors close a cycle with sum
+    above tol, so a refusal runs at most twice the sweeps that close its
+    cycle, and a monotone law pays at most ceil(log2 n) checks. The
+    witness is the first cycle with the largest sum among the distinct
+    cycles of the predecessors where the run ended, taken in order of their
+    smallest index and rotated so that index leads.
     """
     return _cycle_report(weight_matrix(law), tol)
 
 
 def _cycle_report(w, tol):
-    """:func:`cyclic_monotonicity_check` on a weight matrix. Each cycle the
-    predecessors close is summed once; the first with the largest sum wins."""
+    """:func:`cyclic_monotonicity_check` on a weight matrix. A run that
+    reached its fixed point is monotone; otherwise each cycle of the
+    predecessors is summed once and the first with the largest sum wins."""
     m = w.shape[0]
     if m < 2:
         return CycleReport(True, None, 0.0)
-    pred, improvement = kernels.bellman_ford(-w)
-    pred_list = pred.tolist()
+    pred, improvement = kernels.bellman_ford(-w, tol)
     best_cycle, best_sum = None, 0.0
-    seen = set()
-    for u in _cycle_entries(pred, np.flatnonzero(improvement > 0.0)):
-        cyc = _cycle_through(pred_list, u)
-        if cyc in seen:
-            continue
-        seen.add(cyc)
-        s = cycle_sum(w, list(cyc))
-        if s > best_sum:
-            best_cycle, best_sum = cyc, s
+    if improvement.any():
+        for cyc in kernels.pred_cycles(pred):
+            s = cycle_sum(w, cyc)
+            if s > best_sum:
+                best_cycle, best_sum = cyc, s
     if best_cycle is not None and best_sum > tol:
         return CycleReport(False, best_cycle, best_sum)
     return CycleReport(True, None, 0.0)

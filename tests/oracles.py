@@ -502,7 +502,18 @@ def oracle_contacts(B, xs, ys, tol):
 
 # ---------------------------------------------------------------------------
 # law layer: the full-sweep kernels and the per-node cycle extraction, as
-# they stood before the sweeps learned to stop at their fixed point
+# they stood before the sweeps learned to stop, and the checked sweeps that
+# stop at a closed cycle, one sweep at a time
+
+
+def _oracle_sweep(w, dist, pred):
+    """One column sweep: (dist, pred, improvement) after it."""
+    cand = dist[:, None] + w
+    best = cand.min(axis=0)
+    arg = cand.argmin(axis=0)
+    improved = best < dist
+    return (np.where(improved, best, dist), np.where(improved, arg, pred),
+            np.where(improved, dist - best, 0.0))
 
 
 def oracle_bellman_ford(w):
@@ -511,20 +522,39 @@ def oracle_bellman_ford(w):
     n = w.shape[0]
     dist = np.zeros(n)
     pred = np.full(n, -1, dtype=np.int64)
-    for _ in range(n - 1):
-        cand = dist[:, None] + w
-        best = cand.min(axis=0)
-        arg = cand.argmin(axis=0)
-        improved = best < dist
-        pred = np.where(improved, arg, pred)
-        dist = np.where(improved, best, dist)
-    cand = dist[:, None] + w
-    best = cand.min(axis=0)
-    arg = cand.argmin(axis=0)
-    improved = best < dist
-    pred = np.where(improved, arg, pred)
-    improvement = np.where(improved, dist - best, 0.0)
+    for _ in range(n):
+        dist, pred, improvement = _oracle_sweep(w, dist, pred)
     return pred, improvement
+
+
+def oracle_pred_cycles(pred):
+    """Distinct cycles of ``pred`` (pred[v] = u is the edge u -> v) by one
+    walk per node: n steps back from every node end on a cycle unless they
+    meet a -1. Each cycle is in edge order from its smallest node, and the
+    cycles come in order of that node."""
+    m = len(pred)
+    found = {_oracle_cycle_from_pred(pred, j, m) for j in range(m)}
+    return sorted(found - {None})
+
+
+def oracle_checked_bellman_ford(w, tol=0.0, every_sweep=False):
+    """The column sweeps one at a time, checking the predecessors after
+    sweeps 1, 2, 4, 8, ... (after every sweep with ``every_sweep``). The run
+    ends at the first sweep that improves no node, at the first check that
+    finds a cycle of ``pred`` weighing below -tol, or after sweep n.
+    Returns (pred, improvement, last sweep, whether a check stopped it)."""
+    n = w.shape[0]
+    dist = np.zeros(n)
+    pred = np.full(n, -1, dtype=np.int64)
+    for sweep in range(1, n + 1):
+        dist, pred, improvement = _oracle_sweep(w, dist, pred)
+        if not (improvement > 0.0).any():
+            break
+        checked = every_sweep or math.log2(sweep).is_integer()
+        if sweep < n and checked and any(oracle_cycle_sum(w, c) < -tol
+                                         for c in oracle_pred_cycles(pred)):
+            return pred, improvement, sweep, True
+    return pred, improvement, sweep, False
 
 
 def oracle_longest_path(w, base):
@@ -564,25 +594,34 @@ def _oracle_cycle_from_pred(pred, start, m):
 
 def oracle_cycle_witness(w, tol):
     """(cyclically monotone, witness cycle, cycle sum) of the weights w: the
-    full-sweep Bellman-Ford screen, then one predecessor walk per improving
-    node; the first cycle with the largest sum above tol is the witness."""
+    checked sweeps on -w, then every cycle of their last predecessors unless
+    they reached a fixed point; the first cycle with the largest sum above
+    tol, in order of smallest node, is the witness."""
     m = w.shape[0]
     if m < 2:
         return True, None, 0.0
-    pred, improvement = oracle_bellman_ford(-w)
+    pred, improvement, _, _ = oracle_checked_bellman_ford(-w, tol)
     best_cycle, best_sum = None, 0.0
-    seen = set()
-    for j in np.nonzero(improvement > 0.0)[0]:
-        cyc = _oracle_cycle_from_pred(pred, j, m)
-        if cyc is None or cyc in seen:
-            continue
-        seen.add(cyc)
-        s = oracle_cycle_sum(w, cyc)
-        if s > best_sum:
-            best_cycle, best_sum = cyc, s
+    if (improvement > 0.0).any():
+        for cyc in oracle_pred_cycles(pred):
+            s = oracle_cycle_sum(w, cyc)
+            if s > best_sum:
+                best_cycle, best_sum = cyc, s
     if best_cycle is not None and best_sum > tol:
         return False, best_cycle, best_sum
     return True, None, 0.0
+
+
+def oracle_full_sweep_verdict(w, tol):
+    """Cyclic monotonicity as the full sweeps decide it: one predecessor walk
+    from each node that still improves in the check sweep, and monotone
+    unless one of those cycles sums above tol."""
+    m = w.shape[0]
+    if m < 2:
+        return True
+    pred, improvement = oracle_bellman_ford(-w)
+    cycles = {_oracle_cycle_from_pred(pred, j, m) for j in np.nonzero(improvement > 0.0)[0]}
+    return not any(oracle_cycle_sum(w, cyc) > tol for cyc in cycles - {None})
 
 
 def oracle_bb_check(law, tol):

@@ -46,6 +46,7 @@ from bipotkit.laws import (
 )
 from bipotkit.numerics import INF, inner
 
+from .exact import exact_cycle_sum
 from .oracles import bruteforce_chain_offsets, exhaustive_cycle_check
 
 PROBE_41 = np.linspace(-2.0, 2.0, 41)
@@ -165,11 +166,16 @@ def test_criterion_5_cycle_detector_matches_enumeration():
         if not expected:
             if not cycle_sum(w, verdict.witness_cycle) > tol:
                 report(5, False, "witness cycle is not positive")
+            if not (verdict.cycle_sum > tol
+                    and exact_cycle_sum(law.xs, law.ys, verdict.witness_cycle) > 0):
+                report(5, False, f"witness cycle {verdict.witness_cycle} does not "
+                                 f"sum exactly above 0 with a reported sum above tol")
         agreements += 1
-    anti = cyclic_monotonicity_check(LawGraph([(np.zeros(1), np.zeros(1)),
-                                               (np.ones(1), -np.ones(1))]))
+    antitone = LawGraph([(np.zeros(1), np.zeros(1)), (np.ones(1), -np.ones(1))])
+    anti = cyclic_monotonicity_check(antitone)
     ok = (agreements == 500 and not anti.cyclically_monotone
-          and anti.witness_cycle == (0, 1) and anti.cycle_sum == 1.0)
+          and anti.witness_cycle == (0, 1) and anti.cycle_sum == 1.0
+          and exact_cycle_sum(antitone.xs, antitone.ys, anti.witness_cycle) == 1)
     report(5, ok, f"detector agreed with exhaustive enumeration on "
                   f"{agreements}/500 random laws; antitone witness cycle "
                   f"{anti.witness_cycle} with sum {anti.cycle_sum}")

@@ -16,6 +16,8 @@ from bipotkit.laws import LawGraph
 from bipotkit.covers import norm_cover, quadratic_cover, separable_cover
 from bipotkit.convex import Quadratic
 
+from .exact import exact_cycle_sum
+
 
 def v(*coords):
     return np.array([float(c) for c in coords])
@@ -38,6 +40,13 @@ def files(tmp_path):
         paths[p.name.removesuffix(".json")] = str(p)
     paths["dir"] = tmp_path
     return paths
+
+
+def assert_witness_is_exact(law, report, tol=1e-9):
+    """A refusal's witness cycle sums exactly above 0, and its reported
+    float sum lies above tol."""
+    assert report["cycle_sum"] > tol
+    assert exact_cycle_sum(law.xs, law.ys, report["witness_cycle"]) > 0
 
 
 def run(capsys, *argv):
@@ -66,6 +75,7 @@ def test_check_law_antitone_is_bb_with_cycle_witness(files, capsys):
     assert not report["cycle_report"]["cyclically_monotone"]
     assert report["cycle_report"]["witness_cycle"] == [0, 1]
     assert report["cycle_report"]["cycle_sum"] == 1.0
+    assert_witness_is_exact(build_antitone_law(), report["cycle_report"])
 
 
 def test_check_law_non_bb_exits_two(files, capsys):
@@ -149,6 +159,7 @@ def test_reconstruct_antitone_exits_two_with_witness(files, capsys):
     assert report["error"] == "not-cyclically-monotone"
     assert report["witness_cycle"] == [0, 1]
     assert report["cycle_sum"] == 1.0
+    assert_witness_is_exact(build_antitone_law(), report)
 
 
 def test_reconstruct_output_is_deterministic(files, capsys):

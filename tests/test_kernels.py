@@ -15,6 +15,7 @@ from bipotkit import kernels
 from .oracles import (
     bruteforce_chain_offsets,
     oracle_bellman_ford,
+    oracle_checked_bellman_ford,
     oracle_longest_path,
     python_conjugate,
 )
@@ -101,14 +102,28 @@ def square_weights(draw):
     return draw(arrays(np.float64, (n, n), elements=st.integers(-3, 3).map(float)))
 
 
-@settings(max_examples=200, deadline=None)
-@given(square_weights())
-def test_sweeps_that_stop_early_equal_the_full_sweeps(w):
-    # small integer weights: many ties, some negative cycles, n from 1
-    pred, improvement = kernels.bellman_ford(w)
-    want_pred, want_improvement = oracle_bellman_ford(w)
+def assert_sweeps_match_the_oracles(w, tol):
+    """The kernel equals the checked sweeps bit for bit, and the full sweeps
+    wherever no check stopped the run. Returns the kernel's improvement and
+    whether a check stopped it."""
+    pred, improvement = kernels.bellman_ford(w, tol)
+    want_pred, want_improvement, _, stopped = oracle_checked_bellman_ford(w, tol)
     assert pred.tobytes() == want_pred.tobytes()
     assert improvement.tobytes() == want_improvement.tobytes()
+    if not stopped:
+        want_pred, want_improvement = oracle_bellman_ford(w)
+        assert pred.tobytes() == want_pred.tobytes()
+        assert improvement.tobytes() == want_improvement.tobytes()
+    return improvement, stopped
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_weights(), st.sampled_from([0.0, 1.0, np.inf]))
+def test_sweeps_that_stop_early_equal_the_full_sweeps(w, tol):
+    # small integer weights: many ties, some negative cycles, n from 1; with
+    # tol = inf no check stops, so every draw meets the full sweeps
+    _, stopped = assert_sweeps_match_the_oracles(w, tol)
+    assert not (stopped and tol == np.inf)
     for base in range(w.shape[0]):
         assert kernels.longest_path(w, base).tobytes() == oracle_longest_path(w, base).tobytes()
 
@@ -129,17 +144,46 @@ def weights_with_a_negative_cycle(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(weights_with_a_negative_cycle())
-def test_row_major_sweeps_equal_the_column_sweeps_at_scale(w):
-    # the oracle reduces down the columns of dist[:, None] + w
+@given(weights_with_a_negative_cycle(), st.sampled_from([0.0, np.inf]))
+def test_row_major_sweeps_equal_the_column_sweeps_at_scale(w, tol):
+    # the oracle reduces down the columns of dist[:, None] + w; with
+    # tol = inf no check stops, so the +-inf draws meet the full sweeps too
     with np.errstate(invalid="ignore"):
-        pred, improvement = kernels.bellman_ford(w)
-        want_pred, want_improvement = oracle_bellman_ford(w)
+        improvement, stopped = assert_sweeps_match_the_oracles(w, tol)
+    if np.isfinite(w).all():
+        # the cycle still relaxes in the sweep that ends the run
+        assert improvement.max() > 0.0
+    assert not (stopped and tol == np.inf)
+
+
+def test_a_cycle_closed_at_sweep_10_stops_at_the_sweep_16_check(pred_checks):
+    # a chain 0 -> 1 -> ... -> 9 of weight -1 per edge brings node 9 to -9
+    # after sweep 9; the edge 9 -> 0 of weight 8.5 then closes the cycle
+    # (weight -0.5) at sweep 10, and the checks come after 1, 2, 4, 8, 16
+    n = 24
+    w = np.full((n, n), 10.0)
+    np.fill_diagonal(w, 0.0)
+    w[np.arange(9), np.arange(1, 10)] = -1.0
+    w[9, 0] = 8.5
+    closed = oracle_checked_bellman_ford(w, every_sweep=True)
+    assert closed[2:] == (10, True)
+    pred, improvement = kernels.bellman_ford(w)
+    want_pred, want_improvement, sweeps, stopped = oracle_checked_bellman_ford(w)
+    assert (sweeps, stopped, len(pred_checks)) == (16, True, 5)
     assert pred.tobytes() == want_pred.tobytes()
     assert improvement.tobytes() == want_improvement.tobytes()
-    if np.isfinite(w).all():
-        # the cycle still relaxes in the check sweep, so no sweep was skipped
-        assert improvement.max() > 0.0
+    assert kernels.pred_cycles(pred) == [tuple(range(10))]
+
+
+def test_pred_cycles_finds_each_cycle_once_from_its_smallest_node():
+    # 0 -> 2 -> 5 -> 0, a self-loop at 3, 1 and 4 hanging off cycles, and
+    # 6 -> 7 ending at a node with no predecessor
+    pred = np.array([5, 0, 0, 3, 1, 2, -1, 6])
+    assert kernels.pred_cycles(pred) == [(0, 2, 5), (3,)]
+    assert kernels.pred_cycles(np.array([-1])) == []
+    assert kernels.pred_cycles(np.array([1, 0])) == [(0, 1)]
+    # a path through all n nodes ends in the sink, not on a cycle
+    assert kernels.pred_cycles(np.array([-1, 0, 1, 2, 3])) == []
 
 
 def test_longest_path_keeps_sweeping_through_nan():

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,13 +23,17 @@ from bipotkit.laws import (
 
 from bipotkit import kernels
 
+from .exact import exact_cycle_sum
 from .oracles import (
     exhaustive_cycle_check,
     oracle_bb_check,
     oracle_bellman_ford,
+    oracle_checked_bellman_ford,
     oracle_cycle_witness,
+    oracle_full_sweep_verdict,
     oracle_hint_holds,
     oracle_longest_path,
+    oracle_pred_cycles,
 )
 
 
@@ -37,6 +43,14 @@ def v(*coords):
 
 def law_1d(pairs, **kw):
     return LawGraph([(np.array([x]), np.array([y])) for x, y in pairs], **kw)
+
+
+def assert_refusal_is_exact(law, report, tol):
+    """A refusal ships a cycle whose float sum lies above tol and whose
+    exact sum lies above 0."""
+    assert not report.cyclically_monotone
+    assert report.cycle_sum > tol
+    assert exact_cycle_sum(law.xs, law.ys, report.witness_cycle) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +312,9 @@ def test_weight_matrix_formula():
 
 
 def test_antitone_pair_is_rejected_with_cycle():
-    report = cyclic_monotonicity_check(law_1d([(0, 0), (1, -1)]))
-    assert not report.cyclically_monotone
+    law = law_1d([(0, 0), (1, -1)])
+    report = cyclic_monotonicity_check(law)
+    assert_refusal_is_exact(law, report, 1e-9)
     assert report.witness_cycle == (0, 1)
     assert report.cycle_sum == 1.0
 
@@ -313,8 +328,8 @@ def test_borderline_cycle_counts_as_monotone():
     tol = 1e-9
     report = cyclic_monotonicity_check(law_1d([(0, 0), (1, -tol / 2)]), tol=tol)
     assert report.cyclically_monotone
-    report = cyclic_monotonicity_check(law_1d([(0, 0), (1, -2 * tol)]), tol=tol)
-    assert not report.cyclically_monotone
+    law = law_1d([(0, 0), (1, -2 * tol)])
+    assert_refusal_is_exact(law, cyclic_monotonicity_check(law, tol=tol), tol)
 
 
 def test_detector_agrees_with_exhaustive_enumeration():
@@ -331,6 +346,7 @@ def test_detector_agrees_with_exhaustive_enumeration():
         assert report.cyclically_monotone == ok, (law.pairs, best)
         if not ok:
             assert cycle_sum(w, report.witness_cycle) > tol
+            assert_refusal_is_exact(law, report, tol)
 
 
 @settings(max_examples=60)
@@ -341,6 +357,8 @@ def test_detector_agreement_property(pairs):
     report = cyclic_monotonicity_check(law)
     ok, _, _ = exhaustive_cycle_check(weight_matrix(law), 1e-9)
     assert report.cyclically_monotone == ok
+    if not ok:
+        assert_refusal_is_exact(law, report, 1e-9)
 
 
 def test_gradient_samples_are_cyclically_monotone():
@@ -375,9 +393,11 @@ def test_reconstruct_single_pair():
 
 
 def test_reconstruct_rejects_antitone():
+    law = law_1d([(0, 0), (1, -1)])
     with pytest.raises(NotCyclicallyMonotoneError) as exc:
-        rockafellar_reconstruct(law_1d([(0, 0), (1, -1)]))
+        rockafellar_reconstruct(law)
     assert exc.value.report.witness_cycle == (0, 1)
+    assert_refusal_is_exact(law, exc.value.report, 1e-9)
 
 
 def test_reconstruct_interpolates_subgradients():
@@ -392,9 +412,9 @@ def test_reconstruct_interpolates_subgradients():
 
 
 # ---------------------------------------------------------------------------
-# oracle parity: the sweeps that stop at their fixed point, the one-shot
-# cycle extraction and the array slice screen against the full-sweep,
-# per-node and pair-by-pair originals, bit for bit
+# oracle parity: the sweeps that stop at their fixed point or at a closed
+# cycle, the doubling cycle extraction and the array slice screen against
+# the one-sweep-at-a-time, per-node and pair-by-pair originals, bit for bit
 
 DYADIC = st.integers(-8, 8).map(lambda k: k / 4)
 
@@ -425,16 +445,27 @@ def oracle_laws(draw):
 
 def assert_reports_match_oracles(law, tol):
     w = weight_matrix(law)
-    pred, improvement = kernels.bellman_ford(-w)
-    want_pred, want_improvement = oracle_bellman_ford(-w)
+    pred, improvement = kernels.bellman_ford(-w, tol)
+    want_pred, want_improvement, _, stopped = oracle_checked_bellman_ford(-w, tol)
     assert pred.tobytes() == want_pred.tobytes()
     assert improvement.tobytes() == want_improvement.tobytes()
+    if not stopped:
+        want_pred, want_improvement = oracle_bellman_ford(-w)
+        assert pred.tobytes() == want_pred.tobytes()
+        assert improvement.tobytes() == want_improvement.tobytes()
     for base in range(len(law)):
         assert kernels.longest_path(w, base).tobytes() == oracle_longest_path(w, base).tobytes()
     report = cyclic_monotonicity_check(law, tol)
     ok, cycle, total = oracle_cycle_witness(w, tol)
     assert (report.cyclically_monotone, report.witness_cycle) == (ok, cycle)
     assert np.float64(report.cycle_sum).tobytes() == np.float64(total).tobytes()
+    if not ok:
+        assert_refusal_is_exact(law, report, tol)
+    # the full sweeps may miss a cycle a check found, never the reverse, and
+    # then the cycle found must sum exactly above tol
+    if oracle_full_sweep_verdict(w, tol) != ok:
+        assert not ok
+        assert exact_cycle_sum(law.xs, law.ys, cycle) > Fraction(tol)
     if ok:
         phi = rockafellar_reconstruct(law, base=len(law) - 1, tol=tol)
         c = oracle_longest_path(w, len(law) - 1)
@@ -464,28 +495,57 @@ def test_oracle_parity_on_edge_laws():
 
 
 def test_tied_cycles_keep_the_first_found_witness():
-    # the predecessors close two cycles with the same sum; the one reached
-    # from the lowest improving node wins
+    # expectations from the oracle: the first law stops after sweep 1 with
+    # one cycle closed; in the second, the predecessors at the stop close two
+    # cycles of sum 9, and the one with the smaller lead node wins
     law = law_1d([(-1, 1), (0, -2), (1, -1), (-2, 0), (-1, 0), (-2, -2)])
     assert_reports_match_oracles(law, 1e-9)
     report = cyclic_monotonicity_check(law)
-    assert (report.witness_cycle, report.cycle_sum) == ((0, 2), 4.0)
+    assert (report.witness_cycle, report.cycle_sum) == ((0, 1), 3.0)
     law = LawGraph([(np.array(x), np.array(y)) for x, y in zip(
         [[1.0, 0.0], [0.0, -1.0], [1.0, 1.0], [-1.0, -1.0], [-1.0, 2.0], [2.0, -1.0]],
         [[1.0, 0.0], [-2.0, -2.0], [2.0, -2.0], [0.0, 1.0], [-1.0, -2.0], [1.0, 2.0]])])
+    w = weight_matrix(law)
+    pred, _, sweeps, stopped = oracle_checked_bellman_ford(-w, 1e-9)
+    assert (sweeps, stopped) == (1, True)
+    assert [(c, exact_cycle_sum(law.xs, law.ys, c)) for c in oracle_pred_cycles(pred)] == [((2, 5), 9), ((3, 4), 9)]
     assert_reports_match_oracles(law, 1e-9)
-    assert cyclic_monotonicity_check(law).witness_cycle == (3, 4)
+    assert cyclic_monotonicity_check(law).witness_cycle == (2, 5)
 
 
-def test_refuting_law_runs_every_sweep():
-    # a positive 3-cycle with sum 3 among 40 monotone samples: its witness
-    # comes from the predecessors of the last sweep
-    rng = np.random.default_rng(11)
-    x = np.sort(rng.uniform(-2, 2, 40))
-    pairs = [(v, 2 * v) for v in x] + [(0.0, 3.0), (1.0, 1.0), (2.0, -1.0)]
-    law = law_1d(pairs)
+def test_a_swapped_pair_among_200_stops_after_sweep_1(pred_checks):
+    # y = 2x on dyadic x, with the slopes of the two end samples swapped:
+    # each is the other's best predecessor from the first sweep on
+    x = (np.arange(200) - 100) / 64
+    y = 2 * x
+    y[[0, 199]] = y[[199, 0]]
+    law = law_1d(list(zip(x, y)))
+    w = weight_matrix(law)
+    _, _, sweeps, stopped = oracle_checked_bellman_ford(-w, 1e-9)
+    assert (sweeps, stopped) == (1, True)
+    report = cyclic_monotonicity_check(law)
+    assert len(pred_checks) == 2  # the check after sweep 1, then the witness
+    assert report.witness_cycle == (0, 199)
+    assert_refusal_is_exact(law, report, 1e-9)
     assert_reports_match_oracles(law, 1e-9)
-    assert not cyclic_monotonicity_check(law).cyclically_monotone
+
+
+def test_a_cycle_summing_within_tol_runs_every_sweep(pred_checks):
+    # 40 samples of y = 2x away from [0, 1], and (0, 0), (1, -tol/2): their
+    # 2-cycle sums to tol/2, so no check stops the run and the law passes
+    tol = 1e-9
+    x = np.concatenate([np.arange(-20, 0), np.arange(9, 29)]) / 8
+    law = law_1d(list(zip(x, 2 * x)) + [(0.0, 0.0), (1.0, -tol / 2)])
+    n = len(law)
+    w = weight_matrix(law)
+    assert 0 < exact_cycle_sum(law.xs, law.ys, (40, 41)) <= Fraction(tol)
+    _, _, sweeps, stopped = oracle_checked_bellman_ford(-w, tol)
+    assert (sweeps, stopped) == (n, False)
+    report = cyclic_monotonicity_check(law, tol)
+    assert report.cyclically_monotone
+    # checks after sweeps 1, 2, 4, 8, 16, 32, then the final predecessors
+    assert len(pred_checks) == 7
+    assert_reports_match_oracles(law, tol)
 
 
 def assert_bb_matches_oracle(law, tol):
