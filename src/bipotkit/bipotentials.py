@@ -395,17 +395,27 @@ def _midpoint_triples(g):
     """Index arrays (i, j, k) over the pairs i < j in row-major order, with
     g[k] the first grid point equal to the midpoint of g[i], g[j] after
     rounding to 9 decimals at the grid's own scale (so uniform float grids
-    qualify), k not i or j."""
+    qualify), k not i or j. A grid too fine for that rounding, one where it
+    would merge distinct probes, is keyed exactly instead."""
     n = g.shape[0]
     g = _key_grid(g)
-    keys = _row_keys(np.round(g, 9))
-    order = np.argsort(keys, kind="stable")  # equal keys keep index order
-    table = keys[order]
+
+    def key(a):
+        return _row_keys(a if exact else np.round(a, 9))
+
+    for exact in (False, True):
+        keys = key(g)
+        order = np.argsort(keys, kind="stable")  # equal keys keep index order
+        table = keys[order]
+        # probes that share a key sit side by side in key order
+        tie = table[1:] == table[:-1]
+        if not (g[order[1:]][tie] != g[order[:-1]][tie]).any():
+            break
     i, j = np.triu_indices(n, 1)
     hits = []
     for part in _chunks(i.size, g.shape[1]):
         a, b = i[part], j[part]
-        mid = _row_keys(np.round(0.5 * (g[a] + g[b]), 9))
+        mid = key(0.5 * (g[a] + g[b]))
         pos = np.minimum(np.searchsorted(table, mid), n - 1)
         k = order[pos]
         keep = (table[pos] == mid) & (k != a) & (k != b)

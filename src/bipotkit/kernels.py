@@ -18,8 +18,9 @@ neither converges nor shows such a cycle at a check runs all n - 1 sweeps
 and the check sweep.
 
 Both sweeps reduce along the contiguous axis of a C-ordered array.
-Bellman-Ford transposes the weights once, so that row j lists the edges
-into node j, and takes each sweep's minimum along rows. The sums are the
+Bellman-Ford reads the weights transposed, so that row j lists the edges
+into node j (a view of Fortran-ordered weights, one copy of any other), and
+takes each sweep's minimum along rows. The sums are the
 same floats as dist[i] + w[i, j], since IEEE addition is commutative, and
 ``argmin`` keeps the first minimal index and stops at the first NaN either
 way. The max-plus sweep keeps ``max(axis=0)``, which numpy already
@@ -151,6 +152,11 @@ def bellman_ford(w, tol=0.0):
     ends the run: improvement[j] > 0 means node j still relaxes, i.e. a
     negative cycle feeds it.
 
+    The sweeps read ``w.T`` in C order, which is a view when ``w`` is
+    Fortran-ordered and one copy otherwise, and every sweep writes its
+    candidates into the same n x n buffer, so a run holds at most the
+    weights, that transpose and one candidate plane.
+
     The run ends at the first sweep in which no node strictly improves
     (a fixed point, which stands for the check sweep), at the first check
     after sweeps 1, 2, 4, 8, ... in which ``pred`` closes a cycle whose
@@ -161,10 +167,11 @@ def bellman_ford(w, tol=0.0):
     wt = np.ascontiguousarray(w.T)  # row j: the weights of the edges into j
     dist = np.zeros(n)
     pred = np.full(n, -1, dtype=np.int64)
+    cand = np.empty((n, n))
     rows = np.arange(n)
     sums = {}
     for sweep in range(1, n + 1):
-        cand = wt + dist
+        np.add(wt, dist, out=cand)
         arg = cand.argmin(axis=1)
         best = cand[rows, arg]
         improved = best < dist

@@ -33,7 +33,7 @@ from . import kernels
 from .kernels import cycle_sum
 from .convex import MaxAffine
 from .covers import SWEEP_CHUNK
-from .numerics import _batch_inner, _batch_norm2, _row_keys, as_vector, norm, vec_key
+from .numerics import _batch_inner, _batch_norm2, _diff_inner, _row_keys, as_vector, norm, vec_key
 
 DEFAULT_TOL = 1e-9
 
@@ -327,13 +327,17 @@ class LawGraph:
         """:meth:`contains` for every pair of two trusted probe stacks, as a
         (len(xg), len(yg)) boolean matrix. A stored pair matches exactly, or
         within ``snap`` in both coordinates when ``snap > 0``; each hint is
-        evaluated only on the rows (primal) or columns (dual) at its anchor."""
+        evaluated only on the rows (primal) or columns (dual) at its anchor.
+        Distances and equalities are taken one coordinate plane at a time."""
         if snap > 0.0:
-            near_x = _batch_norm(self.xs[None] - xg[:, None]) <= snap
-            near_y = _batch_norm(self.ys[None] - yg[:, None]) <= snap
+            near_x = np.sqrt(_diff_inner(self.xs[None], xg[:, None])) <= snap
+            near_y = np.sqrt(_diff_inner(self.ys[None], yg[:, None])) <= snap
         else:
-            near_x = np.all(self.xs[None] == xg[:, None], axis=2)
-            near_y = np.all(self.ys[None] == yg[:, None], axis=2)
+            near_x = np.ones((len(xg), len(self)), dtype=bool)
+            near_y = np.ones((len(yg), len(self)), dtype=bool)
+            for k in range(self.dim):
+                near_x &= self.xs[None, :, k] == xg[:, None, k]
+                near_y &= self.ys[None, :, k] == yg[:, None, k]
         # some stored pair i near both: a product of 0/1 matrices, exact in floats
         member = near_x.astype(np.float64) @ near_y.T.astype(np.float64) > 0.0
         # primal hints fill rows, dual hints columns (rows of the transpose)
@@ -385,12 +389,12 @@ def _midpoint_failure(members, tol):
     midpoints of the pairs i < j of the (k, dim) stack ``members`` are
     screened in row-major order, ``SWEEP_CHUNK`` distances at a time.
     """
-    k, dim = members.shape
+    k = members.shape[0]
     i, j = np.triu_indices(k, 1)
-    step = max(1, SWEEP_CHUNK // (k * dim))
+    step = max(1, SWEEP_CHUNK // k)
     for start in range(0, i.size, step):
         mids = 0.5 * (members[i[start:start + step]] + members[j[start:start + step]])
-        far = np.flatnonzero((_batch_norm(mids[:, None] - members[None]) > tol).all(axis=1))
+        far = np.flatnonzero((np.sqrt(_diff_inner(mids[:, None], members[None])) > tol).all(axis=1))
         if far.size:
             return mids[far[0]].copy()
     return None
@@ -439,9 +443,11 @@ def weight_matrix(law):
 
     Accumulated coordinate by coordinate in the same order as
     :func:`bipotkit.numerics.inner` applied to (x_j - x_i, y_i), so scalar
-    re-checks reproduce the matrix entries bit for bit.
+    re-checks reproduce the matrix entries bit for bit. The differences are
+    paired one coordinate plane at a time (:func:`numerics._diff_inner`),
+    so the matrix is built in two n x n planes.
     """
-    return _batch_inner(law.xs[None] - law.xs[:, None], law.ys[:, None])
+    return _diff_inner(law.xs[None], law.xs[:, None], law.ys[:, None])
 
 
 def cyclic_monotonicity_check(law, tol=DEFAULT_TOL):
@@ -462,11 +468,15 @@ def cyclic_monotonicity_check(law, tol=DEFAULT_TOL):
 def _cycle_report(w, tol):
     """:func:`cyclic_monotonicity_check` on a weight matrix. A run that
     reached its fixed point is monotone; otherwise each cycle of the
-    predecessors is summed once and the first with the largest sum wins."""
+    predecessors is summed once and the first with the largest sum wins.
+
+    The negated weights go to the sweeps in Fortran order, whose transpose
+    the kernel reads as a view, so the screen holds three n x n planes: w,
+    its negation and the sweeps' one candidate buffer."""
     m = w.shape[0]
     if m < 2:
         return CycleReport(True, None, 0.0)
-    pred, improvement = kernels.bellman_ford(-w, tol)
+    pred, improvement = kernels.bellman_ford(np.negative(w, order="F"), tol)
     best_cycle, best_sum = None, 0.0
     if improvement.any():
         for cyc in kernels.pred_cycles(pred):

@@ -114,6 +114,25 @@ def _batch_norm2(vs):
     return _batch_inner(vs, vs)
 
 
+def _diff_inner(a, b, c=None):
+    """``_batch_inner(a - b, c)``, or ``_batch_norm2(a - b)`` when ``c`` is
+    None, with the same bits, for broadcastable stacks of trusted vectors.
+
+    The differences are paired one coordinate plane at a time into a
+    preallocated result, so no (..., dim) stack of differences is built:
+    the working set is the result and one scratch plane of its shape.
+    """
+    shapes = [a.shape[:-1], b.shape[:-1]] + ([] if c is None else [c.shape[:-1]])
+    out = np.zeros(np.broadcast_shapes(*shapes))
+    plane = np.empty_like(out)
+    with np.errstate(over="ignore"):
+        for k in range(a.shape[-1]):
+            np.subtract(a[..., k], b[..., k], out=plane)
+            np.multiply(plane, plane if c is None else c[..., k], out=plane)
+            out += plane
+    return out
+
+
 def _row_keys(a):
     """One opaque key per row of a float64 array; two keys are equal exactly
     when the rows are equal coordinate for coordinate (-0.0 meets 0.0)."""

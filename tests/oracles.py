@@ -423,13 +423,18 @@ def oracle_midpoint_triples(g):
     """(i, j, k) for i < j in order, k the first point whose coordinates,
     scaled by 2**-e (:func:`oracle_key_exponent`) and rounded to 9
     decimals, equal those of the scaled and rounded midpoint of g[i] and
-    g[j]; dropped when that first k is i or j."""
+    g[j]; dropped when that first k is i or j. When rounding would give two
+    distinct points one key, every key is the point itself."""
     g = _lists(g)
     e = oracle_key_exponent(g)
     g = [[math.ldexp(c, -e) for c in p] for p in g]
 
     def rounded(p):
         return [float(np.round(c, 9)) for c in p]
+
+    if len({tuple(rounded(p)) for p in g}) < len({tuple(p) for p in g}):
+        def rounded(p):
+            return list(p)
 
     keys = [rounded(p) for p in g]
     out = []

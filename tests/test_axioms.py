@@ -194,6 +194,25 @@ def test_midpoint_triples_on_dyadic_grids_are_exact(points, exponent):
     assert oracle_midpoint_triples(g) == want
 
 
+def test_a_grid_too_fine_for_its_key_rounding_is_keyed_exactly():
+    # at 9 decimals all three probes keyed as 1.0, which gave (1, 2, 0); the
+    # float midpoint of the ends is the middle probe exactly (the exact one
+    # is not a float)
+    g = np.array([[1.0], [1.0 + 1e-12], [1.0 + 2e-12]])
+    assert 0.5 * (g[0, 0] + g[2, 0]) == g[1, 0]
+    assert triples(g) == oracle_midpoint_triples(g) == [(0, 2, 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(DYADIC_GRIDS)
+def test_midpoint_triples_on_grids_finer_than_the_key_rounding_are_exact(points):
+    # 1 + m * 2**-40: probes 9.1e-13 apart, every midpoint exact in floats
+    g = 1.0 + np.ldexp(np.array(points, dtype=np.float64), -40)
+    want = exact_midpoint_triples(g)
+    assert triples(g) == want
+    assert oracle_midpoint_triples(g) == want
+
+
 @pytest.mark.parametrize("chunk", CHUNKS)
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("grid", GRIDS)

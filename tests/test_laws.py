@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,8 @@ from bipotkit.laws import (
     weight_matrix,
 )
 
-from bipotkit import kernels
+from bipotkit import kernels, laws
+from bipotkit.numerics import _batch_inner, _batch_norm2, _diff_inner, inner
 
 from .exact import exact_cycle_sum
 from .oracles import (
@@ -32,6 +34,7 @@ from .oracles import (
     oracle_cycle_witness,
     oracle_full_sweep_verdict,
     oracle_hint_holds,
+    oracle_law_member,
     oracle_longest_path,
     oracle_pred_cycles,
 )
@@ -587,3 +590,103 @@ def test_bb_check_large_slice_matches_the_oracle():
     ys = list(np.linspace(0.0, 1.0, 119)) + [3.0]
     assert_bb_matches_oracle(law_1d([(0.0, y) for y in ys]), 1e-9)
     assert_bb_matches_oracle(law_1d([(0.0, y) for y in ys[:-1]]), 1e-3)
+
+
+# ---------------------------------------------------------------------------
+# plane-wise pairing: weights, snap distances and midpoint distances against
+# scalar pairings, bit for bit
+
+WIDE = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(1e-150, 1e150)).map(lambda t: t[0] * t[1]))
+
+
+@st.composite
+def wide_laws(draw):
+    """Laws in dims 1-3 with coordinates of magnitude 1e-150 to 1e150 or
+    signed zeros, some pairs repeating the x of one drawn pair and the y
+    of another (or of the same one)."""
+    dim = draw(st.integers(1, 3))
+    row = st.lists(WIDE, min_size=dim, max_size=dim)
+    pairs = draw(st.lists(st.tuples(row, row), min_size=1, max_size=8))
+    index = st.integers(0, len(pairs) - 1)
+    pairs += [(pairs[a][0], pairs[b][1])
+              for a, b in draw(st.lists(st.tuples(index, index), max_size=4))]
+    return LawGraph([(np.array(x), np.array(y)) for x, y in pairs])
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_laws())
+def test_plane_wise_pairings_equal_scalar_pairings_bit_for_bit(law):
+    xs, ys = law.xs, law.ys
+    rows = range(len(law))
+    w = weight_matrix(law)
+    d2 = _diff_inner(xs[None], xs[:, None])
+    assert bits(w) == bits([[inner(xs[j] - xs[i], ys[i]) for j in rows] for i in rows])
+    assert bits(d2) == bits([[inner(xs[j] - xs[i], xs[j] - xs[i]) for j in rows] for i in rows])
+    assert bits(w) == bits(_batch_inner(xs[None] - xs[:, None], ys[:, None]))
+    assert bits(d2) == bits(_batch_norm2(xs[None] - xs[:, None]))
+
+
+QUARTERS = st.one_of(DYADIC, st.just(-0.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_membership_matches_the_oracle(data):
+    dim = data.draw(st.integers(1, 3))
+    row = st.lists(QUARTERS, min_size=dim, max_size=dim)
+    pairs = data.draw(st.lists(st.tuples(row, row), min_size=1, max_size=6))
+    law = LawGraph([(np.array(x), np.array(y)) for x, y in pairs])
+    # probes: stored coordinates and free points
+    stored_x = st.sampled_from([x for x, _ in pairs])
+    stored_y = st.sampled_from([y for _, y in pairs])
+    xg = data.draw(st.lists(st.one_of(stored_x, row), min_size=1, max_size=6))
+    yg = data.draw(st.lists(st.one_of(stored_y, row), min_size=1, max_size=6))
+    snap = data.draw(st.sampled_from([0.0, 0.25, 0.3, 1.0]))
+    got = law._membership(np.array(xg), np.array(yg), snap)
+    assert got.tolist() == [[oracle_law_member(law, x, y, snap) for y in yg] for x in xg]
+
+
+@pytest.mark.parametrize("chunk", [laws.SWEEP_CHUNK, 7])
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0]), min_size=2, max_size=2),
+                          st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.25, 1.0]), min_size=2, max_size=2)),
+                min_size=1, max_size=12),
+       st.sampled_from([0.0, 0.3, 1.0]))
+def test_bb_check_midpoints_match_the_oracle_in_any_chunk(chunk, pairs, tol):
+    law = LawGraph([(np.array(x), np.array(y)) for x, y in pairs])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(laws, "SWEEP_CHUNK", chunk)
+        assert_bb_matches_oracle(law, tol)
+
+
+def traced_peak(fn):
+    fn()  # first calls allocate once-only caches
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_law_screen_peak_memory_stays_under_four_weight_planes():
+    # the screen holds three n x n planes (w, its negation and the sweeps'
+    # candidates) and a few vectors
+    n = 200
+    rng = np.random.default_rng(5)
+    xs = rng.uniform(-2.0, 2.0, size=(n, 2))
+    ys = xs @ np.array([[2.0, 0.5], [0.5, 1.0]])  # the gradient of a convex quadratic
+    monotone = LawGraph._from_arrays(xs, ys)
+    swapped = LawGraph._from_arrays(xs, ys[::-1].copy())
+    plane = n * n * 8
+    assert traced_peak(lambda: cyclic_monotonicity_check(monotone)) < 4 * plane
+    assert traced_peak(lambda: rockafellar_reconstruct(monotone)) < 4 * plane
+    assert traced_peak(lambda: cyclic_monotonicity_check(swapped)) < 4 * plane
+    assert cyclic_monotonicity_check(monotone).cyclically_monotone
+    assert not cyclic_monotonicity_check(swapped).cyclically_monotone
