@@ -604,7 +604,8 @@ def default_probe_plan(cover):
             # a domain away from [0.5, 4]: four finite nodes of its own grid
             grid = cover.domain.sample_grid
             grid = grid[np.isfinite(grid)]
-            lams = grid[np.unique(np.linspace(0, grid.size - 1, 4).round().astype(int))].tolist()
+            at = sorted(set(np.linspace(0, grid.size - 1, 4).round().astype(int).tolist()))
+            lams = grid[at].tolist()
     else:
         lams = [float(lam) for lam in cover.domain.sample_grid[:8]]
     pairs = tuple((a, b) for a in lams for b in lams)

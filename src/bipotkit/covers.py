@@ -24,7 +24,15 @@ from .convex import (
     _as_grid,
     conjugate,
 )
-from .numerics import INF, _batch_inner, _batch_norm2, _inner, as_vector, ensure_extended
+from .numerics import (
+    INF,
+    _batch_inner,
+    _batch_norm2,
+    _inner,
+    _run_starts,
+    as_vector,
+    ensure_extended,
+)
 
 DEFAULT_GRID_LO = 1e-4
 DEFAULT_GRID_HI = 1e4
@@ -37,6 +45,10 @@ GRID_TOL = 1e-3
 # most parameter x probe entries one batched infimum sweep holds at once;
 # beyond it the sweep's temporaries grow with the probe count, not its speed
 SWEEP_CHUNK = 2 ** 15
+
+# widest window of grid nodes a family's ``sweep_windows`` hands the sweep;
+# a pair whose window is wider takes the full grid
+WINDOW_NODES = 4
 
 
 class PreconditionError(ValueError):
@@ -108,7 +120,8 @@ class ClosedInterval:
         ends = [self.lo]
         if self.hi < INF:
             ends.append(self.hi)
-        grid = np.unique(np.concatenate([core, np.asarray(ends)]))
+        grid = np.sort(np.concatenate([core, np.asarray(ends)]))
+        grid = grid[_run_starts(grid)]
         if self.includes_infinity:
             grid = np.append(grid, INF)
         grid.flags.writeable = False
@@ -165,6 +178,23 @@ class FiniteSet:
 # pairs over the same leading axes. The candidate rules ``candidate`` and
 # ``candidate_dual`` depend on (lambda1, lambda2, alpha) only: the BIC screen
 # calls them once per (lambda1, lambda2, alpha) block with the point None.
+# The quadratic and norm families also have ``sweep_windows(grid, x, y)``:
+# for each pair of the broadcast stacks, a run (start, width) of nodes of
+# the ascending sample grid that provably holds the first minimum of f over
+# the whole grid, or width 0 where no such run is proven.
+
+
+# squared norms and parameters in [2**-300, 2**300] keep both quadratic
+# terms and their sum normal, with products and quotients in [2**-601, 2**600]
+_SAFE_LO, _SAFE_HI = 2.0 ** -300, 2.0 ** 300
+# a bound, in units of u = 2**-53, on how far above 1 the ratio of two
+# quadratic members' exact values can be while their float values are in
+# the opposite order (5 is needed, see sweep_windows)
+_KAPPA = 8
+# bound on the error of a computed log-distance between the grid nodes and a
+# pair's minimizer: a few ulps of logs below 210 in magnitude are about
+# 1e-13, so this slack leaves three orders of magnitude to spare
+_LOG_SLACK = 2.0 ** -30
 
 
 def _sum_of_parts(self, lams, x, y):
@@ -221,6 +251,45 @@ class QuadraticFamily:
         return _with_ends(lams, p, x, INF), _with_ends(lams, d, y, 0.0)
 
     f_many = _sum_of_parts
+
+    def sweep_windows(self, grid, x, y):
+        """Per pair, the run of grid nodes within d_min + sqrt(2 kappa u) +
+        2 slack of the minimizer in log-distance, d_min that of the nearest
+        node; width 0 for a zero vector, for a squared norm or a finite
+        positive node outside [2**-300, 2**300], and for a run of more than
+        ``WINDOW_NODES`` nodes.
+
+        With a = ||x||^2 and b = ||y||^2 positive, f(lambda) = sqrt(ab)
+        cosh(t - t*) at t = ln lambda, t* = ln sqrt(b/a). In the safe range
+        ``parts`` rounds (lambda/2) a, (b/2)/lambda and their sum once each
+        (the halvings are exact), so the float value lies within
+        [(1-u)^2, (1+u)^2] f, u = 2**-53. A node can then hold or tie the
+        float minimum only if cosh(d) <= cosh(d_min) ((1+u)/(1-u))^2 <
+        cosh(d_min) (1 + 5u), d its log-distance to t* and d_min the least
+        over the nodes; kappa = 8 covers the 5. As cosh(d_min + delta) >=
+        cosh(d_min) cosh(delta) >= cosh(d_min) (1 + delta^2 / 2), every node
+        farther than d_min + sqrt(2 kappa u) fails that test. The slack
+        covers the rounding of the computed log-distances, once for d_min
+        and once for d. The 0 and inf nodes are +inf for nonzero x and y.
+        The run is searched by log-distance, not as a fixed number of nodes
+        around the nearest, because the domain ends sit among the log-grid
+        nodes at irregular spacing."""
+        a, b = _batch_norm2(x), _batch_norm2(y)
+        # the finite positive nodes
+        lo, hi = np.searchsorted(grid, 0.0, "right"), np.searchsorted(grid, INF, "left")
+        if lo == hi or grid[lo] < _SAFE_LO or grid[hi - 1] > _SAFE_HI:
+            return 0, 0
+        t = np.log(grid[lo:hi])
+        safe = (_SAFE_LO <= a) & (a <= _SAFE_HI) & (_SAFE_LO <= b) & (b <= _SAFE_HI)
+        t_star = 0.5 * (np.log(np.clip(b, _SAFE_LO, _SAFE_HI))
+                       - np.log(np.clip(a, _SAFE_LO, _SAFE_HI)))
+        k = np.searchsorted(t, t_star)
+        d_min = np.minimum(np.abs(t_star - t[np.maximum(k - 1, 0)]),
+                           np.abs(t[np.minimum(k, t.size - 1)] - t_star))
+        reach = d_min + (math.sqrt(2 * _KAPPA * 2.0 ** -53) + 2 * _LOG_SLACK)
+        start = np.searchsorted(t, t_star - reach, "left")
+        width = np.searchsorted(t, t_star + reach, "right") - start
+        return lo + start, np.where(safe & (width <= WINDOW_NODES), width, 0)
 
     def finite_boundary_lams(self, x, y):
         return []
@@ -285,6 +354,22 @@ class NormFamily:
         return _with_ends(lams, p, x, INF), _with_ends(lams, d, y, 0.0)
 
     f_many = _sum_of_parts
+
+    def sweep_windows(self, grid, x, y):
+        """Per pair, the first node that passes ``parts``' test ||y|| <=
+        lambda, and the node after it too when that first node is the 0
+        member of a nonzero y (+inf there though its squared norm
+        underflows to 0); never width 0.
+
+        f is +inf on the nodes that fail the test, and lambda ||x|| on the
+        others, which correct rounding keeps non-decreasing up to the inf
+        member (the indicator of x = 0); so the first passing node holds
+        the first minimum. Where no node passes, the last one stands in: a
+        window whose minimum is +inf means a grid of +inf values."""
+        ny = np.sqrt(_batch_norm2(y))
+        start = np.minimum(np.searchsorted(grid, ny, "left"), grid.size - 1)
+        width = np.where((grid[start] == 0.0) & y.any(axis=-1), 2, 1)
+        return start, np.minimum(width, grid.size - start)
 
     def finite_boundary_lams(self, x, y):
         # f(., x, y) switches from +inf to finite exactly at lambda = ||y||;
@@ -446,52 +531,47 @@ class Cover:
         """Grid-infimum values over probe stacks of shape (..., dim) that
         broadcast against each other: paired stacks give one value per pair,
         ``xs[:, None]`` against ``ys[None]`` the product table. Entry for
-        entry equal to :meth:`grid_infimum`."""
+        entry equal to :meth:`grid_infimum`, and to a sweep of every grid
+        node: the quadratic and norm families evaluate each pair only on the
+        few nodes that can hold its first minimum (see :meth:`_sweep`)."""
         return self._sweep(_as_stack(xs, self.dim), _as_stack(ys, self.dim))[0]
 
     def _sweep(self, xs, ys):
         """(values, attaining lambdas) of the grid infimum over trusted probe
         stacks broadcast against each other, with at least one leading axis.
 
-        The sample grid runs in blocks of parameters. Per block, ``parts``
-        evaluates phi over the x stack and phi* over the y stack, once per
-        probe of each; their broadcast sums, at most about ``SWEEP_CHUNK``
-        entries at a time, update a running first minimum that only a
-        strictly lower value replaces. Each probe's finiteness boundaries
-        where the domain holds them follow: a boundary wins when its value
-        is lower, or equal at a smaller lambda. The attaining lambda is thus
-        the first minimum in ascending order."""
+        A family with ``sweep_windows`` names, for each pair, a run of at
+        most ``WINDOW_NODES`` grid nodes that holds its first minimum over
+        the whole grid, and ``parts`` evaluates those nodes alone, pair by
+        pair, in slabs of about ``SWEEP_CHUNK / 16`` pairs along the first
+        axis; a run whose minimum is +inf answers node 0, as a grid of +inf
+        values does. The pairs without a run, and every pair of a family
+        without the hook, take the full grid (:func:`_grid_sweep`). Each
+        probe's finiteness boundaries where the domain holds them follow: a
+        boundary wins when its value is lower, or equal at a smaller lambda.
+        The attaining lambda is thus the first minimum in ascending order,
+        with the same bits whichever way a pair is swept."""
         fam, dom = self.family, self.domain
         grid = dom.sample_grid
         shape = np.broadcast_shapes(xs.shape[:-1], ys.shape[:-1])
-        # entries per index of the first axis; a block's parts and one such
-        # index across the block each hold at most SWEEP_CHUNK entries
-        width = max(1, math.prod(shape[1:]))
-        probes = math.prod(xs.shape[:-1]) + math.prod(ys.shape[:-1])
-        block = max(1, min(grid.size, SWEEP_CHUNK // max(probes, width)))
-        rows = max(1, SWEEP_CHUNK // (block * width))
-        vals = np.full(shape, INF)
-        first = np.zeros(shape, dtype=np.intp)
-        for lo in range(0, grid.size, block):
-            lams = grid[lo:lo + block]
-            p, d = fam.parts(lams, xs[..., None, :], ys[..., None, :])
-            p = np.broadcast_to(p, shape + lams.shape)
-            d = np.broadcast_to(d, shape + lams.shape)
-            for r in range(0, shape[0], rows):
-                with np.errstate(over="ignore"):  # a sum beyond the float range is +inf
-                    total = p[r:r + rows] + d[r:r + rows]
-                k = total.argmin(axis=-1)
-                low = np.take_along_axis(total, k[..., None], axis=-1)[..., 0]
-                wins = low < vals[r:r + rows]
-                vals[r:r + rows][wins] = low[wins]
-                first[r:r + rows][wins] = k[wins] + lo
-        lams = grid[first]
+        windows = getattr(fam, "sweep_windows", None)
+        if windows is None:
+            vals, first = _grid_sweep(fam, grid, xs, ys)
+        else:
+            vals, first = np.empty(shape), np.empty(shape, dtype=np.intp)
         xs = np.broadcast_to(xs, shape + xs.shape[-1:])
         ys = np.broadcast_to(ys, shape + ys.shape[-1:])
-        step = max(1, SWEEP_CHUNK // width)
+        lams = np.empty(shape)
+        # slabs along the first axis: a windowed pair keeps some 16 floats of
+        # temporaries alive, so SWEEP_CHUNK / 16 pairs hold about SWEEP_CHUNK
+        # of them
+        step = max(1, SWEEP_CHUNK // (16 * max(1, math.prod(shape[1:]))))
         for r in range(0, shape[0], step):
             x, y = xs[r:r + step], ys[r:r + step]
             v, lam = vals[r:r + step], lams[r:r + step]
+            if windows is not None:
+                v[...], first[r:r + step] = _windowed_sweep(fam, grid, x, y, windows)
+            lam[...] = grid[first[r:r + step]]
             for edge_lams in fam.finite_boundary_lams(x, y):
                 at = np.nonzero(dom.contains_many(edge_lams))
                 edge, edge_lams = fam.f_many(edge_lams[at], x[at], y[at]), edge_lams[at]
@@ -499,6 +579,64 @@ class Cover:
                 won = tuple(i[wins] for i in at)
                 v[won], lam[won] = edge[wins], edge_lams[wins]
         return vals, lams
+
+
+def _windowed_sweep(fam, grid, xs, ys, windows):
+    """(values, node indices) of the first minima of f over the grid for
+    point stacks of one shape (..., dim): over the run of nodes that
+    ``windows`` names for a pair, and over the whole grid for the pairs it
+    leaves out. A run narrower than the widest repeats its last node, which
+    the first minimum never picks over the earlier copy, and a run whose
+    minimum is +inf answers node 0."""
+    start, width = (np.broadcast_to(w, xs.shape[:-1]) for w in windows(grid, xs, ys))
+    vals, first = np.empty(xs.shape[:-1]), np.empty(xs.shape[:-1], dtype=np.intp)
+    on, off = width > 0, width == 0
+    if on.any():
+        start, width = start[on], width[on]
+        nodes = start[:, None] + np.minimum(np.arange(width.max()), width[:, None] - 1)
+        p, d = fam.parts(grid[nodes], xs[on][:, None], ys[on][:, None])
+        with np.errstate(over="ignore"):  # a sum beyond the float range is +inf
+            total = p + d
+        k = total.argmin(axis=-1)[:, None]
+        vals[on] = low = np.take_along_axis(total, k, axis=-1)[:, 0]
+        first[on] = np.where(low == INF, 0, np.take_along_axis(nodes, k, axis=-1)[:, 0])
+    if off.any():
+        vals[off], first[off] = _grid_sweep(fam, grid, xs[off], ys[off])
+    return vals, first
+
+
+def _grid_sweep(fam, grid, xs, ys):
+    """(values, node indices) of the first minima of f over the whole grid,
+    for stacks broadcast against each other with at least one leading axis.
+
+    The grid runs in blocks of parameters. Per block, ``parts`` evaluates
+    phi over the x stack and phi* over the y stack, once per probe of each;
+    their broadcast sums, at most about ``SWEEP_CHUNK`` entries at a time,
+    update a running first minimum that only a strictly lower value
+    replaces."""
+    shape = np.broadcast_shapes(xs.shape[:-1], ys.shape[:-1])
+    # entries per index of the first axis; a block's parts and one such
+    # index across the block each hold at most SWEEP_CHUNK entries
+    width = max(1, math.prod(shape[1:]))
+    probes = math.prod(xs.shape[:-1]) + math.prod(ys.shape[:-1])
+    block = max(1, min(grid.size, SWEEP_CHUNK // max(probes, width)))
+    rows = max(1, SWEEP_CHUNK // (block * width))
+    vals = np.full(shape, INF)
+    first = np.zeros(shape, dtype=np.intp)
+    for lo in range(0, grid.size, block):
+        lams = grid[lo:lo + block]
+        p, d = fam.parts(lams, xs[..., None, :], ys[..., None, :])
+        p = np.broadcast_to(p, shape + lams.shape)
+        d = np.broadcast_to(d, shape + lams.shape)
+        for r in range(0, shape[0], rows):
+            with np.errstate(over="ignore"):  # a sum beyond the float range is +inf
+                total = p[r:r + rows] + d[r:r + rows]
+            k = total.argmin(axis=-1)
+            low = np.take_along_axis(total, k[..., None], axis=-1)[..., 0]
+            wins = low < vals[r:r + rows]
+            vals[r:r + rows][wins] = low[wins]
+            first[r:r + rows][wins] = k[wins] + lo
+    return vals, first
 
 
 def _as_stack(points, dim):
@@ -586,7 +724,9 @@ def _touching(cover, xs, ys, tol):
         k, at = np.nonzero(fam.f_many(grid, x[:, None], y[:, None]) - pairing[:, None] <= tol)
         ks, lams = [k], [grid[at]]
         for edge in fam.finite_boundary_lams(x, y):
-            keep = np.flatnonzero(dom.contains_many(edge) & ~np.isin(edge, grid))
+            # the grid is ascending: a boundary on it equals the node it sorts at
+            on_grid = grid[np.minimum(np.searchsorted(grid, edge), grid.size - 1)] == edge
+            keep = np.flatnonzero(dom.contains_many(edge) & ~on_grid)
             hit = fam.f_many(edge[keep], x[keep], y[keep]) - pairing[keep] <= tol
             ks.append(keep[hit])
             lams.append(edge[keep][hit])

@@ -33,7 +33,16 @@ from . import kernels
 from .kernels import cycle_sum
 from .convex import MaxAffine
 from .covers import SWEEP_CHUNK
-from .numerics import _batch_inner, _batch_norm2, _diff_inner, _row_keys, as_vector, norm, vec_key
+from .numerics import (
+    _batch_inner,
+    _batch_norm2,
+    _diff_inner,
+    _row_keys,
+    _run_starts,
+    as_vector,
+    norm,
+    vec_key,
+)
 
 DEFAULT_TOL = 1e-9
 
@@ -373,8 +382,9 @@ def _anchor_rows(at, keys):
 def _distinct_rows(a):
     """Copies of the first row at each distinct coordinate of a (m, dim)
     stack (-0.0 meets 0.0), in first-appearance order."""
-    _, first = np.unique(_row_keys(a), return_index=True)
-    return [a[i].copy() for i in np.sort(first)]
+    keys = _row_keys(a)
+    rows = np.argsort(keys, kind="stable")  # equal keys keep storage order
+    return [a[i].copy() for i in np.sort(rows[_run_starts(keys[rows])])]
 
 
 # ---------------------------------------------------------------------------
@@ -425,10 +435,11 @@ def _slices(coords, others):
     first-appearance order: the first row of ``coords`` at each distinct
     coordinate (-0.0 meets 0.0) and the rows of ``others`` paired with it,
     in storage order."""
-    _, first, group = np.unique(_row_keys(coords), return_index=True, return_inverse=True)
-    counts = np.bincount(group)
-    rows = np.argsort(group, kind="stable")
-    starts = np.cumsum(counts) - counts
+    keys = _row_keys(coords)
+    rows = np.argsort(keys, kind="stable")  # each coordinate's rows side by side
+    starts = np.flatnonzero(_run_starts(keys[rows]))
+    counts = np.diff(starts, append=rows.size)
+    first = rows[starts]
     order = np.argsort(first)
     return [(coords[first[g]], others[rows[starts[g]:starts[g] + counts[g]]])
             for g in order[counts[order] >= 2]]

@@ -140,6 +140,12 @@ def _row_keys(a):
     return a.view(np.dtype((np.void, a.itemsize * a.shape[1]))).reshape(-1)
 
 
+def _run_starts(a):
+    """Mask of the entries of a nonempty sorted array that differ from the
+    entry before them; the first entry always does."""
+    return np.concatenate(([True], a[1:] != a[:-1]))
+
+
 def vec_key(x):
     """Hashable exact-coordinate key for dictionaries of vectors."""
     v = as_vector(x)

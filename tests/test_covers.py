@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -133,10 +135,11 @@ def test_f_many_sentinels_use_exact_zero_vectors():
         assert fam.f_many(ends, x, tiny).tolist() == [_oracle_member(cover, l, x, tiny)
                                                       for l in ends]
         assert cover.f_eval(0.0, x, tiny) == INF and cover.f_eval(INF, tiny, x) == INF
-    cover = quadratic_cover(1)
-    val, lam = cover.grid_infimum(x, tiny)
-    assert lam > 0.0 and val == cover.f_eval(lam, x, tiny)
-    assert cover.grid_infimum_values(x[None], tiny[None]).tolist() == [val]
+    for cover in (quadratic_cover(1), norm_cover(1)):
+        val, lam = cover.grid_infimum(x, tiny)
+        assert lam > 0.0 and val == cover.f_eval(lam, x, tiny)
+        assert cover.grid_infimum_values(x[None], tiny[None]).tolist() == [val]
+        assert (val, lam) == oracle_sweep(cover, x.tolist(), tiny.tolist())
 
 
 def test_f_many_broadcasts_over_point_stacks():
@@ -298,16 +301,36 @@ def test_separable_cover_is_constant_in_lambda():
     assert val == 2.5 and lam == 0.0
 
 
-SWEEP_COORDS = st.sampled_from([-1e200, -1.5, -1e-200, 0.0, 0.25, 1.0, 1e-200, 1e200])
+SWEEP_COORDS = st.one_of(
+    st.sampled_from([-1e200, -1.5, -1e-200, 0.0, 0.25, 1.0, 1e-200, 1e200]),
+    st.builds(lambda sign, mantissa, exponent: sign * mantissa * 10.0 ** exponent,
+              st.sampled_from([-1.0, 1.0]), st.floats(1.0, 10.0), st.integers(-160, 160)))
 MEMBER_LAMS = [0.0, 0.25, 0.5, 1.0, 2.0, 4.0, INF]
+
+
+@st.composite
+def irregular_lams(draw):
+    """1-8 parameters from [1e-3, 1e3] and the members above, sometimes
+    with a run of adjacent floats, wider than a sweep window, after one."""
+    lams = draw(st.lists(st.one_of(st.floats(1e-3, 1e3), st.sampled_from(MEMBER_LAMS)),
+                         min_size=1, max_size=8, unique=True))
+    if draw(st.booleans()):
+        lam = draw(st.floats(1e-3, 1e3))
+        for _ in range(draw(st.integers(1, covers.WINDOW_NODES + 2))):
+            lams.append(lam)
+            lam = float(np.nextafter(lam, INF))
+    return tuple(set(lams))
 
 
 @st.composite
 def covers_and_probes(draw):
     """A quadratic, norm, separable or tabulated cover in dims 1-3 (interval
-    and finite domains with and without the 0 and inf members) and two probe
-    stacks of 1-6 vectors with zero, tiny and huge coordinates; the stacks
-    are of equal length when ``paired`` is drawn."""
+    domains on two log grids of 2 to 5000 points, finite ones with regular
+    and irregular parameters, with and without the 0 and inf members) and
+    two probe stacks of 1-6 vectors with zero coordinates, magnitudes from
+    1e-160 to 1e160 and 1e-200 or 1e200, or a y stack that puts the
+    quadratic minimizers midway between two grid nodes; the stacks are of
+    equal length when ``paired`` is drawn."""
     dim = draw(st.integers(1, 3))
     kind = draw(st.sampled_from(["quadratic", "norm", "separable", "tabulated"]))
     if kind == "separable":
@@ -323,26 +346,40 @@ def covers_and_probes(draw):
         cover = tabulated_cover(rows)
     else:
         fam = QuadraticFamily(dim) if kind == "quadratic" else NormFamily(dim)
-        finite = draw(st.booleans())
-        if finite:
+        domain = draw(st.sampled_from(["interval", "members", "irregular"]))
+        if domain == "members":
             domain = FiniteSet(tuple(draw(st.lists(st.sampled_from(MEMBER_LAMS),
                                                    min_size=1, unique=True))))
+        elif domain == "irregular":
+            domain = FiniteSet(draw(irregular_lams()))
         else:
             lo, hi, inf_member = draw(st.sampled_from([(0.0, INF, True), (0.0, 5.0, False),
                                                        (0.4, 5.0, False), (0.5, INF, True)]))
+            grid_lo, grid_hi = draw(st.sampled_from([(1e-2, 1e2), (1e-4, 1e4)]))
             domain = ClosedInterval(lo, hi, includes_infinity=inf_member,
-                                    grid_points=draw(st.integers(2, 41)),
-                                    grid_lo=1e-2, grid_hi=1e2)
+                                    grid_points=draw(st.one_of(st.integers(2, 41),
+                                                               st.sampled_from([512, 5000]))),
+                                    grid_lo=grid_lo, grid_hi=grid_hi)
         cover = Cover(domain, fam)
     paired = draw(st.booleans())
     vectors = st.lists(SWEEP_COORDS, min_size=dim, max_size=dim)
     xs = draw(st.lists(vectors, min_size=1, max_size=6))
     ys = draw(st.lists(vectors, min_size=len(xs) if paired else 1,
                        max_size=len(xs) if paired else 6))
-    return cover, np.array(xs), np.array(ys), paired
+    xs, ys = np.array(xs), np.array(ys)
+    nodes = cover.domain.sample_grid[1:-1]
+    if nodes.size >= 2 and draw(st.booleans()):
+        # y = c x with c the geometric mean of two adjacent nodes: quadratic
+        # members tie there up to rounding
+        k = draw(st.integers(0, nodes.size - 2))
+        with np.errstate(over="ignore"):
+            tied = xs * math.sqrt(nodes[k] * nodes[k + 1])
+        if np.isfinite(tied).all():
+            ys = tied
+    return cover, xs, ys, paired
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(covers_and_probes())
 def test_sweep_matches_the_scalar_sweep(case):
     # the default chunk, then chunks that split the grid into parameter
@@ -366,6 +403,58 @@ def test_sweep_matches_the_scalar_sweep(case):
             vals, lams = cover._sweep(x, y)
         assert vals.reshape(-1).tobytes() == want_vals.tobytes(), chunk
         assert lams.reshape(-1).tobytes() == want_lams.tobytes(), chunk
+
+
+def test_windowed_sweep_evaluates_a_few_parameters_per_pair():
+    # a 41 x 41 table of nonzero probes over the default 512-point grid: the
+    # sweep hands ``parts`` at most WINDOW_NODES grid nodes per pair (plus,
+    # for norms, each pair's finiteness boundary), never the whole grid
+    rng = np.random.default_rng(41)
+    xs, ys = rng.uniform(-2, 2, size=(2, 41, 2))
+    for cover in (quadratic_cover(2), norm_cover(2)):
+        fam = type(cover.family)
+        parts, seen = fam.parts, []
+
+        def counted(self, lams, x, y):
+            seen.append(np.broadcast_shapes(np.shape(lams), x.shape[:-1], y.shape[:-1]))
+            return parts(self, lams, x, y)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fam, "parts", counted)
+            vals = cover.grid_infimum_values(xs[:, None], ys[None])
+        boundaries = len(cover.family.finite_boundary_lams(xs, ys))
+        assert sum(math.prod(shape) for shape in seen) <= 41 * 41 * (
+            covers.WINDOW_NODES + boundaries), fam
+        assert cover.domain.sample_grid.size > 500
+        want = [oracle_sweep(cover, x.tolist(), y.tolist())[0] for x in xs[:3] for y in ys]
+        assert vals[:3].reshape(-1).tolist() == want
+
+
+def test_sweep_windows_hold_ties_and_leave_clusters_to_the_full_grid():
+    # y = c x with c the geometric mean of adjacent nodes puts the minimizer
+    # midway between them, where the two quadratic members tie up to
+    # rounding: both are in the window. A run of adjacent floats wider than
+    # WINDOW_NODES around the minimizer sends the pair to the full grid.
+    rng = np.random.default_rng(43)
+    cover = quadratic_cover(2)
+    nodes = cover.domain.sample_grid
+    k = rng.integers(1, nodes.size - 2, size=30)
+    xs = rng.uniform(0.5, 2.0, size=(30, 2))
+    ys = xs * np.sqrt(nodes[k] * nodes[k + 1])[:, None]
+    start, width = cover.family.sweep_windows(nodes, xs, ys)
+    assert start.tolist() == k.tolist() and (width == 2).all()
+    lam, cluster = 1.5, []
+    for _ in range(covers.WINDOW_NODES + 1):
+        cluster.append(lam)
+        lam = float(np.nextafter(lam, INF))
+    clustered = Cover(FiniteSet(tuple(cluster) + (0.0, 0.25, 9.0, INF)), QuadraticFamily(2))
+    xs[:, 1] = 0.0
+    ys = np.stack([1.5 * xs[:, 0], np.zeros(30)], axis=1)
+    assert not clustered.family.sweep_windows(clustered.domain.sample_grid, xs, ys)[1].any()
+    for c, y in ((cover, xs * np.sqrt(nodes[k] * nodes[k + 1])[:, None]), (clustered, ys)):
+        vals, lams = c._sweep(xs, y)
+        want = [oracle_sweep(c, a.tolist(), b.tolist()) for a, b in zip(xs, y)]
+        assert list(zip(vals.tolist(), lams.tolist())) == want
 
 
 # ---------------------------------------------------------------------------
