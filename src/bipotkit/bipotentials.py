@@ -633,8 +633,10 @@ def _bic_screen(cover, lams, alphas, zs, fixed, first, tol):
     side of every tuple of the block, and one masked update over the chunk
     records the offered tuples it accepts and their deficits. The special
     parameters, one per tuple, take one ``f_many`` over the tuples still
-    undecided; the parameter grid then sweeps the tuples none of the
-    stages accepted, ``SWEEP_CHUNK`` parameter x tuple entries at a time.
+    undecided; the tuples none of the stages accepted then take the grid
+    infimum (``Cover._sweep``), ``SWEEP_CHUNK / grid size`` tuples at a
+    time. Its finiteness boundaries add nothing: the special stage tried
+    them with the same bits.
     """
     fam, dom = cover.family, cover.domain
     n, m, dim = zs.shape[0], fixed.shape[0], zs.shape[1]
@@ -686,8 +688,7 @@ def _bic_screen(cover, lams, alphas, zs, fixed, first, tol):
     mixed_k = mixed.reshape(len(alphas), n * n, 1, dim)
     fixed_b = fixed[None, None]
     step = max(1, _BIC_CHUNK // max(1, n * n * m))
-    grid = dom.sample_grid
-    sweep = max(1, SWEEP_CHUNK // grid.size)
+    sweep = max(1, SWEEP_CHUNK // dom.sample_grid.size)
     for start in range(0, nblocks, step):
         # the chunk's tuples, by (block, ab, c)
         blocks = np.arange(start, min(start + step, nblocks))
@@ -756,11 +757,10 @@ def _bic_screen(cover, lams, alphas, zs, fixed, first, tol):
         left = np.flatnonzero(undecided)
         for s in range(0, left.size, sweep):
             i = left[s:s + sweep]
-            x, y = point(*np.unravel_index(i, chunk))
-            vals = fam.f_many(grid, x[:, None, :], y[:, None, :])
-            d = vals.min(axis=1) - rhs[i]
+            vals = cover._sweep(*point(*np.unravel_index(i, chunk)))[0]
+            d = vals - rhs[i]
             low[i] = np.where(d < low[i], d, low[i])
-            undecided[i] = ~np.any(vals <= rtol[i, None], axis=1)
+            undecided[i] = ~(vals <= rtol[i])
         fails[p, k] = undecided.reshape(chunk[:1] + shape[2:])
         deficits.append(low[undecided])
     return fails, np.concatenate(deficits)

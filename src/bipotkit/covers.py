@@ -46,8 +46,8 @@ GRID_TOL = 1e-3
 # beyond it the sweep's temporaries grow with the probe count, not its speed
 SWEEP_CHUNK = 2 ** 15
 
-# widest window of grid nodes a family's ``sweep_windows`` hands the sweep;
-# a pair whose window is wider takes the full grid
+# widest run of grid nodes the sweep gathers for a whole slab at once; a
+# pair whose run is wider is swept in chunks of about SWEEP_CHUNK entries
 WINDOW_NODES = 4
 
 
@@ -178,10 +178,11 @@ class FiniteSet:
 # pairs over the same leading axes. The candidate rules ``candidate`` and
 # ``candidate_dual`` depend on (lambda1, lambda2, alpha) only: the BIC screen
 # calls them once per (lambda1, lambda2, alpha) block with the point None.
-# The quadratic and norm families also have ``sweep_windows(grid, x, y)``:
-# for each pair of the broadcast stacks, a run (start, width) of nodes of
-# the ascending sample grid that provably holds the first minimum of f over
-# the whole grid, or width 0 where no such run is proven.
+# Every family also has ``sweep_windows(grid, x, y)``: for each pair of the
+# broadcast stacks, a run (start, width), width at least 1, of nodes of the
+# ascending sample grid that provably holds the first minimum of f over the
+# whole grid, a NaN sum counted as +inf; the whole grid where no narrower
+# run is proven.
 
 
 # squared norms and parameters in [2**-300, 2**300] keep both quadratic
@@ -208,11 +209,12 @@ def _with_ends(lams, term, v, indicator_end):
     """``term`` at the 0 and inf members: the indicator of v = 0, on the
     exact coordinates, at ``indicator_end`` and 0 at the other end; a pass
     over ``term`` only for an end that ``lams`` holds."""
+    term = np.asarray(term)
     for end in (0.0, INF):
         at = np.equal(lams, end)
         if at.any():
             value = np.where(v.any(axis=-1), INF, 0.0) if end == indicator_end else 0.0
-            term = np.where(at, value, term)
+            np.copyto(term, value, where=at)
     return term
 
 
@@ -255,9 +257,11 @@ class QuadraticFamily:
     def sweep_windows(self, grid, x, y):
         """Per pair, the run of grid nodes within d_min + sqrt(2 kappa u) +
         2 slack of the minimizer in log-distance, d_min that of the nearest
-        node; width 0 for a zero vector, for a squared norm or a finite
-        positive node outside [2**-300, 2**300], and for a run of more than
-        ``WINDOW_NODES`` nodes.
+        node, for squared norms in [2**-300, 2**300]; node 0 for y = 0, and
+        the inf member, when the grid holds it, for x = 0 and ||y||^2 >=
+        2**-300; the whole grid for the other pairs, and for every pair but
+        y = 0 when the grid has no finite positive node or one outside
+        that range.
 
         With a = ||x||^2 and b = ||y||^2 positive, f(lambda) = sqrt(ab)
         cosh(t - t*) at t = ln lambda, t* = ln sqrt(b/a). In the safe range
@@ -273,23 +277,31 @@ class QuadraticFamily:
         and once for d. The 0 and inf nodes are +inf for nonzero x and y.
         The run is searched by log-distance, not as a fixed number of nodes
         around the nearest, because the domain ends sit among the log-grid
-        nodes at irregular spacing."""
+        nodes at irregular spacing.
+
+        For y = 0, f is 0 at the 0 member and the rounded (lambda/2) a,
+        non-decreasing, at the others, up to the indicator of x = 0 at inf.
+        For x = 0 and y != 0, f is +inf at 0 and 0 at inf, and (b/2)/lambda
+        >= 2**-601 > 0 at the finite nodes in the safe range."""
         a, b = _batch_norm2(x), _batch_norm2(y)
+        zero_y = ~y.any(axis=-1)
         # the finite positive nodes
         lo, hi = np.searchsorted(grid, 0.0, "right"), np.searchsorted(grid, INF, "left")
-        if lo == hi or grid[lo] < _SAFE_LO or grid[hi - 1] > _SAFE_HI:
-            return 0, 0
+        if not (lo < hi and _SAFE_LO <= grid[lo] and grid[hi - 1] <= _SAFE_HI):
+            return 0, np.where(zero_y, 1, grid.size)
         t = np.log(grid[lo:hi])
         safe = (_SAFE_LO <= a) & (a <= _SAFE_HI) & (_SAFE_LO <= b) & (b <= _SAFE_HI)
+        zero_x = ~x.any(axis=-1) & (b >= _SAFE_LO) & (grid[-1] == INF)
         t_star = 0.5 * (np.log(np.clip(b, _SAFE_LO, _SAFE_HI))
                        - np.log(np.clip(a, _SAFE_LO, _SAFE_HI)))
         k = np.searchsorted(t, t_star)
         d_min = np.minimum(np.abs(t_star - t[np.maximum(k - 1, 0)]),
                            np.abs(t[np.minimum(k, t.size - 1)] - t_star))
         reach = d_min + (math.sqrt(2 * _KAPPA * 2.0 ** -53) + 2 * _LOG_SLACK)
-        start = np.searchsorted(t, t_star - reach, "left")
-        width = np.searchsorted(t, t_star + reach, "right") - start
-        return lo + start, np.where(safe & (width <= WINDOW_NODES), width, 0)
+        near = np.searchsorted(t, t_star - reach, "left")
+        far = np.searchsorted(t, t_star + reach, "right")
+        return (np.select([safe, zero_x], [lo + near, grid.size - 1]),
+                np.select([safe, zero_x | zero_y], [far - near, 1], grid.size))
 
     def finite_boundary_lams(self, x, y):
         return []
@@ -359,7 +371,7 @@ class NormFamily:
         """Per pair, the first node that passes ``parts``' test ||y|| <=
         lambda, and the node after it too when that first node is the 0
         member of a nonzero y (+inf there though its squared norm
-        underflows to 0); never width 0.
+        underflows to 0).
 
         f is +inf on the nodes that fail the test, and lambda ||x|| on the
         others, which correct rounding keeps non-decreasing up to the inf
@@ -413,6 +425,10 @@ class SeparableFamily:
                                   _form_values(self.potential_star, y)))
 
     f_many = _sum_of_parts
+
+    def sweep_windows(self, grid, x, y):
+        """Node 0 for every pair: f does not depend on lambda."""
+        return 0, 1
 
     def finite_boundary_lams(self, x, y):
         return []
@@ -481,6 +497,10 @@ class TabulatedFamily:
 
     f_many = _sum_of_parts
 
+    def sweep_windows(self, grid, x, y):
+        """The whole grid, its members, for every pair."""
+        return 0, grid.size
+
     def finite_boundary_lams(self, x, y):
         return []
 
@@ -532,36 +552,28 @@ class Cover:
         broadcast against each other: paired stacks give one value per pair,
         ``xs[:, None]`` against ``ys[None]`` the product table. Entry for
         entry equal to :meth:`grid_infimum`, and to a sweep of every grid
-        node: the quadratic and norm families evaluate each pair only on the
-        few nodes that can hold its first minimum (see :meth:`_sweep`)."""
+        node: each pair is evaluated only on the nodes that can hold its
+        first minimum (see :meth:`_sweep`)."""
         return self._sweep(_as_stack(xs, self.dim), _as_stack(ys, self.dim))[0]
 
     def _sweep(self, xs, ys):
         """(values, attaining lambdas) of the grid infimum over trusted probe
         stacks broadcast against each other, with at least one leading axis.
 
-        A family with ``sweep_windows`` names, for each pair, a run of at
-        most ``WINDOW_NODES`` grid nodes that holds its first minimum over
-        the whole grid, and ``parts`` evaluates those nodes alone, pair by
-        pair, in slabs of about ``SWEEP_CHUNK / 16`` pairs along the first
-        axis; a run whose minimum is +inf answers node 0, as a grid of +inf
-        values does. The pairs without a run, and every pair of a family
-        without the hook, take the full grid (:func:`_grid_sweep`). Each
-        probe's finiteness boundaries where the domain holds them follow: a
-        boundary wins when its value is lower, or equal at a smaller lambda.
-        The attaining lambda is thus the first minimum in ascending order,
-        with the same bits whichever way a pair is swept."""
+        The family's ``sweep_windows`` names, for each pair, a run of grid
+        nodes that holds its first minimum over the whole grid, and
+        ``parts`` evaluates those nodes alone, pair by pair
+        (:func:`_windowed_sweep`), in slabs of about ``SWEEP_CHUNK / 16``
+        pairs along the first axis. Each probe's finiteness boundaries
+        where the domain holds them follow: a boundary wins when its value
+        is lower, or equal at a smaller lambda. The attaining lambda is
+        thus the first minimum in ascending order."""
         fam, dom = self.family, self.domain
         grid = dom.sample_grid
         shape = np.broadcast_shapes(xs.shape[:-1], ys.shape[:-1])
-        windows = getattr(fam, "sweep_windows", None)
-        if windows is None:
-            vals, first = _grid_sweep(fam, grid, xs, ys)
-        else:
-            vals, first = np.empty(shape), np.empty(shape, dtype=np.intp)
         xs = np.broadcast_to(xs, shape + xs.shape[-1:])
         ys = np.broadcast_to(ys, shape + ys.shape[-1:])
-        lams = np.empty(shape)
+        vals, lams = np.empty(shape), np.empty(shape)
         # slabs along the first axis: a windowed pair keeps some 16 floats of
         # temporaries alive, so SWEEP_CHUNK / 16 pairs hold about SWEEP_CHUNK
         # of them
@@ -569,9 +581,8 @@ class Cover:
         for r in range(0, shape[0], step):
             x, y = xs[r:r + step], ys[r:r + step]
             v, lam = vals[r:r + step], lams[r:r + step]
-            if windows is not None:
-                v[...], first[r:r + step] = _windowed_sweep(fam, grid, x, y, windows)
-            lam[...] = grid[first[r:r + step]]
+            v[...], first = _windowed_sweep(fam, grid, x, y)
+            lam[...] = grid[first]
             for edge_lams in fam.finite_boundary_lams(x, y):
                 at = np.nonzero(dom.contains_many(edge_lams))
                 edge, edge_lams = fam.f_many(edge_lams[at], x[at], y[at]), edge_lams[at]
@@ -581,61 +592,36 @@ class Cover:
         return vals, lams
 
 
-def _windowed_sweep(fam, grid, xs, ys, windows):
+def _windowed_sweep(fam, grid, xs, ys):
     """(values, node indices) of the first minima of f over the grid for
-    point stacks of one shape (..., dim): over the run of nodes that
-    ``windows`` names for a pair, and over the whole grid for the pairs it
-    leaves out. A run narrower than the widest repeats its last node, which
-    the first minimum never picks over the earlier copy, and a run whose
-    minimum is +inf answers node 0."""
-    start, width = (np.broadcast_to(w, xs.shape[:-1]) for w in windows(grid, xs, ys))
+    point stacks of one shape (..., dim), each pair over the run of nodes
+    that ``fam.sweep_windows`` names for it. The runs of at most
+    ``WINDOW_NODES`` nodes and the wider ones are gathered apart, each in
+    chunks of at most ``SWEEP_CHUNK`` entries, so the narrow runs of a slab
+    take one gather. A run narrower than the widest of its gather repeats
+    its last node, which the first minimum never picks over the earlier
+    copy; a NaN sum (-inf + inf) counts as +inf, and a run whose minimum
+    is +inf answers node 0, as a grid of +inf values does."""
+    start, width = (np.broadcast_to(w, xs.shape[:-1]) for w in fam.sweep_windows(grid, xs, ys))
     vals, first = np.empty(xs.shape[:-1]), np.empty(xs.shape[:-1], dtype=np.intp)
-    on, off = width > 0, width == 0
-    if on.any():
-        start, width = start[on], width[on]
-        nodes = start[:, None] + np.minimum(np.arange(width.max()), width[:, None] - 1)
-        p, d = fam.parts(grid[nodes], xs[on][:, None], ys[on][:, None])
-        with np.errstate(over="ignore"):  # a sum beyond the float range is +inf
-            total = p + d
-        k = total.argmin(axis=-1)[:, None]
-        vals[on] = low = np.take_along_axis(total, k, axis=-1)[:, 0]
-        first[on] = np.where(low == INF, 0, np.take_along_axis(nodes, k, axis=-1)[:, 0])
-    if off.any():
-        vals[off], first[off] = _grid_sweep(fam, grid, xs[off], ys[off])
-    return vals, first
-
-
-def _grid_sweep(fam, grid, xs, ys):
-    """(values, node indices) of the first minima of f over the whole grid,
-    for stacks broadcast against each other with at least one leading axis.
-
-    The grid runs in blocks of parameters. Per block, ``parts`` evaluates
-    phi over the x stack and phi* over the y stack, once per probe of each;
-    their broadcast sums, at most about ``SWEEP_CHUNK`` entries at a time,
-    update a running first minimum that only a strictly lower value
-    replaces."""
-    shape = np.broadcast_shapes(xs.shape[:-1], ys.shape[:-1])
-    # entries per index of the first axis; a block's parts and one such
-    # index across the block each hold at most SWEEP_CHUNK entries
-    width = max(1, math.prod(shape[1:]))
-    probes = math.prod(xs.shape[:-1]) + math.prod(ys.shape[:-1])
-    block = max(1, min(grid.size, SWEEP_CHUNK // max(probes, width)))
-    rows = max(1, SWEEP_CHUNK // (block * width))
-    vals = np.full(shape, INF)
-    first = np.zeros(shape, dtype=np.intp)
-    for lo in range(0, grid.size, block):
-        lams = grid[lo:lo + block]
-        p, d = fam.parts(lams, xs[..., None, :], ys[..., None, :])
-        p = np.broadcast_to(p, shape + lams.shape)
-        d = np.broadcast_to(d, shape + lams.shape)
-        for r in range(0, shape[0], rows):
-            with np.errstate(over="ignore"):  # a sum beyond the float range is +inf
-                total = p[r:r + rows] + d[r:r + rows]
-            k = total.argmin(axis=-1)
-            low = np.take_along_axis(total, k[..., None], axis=-1)[..., 0]
-            wins = low < vals[r:r + rows]
-            vals[r:r + rows][wins] = low[wins]
-            first[r:r + rows][wins] = k[wins] + lo
+    narrow = width <= WINDOW_NODES
+    for on in (narrow, ~narrow):
+        if not on.any():
+            continue
+        s, w, x, y = start[on], width[on], xs[on][:, None], ys[on][:, None]
+        v, f = np.empty(s.size), np.empty(s.size, dtype=np.intp)
+        step = max(1, SWEEP_CHUNK // int(w.max()))
+        for r in range(0, s.size, step):
+            c = slice(r, r + step)
+            nodes = s[c, None] + np.minimum(np.arange(w[c].max()), w[c, None] - 1)
+            p, d = fam.parts(grid[nodes], x[c], y[c])
+            with np.errstate(over="ignore", invalid="ignore"):
+                total = p + d  # beyond the float range +inf, -inf + inf NaN
+            total[np.isnan(total)] = INF
+            k = total.argmin(axis=-1)[:, None]
+            v[c] = low = np.take_along_axis(total, k, axis=-1)[:, 0]
+            f[c] = np.where(low == INF, 0, np.take_along_axis(nodes, k, axis=-1)[:, 0])
+        vals[on], first[on] = v, f
     return vals, first
 
 

@@ -304,19 +304,26 @@ def law_from_data(data):
     return LawGraph._from_arrays(xs, ys, primal_hints, dual_hints)
 
 
-def load_law(path):
+def _read_json(path):
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise FormatError(f"malformed JSON in {path}: {exc}") from exc
-    return law_from_data(data)
+
+
+def _write_json(data, path):
+    with open(path, "w") as fh:
+        fh.write(dumps(data))
+        fh.write("\n")
+
+
+def load_law(path):
+    return law_from_data(_read_json(path))
 
 
 def save_law(law, path, snap_tolerance=None):
-    with open(path, "w") as fh:
-        fh.write(dumps(law_to_data(law, snap_tolerance)))
-        fh.write("\n")
+    _write_json(law_to_data(law, snap_tolerance), path)
 
 
 # ---------------------------------------------------------------------------
@@ -480,18 +487,11 @@ def cover_from_data(data):
 
 
 def load_cover(path):
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"malformed JSON in {path}: {exc}") from exc
-    return cover_from_data(data)
+    return cover_from_data(_read_json(path))
 
 
 def save_cover(cover, path):
-    with open(path, "w") as fh:
-        fh.write(dumps(cover_to_data(cover)))
-        fh.write("\n")
+    _write_json(cover_to_data(cover), path)
 
 
 # ---------------------------------------------------------------------------

@@ -165,7 +165,8 @@ def oracle_bic_check(cover, plan=None, tol=1e-9):
         vals = np.array([_oracle_member(cover, lam, *point) for lam in cover.domain.sample_grid])
         if bool(np.any(vals <= rhs + tol)):
             return None
-        return min(best, float(np.min(vals) - rhs))
+        # the least value that is not NaN (-inf + inf), as oracle_sweep has it
+        return min(best, float(np.min(vals, initial=INF, where=~np.isnan(vals)) - rhs))
 
     counterexamples = []
     checked = 0

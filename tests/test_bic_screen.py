@@ -222,6 +222,23 @@ def test_affine_tabulated_plan_matches_oracle():
                                              + (np.array([0.5]), np.array([-1.0]))))
 
 
+def test_nan_member_leaves_the_grid_deficit_to_the_others():
+    # at lambda = 0 the mixed point's affine term overflows to -inf against
+    # an infinite indicator, a NaN; weights outside [0, 1] make the tuples
+    # fail, and their deficits come from the lambda = 2 member, which only
+    # the grid stage tries
+    cover = tabulated_cover([
+        (0.0, Affine(np.array([1e308])), IndicatorPoint(np.array([1e308]))),
+        (1.0, Quadratic(1.0, 1), Quadratic(1.0, 1)),
+        (2.0, Quadratic(0.5, 1), Quadratic(2.0, 1)),
+    ])
+    plan = BICProbePlan(((1.0, 1.0),), (1.5,), (np.array([-1.0]), np.array([2.0])),
+                        (np.array([0.0]),))
+    report = check_against_oracle(cover, plan)
+    deficits = {(c.z1[0], c.z2[0]): c.deficit for c in report.counterexamples}
+    assert deficits[(-1.0, 2.0)] == 0.25 * 2.5 ** 2 + 0.25
+
+
 COORDS = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
 
 

@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bipotkit.convex import IndicatorBall, Quadratic, ScaledNorm, conjugate, graph_of
+from bipotkit.bipotentials import build_inf
+from bipotkit.convex import (
+    Affine,
+    IndicatorBall,
+    IndicatorPoint,
+    Quadratic,
+    ScaledNorm,
+    conjugate,
+    graph_of,
+)
 from bipotkit.covers import (
     CandidateNotFoundError,
     ClosedInterval,
@@ -406,12 +415,19 @@ def test_sweep_matches_the_scalar_sweep(case):
 
 
 def test_windowed_sweep_evaluates_a_few_parameters_per_pair():
-    # a 41 x 41 table of nonzero probes over the default 512-point grid: the
-    # sweep hands ``parts`` at most WINDOW_NODES grid nodes per pair (plus,
-    # for norms, each pair's finiteness boundary), never the whole grid
+    # a 41 x 41 table over the default 512-point grid, with an exact zero
+    # probe row and column: the sweep hands ``parts`` at most WINDOW_NODES
+    # grid nodes per pair (plus, for norms, each pair's finiteness
+    # boundary), never the whole grid; a separable cover one node per pair,
+    # a tabulated one its members
     rng = np.random.default_rng(41)
     xs, ys = rng.uniform(-2, 2, size=(2, 41, 2))
-    for cover in (quadratic_cover(2), norm_cover(2)):
+    xs[1] = ys[1] = 0.0
+    tabulated = tabulated_cover([(lam, Quadratic(lam, 2), Quadratic(1.0 / lam, 2))
+                                 for lam in (0.5, 1.0, 4.0)])
+    for cover, per_pair in ((quadratic_cover(2), covers.WINDOW_NODES),
+                            (norm_cover(2), covers.WINDOW_NODES),
+                            (separable_cover(ScaledNorm(1.5, 2)), 1), (tabulated, 3)):
         fam = type(cover.family)
         parts, seen = fam.parts, []
 
@@ -423,18 +439,17 @@ def test_windowed_sweep_evaluates_a_few_parameters_per_pair():
             mp.setattr(fam, "parts", counted)
             vals = cover.grid_infimum_values(xs[:, None], ys[None])
         boundaries = len(cover.family.finite_boundary_lams(xs, ys))
-        assert sum(math.prod(shape) for shape in seen) <= 41 * 41 * (
-            covers.WINDOW_NODES + boundaries), fam
-        assert cover.domain.sample_grid.size > 500
+        assert sum(math.prod(shape) for shape in seen) <= 41 * 41 * (per_pair + boundaries), fam
         want = [oracle_sweep(cover, x.tolist(), y.tolist())[0] for x in xs[:3] for y in ys]
         assert vals[:3].reshape(-1).tolist() == want
+    assert quadratic_cover(2).domain.sample_grid.size > 500
 
 
-def test_sweep_windows_hold_ties_and_leave_clusters_to_the_full_grid():
+def test_sweep_windows_hold_ties_and_clusters():
     # y = c x with c the geometric mean of adjacent nodes puts the minimizer
     # midway between them, where the two quadratic members tie up to
     # rounding: both are in the window. A run of adjacent floats wider than
-    # WINDOW_NODES around the minimizer sends the pair to the full grid.
+    # WINDOW_NODES around the minimizer is a window of its own.
     rng = np.random.default_rng(43)
     cover = quadratic_cover(2)
     nodes = cover.domain.sample_grid
@@ -450,11 +465,22 @@ def test_sweep_windows_hold_ties_and_leave_clusters_to_the_full_grid():
     clustered = Cover(FiniteSet(tuple(cluster) + (0.0, 0.25, 9.0, INF)), QuadraticFamily(2))
     xs[:, 1] = 0.0
     ys = np.stack([1.5 * xs[:, 0], np.zeros(30)], axis=1)
-    assert not clustered.family.sweep_windows(clustered.domain.sample_grid, xs, ys)[1].any()
+    start, width = clustered.family.sweep_windows(clustered.domain.sample_grid, xs, ys)
+    assert (start == 2).all() and (width == covers.WINDOW_NODES + 1).all()
     for c, y in ((cover, xs * np.sqrt(nodes[k] * nodes[k + 1])[:, None]), (clustered, ys)):
         vals, lams = c._sweep(xs, y)
         want = [oracle_sweep(c, a.tolist(), b.tolist()) for a, b in zip(xs, y)]
         assert list(zip(vals.tolist(), lams.tolist())) == want
+
+
+def test_sweep_counts_a_nan_sum_as_inf():
+    # at lambda = 0 the affine term overflows to -inf and the indicator is
+    # +inf, a NaN sum; the minimum is the quadratic member's 50 at lambda = 1
+    cover = tabulated_cover([(0.0, Affine(v(1e308)), IndicatorPoint(v(1e308))),
+                             (1.0, Quadratic(1.0, 1), Quadratic(1.0, 1))])
+    assert cover.grid_infimum(v(-10), v(0)) == oracle_sweep(cover, [-10.0], [0.0]) == (50.0, 1.0)
+    table = build_inf(cover, mode="grid").table(np.array([[-10.0], [0.0]]), np.array([[0.0]]))
+    assert table.tolist() == [[50.0], [0.0]]
 
 
 # ---------------------------------------------------------------------------
