@@ -47,6 +47,7 @@ from .laws import LawGraph, NotBBGraphError, bb_check
 from .numerics import (
     INF,
     _batch_inner,
+    _batch_norm,
     _batch_norm2,
     _inner,
     _row_keys,
@@ -54,11 +55,6 @@ from .numerics import (
     ensure_extended,
     ensure_finite,
 )
-
-# most tuples one chunk of the BIC screen holds, in whole (lam1, lam2, alpha)
-# blocks; the default plan's slots each fit in one, and beyond it the
-# screen's temporaries grow, not its speed
-_BIC_CHUNK = 2 ** 15
 
 
 class AnalyticFormUnavailableError(ValueError):
@@ -116,15 +112,16 @@ class CauchyProduct(Bipotential):
         return float(self._table(x[None], y[None])[0, 0])
 
     def _table(self, xg, yg):
-        nx = np.sqrt(_batch_norm2(xg))[:, None]
-        ny = np.sqrt(_batch_norm2(yg))[None, :]
+        nx = _batch_norm(xg)[:, None]
+        ny = _batch_norm(yg)[None, :]
         # a zero norm gives 0 even against a norm that overflowed to inf
         with np.errstate(invalid="ignore"):
             return np.where((nx == 0.0) | (ny == 0.0), 0.0, nx * ny)
 
 
 class SeparableBipotential(Bipotential):
-    """b(x, y) = phi(x) + phi*(y); its graph is the subdifferential of phi."""
+    """b(x, y) = phi(x) + phi*(y), the f of the one-member cover {phi}; its
+    graph is the subdifferential of phi."""
 
     def __init__(self, potential, potential_star):
         if potential.dim != potential_star.dim:
@@ -135,11 +132,12 @@ class SeparableBipotential(Bipotential):
         self.provenance = "separable"
 
     def value(self, x, y):
-        return (self.potential.value(as_vector(x, self.dim))
-                + self.potential_star.value(as_vector(y, self.dim)))
+        x, y = as_vector(x, self.dim), as_vector(y, self.dim)
+        return float(self._table(x[None], y[None])[0, 0])
 
     def _table(self, xg, yg):
-        return self.potential.value_many(xg)[:, None] + self.potential_star.value_many(yg)[None, :]
+        family = SeparableFamily(self.potential, self.potential_star)
+        return family.f_many(np.zeros(1), xg[:, None], yg[None])
 
 
 class InfOfCoverBipotential(Bipotential):
@@ -278,8 +276,8 @@ def _norm_infimum(domain, x, y):
     The smallest admitted parameter max(||y||, lo) attains; when no finite
     member admits y the value is +inf unless x = 0 meets the inf member.
     """
-    nx = np.sqrt(_batch_norm2(x))
-    ny = np.sqrt(_batch_norm2(y))
+    nx = _batch_norm(x)
+    ny = _batch_norm(y)
     lo, hi = domain.lo, domain.hi
     lam = np.where(lo > ny, lo, ny)  # max(ny, lo) as Python evaluates it
     admitted = lam <= hi
@@ -625,17 +623,18 @@ def _bic_screen(cover, lams, alphas, zs, fixed, first, tol):
     of each (lam1, lam2, alpha) block, the mixed points of each alpha, and
     the family's special parameters at every (mixed, fixed) point. The
     blocks are then screened in order, in chunks of whole blocks of at most
-    about ``_BIC_CHUNK`` tuples. The candidate, lam1 and lam2 stages have
-    one parameter per block: for each block that still offers the stage a
-    tuple and whose parameter lies in the domain, ``parts`` evaluates phi
-    over the block's mixed points and phi* over the fixed probes (the
-    other way round in the second slot), their broadcast sum is the left
-    side of every tuple of the block, and one masked update over the chunk
-    records the offered tuples it accepts and their deficits. The special
-    parameters, one per tuple, take one ``f_many`` over the tuples still
-    undecided; the tuples none of the stages accepted then take the grid
-    infimum (``Cover._sweep``), ``SWEEP_CHUNK / grid size`` tuples at a
-    time. Its finiteness boundaries add nothing: the special stage tried
+    about ``SWEEP_CHUNK`` tuples, by one loop over the search stages: the
+    candidate, lam1 and lam2 stages with one parameter per block, then the
+    special parameters with one per tuple. Each stage validates its
+    parameters on the tuples it offers (those still undecided that it
+    applies to), keeps the offered tuples whose parameter lies in the
+    domain, and makes one ``f_many`` call over the blocks that offer one,
+    phi over the mixed points and phi* over the fixed probes (the other
+    way round in the second slot); one masked update over those blocks
+    records the offered tuples it accepts and their deficits. The tuples
+    none of the stages accepted then take the grid infimum
+    (``Cover._sweep``), ``SWEEP_CHUNK / grid size`` tuples at a time. Its
+    finiteness boundaries add nothing: the special stage tried
     them with the same bits.
     """
     fam, dom = cover.family, cover.domain
@@ -649,9 +648,12 @@ def _bic_screen(cover, lams, alphas, zs, fixed, first, tol):
     alphas = np.array([float(alpha) for alpha in alphas])
     betas = 1.0 - alphas
 
+    def slot(mix, fix):
+        # f's (x, y) for points mixed in this slot against fixed probes
+        return (mix, fix) if first else (fix, mix)
+
     # terms[2p + i, a, c] = f(lams[p, i]) at (zs[a], fixed[c]) in this slot
-    za, fa = zs[:, None, None, :], fixed[None, :, None, :]
-    terms = fam.f_many(lams.reshape(-1), *((za, fa) if first else (fa, za)))
+    terms = fam.f_many(lams.reshape(-1), *slot(zs[:, None, None, :], fixed[None, :, None, :]))
     gaps = terms - _batch_inner(zs[:, None, :], fixed[None, :, :])[..., None]
     held = (gaps <= tol if first else ~(gaps > tol)).transpose(2, 0, 1)
     terms = terms.transpose(2, 0, 1)
@@ -673,32 +675,23 @@ def _bic_screen(cover, lams, alphas, zs, fixed, first, tol):
                 continue
             ruled[p * shape[1] + k] = True
 
-    # mixed[k * n * n + ab] = alphas[k] zs[a] + betas[k] zs[b] with
-    # ab = a * n + b, and the special parameters at (mixed[k * n * n + ab],
-    # fixed[c]) at [k, ab, c]
+    # mixed[k, ab, 0] = alphas[k] zs[a] + betas[k] zs[b] with ab = a * n + b,
+    # shaped to broadcast against the fixed probes, and the special
+    # parameters at (mixed[k, ab, 0], fixed[c]) at [k, ab, c]
     mixed = (alphas[:, None, None, None] * zs[None, :, None, :]
-             + betas[:, None, None, None] * zs[None, None, :, :]).reshape(-1, dim)
-    mb, fb = mixed.reshape(shape[1:4] + (1, dim)), fixed[None, None, None]
-    points = (len(alphas), n * n, m)
-    specials = [(np.broadcast_to(lam, shape[1:]).reshape(points),
-                 np.broadcast_to(present, shape[1:]).reshape(points))
-                for lam, present in fam.special_lams_many(*((mb, fb) if first else (fb, mb)))]
-
-    # mixed points by alpha, shaped to broadcast against the fixed probes
-    mixed_k = mixed.reshape(len(alphas), n * n, 1, dim)
+             + betas[:, None, None, None] * zs[None, None, :, :]).reshape(len(alphas), n * n, 1, dim)
     fixed_b = fixed[None, None]
-    step = max(1, _BIC_CHUNK // max(1, n * n * m))
+    points = (len(alphas), n * n, m)
+    specials = [(np.broadcast_to(present, points), np.broadcast_to(lam, points))
+                for lam, present in fam.special_lams_many(*slot(mixed, fixed_b))]
+
+    step = max(1, SWEEP_CHUNK // max(1, n * n * m))
     sweep = max(1, SWEEP_CHUNK // dom.sample_grid.size)
     for start in range(0, nblocks, step):
         # the chunk's tuples, by (block, ab, c)
         blocks = np.arange(start, min(start + step, nblocks))
         p, k = np.divmod(blocks, shape[1])
         chunk = (blocks.size, n * n, m)
-
-        def point(blk, ab, c):
-            z, f = mixed[k[blk] * (n * n) + ab], fixed[c]
-            return (z, f) if first else (f, z)
-
         al, be = alphas[k, None, None, None], betas[k, None, None, None]
         # a zero-weight member drops out, even where its term is inf
         with np.errstate(invalid="ignore"):  # 0 * inf, and inf - inf under weights outside [0, 1]
@@ -710,54 +703,34 @@ def _bic_screen(cover, lams, alphas, zs, fixed, first, tol):
         low = np.full(chunk, INF)
         rtol = rhs + tol
 
-        # the stages with one parameter per block (candidate, lam1, lam2):
-        # phi over each block's mixed points and phi* over the fixed probes,
-        # or the other way round in the second slot, then their sums
-        for present, block_lams in ((pre, cands[blocks]), (True, lams[p, 0]), (True, lams[p, 1])):
+        # the candidate, lam1 and lam2 stages give one parameter per block,
+        # the special parameters one per tuple; each stage evaluates f over
+        # the blocks that still offer it a tuple whose parameter lies in the
+        # domain, and records the offered tuples it accepts
+        stages = [(pre, cands[blocks, None, None]), (True, lams[p, 0, None, None]),
+                  (True, lams[p, 1, None, None])]
+        for present, stage_lams in stages + [(on[k], lam[k]) for on, lam in specials]:
             offered = undecided & present
+            bad = ~(stage_lams > -INF)  # NaN or -inf
+            if bad.any() and (bad & offered).any():
+                ensure_extended(np.broadcast_to(stage_lams, chunk)[bad & offered][0], "lambda")
+            offered &= dom.contains_many(stage_lams)
             at = np.flatnonzero(offered.any(axis=(1, 2)))
-            lam = block_lams[at]
-            bad = np.isnan(lam) | (lam == -INF)
-            if bad.any():
-                ensure_extended(lam[bad][0], "lambda")
-            at = at[dom.contains_many(lam)]
             if not at.size:
                 continue
             if at.size == blocks.size:
                 at = slice(None)  # every block: views, not gathers
-            lam, z = block_lams[at, None, None], mixed_k[k[at]]
-            x_part, y_part = fam.parts(lam, *((z, fixed_b) if first else (fixed_b, z)))
-            with np.errstate(over="ignore"):  # a sum beyond the float range is +inf
-                lhs = x_part + y_part
+            offered = offered[at]
+            lhs = fam.f_many(stage_lams[at], *slot(mixed[k[at]], fixed_b))
             with np.errstate(invalid="ignore"):  # inf - inf only where rhs is inf, never offered
                 d = lhs - rhs[at]
-            offered = offered[at]
             low[at] = np.where(offered & (d < low[at]), d, low[at])
             undecided[at] = np.where(offered, ~(lhs <= rtol[at]), undecided[at])
 
-        # the special parameters, one per tuple
-        rhs, rtol = rhs.reshape(-1), rtol.reshape(-1)
-        undecided, low = undecided.reshape(-1), low.reshape(-1)
-        for lam_k, present in specials:
-            i = np.flatnonzero(undecided & present[k].reshape(-1))
-            at = np.unravel_index(i, chunk)
-            lam = lam_k[k[at[0]], at[1], at[2]]
-            bad = np.isnan(lam) | (lam == -INF)
-            if bad.any():
-                ensure_extended(lam[bad][0], "lambda")
-            inside = dom.contains_many(lam)
-            i, lam = i[inside], lam[inside]
-            if not i.size:
-                continue
-            lhs = fam.f_many(lam, *point(*[ix[inside] for ix in at]))
-            d = lhs - rhs[i]
-            low[i] = np.where(d < low[i], d, low[i])
-            undecided[i] = ~(lhs <= rtol[i])
-
         left = np.flatnonzero(undecided)
         for s in range(0, left.size, sweep):
-            i = left[s:s + sweep]
-            vals = cover._sweep(*point(*np.unravel_index(i, chunk)))[0]
+            i = np.unravel_index(left[s:s + sweep], chunk)
+            vals = cover._sweep(*slot(mixed[k[i[0]], i[1], 0], fixed[i[2]]))[0]
             d = vals - rhs[i]
             low[i] = np.where(d < low[i], d, low[i])
             undecided[i] = ~(vals <= rtol[i])

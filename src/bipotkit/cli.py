@@ -43,11 +43,11 @@ class CLIError(Exception):
 
 
 def _parse_grid_spec(spec, what):
-    parts = spec.split(":")
-    if len(parts) != 3:
+    fields = spec.split(":")
+    if len(fields) != 3:
         raise CLIError(f"{what} must be lo:hi:count, got {spec!r}")
     try:
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+        lo, hi, count = float(fields[0]), float(fields[1]), int(fields[2])
     except ValueError:
         raise CLIError(f"{what} must be lo:hi:count with numeric parts, got {spec!r}")
     if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):

@@ -20,6 +20,7 @@ from .numerics import (
     MinusInfinityError,
     NegativeFenchelGapError,
     _batch_inner,
+    _batch_norm,
     _batch_norm2,
     _inner,
     _row_keys,
@@ -98,7 +99,7 @@ class ScaledNorm(ConvexFunction):
     def value_many(self, xs):
         if self.scale == 0.0:
             return np.zeros(xs.shape[:-1])
-        return self.scale * np.sqrt(_batch_norm2(xs))
+        return self.scale * _batch_norm(xs)
 
     def _key(self):
         return (self.scale, self.dim)
@@ -118,7 +119,7 @@ class IndicatorBall(ConvexFunction):
             raise ValueError(f"radius must be nonnegative, got {self.radius}")
 
     def value_many(self, xs):
-        return np.where(np.sqrt(_batch_norm2(xs)) <= self.radius, 0.0, INF)
+        return np.where(_batch_norm(xs) <= self.radius, 0.0, INF)
 
     def _key(self):
         return (self.radius, self.dim)

@@ -27,6 +27,7 @@ from .convex import (
 from .numerics import (
     INF,
     _batch_inner,
+    _batch_norm,
     _batch_norm2,
     _inner,
     _run_starts,
@@ -160,18 +161,22 @@ class FiniteSet:
 # ---------------------------------------------------------------------------
 # families
 #
-# Every family evaluates f(lambda, x, y) one way: ``parts`` returns its two
-# terms apart, phi_lambda(x) with the parameters broadcast against the
-# leading axes of the trusted float64 point stack x of shape (..., dim), and
-# phi*_lambda(y) likewise against y's, so a sweep evaluates each term once
-# per probe of its own stack. ``f_many`` is their sum, broadcast over both
-# stacks, and is what the BIC screen, ``Cover.f_eval`` and ``p1_candidate``
-# call, on one row for the scalar entry points. At the 0 and inf members of
-# the quadratic and norm families each term is decided on exact coordinates:
-# at 0 the phi term is 0 and the phi* term the indicator of y = 0, at inf the
-# phi term is the indicator of x = 0 and the phi* term 0; a nonzero vector
-# whose squared norm underflows is still nonzero. Separable and tabulated
-# families evaluate their members through ``ConvexFunction.value_many``.
+# Every family evaluates f(lambda, x, y) one way, ``f_many(lams, x, y)``,
+# the only code that evaluates f: the parameters, an array with at least one
+# axis, broadcast against the leading axes of the trusted float64 point
+# stacks x and y of shape (..., dim). It computes phi_lambda(x) over x's axes
+# and phi*_lambda(y) over y's, each term once per probe of its own stack,
+# and adds them through ``_add_terms``: a sum beyond the float range is
+# +inf or -inf, and -inf + inf (say an affine term overflowing against an
+# infinite indicator) is +inf. The BIC screen, the sweep, ``Cover.f_eval``,
+# ``p1_candidate`` and ``SeparableBipotential`` all call it, on one row for
+# the scalar entry points.
+# At the 0 and inf members of the quadratic and norm families each term is
+# decided on exact coordinates: at 0 the phi term is 0 and the phi* term the
+# indicator of y = 0, at inf the phi term is the indicator of x = 0 and the
+# phi* term 0; a nonzero vector whose squared norm underflows is still
+# nonzero. Separable and tabulated families evaluate their members through
+# ``ConvexFunction.value_many``.
 # ``finite_boundary_lams`` takes vectors or point stacks alike and returns one
 # value per leading index for each boundary. ``special_lams_many`` stacks the
 # exact per-probe minimizers then the finiteness boundaries as (lams, present)
@@ -181,8 +186,7 @@ class FiniteSet:
 # Every family also has ``sweep_windows(grid, x, y)``: for each pair of the
 # broadcast stacks, a run (start, width), width at least 1, of nodes of the
 # ascending sample grid that provably holds the first minimum of f over the
-# whole grid, a NaN sum counted as +inf; the whole grid where no narrower
-# run is proven.
+# whole grid; the whole grid where no narrower run is proven.
 
 
 # squared norms and parameters in [2**-300, 2**300] keep both quadratic
@@ -198,24 +202,28 @@ _KAPPA = 8
 _LOG_SLACK = 2.0 ** -30
 
 
-def _sum_of_parts(self, lams, x, y):
-    """f(lambda, x, y): the two terms of ``parts`` added."""
-    p, d = self.parts(lams, x, y)
-    with np.errstate(over="ignore"):  # a sum beyond the float range is +inf
-        return p + d
+def _add_terms(p, d):
+    """f = p + d, the phi and phi* terms of a family's ``f_many``, as an
+    array even when 0-d: a sum beyond the float range is +inf or -inf, and
+    -inf + inf is +inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.asarray(p + d)
+    return np.fmin(total, INF, out=total)
 
 
-def _with_ends(lams, term, v, indicator_end):
-    """``term`` at the 0 and inf members: the indicator of v = 0, on the
-    exact coordinates, at ``indicator_end`` and 0 at the other end; a pass
-    over ``term`` only for an end that ``lams`` holds."""
-    term = np.asarray(term)
-    for end in (0.0, INF):
+def _add_with_ends(lams, p, d, x, y):
+    """``_add_terms`` of the quadratic and norm families' terms, decided at
+    the 0 and inf members on the exact coordinates: at 0 the phi term is 0
+    and the phi* term the indicator of y = 0, at inf the phi term is the
+    indicator of x = 0 and the phi* term 0; a pass over the terms only for
+    an end that ``lams`` holds."""
+    p, d = np.asarray(p), np.asarray(d)
+    for end, term, v, zero in ((0.0, d, y, p), (INF, p, x, d)):
         at = np.equal(lams, end)
         if at.any():
-            value = np.where(v.any(axis=-1), INF, 0.0) if end == indicator_end else 0.0
-            np.copyto(term, value, where=at)
-    return term
+            np.copyto(term, np.where(v.any(axis=-1), INF, 0.0), where=at)
+            np.copyto(zero, 0.0, where=at)
+    return _add_terms(p, d)
 
 
 def _form_values(form, v):
@@ -246,13 +254,11 @@ class QuadraticFamily:
             return Quadratic(0.0, self.dim)
         return Quadratic(1.0 / lam, self.dim)
 
-    def parts(self, lams, x, y):
+    def f_many(self, lams, x, y):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             p = (0.5 * lams) * _batch_norm2(x)
             d = (0.5 * _batch_norm2(y)) / lams
-        return _with_ends(lams, p, x, INF), _with_ends(lams, d, y, 0.0)
-
-    f_many = _sum_of_parts
+        return _add_with_ends(lams, p, d, x, y)
 
     def sweep_windows(self, grid, x, y):
         """Per pair, the run of grid nodes within d_min + sqrt(2 kappa u) +
@@ -265,7 +271,7 @@ class QuadraticFamily:
 
         With a = ||x||^2 and b = ||y||^2 positive, f(lambda) = sqrt(ab)
         cosh(t - t*) at t = ln lambda, t* = ln sqrt(b/a). In the safe range
-        ``parts`` rounds (lambda/2) a, (b/2)/lambda and their sum once each
+        ``f_many`` rounds (lambda/2) a, (b/2)/lambda and their sum once each
         (the halvings are exact), so the float value lies within
         [(1-u)^2, (1+u)^2] f, u = 2**-53. A node can then hold or tie the
         float minimum only if cosh(d) <= cosh(d_min) ((1+u)/(1-u))^2 <
@@ -309,8 +315,8 @@ class QuadraticFamily:
     def special_lams_many(self, x, y):
         # the unconstrained minimizer ||y||/||x||, with the ends standing in
         # when an argument vanishes
-        nx = np.sqrt(_batch_norm2(x))
-        ny = np.sqrt(_batch_norm2(y))
+        nx = _batch_norm(x)
+        ny = _batch_norm(y)
         with np.errstate(divide="ignore", invalid="ignore"):
             lam = np.where(nx == 0.0, INF, np.where(ny == 0.0, 0.0, ny / nx))
         return [(lam, (nx != 0.0) | (ny != 0.0))]
@@ -359,16 +365,14 @@ class NormFamily:
             return Quadratic(0.0, self.dim)
         return IndicatorBall(lam, self.dim)
 
-    def parts(self, lams, x, y):
+    def f_many(self, lams, x, y):
         with np.errstate(invalid="ignore", over="ignore"):
-            p = lams * np.sqrt(_batch_norm2(x))
-        d = np.where(np.sqrt(_batch_norm2(y)) <= lams, 0.0, INF)
-        return _with_ends(lams, p, x, INF), _with_ends(lams, d, y, 0.0)
-
-    f_many = _sum_of_parts
+            p = lams * _batch_norm(x)
+        d = np.where(_batch_norm(y) <= lams, 0.0, INF)
+        return _add_with_ends(lams, p, d, x, y)
 
     def sweep_windows(self, grid, x, y):
-        """Per pair, the first node that passes ``parts``' test ||y|| <=
+        """Per pair, the first node that passes ``f_many``'s test ||y|| <=
         lambda, and the node after it too when that first node is the 0
         member of a nonzero y (+inf there though its squared norm
         underflows to 0).
@@ -378,7 +382,7 @@ class NormFamily:
         member (the indicator of x = 0); so the first passing node holds
         the first minimum. Where no node passes, the last one stands in: a
         window whose minimum is +inf means a grid of +inf values."""
-        ny = np.sqrt(_batch_norm2(y))
+        ny = _batch_norm(y)
         start = np.minimum(np.searchsorted(grid, ny, "left"), grid.size - 1)
         width = np.where((grid[start] == 0.0) & y.any(axis=-1), 2, 1)
         return start, np.minimum(width, grid.size - start)
@@ -386,11 +390,11 @@ class NormFamily:
     def finite_boundary_lams(self, x, y):
         # f(., x, y) switches from +inf to finite exactly at lambda = ||y||;
         # a log grid cannot see that edge, so infimum sweeps must add it
-        return [np.sqrt(_batch_norm2(y))]
+        return [_batch_norm(y)]
 
     def special_lams_many(self, x, y):
         # the minimizer and the finiteness boundary coincide at ||y||
-        return [(np.sqrt(_batch_norm2(y)), True)]
+        return [(_batch_norm(y), True)]
 
     def candidate(self, lam1, lam2, alpha, y):
         return min(lam1, lam2)
@@ -418,13 +422,11 @@ class SeparableFamily:
     def phi_star(self, lam):
         return self.potential_star
 
-    def parts(self, lams, x, y):
+    def f_many(self, lams, x, y):
         # the one member at every parameter
-        return tuple(np.broadcast_to(vals, np.broadcast_shapes(np.shape(lams), vals.shape))
-                     for vals in (_form_values(self.potential, x),
-                                  _form_values(self.potential_star, y)))
-
-    f_many = _sum_of_parts
+        p = _form_values(self.potential, x)
+        return _add_terms(np.broadcast_to(p, np.broadcast_shapes(np.shape(lams), p.shape)),
+                          _form_values(self.potential_star, y))
 
     def sweep_windows(self, grid, x, y):
         """Node 0 for every pair: f does not depend on lambda."""
@@ -480,7 +482,7 @@ class TabulatedFamily:
     def phi_star(self, lam):
         return self._entry(lam)[1]
 
-    def parts(self, lams, x, y):
+    def f_many(self, lams, x, y):
         # each member's forms once over the rows of x, and of y
         lams = np.asarray(lams, dtype=np.float64)
         known = (lams[..., None] == np.array(self.lams())).any(axis=-1)
@@ -493,9 +495,7 @@ class TabulatedFamily:
             if at.any():
                 np.copyto(p, _form_values(phi, x), where=at)
                 np.copyto(d, _form_values(phi_star, y), where=at)
-        return p, d
-
-    f_many = _sum_of_parts
+        return _add_terms(p, d)
 
     def sweep_windows(self, grid, x, y):
         """The whole grid, its members, for every pair."""
@@ -562,7 +562,7 @@ class Cover:
 
         The family's ``sweep_windows`` names, for each pair, a run of grid
         nodes that holds its first minimum over the whole grid, and
-        ``parts`` evaluates those nodes alone, pair by pair
+        ``f_many`` evaluates those nodes alone, pair by pair
         (:func:`_windowed_sweep`), in slabs of about ``SWEEP_CHUNK / 16``
         pairs along the first axis. Each probe's finiteness boundaries
         where the domain holds them follow: a boundary wins when its value
@@ -600,8 +600,8 @@ def _windowed_sweep(fam, grid, xs, ys):
     chunks of at most ``SWEEP_CHUNK`` entries, so the narrow runs of a slab
     take one gather. A run narrower than the widest of its gather repeats
     its last node, which the first minimum never picks over the earlier
-    copy; a NaN sum (-inf + inf) counts as +inf, and a run whose minimum
-    is +inf answers node 0, as a grid of +inf values does."""
+    copy, and a run whose minimum is +inf answers node 0, as a grid of
+    +inf values does."""
     start, width = (np.broadcast_to(w, xs.shape[:-1]) for w in fam.sweep_windows(grid, xs, ys))
     vals, first = np.empty(xs.shape[:-1]), np.empty(xs.shape[:-1], dtype=np.intp)
     narrow = width <= WINDOW_NODES
@@ -614,10 +614,7 @@ def _windowed_sweep(fam, grid, xs, ys):
         for r in range(0, s.size, step):
             c = slice(r, r + step)
             nodes = s[c, None] + np.minimum(np.arange(w[c].max()), w[c, None] - 1)
-            p, d = fam.parts(grid[nodes], x[c], y[c])
-            with np.errstate(over="ignore", invalid="ignore"):
-                total = p + d  # beyond the float range +inf, -inf + inf NaN
-            total[np.isnan(total)] = INF
+            total = fam.f_many(grid[nodes], x[c], y[c])
             k = total.argmin(axis=-1)[:, None]
             v[c] = low = np.take_along_axis(total, k, axis=-1)[:, 0]
             f[c] = np.where(low == INF, 0, np.take_along_axis(nodes, k, axis=-1)[:, 0])

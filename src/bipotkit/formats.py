@@ -34,6 +34,7 @@ from .convex import (
     ScaledNorm,
 )
 from .covers import (
+    DEFAULT_GRID_POINTS,
     ClosedInterval,
     Cover,
     FiniteSet,
@@ -437,7 +438,7 @@ def cover_from_data(data):
             raise FormatError("quadratic and norm covers need a lambda_domain object")
         lo = parse_extended(dom_data.get("lo", 0.0), "lambda_domain.lo")
         hi = parse_extended(dom_data.get("hi", "inf"), "lambda_domain.hi")
-        grid_points = dom_data.get("grid_points", 512)
+        grid_points = dom_data.get("grid_points", DEFAULT_GRID_POINTS)
         if isinstance(grid_points, bool) or not isinstance(grid_points, int):
             raise FormatError("lambda_domain.grid_points must be an integer")
         include_inf = dom_data.get("includes_infinity", hi == INF)

@@ -35,7 +35,7 @@ from .convex import MaxAffine
 from .covers import SWEEP_CHUNK
 from .numerics import (
     _batch_inner,
-    _batch_norm2,
+    _batch_norm,
     _diff_inner,
     _row_keys,
     _run_starts,
@@ -70,10 +70,6 @@ class NotBBGraphError(ValueError):
 
 # ---------------------------------------------------------------------------
 # slice hints
-
-
-def _batch_norm(vs):
-    return np.sqrt(_batch_norm2(vs))
 
 
 def _clip_low(t):

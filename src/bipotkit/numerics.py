@@ -114,6 +114,12 @@ def _batch_norm2(vs):
     return _batch_inner(vs, vs)
 
 
+def _batch_norm(vs):
+    """Norms of a stack of trusted vectors: the square roots of
+    :func:`_batch_norm2`."""
+    return np.sqrt(_batch_norm2(vs))
+
+
 def _diff_inner(a, b, c=None):
     """``_batch_inner(a - b, c)``, or ``_batch_norm2(a - b)`` when ``c`` is
     None, with the same bits, for broadcastable stacks of trusted vectors.

@@ -162,11 +162,10 @@ def oracle_bic_check(cover, plan=None, tol=1e-9):
             if lhs <= rhs + tol:
                 return None
             best = min(best, lhs - rhs)
-        vals = np.array([_oracle_member(cover, lam, *point) for lam in cover.domain.sample_grid])
-        if bool(np.any(vals <= rhs + tol)):
+        vals = [_oracle_member(cover, lam, *point) for lam in cover.domain.sample_grid]
+        if any(val <= rhs + tol for val in vals):
             return None
-        # the least value that is not NaN (-inf + inf), as oracle_sweep has it
-        return min(best, float(np.min(vals, initial=INF, where=~np.isnan(vals)) - rhs))
+        return min(best, min(vals) - rhs)
 
     counterexamples = []
     checked = 0
@@ -234,7 +233,9 @@ def oracle_form_value(phi, x):
 
 
 def _oracle_member(cover, lam, x, y):
-    """f(lam, x, y) of the cover's family, written out per family."""
+    """f(lam, x, y) of the cover's family, written out per family; a phi
+    term of -inf against a phi* term of +inf (or the other way round) gives
+    +inf."""
     kind = type(cover.family).__name__
     if kind in ("QuadraticFamily", "NormFamily"):
         if lam == 0.0:
@@ -251,7 +252,10 @@ def _oracle_member(cover, lam, x, y):
         phi, phi_star = cover.family.table[lam]
     else:
         raise ValueError(f"lambda {lam} is not tabulated")
-    return oracle_form_value(phi, x) + oracle_form_value(phi_star, y)
+    p, d = oracle_form_value(phi, x), oracle_form_value(phi_star, y)
+    if (p, d) in ((-np.inf, np.inf), (np.inf, -np.inf)):
+        return np.inf
+    return p + d
 
 
 def _oracle_special_lams(cover, x, y):

@@ -239,6 +239,21 @@ def test_nan_member_leaves_the_grid_deficit_to_the_others():
     assert deficits[(-1.0, 2.0)] == 0.25 * 2.5 ** 2 + 0.25
 
 
+def test_minus_inf_plus_inf_member_holds_vacuously():
+    # at lambda = 0 the affine term of a probe with |x| >= 2 overflows to
+    # -inf against an infinite indicator: f is +inf there, so every right
+    # side through that member is +inf and its tuple holds vacuously, with
+    # no counterexample and no warning
+    cover = tabulated_cover([
+        (0.0, Affine(np.array([1e308])), IndicatorPoint(np.array([1e308]))),
+        (1.0, Quadratic(1.0, 1), Quadratic(1.0, 1)),
+    ])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = check_against_oracle(cover)
+    assert report.is_bic and not report.counterexamples
+
+
 COORDS = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
 
 
@@ -339,7 +354,7 @@ def test_chunk_edges_match_oracle(cover_and_plan):
     for chunk in (None, 1, 3 * block - 1):
         with pytest.MonkeyPatch.context() as mp:
             if chunk is not None:
-                mp.setattr(bipotentials, "_BIC_CHUNK", chunk)
+                mp.setattr(bipotentials, "SWEEP_CHUNK", chunk)
             assert report_bytes(bic_check(cover, plan)) == want, chunk
 
 
@@ -382,5 +397,5 @@ def test_split_stages_match_oracle(case):
         with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
             warnings.simplefilter("error")
             if size is not None:
-                mp.setattr(bipotentials, "_BIC_CHUNK", size)
+                mp.setattr(bipotentials, "SWEEP_CHUNK", size)
             assert report_bytes(bic_check(cover, plan)) == want, size

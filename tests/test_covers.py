@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bipotkit.bipotentials import build_inf
+from bipotkit.bipotentials import build_inf, build_separable
 from bipotkit.convex import (
     Affine,
     IndicatorBall,
@@ -416,7 +417,7 @@ def test_sweep_matches_the_scalar_sweep(case):
 
 def test_windowed_sweep_evaluates_a_few_parameters_per_pair():
     # a 41 x 41 table over the default 512-point grid, with an exact zero
-    # probe row and column: the sweep hands ``parts`` at most WINDOW_NODES
+    # probe row and column: the sweep hands ``f_many`` at most WINDOW_NODES
     # grid nodes per pair (plus, for norms, each pair's finiteness
     # boundary), never the whole grid; a separable cover one node per pair,
     # a tabulated one its members
@@ -429,14 +430,14 @@ def test_windowed_sweep_evaluates_a_few_parameters_per_pair():
                             (norm_cover(2), covers.WINDOW_NODES),
                             (separable_cover(ScaledNorm(1.5, 2)), 1), (tabulated, 3)):
         fam = type(cover.family)
-        parts, seen = fam.parts, []
+        f_many, seen = fam.f_many, []
 
         def counted(self, lams, x, y):
             seen.append(np.broadcast_shapes(np.shape(lams), x.shape[:-1], y.shape[:-1]))
-            return parts(self, lams, x, y)
+            return f_many(self, lams, x, y)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fam, "parts", counted)
+            mp.setattr(fam, "f_many", counted)
             vals = cover.grid_infimum_values(xs[:, None], ys[None])
         boundaries = len(cover.family.finite_boundary_lams(xs, ys))
         assert sum(math.prod(shape) for shape in seen) <= 41 * 41 * (per_pair + boundaries), fam
@@ -481,6 +482,25 @@ def test_sweep_counts_a_nan_sum_as_inf():
     assert cover.grid_infimum(v(-10), v(0)) == oracle_sweep(cover, [-10.0], [0.0]) == (50.0, 1.0)
     table = build_inf(cover, mode="grid").table(np.array([[-10.0], [0.0]]), np.array([[0.0]]))
     assert table.tolist() == [[50.0], [0.0]]
+
+
+def test_minus_inf_plus_inf_evaluates_to_inf():
+    # every evaluation of f counts -inf + inf as +inf, with no warning: the
+    # scalar entry point, a 0-d call of the family, the separable
+    # bipotential of the same member, and the oracle
+    cover = tabulated_cover([(0.0, Affine(v(1e308)), IndicatorPoint(v(1e308))),
+                             (1.0, Quadratic(1.0, 1), Quadratic(1.0, 1))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cover.f_eval(0.0, [-10], [0]) == INF
+        scalar = cover.family.f_many(np.array(0.0), v(-10), v(0))
+        assert scalar.shape == () and scalar == INF
+        assert cover.family.f_many(np.array([0.0, 1.0]), v(-10), v(0)).tolist() == [INF, 50.0]
+        separable = build_separable(Affine(v(1e308)))
+        assert separable.value(v(-10), v(0)) == INF
+        assert separable.table([[-10.0], [1.0]], [[0.0], [1e308]]).tolist() == [[INF, -INF],
+                                                                               [INF, 1e308]]
+    assert _oracle_member(cover, 0.0, [-10.0], [0.0]) == INF
 
 
 # ---------------------------------------------------------------------------
