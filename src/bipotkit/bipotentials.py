@@ -50,7 +50,9 @@ from .numerics import (
     _batch_norm,
     _batch_norm2,
     _inner,
+    _nonzero,
     _row_keys,
+    _run_starts,
     as_vector,
     ensure_extended,
     ensure_finite,
@@ -474,18 +476,18 @@ def _axiom_report(table, tol):
         def fails(i, j, k):
             mid = rows[k]
             rhs = 0.5 * (rows[i] + rows[j])
-            t, c = np.nonzero(mid > rhs + tol)
+            t, c = _nonzero(mid > rhs + tol)
             return t, c, mid[t, c] - rhs[t, c]
         return fails
 
     def closure(touch, loose, gaps):
         def fails(i, j, k):
-            t, c = np.nonzero(touch[i] & touch[j] & loose[k])
+            t, c = _nonzero(touch[i] & touch[j] & loose[k])
             return t, c, gaps[k[t], c]
         return fails
 
     bad = G < -tol
-    counterexamples = witnesses("lower-bound", *np.nonzero(bad), -G[bad])
+    counterexamples = witnesses("lower-bound", *_nonzero(bad), -G[bad])
     lower_ok = not counterexamples
 
     x_triples = _midpoint_triples(xg)
@@ -527,7 +529,7 @@ def graph_of_bipotential(b, x_grid, y_grid, tol=1e-9):
 def _contact_graph(table, tol):
     """:func:`graph_of_bipotential` over an evaluated probe table."""
     xg, yg, B, P = table
-    i, j = np.nonzero(B - P <= tol)
+    i, j = _nonzero(B - P <= tol)
     if not i.size:
         raise ValueError("no contact point on the probe grids; "
                          "a law graph cannot be empty")
@@ -621,21 +623,29 @@ def _bic_screen(cover, lams, alphas, zs, fixed, first, tol):
     terms f(lam, z, fixed) of every plan parameter and their Fenchel gaps
     (the subgradient preconditions of the candidate rules), the candidates
     of each (lam1, lam2, alpha) block, the mixed points of each alpha, and
-    the family's special parameters at every (mixed, fixed) point. The
-    blocks are then screened in order, in chunks of whole blocks of at most
-    about ``SWEEP_CHUNK`` tuples, by one loop over the search stages: the
+    a table of f at every (alpha, z_a, z_b, fixed) point, filled by one
+    ``f_many`` call, over the plan's distinct parameters that the domain
+    holds and the family's special parameters at that point (phi over the
+    mixed points and phi* over the fixed probes, the other way round in the
+    second slot). A tuple thus meets f once per parameter it can use.
+
+    The blocks are then screened in order, in chunks of whole blocks of at
+    most about ``SWEEP_CHUNK`` tuples, one search stage after another: the
     candidate, lam1 and lam2 stages with one parameter per block, then the
-    special parameters with one per tuple. Each stage validates its
-    parameters on the tuples it offers (those still undecided that it
-    applies to), keeps the offered tuples whose parameter lies in the
-    domain, and makes one ``f_many`` call over the blocks that offer one,
-    phi over the mixed points and phi* over the fixed probes (the other
-    way round in the second slot); one masked update over those blocks
-    records the offered tuples it accepts and their deficits. The tuples
-    none of the stages accepted then take the grid infimum
-    (``Cover._sweep``), ``SWEEP_CHUNK / grid size`` tuples at a time. Its
-    finiteness boundaries add nothing: the special stage tried
-    them with the same bits.
+    special parameters with one per tuple. A stage offers the tuples still
+    undecided that it applies to, validates its parameters on them, and
+    accepts those whose parameter the domain holds and whose f lies within
+    ``tol`` of the right side. The candidate stage evaluates f at its
+    offered tuples alone; the others read the table, block by block. The
+    tuples none of them accepted take the grid infimum (``Cover._sweep``),
+    ``SWEEP_CHUNK / grid size`` tuples at a time; its finiteness boundaries
+    add nothing, since the special stage tried them with the same bits.
+
+    The stages update a verdict only. A tuple that fails was offered by
+    every stage that applies to it, so its deficit, the least lhs - rhs
+    over those stages in order and then the grid (the first of equal
+    values, never a NaN), is computed for the failing tuples alone, from
+    the same entries.
     """
     fam, dom = cover.family, cover.domain
     n, m, dim = zs.shape[0], fixed.shape[0], zs.shape[1]
@@ -651,6 +661,12 @@ def _bic_screen(cover, lams, alphas, zs, fixed, first, tol):
     def slot(mix, fix):
         # f's (x, y) for points mixed in this slot against fixed probes
         return (mix, fix) if first else (fix, mix)
+
+    def check(stage_lams, offered):
+        # a NaN or -inf parameter raises for the first tuple it is offered to
+        bad = ~(stage_lams > -INF)
+        if bad.any() and (bad & offered).any():
+            ensure_extended(np.broadcast_to(stage_lams, offered.shape)[bad & offered][0], "lambda")
 
     # terms[2p + i, a, c] = f(lams[p, i]) at (zs[a], fixed[c]) in this slot
     terms = fam.f_many(lams.reshape(-1), *slot(zs[:, None, None, :], fixed[None, :, None, :]))
@@ -676,14 +692,37 @@ def _bic_screen(cover, lams, alphas, zs, fixed, first, tol):
             ruled[p * shape[1] + k] = True
 
     # mixed[k, ab, 0] = alphas[k] zs[a] + betas[k] zs[b] with ab = a * n + b,
-    # shaped to broadcast against the fixed probes, and the special
-    # parameters at (mixed[k, ab, 0], fixed[c]) at [k, ab, c]
+    # shaped to broadcast against the fixed probes
     mixed = (alphas[:, None, None, None] * zs[None, :, None, :]
              + betas[:, None, None, None] * zs[None, None, :, :]).reshape(len(alphas), n * n, 1, dim)
-    fixed_b = fixed[None, None]
-    points = (len(alphas), n * n, m)
-    specials = [(np.broadcast_to(present, points), np.broadcast_to(lam, points))
-                for lam, present in fam.special_lams_many(*slot(mixed, fixed_b))]
+    points = slot(mixed, fixed[None, None])
+
+    def tuples(k, i):
+        # f's (x, y) at the chunk's tuples of index arrays i = (block, ab, c)
+        return slot(mixed[k[i[0]], i[1], 0], fixed[i[2]])
+
+    # table[j, k, ab, c] = f(table_lams[j, k, ab, c]) at (mixed[k, ab, 0],
+    # fixed[c]): first a row per distinct plan parameter (-0.0 meets 0.0)
+    # that the domain holds, lams[p, i] at row rows[p, i] where member[p,
+    # i] (elsewhere rows[p, i] is some row, which the stage masks out);
+    # then a row per special parameter, with the points it applies to and,
+    # where some are NaN or -inf, the points it is present at
+    members = np.sort(lams.reshape(-1))
+    members = members[_run_starts(members)]
+    members = members[dom.contains_many(members)]
+    member = dom.contains_many(lams)
+    rows = np.minimum(np.searchsorted(members, lams), max(members.size - 1, 0))
+    specials = fam.special_lams_many(*points)
+    table_lams = np.empty((members.size + len(specials), len(alphas), n * n, m))
+    table_lams[:members.size] = members[:, None, None, None]
+    special_rows = []
+    for row, (lam, present) in enumerate(specials, members.size):
+        table_lams[row] = lam
+        present = np.broadcast_to(present, table_lams.shape[1:])
+        valid = (table_lams[row] > -INF).all()
+        special_rows.append((row, present & dom.contains_many(table_lams[row]),
+                             None if valid else present))
+    table = fam.f_many(table_lams, *points)
 
     step = max(1, SWEEP_CHUNK // max(1, n * n * m))
     sweep = max(1, SWEEP_CHUNK // dom.sample_grid.size)
@@ -697,45 +736,64 @@ def _bic_screen(cover, lams, alphas, zs, fixed, first, tol):
         with np.errstate(invalid="ignore"):  # 0 * inf, and inf - inf under weights outside [0, 1]
             rhs = (np.where(al == 0.0, 0.0, al * terms[2 * p, :, None, :])
                    + np.where(be == 0.0, 0.0, be * terms[2 * p + 1, None, :, :])).reshape(chunk)
-        pre = (held[2 * p, :, None, :] & held[2 * p + 1, None, :, :]
-               & ruled[blocks, None, None, None]).reshape(chunk)
         undecided = rhs != INF  # an infinite right side holds vacuously
-        low = np.full(chunk, INF)
         rtol = rhs + tol
 
-        # the candidate, lam1 and lam2 stages give one parameter per block,
-        # the special parameters one per tuple; each stage evaluates f over
-        # the blocks that still offer it a tuple whose parameter lies in the
-        # domain, and records the offered tuples it accepts
-        stages = [(pre, cands[blocks, None, None]), (True, lams[p, 0, None, None]),
-                  (True, lams[p, 1, None, None])]
-        for present, stage_lams in stages + [(on[k], lam[k]) for on, lam in specials]:
-            offered = undecided & present
-            bad = ~(stage_lams > -INF)  # NaN or -inf
-            if bad.any() and (bad & offered).any():
-                ensure_extended(np.broadcast_to(stage_lams, chunk)[bad & offered][0], "lambda")
-            offered &= dom.contains_many(stage_lams)
-            at = np.flatnonzero(offered.any(axis=(1, 2)))
-            if not at.size:
-                continue
-            if at.size == blocks.size:
-                at = slice(None)  # every block: views, not gathers
-            offered = offered[at]
-            lhs = fam.f_many(stage_lams[at], *slot(mixed[k[at]], fixed_b))
-            with np.errstate(invalid="ignore"):  # inf - inf only where rhs is inf, never offered
-                d = lhs - rhs[at]
-            low[at] = np.where(offered & (d < low[at]), d, low[at])
-            undecided[at] = np.where(offered, ~(lhs <= rtol[at]), undecided[at])
+        # the candidate stage evaluates f at its offered tuples alone
+        cand = cands[blocks]
+        cand_on = (held[2 * p, :, None, :] & held[2 * p + 1, None, :, :]
+                   & ruled[blocks, None, None, None]).reshape(chunk)
+        offered = undecided & cand_on
+        check(cand[:, None, None], offered)
+        inside = dom.contains_many(cand)[:, None, None]
+        cand_on &= inside
+        at = np.flatnonzero(offered & inside)
+        if at.size:
+            i = np.unravel_index(at, chunk)
+            lhs = fam.f_many(cand[i[0]], *tuples(k, i))
+            np.put(undecided, at, ~(lhs <= rtol[i]))
+
+        # the lam1, lam2 and special stages read the table block by block:
+        # (table row per block, tuples it applies to, tuples to validate);
+        # a tuple is accepted when one of them accepts it, so their hits
+        # are gathered first and the verdict updated once
+        stages = [(rows[p, s], member[p, s, None, None], None) for s in (0, 1) if members.size]
+        stages += [(np.full(blocks.size, row), on[k], None if present is None else present[k])
+                   for row, on, present in special_rows]
+        hit = np.zeros(chunk, dtype=bool)
+        for row, on, present in stages:
+            if present is not None:
+                check(table_lams[row[0], k], undecided & ~hit & present)
+            hit |= on & (table[row, k] <= rtol)
+        undecided &= ~hit
 
         left = np.flatnonzero(undecided)
+        vals = np.empty(left.size)
         for s in range(0, left.size, sweep):
             i = np.unravel_index(left[s:s + sweep], chunk)
-            vals = cover._sweep(*slot(mixed[k[i[0]], i[1], 0], fixed[i[2]]))[0]
-            d = vals - rhs[i]
-            low[i] = np.where(d < low[i], d, low[i])
-            undecided[i] = ~(vals <= rtol[i])
+            vals[s:s + sweep] = cover._sweep(*tuples(k, i))[0]
+        failing = ~(vals <= np.take(rtol, left))
+        np.put(undecided, left, failing)
         fails[p, k] = undecided.reshape(chunk[:1] + shape[2:])
-        deficits.append(low[undecided])
+        if not failing.any():
+            continue
+
+        # the failing tuples' deficits: d < low over the stages in order
+        i = np.unravel_index(left[failing], chunk)
+        b, r = i[0], rhs[i]
+        on = cand_on[i]
+        lhs = np.full(r.size, INF)
+        if on.any():
+            lhs[on] = fam.f_many(cand[b[on]], *tuples(k, tuple(j[on] for j in i)))
+        entries = [(on, lhs)] + [(np.broadcast_to(on, chunk)[i], table[row[b], k[b], i[1], i[2]])
+                                 for row, on, _ in stages]
+        low = np.full(r.size, INF)
+        with np.errstate(invalid="ignore"):  # -inf - -inf, only at entries a stage skips
+            for on, lhs in entries:
+                d = lhs - r
+                low = np.where(on & (d < low), d, low)
+        d = vals[failing] - r
+        deficits.append(np.where(d < low, d, low))
     return fails, np.concatenate(deficits)
 
 
@@ -782,7 +840,7 @@ def bic_check(cover, plan=None, tol=1e-9):
 
     found = []
     for s, ((first, zs, fixed, _, _), (fails, deficits)) in enumerate(zip(slots, screens)):
-        for p, k, a, b, c, d in zip(*np.nonzero(fails), deficits.tolist()):
+        for p, k, a, b, c, d in zip(*_nonzero(fails), deficits.tolist()):
             (lam1, lam2), alpha = plan.lam_pairs[p], plan.alphas[k]
             found.append(((p, k, s), BICCounterexample(
                 "first" if first else "second", lam1, zs[a], lam2, zs[b], alpha, fixed[c], d)))

@@ -23,6 +23,7 @@ from .numerics import (
     _batch_norm,
     _batch_norm2,
     _inner,
+    _nonzero,
     _row_keys,
     as_vector,
     ensure_extended,
@@ -77,7 +78,8 @@ class Quadratic(ConvexFunction):
         if self.scale == 0.0:
             # the zero function, also where the squared norm overflows
             return np.zeros(xs.shape[:-1])
-        return (0.5 * self.scale) * _batch_norm2(xs)
+        with np.errstate(over="ignore"):  # beyond the float range the value is +inf
+            return (0.5 * self.scale) * _batch_norm2(xs)
 
     def _key(self):
         return (self.scale, self.dim)
@@ -99,7 +101,8 @@ class ScaledNorm(ConvexFunction):
     def value_many(self, xs):
         if self.scale == 0.0:
             return np.zeros(xs.shape[:-1])
-        return self.scale * _batch_norm(xs)
+        with np.errstate(over="ignore"):  # beyond the float range the value is +inf
+            return self.scale * _batch_norm(xs)
 
     def _key(self):
         return (self.scale, self.dim)
@@ -417,7 +420,7 @@ def graph_of(phi, x_grid, y_grid, tol=None):
     pairings = kernels.pairing_matrix(xg, yg)
     with np.errstate(invalid="ignore"):
         gaps = phi_vals[:, None] + conj_vals[None, :] - pairings
-    i, j = np.nonzero(gaps <= tol)
+    i, j = _nonzero(gaps <= tol)
     if not i.size:
         raise ValueError("no pair of the probe grid is in Fenchel equality; "
                          "a law graph cannot be empty")

@@ -30,6 +30,7 @@ from .numerics import (
     _batch_norm,
     _batch_norm2,
     _inner,
+    _nonzero,
     _run_starts,
     as_vector,
     ensure_extended,
@@ -562,29 +563,29 @@ class Cover:
 
         The family's ``sweep_windows`` names, for each pair, a run of grid
         nodes that holds its first minimum over the whole grid, and
-        ``f_many`` evaluates those nodes alone, pair by pair
-        (:func:`_windowed_sweep`), in slabs of about ``SWEEP_CHUNK / 16``
-        pairs along the first axis. Each probe's finiteness boundaries
-        where the domain holds them follow: a boundary wins when its value
-        is lower, or equal at a smaller lambda. The attaining lambda is
-        thus the first minimum in ascending order."""
+        ``f_many`` evaluates those nodes alone (:func:`_windowed_sweep`), in
+        slabs of about ``SWEEP_CHUNK / 16`` pairs along the first axis. Each
+        probe's finiteness boundaries where the domain holds them follow: a
+        boundary wins when its value is lower, or equal at a smaller lambda.
+        The attaining lambda is thus the first minimum in ascending order."""
         fam, dom = self.family, self.domain
         grid = dom.sample_grid
         shape = np.broadcast_shapes(xs.shape[:-1], ys.shape[:-1])
-        xs = np.broadcast_to(xs, shape + xs.shape[-1:])
-        ys = np.broadcast_to(ys, shape + ys.shape[-1:])
+        # the stacks as given, with the leading axes they broadcast over
+        xs, ys = (a.reshape((1,) * (len(shape) + 1 - a.ndim) + a.shape) for a in (xs, ys))
         vals, lams = np.empty(shape), np.empty(shape)
         # slabs along the first axis: a windowed pair keeps some 16 floats of
         # temporaries alive, so SWEEP_CHUNK / 16 pairs hold about SWEEP_CHUNK
         # of them
         step = max(1, SWEEP_CHUNK // (16 * max(1, math.prod(shape[1:]))))
         for r in range(0, shape[0], step):
-            x, y = xs[r:r + step], ys[r:r + step]
+            x, y = (a if a.shape[0] == 1 else a[r:r + step] for a in (xs, ys))
             v, lam = vals[r:r + step], lams[r:r + step]
             v[...], first = _windowed_sweep(fam, grid, x, y)
             lam[...] = grid[first]
+            x, y = (np.broadcast_to(a, v.shape + a.shape[-1:]) for a in (x, y))
             for edge_lams in fam.finite_boundary_lams(x, y):
-                at = np.nonzero(dom.contains_many(edge_lams))
+                at = _nonzero(dom.contains_many(edge_lams))
                 edge, edge_lams = fam.f_many(edge_lams[at], x[at], y[at]), edge_lams[at]
                 wins = (edge < v[at]) | ((edge == v[at]) & (edge_lams < lam[at]))
                 won = tuple(i[wins] for i in at)
@@ -594,16 +595,36 @@ class Cover:
 
 def _windowed_sweep(fam, grid, xs, ys):
     """(values, node indices) of the first minima of f over the grid for
-    point stacks of one shape (..., dim), each pair over the run of nodes
-    that ``fam.sweep_windows`` names for it. The runs of at most
-    ``WINDOW_NODES`` nodes and the wider ones are gathered apart, each in
-    chunks of at most ``SWEEP_CHUNK`` entries, so the narrow runs of a slab
-    take one gather. A run narrower than the widest of its gather repeats
-    its last node, which the first minimum never picks over the earlier
-    copy, and a run whose minimum is +inf answers node 0, as a grid of
-    +inf values does."""
-    start, width = (np.broadcast_to(w, xs.shape[:-1]) for w in fam.sweep_windows(grid, xs, ys))
-    vals, first = np.empty(xs.shape[:-1]), np.empty(xs.shape[:-1], dtype=np.intp)
+    point stacks of shape (..., dim) broadcast against each other, each
+    pair over the run of nodes that ``fam.sweep_windows`` names for it; a
+    run whose minimum is +inf answers node 0, as a grid of +inf values
+    does.
+
+    A family that names one run for every pair (separable, tabulated) has
+    ``f_many`` evaluate it on the stacks as given, each probe's terms once,
+    in chunks of nodes of about ``SWEEP_CHUNK`` entries. Otherwise the
+    pairs are gathered, the runs of at most ``WINDOW_NODES`` nodes and the
+    wider ones apart, each in chunks of at most ``SWEEP_CHUNK`` entries, so
+    the narrow runs of a slab take one gather. A run narrower than the
+    widest of its gather repeats its last node, which the first minimum
+    never picks over the earlier copy."""
+    shape = np.broadcast_shapes(xs.shape[:-1], ys.shape[:-1])
+    start, width = fam.sweep_windows(grid, xs, ys)
+    if np.ndim(start) == np.ndim(width) == 0:
+        vals, first = np.full(shape, INF), np.zeros(shape, dtype=np.intp)
+        step = max(1, SWEEP_CHUNK // max(1, math.prod(shape)))
+        for s in range(start, start + width, step):
+            nodes = np.arange(s, min(s + step, start + width))
+            total = fam.f_many(grid[nodes], xs[..., None, :], ys[..., None, :])
+            k = total.argmin(axis=-1)
+            low = np.take_along_axis(total, k[..., None], axis=-1)[..., 0]
+            # a later chunk wins only with a lower value
+            won = low < vals
+            vals[won], first[won] = low[won], nodes[k[won]]
+        return vals, first
+    start, width = (np.broadcast_to(w, shape) for w in (start, width))
+    xs, ys = (np.broadcast_to(a, shape + a.shape[-1:]) for a in (xs, ys))
+    vals, first = np.empty(shape), np.empty(shape, dtype=np.intp)
     narrow = width <= WINDOW_NODES
     for on in (narrow, ~narrow):
         if not on.any():
@@ -686,7 +707,7 @@ def coverage_check(cover, law, tol=GRID_TOL, snap=0.0):
     missed = [pairs[i] for i in np.flatnonzero(gaps > tol)]
     xs, ys = law.domain(), law.image()
     x_stack, y_stack = np.array(xs), np.array(ys)
-    a, b = np.nonzero(~law._membership(x_stack, y_stack, snap))
+    a, b = _nonzero(~law._membership(x_stack, y_stack, snap))
     spurious = [(lam, xs[a[k]], ys[b[k]])
                 for k, lam in _touching(cover, x_stack[a], y_stack[b], tol)]
     return CoverageReport(not missed and not spurious, missed, spurious)
@@ -704,7 +725,7 @@ def _touching(cover, xs, ys, tol):
     for start in range(0, xs.shape[0], step):
         x, y = xs[start:start + step], ys[start:start + step]
         pairing = _batch_inner(x, y)
-        k, at = np.nonzero(fam.f_many(grid, x[:, None], y[:, None]) - pairing[:, None] <= tol)
+        k, at = _nonzero(fam.f_many(grid, x[:, None], y[:, None]) - pairing[:, None] <= tol)
         ks, lams = [k], [grid[at]]
         for edge in fam.finite_boundary_lams(x, y):
             # the grid is ascending: a boundary on it equals the node it sorts at

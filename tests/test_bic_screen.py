@@ -399,3 +399,67 @@ def test_split_stages_match_oracle(case):
             if size is not None:
                 mp.setattr(bipotentials, "SWEEP_CHUNK", size)
             assert report_bytes(bic_check(cover, plan)) == want, size
+
+
+@pytest.mark.parametrize("make, dim, budget", [(quadratic_cover, 1, 16000),
+                                               (norm_cover, 2, 16500)])
+def test_default_plan_screen_evaluates_each_usable_entry_once(make, dim, budget):
+    # per slot one table of f at the 4 weights x n^2 mixed points x m fixed
+    # probes over the 4 plan members and the one special parameter (12,600
+    # entries over both slots), the right-side terms (2,880), the offered
+    # candidates and the grid sweeps of the few tuples left; a stage that
+    # evaluated f over whole blocks took 120,870 and 103,410
+    cover = make(dim=dim)
+    fam = type(cover.family)
+    f_many, entries = fam.f_many, []
+
+    def counted(self, lams, x, y):
+        out = f_many(self, lams, x, y)
+        entries.append(out.size)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fam, "f_many", counted)
+        report = bic_check(cover)
+    assert report.is_bic and report.tuples_checked == 40320
+    assert sum(entries) <= budget
+
+
+LAYOUT_COORDS = [-2.0, -0.5, -0.0, 0.0, 1e-170, 0.75, 3.0, 1e200, -1e308]
+
+
+def layout_cases():
+    """(family, parameters its domain may hold, dim): quadratic and norm
+    with their 0 and inf members, separable, and the tabulated cover whose
+    lambda = 0 member meets -inf + inf."""
+    v = np.array
+    return [
+        (QuadraticFamily(2), [0.0, 1e-3, 0.5, 1.0, 4.0, 1e300, INF], 2),
+        (NormFamily(3), [0.0, 1e-3, 0.5, 1.0, 4.0, 1e300, INF], 3),
+        (separable_cover(Quadratic(2.0, 1)).family, [0.0], 1),
+        (tabulated_cover([(0.0, Affine(v([1e308])), IndicatorPoint(v([1e308]))),
+                          (1.0, Quadratic(1.0, 1), Quadratic(1.0, 1))]).family, [0.0, 1.0], 1),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_f_many_gives_the_same_bits_in_any_layout(case):
+    # the screen's table evaluates f over broadcast (blocks, n * n, m)
+    # stacks and its candidate stage over flat gathers; each entry must
+    # not depend on the layout it was computed in
+    fam, lams, dim = layout_cases()[case]
+    rng = np.random.default_rng(case)
+    blocks, nn, m = 3, 9, 4
+    mixed = rng.choice(LAYOUT_COORDS, size=(blocks, nn, 1, dim))
+    fixed = rng.choice(LAYOUT_COORDS, size=(1, 1, m, dim))
+    at = rng.choice(lams, size=(blocks, nn, m))
+    order = rng.permutation(at.size)
+    b, ab, c = np.unravel_index(order, at.shape)
+    for x, y, xi, yi in ((mixed, fixed, mixed[b, ab, 0], fixed[0, 0, c]),
+                         (fixed, mixed, fixed[0, 0, c], mixed[b, ab, 0])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = fam.f_many(at, x, y)
+            flat = fam.f_many(at[b, ab, c], xi, yi)
+        assert table.shape == at.shape
+        assert [float(t).hex() for t in table.reshape(-1)[order]] == [float(t).hex() for t in flat]

@@ -83,6 +83,18 @@ def test_zero_scale_forms_are_zero_where_the_squared_norm_overflows(form, dim):
     assert bits([oracle_form_value(phi, p) for p in probes]) == bits(np.zeros(4))
 
 
+@pytest.mark.parametrize("form, scale, big", [(Quadratic, 4.0, -1e154), (ScaledNorm, 1e200, 1e150)])
+def test_values_beyond_the_float_range_are_inf_without_a_warning(form, scale, big):
+    # 2 * 1e308 and 1e200 * 1e150 overflow: the value is +inf, as a squared
+    # norm beyond the float range is
+    phi = form(scale, 1)
+    probes = np.array([[big], [1.5]])
+    with np.errstate(all="raise"):
+        got = phi.value_many(probes)
+    assert got[0] == INF
+    assert bits(got) == bits([oracle_form_value(phi, p) for p in probes])
+
+
 # ---------------------------------------------------------------------------
 # closed conjugate table
 

@@ -616,3 +616,26 @@ def test_harmonic_candidate_satisfies_mix_inequality(lam1, lam2, alpha, s):
     lhs = cover.f_eval(lam, mixed, y)
     rhs = alpha * cover.f_eval(lam1, x1, y) + (1 - alpha) * cover.f_eval(lam2, x2, y)
     assert lhs <= rhs + 1e-9
+
+
+def test_uniform_runs_evaluate_each_probe_once():
+    # separable and tabulated families name one run for every pair, so a
+    # 41 x 41 table evaluates each member's forms once per x probe and once
+    # per y probe, not once per pair
+    rng = np.random.default_rng(5)
+    xs, ys = rng.uniform(-2, 2, size=(2, 41, 2))
+    tabulated = tabulated_cover([(lam, Quadratic(lam, 2), Quadratic(1.0 / lam, 2))
+                                 for lam in (0.5, 1.0, 2.0, 4.0)])
+    for cover, members in ((separable_cover(Quadratic(2.0, 2)), 1), (tabulated, 4)):
+        value_many, rows = Quadratic.value_many, []
+
+        def counted(self, v):
+            rows.append(v.shape[0])
+            return value_many(self, v)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Quadratic, "value_many", counted)
+            vals = cover.grid_infimum_values(xs[:, None], ys[None])
+        assert sum(rows) == members * (41 + 41)
+        want = [oracle_sweep(cover, x.tolist(), y.tolist())[0] for x in xs[:3] for y in ys]
+        assert vals[:3].reshape(-1).tolist() == want
