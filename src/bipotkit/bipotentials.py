@@ -49,8 +49,8 @@ from .numerics import (
     _batch_inner,
     _batch_norm,
     _batch_norm2,
-    _inner,
     _nonzero,
+    _records,
     _row_keys,
     _run_starts,
     as_vector,
@@ -84,7 +84,7 @@ class Bipotential:
         zero exactly on the represented graph."""
         xv = as_vector(x, self.dim)
         yv = as_vector(y, self.dim)
-        return self.value(xv, yv) - _inner(xv, yv)
+        return self.value(xv, yv) - _batch_inner(xv, yv)[()]
 
     def table(self, x_grid, y_grid):
         """Values over a product grid, x on rows and y on columns; equal
@@ -219,7 +219,7 @@ class BInfinityBipotential(Bipotential):
     def value(self, x, y):
         x, y = as_vector(x, self.dim), as_vector(y, self.dim)
         if self.law.contains(x, y, snap=self.snap):
-            return _inner(x, y)
+            return _batch_inner(x, y)[()]
         return INF
 
     def _table(self, xg, yg):
@@ -321,19 +321,6 @@ def build_b_infinity(law, tol=1e-9, snap=0.0):
 
 # ---------------------------------------------------------------------------
 # axiom verification on finite probe grids
-
-
-def _records(cls, *columns):
-    """Records of ``cls``, a frozen dataclass, one per row of the trusted
-    field columns (in declaration order), taken as they are."""
-    names = tuple(cls.__dataclass_fields__)
-    new = object.__new__
-    out = []
-    for values in zip(*columns):
-        record = new(cls)
-        record.__dict__.update(zip(names, values))
-        out.append(record)
-    return out
 
 
 @dataclass(frozen=True)
@@ -491,7 +478,9 @@ def _axiom_report(table, tol):
     lower_ok = not counterexamples
 
     x_triples = _midpoint_triples(xg)
-    y_triples = _midpoint_triples(yg)
+    # the triples read the probes' values alone (their keys meet -0.0 with 0.0)
+    same = xg.shape == yg.shape and bool((xg == yg).all())
+    y_triples = x_triples if same else _midpoint_triples(yg)
     n, m = B.shape
     k, c, v = _midpoint_failures(x_triples, m, convexity(B))
     conv = witnesses("convexity-x", k, c, v)
@@ -572,16 +561,21 @@ class BICProbePlan:
 
 def embed_primal(s, dim=1):
     """Scalar probe placed on the first axis."""
-    v = np.zeros(dim)
-    v[0] = float(s)
-    return v
+    return _embed_stack([float(s)], dim)[0]
 
 
 def embed_dual(t, dim=1):
     """Scalar probe placed on the second axis (the first when dim == 1), so
     primal and dual probes are orthogonal in dimension two and up."""
-    v = np.zeros(dim)
-    v[min(1, dim - 1)] = float(t)
+    return _embed_stack([float(t)], dim, dual=True)[0]
+
+
+def _embed_stack(values, dim, dual=False):
+    """The (n, dim) stack of :func:`embed_primal` (or, when ``dual``,
+    :func:`embed_dual`) of each scalar in ``values``."""
+    values = np.asarray(values, dtype=np.float64)
+    v = np.zeros((values.size, dim))
+    v[:, min(1, dim - 1) if dual else 0] = values
     return v
 
 
@@ -595,8 +589,8 @@ def default_probe_plan(cover):
     never empty. Other families probe their first eight grid nodes."""
     fam = cover.family
     dim = cover.dim
-    xs = tuple(embed_primal(s, dim) for s in np.linspace(-2.0, 2.0, 9))
-    ys = tuple(embed_dual(t, dim) for t in np.linspace(-2.0, 2.0, 5))
+    xs = tuple(_embed_stack(np.linspace(-2.0, 2.0, 9), dim))
+    ys = tuple(_embed_stack(np.linspace(-2.0, 2.0, 5), dim, dual=True))
     alphas = (0.0, 0.25, 0.5, 1.0)
     if isinstance(fam, (QuadraticFamily, NormFamily)):
         lams = [lam for lam in (0.5, 1.0, 2.0, 4.0) if cover.domain.contains(lam)]
@@ -668,8 +662,14 @@ def _bic_screen(cover, lams, alphas, zs, fixed, first, tol):
         if bad.any() and (bad & offered).any():
             ensure_extended(np.broadcast_to(stage_lams, offered.shape)[bad & offered][0], "lambda")
 
-    # terms[2p + i, a, c] = f(lams[p, i]) at (zs[a], fixed[c]) in this slot
-    terms = fam.f_many(lams.reshape(-1), *slot(zs[:, None, None, :], fixed[None, :, None, :]))
+    # terms[2p + i, a, c] = f(lams[p, i]) at (zs[a], fixed[c]) in this slot,
+    # evaluated once per distinct parameter in order of first appearance (a
+    # key keeps its first sign: -0.0 meets 0.0), so the first one f refuses
+    # raises first
+    flat = lams.reshape(-1).tolist()
+    distinct = {lam: k for k, lam in enumerate(dict.fromkeys(flat))}
+    terms = fam.f_many(np.array(list(distinct)), *slot(zs[:, None, None, :], fixed[None, :, None, :]))
+    terms = terms[..., [distinct[lam] for lam in flat]]
     gaps = terms - _batch_inner(zs[:, None, :], fixed[None, :, :])[..., None]
     held = (gaps <= tol if first else ~(gaps > tol)).transpose(2, 0, 1)
     terms = terms.transpose(2, 0, 1)

@@ -20,6 +20,7 @@ import numpy as np
 from .bipotentials import (
     AnalyticFormUnavailableError,
     BInfinityBipotential,
+    _embed_stack,
     build_inf,
     certify,
     verify_axioms,
@@ -66,11 +67,7 @@ def _probe_stacks(dim, spec):
     """The grid's nodes as primal and dual probes, placed on the axes that
     :func:`embed_primal` and :func:`embed_dual` use."""
     g = _parse_grid_spec(spec, "--probe-grid")
-    xs = np.zeros((g.size, dim))
-    ys = np.zeros((g.size, dim))
-    xs[:, 0] = g
-    ys[:, min(1, dim - 1)] = g
-    return xs, ys
+    return _embed_stack(g, dim), _embed_stack(g, dim, dual=True)
 
 
 def _apply_lambda_grid(cover, spec):

@@ -22,7 +22,6 @@ from .numerics import (
     _batch_inner,
     _batch_norm,
     _batch_norm2,
-    _inner,
     _nonzero,
     _row_keys,
     as_vector,
@@ -383,7 +382,7 @@ def fenchel_gap(phi, x, y, tol=None, primal_grid=None):
     # discrete forms conjugate on the one dual point, exact for sampled forms
     py = conjugate(phi, dual_grid=yv[None], primal_grid=primal_grid).value(yv)
     ensure_extended(py, "conjugate value")
-    pairing = _inner(xv, yv)
+    pairing = _batch_inner(xv, yv)[()]
     gap = px + py - pairing
     if math.isnan(gap):
         raise MinusInfinityError("fenchel gap is undefined (inf - inf)")

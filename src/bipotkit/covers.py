@@ -29,7 +29,6 @@ from .numerics import (
     _batch_inner,
     _batch_norm,
     _batch_norm2,
-    _inner,
     _nonzero,
     _run_starts,
     as_vector,
@@ -702,9 +701,9 @@ def coverage_check(cover, law, tol=GRID_TOL, snap=0.0):
     """
     if cover.dim != law.dim:
         raise ValueError(f"cover dimension {cover.dim} != law dimension {law.dim}")
-    pairs = law.pairs
     gaps = cover.grid_infimum_values(law.xs, law.ys) - _batch_inner(law.xs, law.ys)
-    missed = [pairs[i] for i in np.flatnonzero(gaps > tol)]
+    miss = np.flatnonzero(gaps > tol)
+    missed = list(zip(law.xs[miss], law.ys[miss]))
     xs, ys = law.domain(), law.image()
     x_stack, y_stack = np.array(xs), np.array(ys)
     a, b = _nonzero(~law._membership(x_stack, y_stack, snap))
@@ -776,7 +775,7 @@ def p1_candidate(cover, lam1, lam2, alpha, x1, x2, y, tol=1e-9):
     if isinstance(cover.family, TabulatedFamily):
         # the first member, ascending, at which the mixed point is one
         members = cover.family.lams()
-        gaps = cover.family.f_many(np.array(members), mixed, yv) - _inner(mixed, yv)
+        gaps = cover.family.f_many(np.array(members), mixed, yv) - _batch_inner(mixed, yv)
         accepted = np.flatnonzero(gaps <= tol)
         if accepted.size:
             return members[accepted[0]]

@@ -16,7 +16,7 @@ import os
 
 import numpy as np
 
-from .bipotentials import _contact_graph, certify, embed_dual, embed_primal
+from .bipotentials import _contact_graph, _embed_stack, certify
 from .convex import Affine, IndicatorPoint, Quadratic, graph_of
 from .covers import (
     ClosedInterval,
@@ -29,7 +29,7 @@ from .covers import (
 )
 from .formats import _probe_lines, csv_header, dumps, save_cover, save_law
 from .laws import Ball, HalfLineRay, LawGraph, Segment, Singleton
-from .numerics import norm
+from .numerics import _batch_norm
 
 DEMO_NAMES = ("cauchy-quadratic", "cauchy-norm", "plasticity", "separable")
 
@@ -139,27 +139,19 @@ def _axis_grid(lo=-2.0, hi=2.0, count=41):
 
 def demo_setup(name):
     """Law, cover, mode, probe stacks, and tolerances for a named demo."""
-    if name == "cauchy-quadratic":
+    if name in ("cauchy-quadratic", "cauchy-norm"):
         law = build_cauchy_law()
-        cover = quadratic_cover(dim=2)
-        xg = np.array([embed_primal(s, 2) for s in _axis_grid()])
-        yg = np.array([embed_dual(t, 2) for t in _axis_grid()])
-        return {"law": law, "cover": cover, "mode": "grid", "tol": 1e-3,
-                "x_probes": xg, "y_probes": yg, "reference": "cauchy"}
-    if name == "cauchy-norm":
-        law = build_cauchy_law()
-        cover = norm_cover(dim=2)
-        xg = np.array([embed_primal(s, 2) for s in _axis_grid()])
-        yg = np.array([embed_dual(t, 2) for t in _axis_grid()])
+        cover = (quadratic_cover if name == "cauchy-quadratic" else norm_cover)(dim=2)
+        xg = _embed_stack(_axis_grid(), 2)
+        yg = _embed_stack(_axis_grid(), 2, dual=True)
         return {"law": law, "cover": cover, "mode": "grid", "tol": 1e-3,
                 "x_probes": xg, "y_probes": yg, "reference": "cauchy"}
     if name == "plasticity":
         law = build_plasticity_law()
         dom = ClosedInterval(1.0, 1.0)
         cover = Cover(dom, NormFamily(2))
-        xg = np.array([embed_primal(s, 2) for s in _axis_grid()])
-        # probe y along the same axis so the yielding rays are in contact
-        yg = np.array([embed_primal(t, 2) for t in _axis_grid()])
+        # probe y along the same axis as x, so the yielding rays are in contact
+        xg = yg = _embed_stack(_axis_grid(), 2)
         return {"law": law, "cover": cover, "mode": "analytic", "tol": 1e-9,
                 "x_probes": xg, "y_probes": yg, "reference": None}
     if name == "separable":
@@ -167,8 +159,7 @@ def demo_setup(name):
         grid = _axis_grid(-2.0, 2.0, 21)
         law = graph_of(phi, grid, grid)
         cover = separable_cover(phi)
-        xg = grid[:, None]
-        yg = grid[:, None]
+        xg = yg = grid[:, None]
         return {"law": law, "cover": cover, "mode": "analytic", "tol": 1e-9,
                 "x_probes": xg, "y_probes": yg, "reference": "separable"}
     raise KeyError(f"unknown demo {name!r}; known: {', '.join(DEMO_NAMES)}")
@@ -179,7 +170,7 @@ def _reference_line(kind, table, setup):
     closed-form target; NaN differences (inf against inf) are skipped."""
     xg, yg, B, _ = table
     if kind == "cauchy":
-        target = np.multiply.outer([norm(x) for x in xg], [norm(y) for y in yg])
+        target = np.multiply.outer(_batch_norm(xg), _batch_norm(yg))
         label = "||x|| ||y||"
     elif kind == "separable":
         fam = setup["cover"].family

@@ -46,7 +46,7 @@ from .covers import (
     tabulated_cover,
 )
 from .laws import Ball, HalfLineRay, LawGraph, Segment, Singleton
-from .numerics import INF, _batch_norm2
+from .numerics import INF, _batch_norm2, _records
 
 
 class FormatError(ValueError):
@@ -297,7 +297,8 @@ def law_from_data(data):
     anchors = q(rows[[start for _, _, start, _, _ in layout]])
     primal_hints, dual_hints = {}, {}
     for (side, cls, start, stop, radius), key in zip(layout, map(tuple, anchors.tolist())):
-        hint = cls._from_fields(*rows[start + 1:stop], *radius)
+        # one record of the checked fields, taken as they are
+        hint = _records(cls, *([field] for field in (*rows[start + 1:stop], *radius)))[0]
         (primal_hints if side == "primal" else dual_hints)[key] = hint
     if not all(np.isfinite(v).all() for v in (xs, ys, anchors)):
         # quantizing overflowed; the checking constructor names what it hit

@@ -89,15 +89,6 @@ class _SliceHint:
     def contains_many(self, vs, tol):
         return self._holds(vs, tol, *self._params())
 
-    @classmethod
-    def _from_fields(cls, *values):
-        """A hint of trusted fields in declaration order (float64 vectors of
-        one dimension, a float radius), taken as they are."""
-        hint = object.__new__(cls)
-        for name, value in zip(cls.__dataclass_fields__, values):
-            object.__setattr__(hint, name, value)
-        return hint
-
     def _params(self):
         # the dataclass fields in declaration order
         return [getattr(self, name) for name in self.__dataclass_fields__]
@@ -256,38 +247,33 @@ class LawGraph:
         self._validate_hints()
 
     def _validate_hints(self):
-        # every anchor needs a pair before any pair is checked
+        if not (self.primal_hints or self.dual_hints):
+            return
         sides = (("primal", self.primal_hints, self.xs, self.ys, "x", "y"),
                  ("dual", self.dual_hints, self.ys, self.xs, "y", "x"))
-        anchored = []
-        for order, (side, hints, at, others, a, o) in enumerate(sides):
-            for (key, hint), rows in zip(hints.items(), _anchor_rows(at, list(hints))):
-                if not rows.size:
-                    raise ValueError(f"{side} hint anchored at {key} but no pair has that {a}")
-                anchored.append((order, hint, rows))
-        # the hints of one shape in one call over the pairs at their anchors;
+        # every anchor needs a pair before any pair is checked
+        hints, which, rows, vs = [], [], [], []
+        for side, side_hints, at, others, a, _ in sides:
+            anchor = _anchor_index(at, list(side_hints))
+            held = np.flatnonzero(anchor >= 0)
+            missing = np.ones(len(side_hints), dtype=bool)
+            missing[anchor[held]] = False
+            if missing.any():
+                raise ValueError(f"{side} hint anchored at {list(side_hints)[missing.argmax()]} "
+                                 f"but no pair has that {a}")
+            which.append(anchor[held] + len(hints))
+            rows.append(held)
+            vs.append(others[held])
+            hints += side_hints.values()
+        # each pair against the hints at its x (primal) and at its y (dual);
         # the lowest failing pair index wins, primal before dual at the same
         # index (a hint of another dimension fails at its first pair)
-        failures, shapes = [], {}
-        for order, hint, rows in anchored:
-            if hint.dim != self.dim:
-                failures.append((rows[0], order, hint))
-            else:
-                shapes.setdefault(type(hint), []).append((order, hint, rows))
-        for shape, group in shapes.items():
-            which = np.repeat(np.arange(len(group)), [rows.size for _, _, rows in group])
-            orders = np.array([order for order, _, _ in group])[which]
-            rows = np.concatenate([rows for _, _, rows in group])
-            vs = np.where((orders == 0)[:, None], self.ys[rows], self.xs[rows])
-            params = zip(*[hint._params() for _, hint, _ in group])
-            fail = ~shape._holds(vs, self.hint_tol, *[np.array(p)[which] for p in params])
-            if fail.any():
-                f = np.flatnonzero(fail)
-                f = f[np.lexsort((orders[f], rows[f]))[0]]
-                failures.append((rows[f], orders[f], group[which[f]][1]))
-        if failures:
-            i, order, hint = min(failures, key=lambda f: f[:2])
-            side, _, at, others, a, o = sides[order]
+        which, rows = np.concatenate(which), np.concatenate(rows)
+        fail = np.flatnonzero(~_hints_hold(hints, which, np.concatenate(vs), self.hint_tol))
+        if fail.size:
+            f = fail[np.argmin(rows[fail])]  # the first minimum: primal rows come first
+            i, hint = rows[f], hints[which[f]]
+            side, _, at, others, a, o = sides[int(which[f] >= len(self.primal_hints))]
             hint.contains(others[i], self.hint_tol)  # raises for a hint of another dimension
             raise ValueError(f"pair {i}: {o} {others[i].tolist()} lies outside the "
                              f"declared {side} slice hint at {a} {at[i].tolist()}")
@@ -297,21 +283,19 @@ class LawGraph:
 
     @property
     def pairs(self):
-        return [(self.xs[i].copy(), self.ys[i].copy()) for i in range(len(self))]
+        return list(zip(self.xs.copy(), self.ys.copy()))
 
     def pair_keys(self):
         """Set of exact-coordinate pair keys, for set-level comparisons."""
-        return {(vec_key(self.xs[i]), vec_key(self.ys[i])) for i in range(len(self))}
+        return set(zip(map(tuple, self.xs.tolist()), map(tuple, self.ys.tolist())))
 
     def slice(self, x):
         """All y with (x, y) stored, by exact coordinate match."""
-        xv = as_vector(x, self.dim)
-        return [self.ys[i].copy() for i in range(len(self)) if np.all(self.xs[i] == xv)]
+        return list(self.ys[(self.xs == as_vector(x, self.dim)).all(axis=1)])
 
     def dual_slice(self, y):
         """All x with (x, y) stored, by exact coordinate match."""
-        yv = as_vector(y, self.dim)
-        return [self.xs[i].copy() for i in range(len(self)) if np.all(self.ys[i] == yv)]
+        return list(self.xs[(self.ys == as_vector(y, self.dim)).all(axis=1)])
 
     def domain(self):
         """Distinct x coordinates in first-appearance order."""
@@ -345,34 +329,48 @@ class LawGraph:
                 near_y &= self.ys[None, :, k] == yg[:, None, k]
         # some stored pair i near both: a product of 0/1 matrices, exact in floats
         member = near_x.astype(np.float64) @ near_y.T.astype(np.float64) > 0.0
-        # primal hints fill rows, dual hints columns (rows of the transpose)
+        # primal hints fill rows, dual hints columns (rows of the transpose):
+        # the hint at each anchored probe, over every probe of the other side
         for hints, at, others, view in ((self.primal_hints, xg, yg, member),
                                         (self.dual_hints, yg, xg, member.T)):
-            if not hints:
-                continue
+            anchor = _anchor_index(at, list(hints))
+            rows = np.flatnonzero(anchor >= 0)
             shapes = list(hints.values())
-            anchored = np.all(at[:, None] == np.array(list(hints))[None], axis=2)
-            for h in np.flatnonzero(anchored.any(axis=0)):
-                view[anchored[:, h]] |= shapes[h].contains_many(others, self.hint_tol)
+            n = len(others)
+            holds = _hints_hold([shapes[h] for h in anchor[rows]], np.repeat(np.arange(rows.size), n),
+                                np.tile(others, (rows.size, 1)), self.hint_tol)
+            view[rows] |= holds.reshape(rows.size, n)
         return member
 
 
-def _anchor_rows(at, keys):
-    """Ascending indices of the rows of the (m, dim) stack ``at`` equal to
-    each anchor key (-0.0 meets 0.0), from one sort of the row keys; none
-    for a key of another length."""
-    if not keys:
-        return []
-    dim = at.shape[1]
-    fit = [len(key) == dim for key in keys]
-    anchors = _row_keys(np.array([key for key, ok in zip(keys, fit) if ok],
-                                 dtype=np.float64).reshape(-1, dim))
-    row_keys = _row_keys(at)
-    order = np.argsort(row_keys, kind="stable")
-    table = row_keys[order]
-    spans = iter(zip(np.searchsorted(table, anchors, "left").tolist(),
-                     np.searchsorted(table, anchors, "right").tolist()))
-    return [order[slice(*next(spans))] if ok else order[:0] for ok in fit]
+def _anchor_index(at, keys):
+    """For each row of the (m, dim) stack ``at``, the index of the anchor key
+    it equals, or -1: the rows looked up as the hint dictionaries key them
+    (exact coordinate tuples, -0.0 meeting 0.0)."""
+    index = {key: k for k, key in enumerate(keys)}
+    return np.array([index.get(row, -1) for row in map(tuple, at.tolist())], dtype=np.intp)
+
+
+def _hints_hold(hints, which, vs, tol):
+    """Whether each row of the trusted (n, dim) stack ``vs`` lies in the hint
+    ``hints[which[r]]``: one ``_holds`` call per shape, over the rows of its
+    hints with each hint's fields gathered per row. A hint of another
+    dimension holds nowhere."""
+    out = np.zeros(which.size, dtype=bool)
+    groups = {}
+    for h, hint in enumerate(hints):
+        if hint.dim == vs.shape[1]:
+            groups.setdefault(type(hint), []).append(h)
+    kind = np.full(len(hints), -1)
+    for k, group in enumerate(groups.values()):
+        kind[group] = k
+    kind = kind[which]
+    for k, (shape, group) in enumerate(groups.items()):
+        rows = np.flatnonzero(kind == k)
+        at = np.searchsorted(group, which[rows])  # the group ascends
+        fields = zip(*[hints[h]._params() for h in group])
+        out[rows] = shape._holds(vs[rows], tol, *[np.array(f)[at] for f in fields])
+    return out
 
 
 def _distinct_rows(a):

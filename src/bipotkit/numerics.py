@@ -69,38 +69,26 @@ def as_vector(x, dim=None):
 
 
 def inner(x, y):
-    """Duality pairing <x, y> = sum_i x_i y_i of two same-dimension vectors."""
+    """Duality pairing <x, y> = sum_i x_i y_i of two same-dimension vectors:
+    :func:`_batch_inner` on one row."""
     xv = as_vector(x)
     yv = as_vector(y)
     if xv.size != yv.size:
         raise DimensionMismatchError(f"pairing needs equal dimensions, got {xv.size} and {yv.size}")
-    return _inner(xv, yv)
+    return _batch_inner(xv, yv)[()]
 
 
 def norm(x):
-    """Euclidean norm, computed as sqrt(<x, x>) for cross-module consistency."""
-    return _norm(as_vector(x))
-
-
-def _inner(x, y):
-    """:func:`inner` on trusted same-dimension float64 vectors, unchecked."""
-    # Accumulate coordinate by coordinate so every caller (and
-    # kernels.pairing_matrix) produces bit-identical pairings.
-    s = 0.0
-    for k in range(x.size):
-        s += x[k] * y[k]
-    return s
-
-
-def _norm(x):
-    """:func:`norm` on a trusted float64 vector, unchecked."""
-    return math.sqrt(_inner(x, x))
+    """Euclidean norm sqrt(<x, x>): :func:`_batch_norm` on one row."""
+    return float(_batch_norm(as_vector(x)))
 
 
 def _batch_inner(xs, ys):
     """Pairings of two broadcastable stacks of trusted vectors along the last
-    axis, accumulated in :func:`_inner`'s coordinate order. A pairing beyond
-    the float range is +inf or -inf, as :func:`_inner` gives it."""
+    axis, accumulated coordinate by coordinate from 0.0 in index order, the
+    one pairing loop of the package: :func:`inner`, ``kernels.pairing_matrix``
+    and every trusted caller give its bits. A pairing beyond the float range
+    is +inf or -inf."""
     out = np.zeros(np.broadcast_shapes(xs.shape[:-1], ys.shape[:-1]))
     with np.errstate(over="ignore"):
         for k in range(xs.shape[-1]):
@@ -157,6 +145,19 @@ def _run_starts(a):
     """Mask of the entries of a nonempty sorted array that differ from the
     entry before them; the first entry always does."""
     return np.concatenate(([True], a[1:] != a[:-1]))
+
+
+def _records(cls, *columns):
+    """Records of ``cls``, a frozen dataclass, one per row of the trusted
+    field columns (in declaration order), taken as they are."""
+    names = tuple(cls.__dataclass_fields__)
+    new = object.__new__
+    out = []
+    for values in zip(*columns):
+        record = new(cls)
+        record.__dict__.update(zip(names, values))
+        out.append(record)
+    return out
 
 
 def vec_key(x):

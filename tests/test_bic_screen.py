@@ -406,7 +406,7 @@ def test_split_stages_match_oracle(case):
 def test_default_plan_screen_evaluates_each_usable_entry_once(make, dim, budget):
     # per slot one table of f at the 4 weights x n^2 mixed points x m fixed
     # probes over the 4 plan members and the one special parameter (12,600
-    # entries over both slots), the right-side terms (2,880), the offered
+    # entries over both slots), the right-side terms (360), the offered
     # candidates and the grid sweeps of the few tuples left; a stage that
     # evaluated f over whole blocks took 120,870 and 103,410
     cover = make(dim=dim)
@@ -423,6 +423,49 @@ def test_default_plan_screen_evaluates_each_usable_entry_once(make, dim, budget)
         report = bic_check(cover)
     assert report.is_bic and report.tuples_checked == 40320
     assert sum(entries) <= budget
+
+
+@pytest.mark.parametrize("make, dim, pinned", [(quadratic_cover, 1, 13328),
+                                               (norm_cover, 2, 13912)])
+def test_right_side_terms_evaluate_each_distinct_parameter_once(make, dim, pinned):
+    # the 32 plan parameters hold 4 distinct values: 2 x 45 x 4 right-side
+    # terms over both slots, not 2 x 45 x 32 (15,848 and 16,432 entries)
+    cover = make(dim=dim)
+    fam = type(cover.family)
+    f_many, entries, terms = fam.f_many, [], []
+
+    def counted(self, lams, x, y):
+        out = f_many(self, lams, x, y)
+        entries.append(out.size)
+        if not terms:
+            terms.append(np.asarray(lams).tolist())
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fam, "f_many", counted)
+        report = bic_check(cover)
+    assert report.is_bic and sum(entries) == pinned
+    assert terms == [[0.5, 1.0, 2.0, 4.0]]  # in order of first appearance
+
+
+def test_right_side_terms_raise_for_the_first_untabulated_parameter():
+    cover = tabulated_cover([(1.0, Quadratic(1.0, 1), Quadratic(1.0, 1)),
+                             (2.0, Quadratic(2.0, 1), Quadratic(0.5, 1))])
+    pairs = ((1.0, 1.0), (1.0, 3.0), (-0.0, 5.0), (0.0, 3.0))
+    for first in (True, False):
+        with pytest.raises(ValueError, match="^lambda 3.0 is not tabulated$"):
+            bipotentials._bic_screen(cover, np.array(pairs), [0.5], np.ones((2, 1)),
+                                     np.ones((1, 1)), first, 1e-9)
+    plan = BICProbePlan(pairs, (0.5,), (np.ones(1),), (np.ones(1),))
+    with pytest.raises(ValueError, match="^lambda 3.0 is not tabulated$"):
+        bic_check(cover, plan)
+
+
+@pytest.mark.parametrize("make", [quadratic_cover, norm_cover])
+def test_signed_zero_parameters_match_oracle(make):
+    # -0.0 and 0.0 share one right-side term, evaluated at the first's sign
+    plan = small_plan(2, [(-0.0, 1.0), (0.0, -0.0), (1.0, 0.0), (2.0, -0.0)], (0.0, 0.5, 1.0))
+    check_against_oracle(make(dim=2), plan)
 
 
 LAYOUT_COORDS = [-2.0, -0.5, -0.0, 0.0, 1e-170, 0.75, 3.0, 1e200, -1e308]

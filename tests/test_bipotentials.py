@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bipotkit.bipotentials import (
     AnalyticFormUnavailableError,
@@ -19,6 +21,7 @@ from bipotkit.bipotentials import (
     graph_of_bipotential,
     verify_axioms,
 )
+from bipotkit import bipotentials, kernels
 from bipotkit.convex import MaxAffine, Quadratic, ScaledNorm, conjugate
 from bipotkit.covers import (
     ClosedInterval,
@@ -265,6 +268,20 @@ def test_infinite_values_respect_convexity_semantics():
     assert not report.separate_convexity_ok
 
 
+def test_equal_probe_stacks_find_their_midpoints_once(monkeypatch):
+    calls = []
+    triples = bipotentials._midpoint_triples
+    monkeypatch.setattr(bipotentials, "_midpoint_triples",
+                        lambda g: calls.append(g.shape) or triples(g))
+    grid = symmetric_grid(2)
+    same = verify_axioms(CauchyProduct(2), grid, grid.copy())
+    assert len(calls) == 1
+    other = verify_axioms(CauchyProduct(2), grid, grid[::-1].copy())
+    assert len(calls) == 3
+    # the triples of a stack in another order find the same violations
+    assert same.is_bipotential and other.is_bipotential
+
+
 def test_graph_of_bipotential_requires_contact():
     b = Probe(lambda x, y: inner(x, y) + 1.0)
     g = symmetric_grid(1, 3)
@@ -304,6 +321,46 @@ def test_embeddings():
     assert embed_dual(1.5, 2).tolist() == [0.0, 1.5]
     assert embed_primal(2.0, 1).tolist() == [2.0]
     assert embed_dual(2.0, 1).tolist() == [2.0]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_embedded_stacks_equal_the_embedded_probes_bit_for_bit(dim):
+    values = [-2.0, -0.0, 0.0, 5e-324, 1.5, 1e308]
+    for dual, embed in ((False, embed_primal), (True, embed_dual)):
+        got = bipotentials._embed_stack(values, dim, dual=dual)
+        assert got.tobytes() == np.array([embed(s, dim) for s in values]).tobytes()
+    plan = default_probe_plan(quadratic_cover(dim=dim))
+    assert np.array(plan.primal_points).tobytes() == np.array(
+        [embed_primal(s, dim) for s in np.linspace(-2.0, 2.0, 9)]).tobytes()
+    assert np.array(plan.dual_points).tobytes() == np.array(
+        [embed_dual(t, dim) for t in np.linspace(-2.0, 2.0, 5)]).tobytes()
+
+
+# scalar entry points against one-row tables, at the ends of the float range
+EDGE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-170, 1.5e154, -1.5e154, 1e308, -1e308]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+def bits(value):
+    return np.float64(value).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda d: st.lists(st.lists(EDGE, min_size=d, max_size=d).map(np.array), min_size=3, max_size=3)))
+def test_gap_and_b_infinity_values_equal_their_tables_bit_for_bit(points):
+    x, y, z = points
+    dim = x.size
+    with np.errstate(invalid="ignore"):  # inf - inf where products overflow both ways
+        pairing = kernels.pairing_matrix(x[None], y[None])[0, 0]
+        cauchy = CauchyProduct(dim)
+        assert bits(cauchy.gap(x, y)) == bits(cauchy.table(x[None], y[None])[0, 0] - pairing)
+        b = BInfinityBipotential(LawGraph([(x, y)]))
+        got = b.value(x, y)
+        assert type(got) is np.float64 and bits(got) == bits(pairing)
+        assert bits(got) == bits(b.table(x[None], y[None])[0, 0])
+        assert bits(b.value(x, z)) == bits(b.table(x[None], z[None])[0, 0])
 
 
 # ---------------------------------------------------------------------------

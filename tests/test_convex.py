@@ -21,7 +21,7 @@ from bipotkit.convex import (
     graph_of,
     subdifferential_contains,
 )
-from bipotkit.numerics import INF
+from bipotkit.numerics import INF, MinusInfinityError
 
 from .oracles import oracle_form_value, python_conjugate
 
@@ -278,3 +278,28 @@ def test_quadratic_graph_is_diagonal():
 def test_graph_of_raises_when_no_contact():
     with pytest.raises(ValueError):
         graph_of(Quadratic(1.0, 1), np.array([-2.0]), np.array([2.0]))
+
+
+EDGE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-170, 1.5e154, -1.5e154, 1e308, -1e308]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda d: st.tuples(*[st.lists(EDGE, min_size=d, max_size=d).map(np.array)] * 2)))
+def test_fenchel_gap_pairs_like_the_pairing_matrix(xy):
+    # phi(x) + phi*(y) - <x, y>, with the pairing of the batched kernel
+    x, y = xy
+    phi = Quadratic(1.0, x.size)
+    with np.errstate(invalid="ignore"):  # inf - inf where values overflow
+        want = (phi.value(x) + conjugate(phi).value(y)
+                - kernels.pairing_matrix(x[None], y[None])[0, 0])
+        if np.isnan(want):
+            with pytest.raises(MinusInfinityError):
+                fenchel_gap(phi, x, y)
+        elif want < -default_tol(phi):
+            with pytest.raises(NegativeFenchelGapError):
+                fenchel_gap(phi, x, y)
+        else:
+            assert np.float64(fenchel_gap(phi, x, y).gap).tobytes() == np.float64(want).tobytes()

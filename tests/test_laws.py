@@ -352,6 +352,22 @@ def test_detector_agrees_with_exhaustive_enumeration():
             assert_refusal_is_exact(law, report, tol)
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: the cycle screen's tolerance per "
+                   "relaxation and the oracle's tolerance per cycle disagree")
+def test_repeated_pairs_cycle_agrees_with_exhaustive_enumeration():
+    # each two-pair cycle sums 1e-9, inside tol; the oracle finds the cycle
+    # (0, 2, 1, 3) through both copies of each pair, which sums 2e-9
+    law = law_1d([(0, 1e-9), (0, 1e-9), (1, 0), (1, 0)])
+    ok, _, _ = exhaustive_cycle_check(weight_matrix(law), 1e-9)
+    assert cyclic_monotonicity_check(law).cyclically_monotone == ok
+
+
+def test_exhaustive_enumeration_finds_the_repeated_pairs_cycle():
+    law = law_1d([(0, 1e-9), (0, 1e-9), (1, 0), (1, 0)])
+    ok, cycle, best = exhaustive_cycle_check(weight_matrix(law), 1e-9)
+    assert (bool(ok), cycle, float(best)) == (False, (0, 2, 1, 3), 2e-9)
+
+
 @settings(max_examples=60)
 @given(st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1)),
                 min_size=1, max_size=5))
@@ -635,13 +651,52 @@ def test_plane_wise_pairings_equal_scalar_pairings_bit_for_bit(law):
 QUARTERS = st.one_of(DYADIC, st.just(-0.0))
 
 
+def quarter_hint(draw, row, point):
+    """A hint of a drawn shape through ``point``: the singleton, a segment
+    from it, a ball around it or a ray out of it."""
+    shape = draw(st.sampled_from([Singleton, Segment, Ball, HalfLineRay]))
+    if shape is Singleton:
+        return Singleton(point)
+    if shape is Segment:
+        return Segment(point, np.array(draw(row)))
+    if shape is Ball:
+        return Ball(point, draw(st.sampled_from([0.0, 0.5, np.inf])))
+    return HalfLineRay(point, np.array(draw(row.filter(any))))
+
+
+def hinted_law(draw, row, pairs):
+    """The pairs under hints of drawn shapes, at some of their x and y: a
+    hint passes through the first pair at its anchor, and only the pairs
+    inside every hint that mentions them are kept (the first one always)."""
+    def hints(at, other):
+        firsts = {}
+        for a, o in zip(at, other):
+            firsts.setdefault(tuple(a), o)
+        keys = draw(st.lists(st.sampled_from(list(firsts)), unique=True))
+        return {key: quarter_hint(draw, row, np.array(firsts[key])) for key in keys}
+
+    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+    primal, dual = hints(xs, ys), hints(ys, xs)
+    kept = [(x, y) for x, y in pairs
+            if (tuple(x) not in primal or oracle_hint_holds(primal[tuple(x)], y, 1e-9))
+            and (tuple(y) not in dual or oracle_hint_holds(dual[tuple(y)], x, 1e-9))]
+    primal = {k: h for k, h in primal.items() if any(tuple(x) == k for x, _ in kept)}
+    dual = {k: h for k, h in dual.items() if any(tuple(y) == k for _, y in kept)}
+    return LawGraph([(np.array(x), np.array(y)) for x, y in kept],
+                    primal_hints=primal, dual_hints=dual)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_membership_matches_the_oracle(data):
     dim = data.draw(st.integers(1, 3))
     row = st.lists(QUARTERS, min_size=dim, max_size=dim)
     pairs = data.draw(st.lists(st.tuples(row, row), min_size=1, max_size=6))
-    law = LawGraph([(np.array(x), np.array(y)) for x, y in pairs])
+    if data.draw(st.booleans()):
+        # hints of mixed shapes on either side
+        law = hinted_law(data.draw, row, pairs)
+    else:
+        law = LawGraph([(np.array(x), np.array(y)) for x, y in pairs])
     # probes: stored coordinates and free points
     stored_x = st.sampled_from([x for x, _ in pairs])
     stored_y = st.sampled_from([y for _, y in pairs])
@@ -650,6 +705,41 @@ def test_membership_matches_the_oracle(data):
     snap = data.draw(st.sampled_from([0.0, 0.25, 0.3, 1.0]))
     got = law._membership(np.array(xg), np.array(yg), snap)
     assert got.tolist() == [[oracle_law_member(law, x, y, snap) for y in yg] for x in xg]
+
+
+def test_membership_reads_two_shapes_on_each_side():
+    law = LawGraph(
+        [(v(0, 0), v(0.5, 0)), (v(1, 0), v(1, 0)), (v(2, 0), v(1, 0)), (v(0, 1), v(0, 1))],
+        primal_hints={(0.0, 0.0): Ball(v(0, 0), 1.0), (1.0, 0.0): Singleton(v(1, 0)),
+                      (0.0, 1.0): Segment(v(0, 1), v(0, 2))},
+        dual_hints={(1.0, 0.0): HalfLineRay(v(1, 0), v(1, 0)), (0.0, 1.0): Singleton(v(0, 1))})
+    grid = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [3.0, 0.0], [0.0, 1.5], [-0.0, 1.0]])
+    got = law._membership(grid, grid, 0.0)
+    want = [[oracle_law_member(law, x, y) for y in grid.tolist()] for x in grid.tolist()]
+    assert got.tolist() == want
+    assert got[:, 4].tolist() == [False, False, True, False, False, True]  # the segment's interior
+    assert got[3, 1] and not got[3, 0]  # x = (3, 0) on the dual ray at y = (1, 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_slices_and_pair_keys_match_a_brute_force(data):
+    dim = data.draw(st.integers(1, 3))
+    row = st.lists(QUARTERS, min_size=dim, max_size=dim)
+    pairs = data.draw(st.lists(st.tuples(row, row), min_size=1, max_size=8))
+    law = LawGraph([(np.array(x), np.array(y)) for x, y in pairs])
+    probe = data.draw(st.one_of(st.sampled_from([c for pair in pairs for c in pair]), row))
+
+    def signed(vectors):
+        return [(c.tolist(), np.signbit(c).tolist()) for c in vectors]
+
+    assert signed(law.slice(probe)) == signed(np.array(y) for x, y in pairs if x == probe)
+    assert signed(law.dual_slice(probe)) == signed(np.array(x) for x, y in pairs if y == probe)
+    assert law.pair_keys() == {(tuple(map(float, x)), tuple(map(float, y))) for x, y in pairs}
+    got = law.slice(probe)
+    if got:
+        got[0][0] = 7.0
+        assert 7.0 not in law.ys
 
 
 @pytest.mark.parametrize("chunk", [laws.SWEEP_CHUNK, 7])

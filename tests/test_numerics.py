@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bipotkit.numerics import (
@@ -89,11 +89,44 @@ def test_vec_key_round_trip():
 
 
 def test_trusted_pairing_matches_the_checked_one():
-    from bipotkit.numerics import _batch_inner, _inner, _norm
+    from bipotkit.numerics import _batch_inner, _batch_norm
 
     x = np.array([0.1, -2.5, 3.0])
     y = np.array([7.0, 0.3, -1e-3])
-    assert _inner(x, y) == inner(x, y)
-    assert _norm(x) == norm(x)
+    # coordinate by coordinate from 0.0, in index order
+    assert _batch_inner(x, y)[()] == ((0.0 + 0.1 * 7.0) + -2.5 * 0.3) + 3.0 * -1e-3 == inner(x, y)
+    assert float(_batch_norm(x)) == math.sqrt(((0.0 + 0.1 * 0.1) + 2.5 * 2.5) + 3.0 * 3.0) == norm(x)
     stack = np.stack([x, y])
     assert _batch_inner(stack, stack[::-1]).tolist() == [inner(x, y), inner(y, x)]
+    assert _batch_norm(stack).tolist() == [norm(x), norm(y)]
+
+
+# coordinates at the ends of the float range: signed zeros, subnormals, and
+# magnitudes whose products overflow
+EDGE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-170, 1.5e154, -1.5e154,
+                     1e308, -1e308, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+def edge_vectors(dim):
+    return st.lists(EDGE, min_size=dim, max_size=dim).map(np.array)
+
+
+def bits(v):
+    return np.float64(v).tobytes()
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(edge_vectors(d), edge_vectors(d))))
+def test_inner_and_norm_are_one_row_batched_calls(xy):
+    from bipotkit.kernels import pairing_matrix
+    from bipotkit.numerics import _batch_inner, _batch_norm
+
+    x, y = xy
+    with np.errstate(invalid="ignore"):  # inf - inf where products overflow both ways
+        got, want = inner(x, y), pairing_matrix(x[None], y[None])[0, 0]
+        table = _batch_inner(np.stack([x, y, x]), np.stack([y, y, x]))
+    assert type(got) is np.float64 and bits(got) == bits(want) == bits(table[0])
+    assert type(norm(x)) is float and bits(norm(x)) == bits(np.sqrt(table[2]))
+    assert bits(norm(y)) == bits(_batch_norm(np.stack([x, y]))[1])
