@@ -23,7 +23,6 @@ convexity, and verify the axioms on probe grids.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Optional
 
@@ -46,11 +45,11 @@ from .covers import (
 from .laws import LawGraph, NotBBGraphError, bb_check
 from .numerics import (
     INF,
+    Record,
     _batch_inner,
     _batch_norm,
     _batch_norm2,
     _nonzero,
-    _records,
     _row_keys,
     _run_starts,
     as_vector,
@@ -323,16 +322,14 @@ def build_b_infinity(law, tol=1e-9, snap=0.0):
 # axiom verification on finite probe grids
 
 
-@dataclass(frozen=True)
-class AxiomCounterexample:
+class AxiomCounterexample(Record):
     axiom: str            # "lower-bound", "convexity-x", "convexity-y", "graph-closure"
     x: np.ndarray
     y: np.ndarray
     violation: float
 
 
-@dataclass(frozen=True)
-class NoContactNote:
+class NoContactNote(Record):
     """A probe slice whose gap never reaches the contact tolerance; the
     graph misses the grid there, which a finite probe cannot refute."""
 
@@ -341,8 +338,7 @@ class NoContactNote:
     min_gap: float
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(Record):
     lower_bound_ok: bool
     separate_convexity_ok: bool
     graph_equivalence_ok: bool
@@ -456,8 +452,8 @@ def _axiom_report(table, tol):
 
     def witnesses(axiom, rows, cols, violations):
         # one gather per side: every record owns its rows of a fresh stack
-        return _records(AxiomCounterexample, repeat(axiom), xg[rows], yg[cols],
-                        violations.tolist())
+        return AxiomCounterexample._records(repeat(axiom), xg[rows], yg[cols],
+                                            violations.tolist())
 
     def convexity(rows):
         def fails(i, j, k):
@@ -502,8 +498,8 @@ def _axiom_report(table, tol):
     col_min = G.min(axis=0)
     rows = np.flatnonzero(~(row_min <= tol))
     cols = np.flatnonzero(~(col_min <= tol))
-    no_contact = _records(NoContactNote, repeat("primal"), xg[rows], row_min[rows].tolist())
-    no_contact += _records(NoContactNote, repeat("dual"), yg[cols], col_min[cols].tolist())
+    no_contact = NoContactNote._records(repeat("primal"), xg[rows], row_min[rows].tolist())
+    no_contact += NoContactNote._records(repeat("dual"), yg[cols], col_min[cols].tolist())
 
     return AxiomReport(lower_ok, convexity_ok, graph_ok, counterexamples, no_contact)
 
@@ -529,8 +525,7 @@ def _contact_graph(table, tol):
 # bi-implicit convexity screen
 
 
-@dataclass(frozen=True)
-class BICCounterexample:
+class BICCounterexample(Record):
     argument: str         # "first" or "second": the slot the mix happened in
     lam1: float
     z1: np.ndarray
@@ -541,15 +536,13 @@ class BICCounterexample:
     deficit: float        # min over searched lambdas of lhs - rhs
 
 
-@dataclass(frozen=True)
-class BICReport:
+class BICReport(Record):
     is_bic: bool
     counterexamples: list
     tuples_checked: int = 0
 
 
-@dataclass(frozen=True)
-class BICProbePlan:
+class BICProbePlan(Record):
     """Probe tuples for :func:`bic_check`: ordered parameter pairs, mixing
     weights, and the point stacks mixed in each argument slot."""
 
@@ -840,21 +833,22 @@ def bic_check(cover, plan=None, tol=1e-9):
 
     found = []
     for s, ((first, zs, fixed, _, _), (fails, deficits)) in enumerate(zip(slots, screens)):
+        argument = "first" if first else "second"
         for p, k, a, b, c, d in zip(*_nonzero(fails), deficits.tolist()):
             (lam1, lam2), alpha = plan.lam_pairs[p], plan.alphas[k]
-            found.append(((p, k, s), BICCounterexample(
-                "first" if first else "second", lam1, zs[a], lam2, zs[b], alpha, fixed[c], d)))
+            found.append(((p, k, s), (argument, lam1, zs[a], lam2, zs[b], alpha, fixed[c], d)))
     found.sort(key=lambda f: f[0])  # stable: (a, b, c) order within a block
     checked = sum(fails.size for fails, _ in screens)
-    return BICReport(not found, [cx for _, cx in found], checked)
+    # one trusted record per sorted row, its fields taken as they are
+    witnesses = BICCounterexample._records(*zip(*[row for _, row in found]))
+    return BICReport(not found, witnesses, checked)
 
 
 # ---------------------------------------------------------------------------
 # certification pipeline
 
 
-@dataclass(frozen=True)
-class CertificationReport:
+class CertificationReport(Record):
     """Stage reports of :func:`certify` and the bipotential it built;
     ``coverage`` is None when no law was given. ``table`` is the probe
     table (xg, yg, B, P) the axioms were checked on, kept for the run's
@@ -864,7 +858,8 @@ class CertificationReport:
     bic: BICReport
     axioms: AxiomReport
     bipotential: Bipotential
-    table: tuple = field(repr=False, compare=False)
+    table: tuple
+    _hidden = ("table",)
 
     @property
     def ok(self):

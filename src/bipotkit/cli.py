@@ -93,16 +93,10 @@ def _check_tol(tol):
         raise CLIError(f"--tol must be finite and nonnegative, got {tol!r}")
 
 
-def _load_law(path):
+def _load(loader, path):
+    """``loader(path)``, a file error becoming a :class:`CLIError` with its text."""
     try:
-        return load_law(path)
-    except (FormatError, ValueError, OSError) as exc:
-        raise CLIError(str(exc)) from exc
-
-
-def _load_cover(path):
-    try:
-        return load_cover(path)
+        return loader(path)
     except (FormatError, ValueError, OSError) as exc:
         raise CLIError(str(exc)) from exc
 
@@ -116,7 +110,7 @@ def _emit(data):
 
 
 def cmd_check_law(args):
-    law = _load_law(args.law)
+    law = _load(load_law, args.law)
     bb = bb_check(law, tol=args.tol)
     cyc = cyclic_monotonicity_check(law, tol=args.tol)
     _emit({"bb_report": bb, "cycle_report": cyc})
@@ -124,7 +118,7 @@ def cmd_check_law(args):
 
 
 def cmd_reconstruct(args):
-    law = _load_law(args.law)
+    law = _load(load_law, args.law)
     if not 0 <= args.base < len(law):
         raise CLIError(f"--base {args.base} out of range for {len(law)} samples")
     try:
@@ -148,7 +142,7 @@ def cmd_reconstruct(args):
 
 
 def cmd_build(args):
-    cover = _apply_lambda_grid(_load_cover(args.cover), args.lambda_grid)
+    cover = _apply_lambda_grid(_load(load_cover, args.cover), args.lambda_grid)
     try:
         b = build_inf(cover, mode=args.mode)
     except AnalyticFormUnavailableError as exc:
@@ -192,8 +186,8 @@ def cmd_verify(args):
         cover, law, mode, tol = setup["cover"], setup["law"], setup["mode"], setup["tol"]
         xs, ys = setup["x_probes"], setup["y_probes"]
     elif args.cover is not None:
-        cover = _apply_lambda_grid(_load_cover(args.cover), args.lambda_grid)
-        law = _load_law(args.law) if args.law is not None else None
+        cover = _apply_lambda_grid(_load(load_cover, args.cover), args.lambda_grid)
+        law = _load(load_law, args.law) if args.law is not None else None
         if law is not None and law.dim != cover.dim:
             raise CLIError(f"cover dimension {cover.dim} != law dimension {law.dim}")
         mode = args.mode or ("grid" if isinstance(cover.family, TabulatedFamily)
@@ -204,7 +198,7 @@ def cmd_verify(args):
         xs, ys = _probe_stacks(cover.dim, args.probe_grid or "-2:2:21")
     elif args.law is not None:
         _refuse_ignored(args, "--law without --cover", ("mode", "probe_grid", "lambda_grid"))
-        reports, ok = _verify_law(_load_law(args.law), args.tol)
+        reports, ok = _verify_law(_load(load_law, args.law), args.tol)
         _emit(reports)
         return 0 if ok else 2
     else:

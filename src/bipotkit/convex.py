@@ -9,7 +9,6 @@ equality gap phi(x) + phi*(y) - <x, y>, never through difference quotients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,6 +18,7 @@ from .numerics import (
     DimensionMismatchError,
     MinusInfinityError,
     NegativeFenchelGapError,
+    Record,
     _batch_inner,
     _batch_norm,
     _batch_norm2,
@@ -44,7 +44,7 @@ def _check_dim(dim):
     return d
 
 
-class ConvexFunction:
+class ConvexFunction(Record):
     """Base class; subclasses implement ``value_many`` on a trusted (n, dim)
     stack of vectors, and ``value`` is the same on one vector."""
 
@@ -54,13 +54,9 @@ class ConvexFunction:
     def value(self, x):
         return float(self.value_many(x[None])[0])
 
-    def __eq__(self, other):
-        return type(self) is type(other) and self._key() == other._key()
-
     __hash__ = None
 
 
-@dataclass(frozen=True, eq=False)
 class Quadratic(ConvexFunction):
     """x -> (scale/2) * ||x||^2 with scale >= 0; scale 0 is the zero function."""
 
@@ -80,11 +76,7 @@ class Quadratic(ConvexFunction):
         with np.errstate(over="ignore"):  # beyond the float range the value is +inf
             return (0.5 * self.scale) * _batch_norm2(xs)
 
-    def _key(self):
-        return (self.scale, self.dim)
 
-
-@dataclass(frozen=True, eq=False)
 class ScaledNorm(ConvexFunction):
     """x -> scale * ||x|| with scale >= 0."""
 
@@ -103,11 +95,7 @@ class ScaledNorm(ConvexFunction):
         with np.errstate(over="ignore"):  # beyond the float range the value is +inf
             return self.scale * _batch_norm(xs)
 
-    def _key(self):
-        return (self.scale, self.dim)
 
-
-@dataclass(frozen=True, eq=False)
 class IndicatorBall(ConvexFunction):
     """Indicator of the closed ball of given radius; radius may be +inf."""
 
@@ -123,11 +111,7 @@ class IndicatorBall(ConvexFunction):
     def value_many(self, xs):
         return np.where(_batch_norm(xs) <= self.radius, 0.0, INF)
 
-    def _key(self):
-        return (self.radius, self.dim)
 
-
-@dataclass(frozen=True, eq=False)
 class IndicatorPoint(ConvexFunction):
     """Indicator of a single point, offset by a finite constant there.
 
@@ -149,11 +133,7 @@ class IndicatorPoint(ConvexFunction):
     def value_many(self, xs):
         return np.where(np.all(xs == self.point, axis=1), self.offset, INF)
 
-    def _key(self):
-        return (tuple(self.point), self.offset)
 
-
-@dataclass(frozen=True, eq=False)
 class Affine(ConvexFunction):
     """x -> <slope, x> + offset."""
 
@@ -171,11 +151,7 @@ class Affine(ConvexFunction):
     def value_many(self, xs):
         return _batch_inner(xs, self.slope) + self.offset
 
-    def _key(self):
-        return (tuple(self.slope), self.offset)
 
-
-@dataclass(frozen=True, eq=False)
 class MaxAffine(ConvexFunction):
     """Pointwise max of finitely many affine pieces (slope, offset)."""
 
@@ -215,11 +191,7 @@ class MaxAffine(ConvexFunction):
         vals = _batch_inner(xs[:, None, :], self.slopes) + self.offsets
         return vals[np.arange(xs.shape[0]), vals.argmax(axis=1)]
 
-    def _key(self):
-        return (tuple(map(tuple, self.slopes)), tuple(self.offsets))
 
-
-@dataclass(frozen=True, eq=False)
 class Sampled(ConvexFunction):
     """Finite samples (grid node -> extended value); +inf off the grid.
 
@@ -260,9 +232,6 @@ class Sampled(ConvexFunction):
         order = np.argsort(keys, kind="stable")
         first = order[np.minimum(np.searchsorted(keys[order], probes), keys.size - 1)]
         return np.where(keys[first] == probes, self.values[first], INF)
-
-    def _key(self):
-        return (tuple(map(tuple, self.grid)), tuple(self.values))
 
 
 ANALYTIC_FORMS = (Quadratic, ScaledNorm, IndicatorBall, IndicatorPoint, Affine)
@@ -357,13 +326,13 @@ def default_tol(phi):
     return SAMPLED_TOL if isinstance(phi, Sampled) else ANALYTIC_TOL
 
 
-@dataclass(frozen=True)
-class FenchelGapReport:
+class FenchelGapReport(Record):
     """Outcome of one Fenchel-Young inequality evaluation."""
 
     gap: float
     at_equality: bool
-    tol: float = field(default=ANALYTIC_TOL, compare=False)
+    tol: float = ANALYTIC_TOL
+    _hidden = ("tol",)
 
 
 def fenchel_gap(phi, x, y, tol=None, primal_grid=None):

@@ -10,7 +10,6 @@ union of the member graphs should reproduce a target law, which
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -26,6 +25,7 @@ from .convex import (
 )
 from .numerics import (
     INF,
+    Record,
     _batch_inner,
     _batch_norm,
     _batch_norm2,
@@ -64,8 +64,7 @@ class CandidateNotFoundError(ValueError):
 # parameter domains
 
 
-@dataclass(frozen=True)
-class ClosedInterval:
+class ClosedInterval(Record):
     """[lo, hi] with lo >= 0, optionally extended by the +inf sentinel.
 
     The sample grid is log-spaced between grid_lo and grid_hi (defaults
@@ -129,8 +128,7 @@ class ClosedInterval:
         return grid
 
 
-@dataclass(frozen=True)
-class FiniteSet:
+class FiniteSet(Record):
     """An explicit finite parameter set; values may include the inf sentinel."""
 
     values: tuple
@@ -231,8 +229,7 @@ def _form_values(form, v):
     return form.value_many(v.reshape(-1, v.shape[-1])).reshape(v.shape[:-1])
 
 
-@dataclass(frozen=True)
-class QuadraticFamily:
+class QuadraticFamily(Record):
     """phi_lambda = (lambda/2)||.||^2; the ends degenerate to indicators.
 
     f(0, x, y) is the indicator of y = 0 and f(inf, x, y) the indicator of
@@ -345,8 +342,7 @@ class QuadraticFamily:
         return alpha * lam1 + (1.0 - alpha) * lam2
 
 
-@dataclass(frozen=True)
-class NormFamily:
+class NormFamily(Record):
     """phi_lambda = lambda||.||, phi*_lambda the indicator of the lambda-ball.
 
     Member graphs are the rigid-plastic yielding laws: x = 0 while
@@ -405,8 +401,7 @@ class NormFamily:
         return alpha * lam1 + (1.0 - alpha) * lam2
 
 
-@dataclass(frozen=True)
-class SeparableFamily:
+class SeparableFamily(Record):
     """A single-member cover {phi}; f is phi(x) + phi*(y) for every lambda."""
 
     potential: ConvexFunction
@@ -518,8 +513,7 @@ class TabulatedFamily:
 # the cover
 
 
-@dataclass(frozen=True)
-class Cover:
+class Cover(Record):
     domain: object
     family: object
 
@@ -684,8 +678,7 @@ def tabulated_cover(entries):
 # coverage certification
 
 
-@dataclass(frozen=True)
-class CoverageReport:
+class CoverageReport(Record):
     covered: bool
     missed_pairs: list
     spurious_pairs: list

@@ -7,14 +7,13 @@ parse rejects NaN/Inf outright. All emission is deterministic: sorted JSON
 keys, 12-significant-digit numbers in CSV, fixed row order.
 
 Every JSON document, file or report, comes from one writer, :func:`dumps`.
-It takes report objects (dataclasses, arrays, numpy scalars, tuples) as well
+It takes report objects (records, arrays, numpy scalars, tuples) as well
 as plain data and writes them in one pass. :func:`to_jsonable` is its round
 trip, the plain data that the written text parses back to.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import math
@@ -46,7 +45,7 @@ from .covers import (
     tabulated_cover,
 )
 from .laws import Ball, HalfLineRay, LawGraph, Segment, Singleton
-from .numerics import INF, _batch_norm2, _records
+from .numerics import INF, Record, _batch_norm2
 
 
 class FormatError(ValueError):
@@ -118,7 +117,7 @@ def _parse_vector(v, what, dim=None):
 
 # the params of each shape are its fields: vectors, then a ball's radius
 _HINT_SHAPES = {"singleton": Singleton, "segment": Segment, "ball": Ball, "ray": HalfLineRay}
-_HINT_VECTORS = {cls: tuple(name for name in cls.__dataclass_fields__ if name != "radius")
+_HINT_VECTORS = {cls: tuple(name for name in cls._fields if name != "radius")
                  for cls in _HINT_SHAPES.values()}
 
 
@@ -298,7 +297,7 @@ def law_from_data(data):
     primal_hints, dual_hints = {}, {}
     for (side, cls, start, stop, radius), key in zip(layout, map(tuple, anchors.tolist())):
         # one record of the checked fields, taken as they are
-        hint = _records(cls, *([field] for field in (*rows[start + 1:stop], *radius)))[0]
+        hint = cls._records(*([field] for field in (*rows[start + 1:stop], *radius)))[0]
         (primal_hints if side == "primal" else dual_hints)[key] = hint
     if not all(np.isfinite(v).all() for v in (xs, ys, anchors)):
         # quantizing overflowed; the checking constructor names what it hit
@@ -504,15 +503,15 @@ def dumps(obj):
     """Canonical JSON of a report or of plain data: sorted keys, two-space
     indent, ASCII strings.
 
-    Dataclasses become objects of their fields, tuples and arrays become
-    lists, numpy scalars become the Python numbers they hold, dict keys
-    become ``str(k)`` (the later of two equal keys wins), non-finite floats
-    become the sentinels "inf", "-inf" and "nan", and any other object
-    becomes its ``str``. The text is the one ``json.dumps`` with
-    ``indent=2, sort_keys=True`` prints for that plain data, written in one
-    pass without building the plain data first.
+    Records (``numerics.Record``) become objects of their fields, tuples
+    and arrays become lists, numpy scalars become the Python numbers they
+    hold, dict keys become ``str(k)`` (the later of two equal keys wins),
+    non-finite floats become the sentinels "inf", "-inf" and "nan", and any
+    other object becomes its ``str``. The text is the one ``json.dumps``
+    with ``indent=2, sort_keys=True`` prints for that plain data, written
+    in one pass without building the plain data first.
 
-    A list of records, two or more items that are all the same dataclass or
+    A list of records, two or more items that are all of one record type or
     all dicts with the same string keys in the same order, is written
     column by column: a column of floats (``np.float64`` included) takes
     one map of ``float.__repr__``, a column of strings one map of the string
@@ -565,7 +564,7 @@ def _write(obj, out, nl):
             _write_floats(obj.tolist(), obj.ndim, out, nl)
         else:
             _write(obj.tolist(), out, nl)
-    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+    elif isinstance(obj, Record):
         _write_members([(key, get(obj)) for key, get in _field_keys(kind)], out, nl)
     elif isinstance(obj, (list, tuple)):
         _write_list(obj, out, nl)
@@ -625,20 +624,19 @@ def _write_members(members, out, nl):
 
 @functools.cache
 def _field_keys(cls):
-    """(written key and colon, getter) of a dataclass's fields, by name."""
-    return tuple((_encode_str(name) + ": ", attrgetter(name))
-                 for name in sorted(f.name for f in dataclasses.fields(cls)))
+    """(written key and colon, getter) of a record type's fields, by name."""
+    return tuple((_encode_str(name) + ": ", attrgetter(name)) for name in sorted(cls._fields))
 
 
 def _record_fields(items):
     """(written key and colon, getter) by key when ``items`` are records:
-    all the same dataclass, or all dicts with the same string keys in the
+    all of one record type, or all dicts with the same string keys in the
     same order. None otherwise."""
     kind = type(items[0])
     if len(set(map(type, items))) != 1:
         return None
     if kind is not dict:
-        return (_field_keys(kind) or None) if dataclasses.is_dataclass(kind) else None
+        return (_field_keys(kind) or None) if issubclass(kind, Record) else None
     keys = tuple(items[0])
     if not keys or not all(type(k) is str for k in keys) \
             or not all(map(keys.__eq__, map(tuple, items))):
@@ -736,6 +734,6 @@ def _probe_lines(table):
 
 
 def to_jsonable(obj):
-    """The plain data that :func:`dumps` writes for ``obj``: dataclasses as
+    """The plain data that :func:`dumps` writes for ``obj``: records as
     objects, tuples and arrays as lists, non-finite floats as sentinels."""
     return json.loads(dumps(obj))

@@ -24,7 +24,6 @@ predecessors are found by pointer doubling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -34,6 +33,7 @@ from .kernels import cycle_sum
 from .convex import MaxAffine
 from .covers import SWEEP_CHUNK
 from .numerics import (
+    Record,
     _batch_inner,
     _batch_norm,
     _diff_inner,
@@ -77,7 +77,7 @@ def _clip_low(t):
     return np.where(t > 0.0, t, 0.0)
 
 
-class _SliceHint:
+class _SliceHint(Record):
     """A declared slice shape. ``_holds(vs, tol, *params)`` decides each row
     of a trusted (n, dim) stack against shape parameters given per row or
     once for all, in field order; ``contains_many`` is that test with the
@@ -90,11 +90,9 @@ class _SliceHint:
         return self._holds(vs, tol, *self._params())
 
     def _params(self):
-        # the dataclass fields in declaration order
-        return [getattr(self, name) for name in self.__dataclass_fields__]
+        return [getattr(self, name) for name in self._fields]
 
 
-@dataclass(frozen=True)
 class Singleton(_SliceHint):
     point: np.ndarray
 
@@ -110,7 +108,6 @@ class Singleton(_SliceHint):
         return _batch_norm(vs - point) <= tol
 
 
-@dataclass(frozen=True)
 class Segment(_SliceHint):
     a: np.ndarray
     b: np.ndarray
@@ -136,7 +133,6 @@ class Segment(_SliceHint):
         return np.where(dd == 0.0, _batch_norm(vs - a) <= tol, near)
 
 
-@dataclass(frozen=True)
 class Ball(_SliceHint):
     center: np.ndarray
     radius: float
@@ -157,7 +153,6 @@ class Ball(_SliceHint):
         return (radius == np.inf) | (_batch_norm(vs - center) <= radius + tol)
 
 
-@dataclass(frozen=True)
 class HalfLineRay(_SliceHint):
     origin: np.ndarray
     direction: np.ndarray
@@ -186,21 +181,18 @@ SLICE_HINT_SHAPES = (Singleton, Segment, Ball, HalfLineRay)
 # reports
 
 
-@dataclass(frozen=True)
-class FailingSlice:
+class FailingSlice(Record):
     which: str            # "primal" or "dual"
     at: np.ndarray        # the slice coordinate
     witness_midpoint: np.ndarray
 
 
-@dataclass(frozen=True)
-class BBReport:
+class BBReport(Record):
     is_bb_graph: bool
     failing_slice: Optional[FailingSlice] = None
 
 
-@dataclass(frozen=True)
-class CycleReport:
+class CycleReport(Record):
     cyclically_monotone: bool
     witness_cycle: Optional[tuple] = None
     cycle_sum: float = 0.0

@@ -147,17 +147,76 @@ def _run_starts(a):
     return np.concatenate(([True], a[1:] != a[:-1]))
 
 
-def _records(cls, *columns):
-    """Records of ``cls``, a frozen dataclass, one per row of the trusted
-    field columns (in declaration order), taken as they are."""
-    names = tuple(cls.__dataclass_fields__)
-    new = object.__new__
-    out = []
-    for values in zip(*columns):
-        record = new(cls)
-        record.__dict__.update(zip(names, values))
-        out.append(record)
-    return out
+def _same(a, b):
+    """Equality of two record values: arrays entry by entry, lists and
+    tuples item by item, anything else by ``==``."""
+    if a is b:
+        return True
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    if type(a) is type(b) and isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return bool(a == b)
+
+
+class Record:
+    """A frozen record. A subclass declares its fields as annotated class
+    attributes, a default as the attribute's value; ``_fields`` lists them,
+    base fields first. The constructor binds its arguments to the fields and
+    calls ``__post_init__``. Two records are equal when they have one type
+    and equal fields (:func:`_same`), and a record hashes the same values;
+    the fields named in ``_hidden`` are left out of both and of the repr."""
+
+    _fields = _hidden = ()
+
+    def __init_subclass__(cls):
+        cls._fields += tuple(n for n in cls.__annotations__ if n not in cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        cls, d = type(self), self.__dict__
+        d.update(zip(cls._fields, args))
+        for name in cls._fields[len(args):]:
+            if name not in kwargs and not hasattr(cls, name):
+                raise TypeError(f"{cls.__name__}() missing argument {name!r}")
+            d[name] = kwargs.pop(name) if name in kwargs else getattr(cls, name)
+        if kwargs or len(args) > len(cls._fields):
+            raise TypeError(f"{cls.__name__}() takes the fields {cls._fields}")
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _frozen(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __setattr__ = __delattr__ = _frozen
+
+    def _compared(self):
+        return tuple(getattr(self, n) for n in self._fields if n not in self._hidden)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return _same(self._compared(), other._compared())
+
+    def __hash__(self):
+        return hash(self._compared())
+
+    def __repr__(self):
+        shown = (f"{n}={getattr(self, n)!r}" for n in self._fields if n not in self._hidden)
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+    @classmethod
+    def _records(cls, *columns):
+        """Records of ``cls``, one per row of the trusted field columns (in
+        ``_fields`` order), taken as they are."""
+        new = object.__new__
+        out = []
+        for values in zip(*columns):
+            record = new(cls)
+            record.__dict__.update(zip(cls._fields, values))
+            out.append(record)
+        return out
 
 
 def vec_key(x):

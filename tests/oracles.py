@@ -4,7 +4,6 @@ Everything here trades speed for obviousness: exhaustive enumeration and
 plain python loops, no shared code with the package internals beyond numpy.
 """
 
-import dataclasses
 import json
 import math
 from itertools import permutations
@@ -667,9 +666,10 @@ def oracle_bb_check(law, tol):
 def reference_to_jsonable(obj):
     """Element-by-element conversion: every array entry and container item
     goes through the full chain of type tests."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: reference_to_jsonable(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
+    from bipotkit.numerics import Record
+
+    if isinstance(obj, Record):
+        return {name: reference_to_jsonable(getattr(obj, name)) for name in obj._fields}
     if isinstance(obj, np.ndarray):
         return [reference_to_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (list, tuple)):

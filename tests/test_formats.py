@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import numpy as np
@@ -41,7 +40,7 @@ from bipotkit.formats import (
     to_jsonable,
 )
 from bipotkit.laws import Ball, FailingSlice, HalfLineRay, LawGraph, Segment, Singleton
-from bipotkit.numerics import INF
+from bipotkit.numerics import INF, Record
 
 from .oracles import oracle_dumps, oracle_fmt, reference_to_jsonable
 
@@ -331,8 +330,7 @@ def test_to_jsonable_dataclasses():
     assert out == {"is_bb_graph": True, "failing_slice": None}
 
 
-@dataclasses.dataclass(frozen=True)
-class Box:
+class Box(Record):
     value: object
     label: str = "box"
 
@@ -366,8 +364,7 @@ def test_dumps_writes_the_stdlib_text_of_the_reference(obj):
     assert dumps(obj) == oracle_dumps(obj)
 
 
-@dataclasses.dataclass(frozen=True)
-class Triple:
+class Triple(Record):
     a: object
     b: object
     c: object
@@ -662,7 +659,7 @@ def assert_same_hints(got, want):
     assert all(type(c) is float for key in got for c in key)
     for a, b in zip(got.values(), want.values()):
         assert type(a) is type(b)
-        for name in b.__dataclass_fields__:
+        for name in b._fields:
             u, w = getattr(a, name), getattr(b, name)
             if isinstance(w, np.ndarray):
                 assert u.dtype == w.dtype and u.shape == w.shape and u.flags.c_contiguous
