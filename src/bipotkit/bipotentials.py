@@ -72,6 +72,9 @@ class Bipotential:
     dim = 1
     provenance = "abstract"
 
+    def __repr__(self):
+        return f"<{type(self).__name__} {self.provenance}>"
+
     def __call__(self, x, y):
         return self.value(as_vector(x, self.dim), as_vector(y, self.dim))
 

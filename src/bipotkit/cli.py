@@ -25,17 +25,19 @@ from .bipotentials import (
     certify,
     verify_axioms,
 )
-from .covers import ClosedInterval, Cover, TabulatedFamily
+from .convex import MaxAffine
+from .covers import GRID_TOL, ClosedInterval, Cover, TabulatedFamily
 from .demos import DEMO_NAMES, demo_setup, run_demo
 from .formats import (
     FormatError,
     csv_header,
     dumps,
+    function_to_data,
     load_cover,
     load_law,
     probe_rows,
 )
-from .laws import NotCyclicallyMonotoneError, bb_check, cyclic_monotonicity_check
+from .laws import DEFAULT_TOL, NotCyclicallyMonotoneError, bb_check, cyclic_monotonicity_check
 from .laws import rockafellar_reconstruct
 
 
@@ -131,13 +133,8 @@ def cmd_reconstruct(args):
         return 2
     # pieces by slope, coordinate by coordinate, then by offset
     order = np.lexsort((phi.offsets, *phi.slopes.T[::-1]))
-    _emit({
-        "form": "max-affine",
-        "dimension": law.dim,
-        "base_index": args.base,
-        "pieces": [{"slope": list(slope), "offset": offset}
-                   for slope, offset in zip(phi.slopes[order], phi.offsets[order].tolist())],
-    })
+    _emit({**function_to_data(MaxAffine(phi.slopes[order], phi.offsets[order])),
+           "dimension": law.dim, "base_index": args.base})
     return 0
 
 
@@ -154,7 +151,7 @@ def cmd_build(args):
 
 
 def _verify_law(law, tol):
-    tol = 1e-9 if tol is None else tol
+    tol = DEFAULT_TOL if tol is None else tol
     reports = {}
     bb = bb_check(law, tol=tol)
     reports["bb_report"] = bb
@@ -194,7 +191,7 @@ def cmd_verify(args):
                              else "analytic")
         tol = args.tol
         if tol is None:
-            tol = 1e-3 if mode == "grid" else 1e-9
+            tol = GRID_TOL if mode == "grid" else DEFAULT_TOL
         xs, ys = _probe_stacks(cover.dim, args.probe_grid or "-2:2:21")
     elif args.law is not None:
         _refuse_ignored(args, "--law without --cover", ("mode", "probe_grid", "lambda_grid"))
@@ -232,14 +229,14 @@ def _build_parser():
 
     p = sub.add_parser("check-law", help="BB-graph and cyclic-monotonicity screens")
     p.add_argument("law", help="law graph JSON file")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(fn=cmd_check_law)
 
     p = sub.add_parser("reconstruct", help="max-affine potential from samples")
     p.add_argument("law", help="law graph JSON file")
     p.add_argument("--base", type=int, default=0,
                    help="sample index normalized to value zero")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(fn=cmd_reconstruct)
 
     p = sub.add_parser("build", help="CSV probe table of the cover's bipotential")

@@ -64,6 +64,12 @@ class CandidateNotFoundError(ValueError):
 # parameter domains
 
 
+def _grid_ends(lo, hi):
+    """The log grid's ends that [lo, hi] gives when none are named: lo and
+    hi, with an end at 0 or inf replaced by DEFAULT_GRID_LO or DEFAULT_GRID_HI."""
+    return (lo if lo > 0 else DEFAULT_GRID_LO, hi if hi < INF else DEFAULT_GRID_HI)
+
+
 class ClosedInterval(Record):
     """[lo, hi] with lo >= 0, optionally extended by the +inf sentinel.
 
@@ -91,9 +97,9 @@ class ClosedInterval(Record):
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "grid_points", int(self.grid_points))
-        glo = self.grid_lo if self.grid_lo is not None else (lo if lo > 0 else DEFAULT_GRID_LO)
-        ghi = self.grid_hi if self.grid_hi is not None else (hi if hi < INF else DEFAULT_GRID_HI)
-        glo, ghi = float(glo), float(ghi)
+        dlo, dhi = _grid_ends(lo, hi)
+        glo = float(self.grid_lo if self.grid_lo is not None else dlo)
+        ghi = float(self.grid_hi if self.grid_hi is not None else dhi)
         if not 0 < glo <= ghi < INF:
             raise ValueError(f"log grid needs 0 < grid_lo <= grid_hi < inf, got [{glo}, {ghi}]")
         object.__setattr__(self, "grid_lo", max(glo, lo) if lo > 0 else glo)

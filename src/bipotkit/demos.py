@@ -19,6 +19,7 @@ import numpy as np
 from .bipotentials import _contact_graph, _embed_stack, certify
 from .convex import Affine, IndicatorPoint, Quadratic, graph_of
 from .covers import (
+    GRID_TOL,
     ClosedInterval,
     Cover,
     NormFamily,
@@ -28,7 +29,7 @@ from .covers import (
     tabulated_cover,
 )
 from .formats import _probe_lines, csv_header, dumps, save_cover, save_law
-from .laws import Ball, HalfLineRay, LawGraph, Segment, Singleton
+from .laws import DEFAULT_TOL, Ball, HalfLineRay, LawGraph, Segment, Singleton
 from .numerics import _batch_norm
 
 DEMO_NAMES = ("cauchy-quadratic", "cauchy-norm", "plasticity", "separable")
@@ -144,7 +145,7 @@ def demo_setup(name):
         cover = (quadratic_cover if name == "cauchy-quadratic" else norm_cover)(dim=2)
         xg = _embed_stack(_axis_grid(), 2)
         yg = _embed_stack(_axis_grid(), 2, dual=True)
-        return {"law": law, "cover": cover, "mode": "grid", "tol": 1e-3,
+        return {"law": law, "cover": cover, "mode": "grid", "tol": GRID_TOL,
                 "x_probes": xg, "y_probes": yg, "reference": "cauchy"}
     if name == "plasticity":
         law = build_plasticity_law()
@@ -152,7 +153,7 @@ def demo_setup(name):
         cover = Cover(dom, NormFamily(2))
         # probe y along the same axis as x, so the yielding rays are in contact
         xg = yg = _embed_stack(_axis_grid(), 2)
-        return {"law": law, "cover": cover, "mode": "analytic", "tol": 1e-9,
+        return {"law": law, "cover": cover, "mode": "analytic", "tol": DEFAULT_TOL,
                 "x_probes": xg, "y_probes": yg, "reference": None}
     if name == "separable":
         phi = Quadratic(1.0, 1)
@@ -160,7 +161,7 @@ def demo_setup(name):
         law = graph_of(phi, grid, grid)
         cover = separable_cover(phi)
         xg = yg = grid[:, None]
-        return {"law": law, "cover": cover, "mode": "analytic", "tol": 1e-9,
+        return {"law": law, "cover": cover, "mode": "analytic", "tol": DEFAULT_TOL,
                 "x_probes": xg, "y_probes": yg, "reference": "separable"}
     raise KeyError(f"unknown demo {name!r}; known: {', '.join(DEMO_NAMES)}")
 

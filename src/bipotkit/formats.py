@@ -6,10 +6,18 @@ sampled values, parameters, interval ends). Coordinates must be finite and
 parse rejects NaN/Inf outright. All emission is deterministic: sorted JSON
 keys, 12-significant-digit numbers in CSV, fixed row order.
 
+Each analytic function form and slice-hint shape is stated once, as a
+table entry from its file name to its record class: the reader and the
+writer walk the class's ``_fields``, each field under its own name as key
+(``dim`` as "dimension"), read and written by the rule for its name. A
+quadratic or norm cover writes its log grid's ends, "grid_lo" and
+"grid_hi", only where they differ from the ends its lo and hi give.
+
 Every JSON document, file or report, comes from one writer, :func:`dumps`.
 It takes report objects (records, arrays, numpy scalars, tuples) as well
-as plain data and writes them in one pass. :func:`to_jsonable` is its round
-trip, the plain data that the written text parses back to.
+as plain data and writes them in one pass; a record's hidden fields are
+left out. :func:`to_jsonable` is its round trip, the plain data that the
+written text parses back to.
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ from .covers import (
     QuadraticFamily,
     SeparableFamily,
     TabulatedFamily,
+    _grid_ends,
     separable_cover,
     tabulated_cover,
 )
@@ -112,27 +121,52 @@ def _parse_vector(v, what, dim=None):
 
 
 # ---------------------------------------------------------------------------
+# record schemas
+
+
+# the analytic function forms and the slice-hint shapes, by their file
+# names: each field of the record is one key, read and written by the rule
+# for its name (see _parse_field and _fields_to_data)
+_FORMS = {"quadratic": Quadratic, "scaled-norm": ScaledNorm, "indicator-ball": IndicatorBall,
+          "indicator-point": IndicatorPoint, "affine": Affine}
+_HINT_SHAPES = {"singleton": Singleton, "segment": Segment, "ball": Ball, "ray": HalfLineRay}
+_NAMES = {cls: name for table in (_FORMS, _HINT_SHAPES) for name, cls in table.items()}
+# the params of each shape are its fields: vectors, then a ball's radius
+_HINT_VECTORS = {cls: tuple(name for name in cls._fields if name != "radius")
+                 for cls in _HINT_SHAPES.values()}
+_KEYS = {"dim": "dimension"}  # every other field is its own key
+_DEFAULTS = {"dimension": 1, "offset": 0.0}
+_HINT_LABELS = {"a": "end a", "b": "end b"}  # every other hint field names itself
+
+
+def _parse_field(name, value, what, dim=None):
+    """One field of a function form or slice hint, checked by its name."""
+    if name == "dim":
+        return _parse_dimension(value, what)
+    if name == "radius":
+        return parse_extended(value, what)
+    if name in ("scale", "offset"):
+        return parse_finite(value, what)
+    return _parse_vector(value, what, dim)
+
+
+def _fields_to_data(record):
+    """The keys of a function form's or slice hint's fields: arrays as lists,
+    radii as extended values, the rest as they are."""
+    return {_KEYS.get(name, name): list(v) if isinstance(v, np.ndarray)
+            else dump_extended(v) if name == "radius" else v
+            for name in record._fields for v in [getattr(record, name)]}
+
+
+# ---------------------------------------------------------------------------
 # law graphs
 
 
-# the params of each shape are its fields: vectors, then a ball's radius
-_HINT_SHAPES = {"singleton": Singleton, "segment": Segment, "ball": Ball, "ray": HalfLineRay}
-_HINT_VECTORS = {cls: tuple(name for name in cls._fields if name != "radius")
-                 for cls in _HINT_SHAPES.values()}
-
-
 def _hint_to_data(hint):
-    if isinstance(hint, Singleton):
-        return {"shape": "singleton", "params": {"point": list(hint.point)}}
-    if isinstance(hint, Segment):
-        return {"shape": "segment", "params": {"a": list(hint.a), "b": list(hint.b)}}
-    if isinstance(hint, Ball):
-        return {"shape": "ball", "params": {"center": list(hint.center),
-                                            "radius": dump_extended(hint.radius)}}
-    if isinstance(hint, HalfLineRay):
-        return {"shape": "ray", "params": {"origin": list(hint.origin),
-                                           "direction": list(hint.direction)}}
-    raise FormatError(f"unknown hint shape {type(hint).__name__}")
+    shape = _NAMES.get(type(hint))
+    if shape not in _HINT_SHAPES:
+        raise FormatError(f"unknown hint shape {type(hint).__name__}")
+    return {"shape": shape, "params": _fields_to_data(hint)}
 
 
 def _hint_from_data(k, data, dim):
@@ -150,16 +184,10 @@ def _hint_from_data(k, data, dim):
     params = data.get("params")
     if not isinstance(params, dict):
         raise FormatError("hint needs a params object")
-    if shape == "singleton":
-        return Singleton(_parse_vector(params.get("point"), "singleton point", dim))
-    if shape == "segment":
-        return Segment(_parse_vector(params.get("a"), "segment end a", dim),
-                       _parse_vector(params.get("b"), "segment end b", dim))
-    if shape == "ball":
-        return Ball(_parse_vector(params.get("center"), "ball center", dim),
-                    parse_extended(params.get("radius"), "ball radius"))
-    return HalfLineRay(_parse_vector(params.get("origin"), "ray origin", dim),
-                       _parse_vector(params.get("direction"), "ray direction", dim))
+    cls = _HINT_SHAPES[shape]
+    return cls(*[_parse_field(name, params.get(name),
+                              f"{shape} {_HINT_LABELS.get(name, name)}", dim)
+                 for name in cls._fields])
 
 
 def law_to_data(law, snap_tolerance=None):
@@ -168,11 +196,9 @@ def law_to_data(law, snap_tolerance=None):
         "dimension": law.dim,
         "pairs": [[list(x), list(y)] for x, y in law.pairs],
     }
-    hints = []
-    for key, hint in law.primal_hints.items():
-        hints.append({"at": list(key), "side": "primal", **_hint_to_data(hint)})
-    for key, hint in law.dual_hints.items():
-        hints.append({"at": list(key), "side": "dual", **_hint_to_data(hint)})
+    hints = [{"at": list(key), "side": side, **_hint_to_data(hint)}
+             for side, table in (("primal", law.primal_hints), ("dual", law.dual_hints))
+             for key, hint in table.items()]
     if hints:
         data["slice_hints"] = hints
     if snap_tolerance:
@@ -332,22 +358,13 @@ def save_law(law, path, snap_tolerance=None):
 
 
 def function_to_data(phi):
-    if isinstance(phi, Quadratic):
-        return {"form": "quadratic", "scale": phi.scale, "dimension": phi.dim}
-    if isinstance(phi, ScaledNorm):
-        return {"form": "scaled-norm", "scale": phi.scale, "dimension": phi.dim}
-    if isinstance(phi, IndicatorBall):
-        return {"form": "indicator-ball", "radius": dump_extended(phi.radius),
-                "dimension": phi.dim}
-    if isinstance(phi, IndicatorPoint):
-        return {"form": "indicator-point", "point": list(phi.point),
-                "offset": float(phi.offset)}
-    if isinstance(phi, Affine):
-        return {"form": "affine", "slope": list(phi.slope), "offset": float(phi.offset)}
+    form = _NAMES.get(type(phi))
+    if form in _FORMS:
+        return {"form": form, **_fields_to_data(phi)}
     if isinstance(phi, MaxAffine):
         return {"form": "max-affine",
-                "pieces": [{"slope": list(s), "offset": float(o)}
-                           for s, o in phi.pieces]}
+                "pieces": [{"slope": list(s), "offset": o}
+                           for s, o in zip(phi.slopes, phi.offsets.tolist())]}
     if isinstance(phi, Sampled):
         return {"form": "sampled",
                 "grid": [list(g) for g in phi.grid],
@@ -359,21 +376,10 @@ def function_from_data(data):
     if not isinstance(data, dict):
         raise FormatError("a function descriptor must be a JSON object")
     form = data.get("form")
-    if form == "quadratic":
-        return Quadratic(parse_finite(data.get("scale"), "scale"),
-                         _parse_dimension(data.get("dimension", 1), "dimension"))
-    if form == "scaled-norm":
-        return ScaledNorm(parse_finite(data.get("scale"), "scale"),
-                          _parse_dimension(data.get("dimension", 1), "dimension"))
-    if form == "indicator-ball":
-        return IndicatorBall(parse_extended(data.get("radius"), "radius"),
-                             _parse_dimension(data.get("dimension", 1), "dimension"))
-    if form == "indicator-point":
-        return IndicatorPoint(_parse_vector(data.get("point"), "point"),
-                              parse_finite(data.get("offset", 0.0), "offset"))
-    if form == "affine":
-        return Affine(_parse_vector(data.get("slope"), "slope"),
-                      parse_finite(data.get("offset", 0.0), "offset"))
+    cls = _FORMS.get(form) if isinstance(form, str) else None
+    if cls is not None:
+        return cls(*[_parse_field(name, data.get(key, _DEFAULTS.get(key)), key)
+                     for name in cls._fields for key in [_KEYS.get(name, name)]])
     if form == "max-affine":
         pieces = data.get("pieces")
         if not isinstance(pieces, list) or not pieces:
@@ -402,16 +408,14 @@ def cover_to_data(cover):
     fam = cover.family
     if isinstance(fam, (QuadraticFamily, NormFamily)):
         dom = cover.domain
-        return {
-            "family": "quadratic" if isinstance(fam, QuadraticFamily) else "norm",
-            "dimension": fam.dim,
-            "lambda_domain": {
-                "lo": dump_extended(dom.lo),
-                "hi": dump_extended(dom.hi),
-                "includes_infinity": dom.includes_infinity,
-                "grid_points": dom.grid_points,
-            },
-        }
+        lam = {"lo": dump_extended(dom.lo), "hi": dump_extended(dom.hi),
+               "includes_infinity": dom.includes_infinity, "grid_points": dom.grid_points}
+        # the log grid's ends, where they are not the ones lo and hi give
+        for key, end in zip(("grid_lo", "grid_hi"), _grid_ends(dom.lo, dom.hi)):
+            if getattr(dom, key) != end:
+                lam[key] = getattr(dom, key)
+        return {"family": "quadratic" if isinstance(fam, QuadraticFamily) else "norm",
+                "dimension": fam.dim, "lambda_domain": lam}
     if isinstance(fam, SeparableFamily):
         data = {"family": "separable", "potential": function_to_data(fam.potential)}
         if isinstance(fam.potential, (Sampled, MaxAffine)):
@@ -442,9 +446,10 @@ def cover_from_data(data):
         if isinstance(grid_points, bool) or not isinstance(grid_points, int):
             raise FormatError("lambda_domain.grid_points must be an integer")
         include_inf = dom_data.get("includes_infinity", hi == INF)
+        grid_ends = [parse_finite(dom_data[key], f"lambda_domain.{key}") if key in dom_data
+                     else None for key in ("grid_lo", "grid_hi")]
         try:
-            dom = ClosedInterval(lo, hi, includes_infinity=bool(include_inf),
-                                 grid_points=grid_points)
+            dom = ClosedInterval(lo, hi, bool(include_inf), grid_points, *grid_ends)
         except ValueError as exc:
             raise FormatError(str(exc)) from exc
         dim = _parse_dimension(data.get("dimension", 1), "dimension")
@@ -503,13 +508,13 @@ def dumps(obj):
     """Canonical JSON of a report or of plain data: sorted keys, two-space
     indent, ASCII strings.
 
-    Records (``numerics.Record``) become objects of their fields, tuples
-    and arrays become lists, numpy scalars become the Python numbers they
-    hold, dict keys become ``str(k)`` (the later of two equal keys wins),
-    non-finite floats become the sentinels "inf", "-inf" and "nan", and any
-    other object becomes its ``str``. The text is the one ``json.dumps``
-    with ``indent=2, sort_keys=True`` prints for that plain data, written
-    in one pass without building the plain data first.
+    Records (``numerics.Record``) become objects of their fields, hidden
+    fields left out; tuples and arrays become lists, numpy scalars become
+    the Python numbers they hold, dict keys become ``str(k)`` (the later of
+    two equal keys wins), non-finite floats become the sentinels "inf",
+    "-inf" and "nan", and any other object becomes its ``str``. The text is
+    the one ``json.dumps`` with ``indent=2, sort_keys=True`` prints for that
+    plain data, written in one pass without building the plain data first.
 
     A list of records, two or more items that are all of one record type or
     all dicts with the same string keys in the same order, is written
@@ -547,18 +552,16 @@ def _write(obj, out, nl):
     """Append the JSON text of ``obj`` to ``out``; ``nl`` is the newline and
     indent of the line the value starts on."""
     kind = type(obj)
-    if kind is float:
-        out.append(_float_text(obj))
-    elif kind is str:
+    if kind is float or kind is np.float64 or isinstance(obj, (float, np.floating)):
+        out.append(_float_text(float(obj)))
+    elif isinstance(obj, str):
         out.append(_encode_str(obj))
-    elif kind is int:
-        out.append(int.__repr__(obj))
     elif kind is bool:
         out.append("true" if obj else "false")
     elif obj is None:
         out.append("null")
-    elif kind is np.float64:
-        out.append(_float_text(float(obj)))
+    elif isinstance(obj, (int, np.integer)):
+        out.append(int.__repr__(int(obj)))
     elif isinstance(obj, np.ndarray):
         if obj.dtype.kind == "f" and obj.ndim:
             _write_floats(obj.tolist(), obj.ndim, out, nl)
@@ -572,14 +575,6 @@ def _write(obj, out, nl):
         fields = {str(k): v for k, v in obj.items()}
         _write_members([(_encode_str(k) + ": ", fields[k]) for k in sorted(fields)],
                        out, nl)
-    elif isinstance(obj, (np.floating, float)):
-        out.append(_float_text(float(obj)))
-    elif isinstance(obj, np.integer):
-        out.append(int.__repr__(int(obj)))
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
-    elif isinstance(obj, str):
-        out.append(_encode_str(obj))
     else:
         out.append(_encode_str(str(obj)))
 
@@ -624,8 +619,10 @@ def _write_members(members, out, nl):
 
 @functools.cache
 def _field_keys(cls):
-    """(written key and colon, getter) of a record type's fields, by name."""
-    return tuple((_encode_str(name) + ": ", attrgetter(name)) for name in sorted(cls._fields))
+    """(written key and colon, getter) of a record type's fields, by name;
+    hidden fields are left out, as repr and equality leave them out."""
+    return tuple((_encode_str(name) + ": ", attrgetter(name))
+                 for name in sorted(cls._fields) if name not in cls._hidden)
 
 
 def _record_fields(items):

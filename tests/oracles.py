@@ -665,11 +665,13 @@ def oracle_bb_check(law, tol):
 
 def reference_to_jsonable(obj):
     """Element-by-element conversion: every array entry and container item
-    goes through the full chain of type tests."""
+    goes through the full chain of type tests. A record's hidden fields are
+    left out."""
     from bipotkit.numerics import Record
 
     if isinstance(obj, Record):
-        return {name: reference_to_jsonable(getattr(obj, name)) for name in obj._fields}
+        return {name: reference_to_jsonable(getattr(obj, name)) for name in obj._fields
+                if name not in obj._hidden}
     if isinstance(obj, np.ndarray):
         return [reference_to_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (list, tuple)):
