@@ -32,7 +32,6 @@ from . import kernels
 from .convex import _as_grid, conjugate
 from .covers import (
     GRID_TOL,
-    SWEEP_CHUNK,
     CandidateNotFoundError,
     CoverageReport,
     FiniteSet,
@@ -44,11 +43,13 @@ from .covers import (
 )
 from .laws import LawGraph, NotBBGraphError, bb_check
 from .numerics import (
+    DEFAULT_TOL,
     INF,
     Record,
     _batch_inner,
     _batch_norm,
     _batch_norm2,
+    _chunks,
     _nonzero,
     _row_keys,
     _run_starts,
@@ -312,7 +313,7 @@ def build_inf(cover, mode="analytic"):
     return InfOfCoverBipotential(cover, mode=mode)
 
 
-def build_b_infinity(law, tol=1e-9, snap=0.0):
+def build_b_infinity(law, tol=DEFAULT_TOL, snap=0.0):
     """Pairing-on-the-graph bipotential over a law that must first pass the
     BB-graph test; refuses otherwise with the failing slice attached."""
     report = bb_check(law, tol)
@@ -354,14 +355,6 @@ class AxiomReport(Record):
                 and self.graph_equivalence_ok)
 
 
-def _chunks(n, width):
-    """Slices over n items of ``width`` entries each, at most about
-    ``SWEEP_CHUNK`` entries per slice; one slice even when n is 0, so that
-    per-slice results always concatenate."""
-    step = max(1, SWEEP_CHUNK // max(1, width))
-    return [slice(s, s + step) for s in range(0, max(n, 1), step)]
-
-
 # a grid whose largest magnitude lies in this range keys its probes as they
 # are, to 9 decimals; any other grid is first scaled by the power of two that
 # brings its largest magnitude into [0.5, 1)
@@ -398,7 +391,7 @@ def _midpoint_triples(g):
         if not (g[order[1:]][tie] != g[order[:-1]][tie]).any():
             break
     i, j = np.triu_indices(n, 1)
-    hits = []
+    hits = [(i[:0],) * 3]
     for part in _chunks(i.size, g.shape[1]):
         a, b = i[part], j[part]
         mid = key(0.5 * (g[a] + g[b]))
@@ -413,10 +406,10 @@ def _midpoint_failures(triples, width, fails):
     """Index arrays (k, column) and the violations of each failing entry of
     a (triple, column) table over the midpoint triples, triple by triple and
     columns ascending. ``fails(i, j, k)`` maps the index arrays of about
-    ``SWEEP_CHUNK / width`` triples to (triple, column, violation) arrays of
-    their failing entries, in row-major order."""
+    ``numerics.SWEEP_CHUNK / width`` triples to (triple, column, violation)
+    arrays of their failing entries, in row-major order."""
     i, j, k = triples
-    ks, cols, violations = [], [], []
+    ks, cols, violations = [k[:0]], [k[:0]], [np.empty(0)]
     for part in _chunks(i.size, width):
         t, c, v = fails(i[part], j[part], k[part])
         ks.append(k[part][t])
@@ -434,7 +427,7 @@ def _probe_table(b, x_grid, y_grid):
     return xg, yg, b.table(xg, yg), kernels.pairing_matrix(xg, yg)
 
 
-def verify_axioms(b, x_grid, y_grid, tol=1e-9):
+def verify_axioms(b, x_grid, y_grid, tol=DEFAULT_TOL):
     """Check the bipotential axioms on a finite product grid.
 
     Domination of the pairing is checked pointwise; separate convexity
@@ -443,7 +436,8 @@ def verify_axioms(b, x_grid, y_grid, tol=1e-9):
     every slice, since slices of a true contact graph are convex (2 tol
     absorbs the two endpoints' own slack). Slices with no contact at all go
     to ``no_contact``, diagnostics rather than failures. Every check runs
-    over all midpoint triples at once, in chunks of ``SWEEP_CHUNK`` entries.
+    over all midpoint triples at once, in chunks of about
+    ``numerics.SWEEP_CHUNK`` entries.
     """
     return _axiom_report(_probe_table(b, x_grid, y_grid), tol)
 
@@ -507,7 +501,7 @@ def _axiom_report(table, tol):
     return AxiomReport(lower_ok, convexity_ok, graph_ok, counterexamples, no_contact)
 
 
-def graph_of_bipotential(b, x_grid, y_grid, tol=1e-9):
+def graph_of_bipotential(b, x_grid, y_grid, tol=DEFAULT_TOL):
     """Law graph of the contact set {b(x, y) - <x, y> <= tol} on a product
     grid, pairs in row-major order. Raises when empty: a law graph cannot
     be."""
@@ -620,22 +614,23 @@ def _bic_screen(cover, lams, alphas, zs, fixed, first, tol):
     second slot). A tuple thus meets f once per parameter it can use.
 
     The blocks are then screened in order, in chunks of whole blocks of at
-    most about ``SWEEP_CHUNK`` tuples, one search stage after another: the
-    candidate, lam1 and lam2 stages with one parameter per block, then the
-    special parameters with one per tuple. A stage offers the tuples still
-    undecided that it applies to, validates its parameters on them, and
-    accepts those whose parameter the domain holds and whose f lies within
-    ``tol`` of the right side. The candidate stage evaluates f at its
-    offered tuples alone; the others read the table, block by block. The
-    tuples none of them accepted take the grid infimum (``Cover._sweep``),
-    ``SWEEP_CHUNK / grid size`` tuples at a time; its finiteness boundaries
-    add nothing, since the special stage tried them with the same bits.
+    most about ``numerics.SWEEP_CHUNK`` tuples, each chunk through one list
+    of search stages: the candidate, lam1 and lam2 stages with one
+    parameter per block, then the special parameters with one per tuple.
+    A stage is its f over the chunk, the tuples it applies to and the
+    parameters it validates; it validates them on the tuples still
+    undecided, and accepts those whose parameter the domain holds and whose
+    f lies within ``tol`` of the right side. The candidate stage evaluates
+    f at its offered tuples alone; the others read the table, block by
+    block. The verdict ORs the stages in order. The tuples none of them
+    accepted take the grid infimum, one ``Cover._sweep`` call per chunk;
+    its finiteness boundaries add nothing, since the special stage tried
+    them with the same bits.
 
-    The stages update a verdict only. A tuple that fails was offered by
-    every stage that applies to it, so its deficit, the least lhs - rhs
-    over those stages in order and then the grid (the first of equal
-    values, never a NaN), is computed for the failing tuples alone, from
-    the same entries.
+    A tuple that fails was offered by every stage that applies to it, so
+    its deficit, the least lhs - rhs over those stages in order and then
+    the grid (the first of equal values, never a NaN), reads the values
+    the stages stored.
     """
     fam, dom = cover.family, cover.domain
     n, m, dim = zs.shape[0], fixed.shape[0], zs.shape[1]
@@ -720,11 +715,9 @@ def _bic_screen(cover, lams, alphas, zs, fixed, first, tol):
                              None if valid else present))
     table = fam.f_many(table_lams, *points)
 
-    step = max(1, SWEEP_CHUNK // max(1, n * n * m))
-    sweep = max(1, SWEEP_CHUNK // dom.sample_grid.size)
-    for start in range(0, nblocks, step):
+    for part in _chunks(nblocks, n * n * m):
         # the chunk's tuples, by (block, ab, c)
-        blocks = np.arange(start, min(start + step, nblocks))
+        blocks = np.arange(nblocks)[part]
         p, k = np.divmod(blocks, shape[1])
         chunk = (blocks.size, n * n, m)
         al, be = alphas[k, None, None, None], betas[k, None, None, None]
@@ -735,65 +728,60 @@ def _bic_screen(cover, lams, alphas, zs, fixed, first, tol):
         undecided = rhs != INF  # an infinite right side holds vacuously
         rtol = rhs + tol
 
-        # the candidate stage evaluates f at its offered tuples alone
-        cand = cands[blocks]
+        # the stages in order, each (f over the chunk, the tuples it applies
+        # to, its parameters and the tuples to validate them at, where some
+        # may be NaN or -inf): the candidate stage has no table row and
+        # evaluates f at its offered tuples alone, where the domain holds
+        # its parameter; the lam1, lam2 and special stages read the table
+        cand = cands[blocks][:, None, None]
         cand_on = (held[2 * p, :, None, :] & held[2 * p + 1, None, :, :]
                    & ruled[blocks, None, None, None]).reshape(chunk)
-        offered = undecided & cand_on
-        check(cand[:, None, None], offered)
-        inside = dom.contains_many(cand)[:, None, None]
-        cand_on &= inside
-        at = np.flatnonzero(offered & inside)
-        if at.size:
-            i = np.unravel_index(at, chunk)
-            lhs = fam.f_many(cand[i[0]], *tuples(k, i))
-            np.put(undecided, at, ~(lhs <= rtol[i]))
-
-        # the lam1, lam2 and special stages read the table block by block:
-        # (table row per block, tuples it applies to, tuples to validate);
-        # a tuple is accepted when one of them accepts it, so their hits
-        # are gathered first and the verdict updated once
-        stages = [(rows[p, s], member[p, s, None, None], None) for s in (0, 1) if members.size]
-        stages += [(np.full(blocks.size, row), on[k], None if present is None else present[k])
-                   for row, on, present in special_rows]
+        stages = [(None, cand_on, cand, cand_on)]
+        stages += [(table[rows[p, s], k], np.broadcast_to(member[p, s, None, None], chunk),
+                    None, None) for s in (0, 1) if members.size]
+        for row, on, present in special_rows:
+            validate = (None, None) if present is None else (table_lams[row, k], present[k])
+            stages.append((table[row, k], on[k], *validate))
         hit = np.zeros(chunk, dtype=bool)
-        for row, on, present in stages:
+        stored = []
+        for lhs, on, stage_lams, present in stages:
             if present is not None:
-                check(table_lams[row[0], k], undecided & ~hit & present)
-            hit |= on & (table[row, k] <= rtol)
+                check(stage_lams, undecided & ~hit & present)
+            if lhs is None:
+                on = on & dom.contains_many(stage_lams)
+                lhs = np.full(chunk, INF)
+                at = np.flatnonzero(undecided & ~hit & on)
+                if at.size:
+                    i = np.unravel_index(at, chunk)
+                    lhs[i] = fam.f_many(np.broadcast_to(stage_lams, chunk)[i], *tuples(k, i))
+            hit |= on & (lhs <= rtol)
+            stored.append((on, lhs))
         undecided &= ~hit
 
+        # the tuples no stage accepted, if any, take the grid infimum
         left = np.flatnonzero(undecided)
-        vals = np.empty(left.size)
-        for s in range(0, left.size, sweep):
-            i = np.unravel_index(left[s:s + sweep], chunk)
-            vals[s:s + sweep] = cover._sweep(*tuples(k, i))[0]
+        vals = cover._sweep(*tuples(k, np.unravel_index(left, chunk)))[0] if left.size else np.empty(0)
         failing = ~(vals <= np.take(rtol, left))
         np.put(undecided, left, failing)
         fails[p, k] = undecided.reshape(chunk[:1] + shape[2:])
         if not failing.any():
             continue
 
-        # the failing tuples' deficits: d < low over the stages in order
+        # the failing tuples' deficits from the stages' values: d < low over
+        # the stages in order, then the grid
         i = np.unravel_index(left[failing], chunk)
-        b, r = i[0], rhs[i]
-        on = cand_on[i]
-        lhs = np.full(r.size, INF)
-        if on.any():
-            lhs[on] = fam.f_many(cand[b[on]], *tuples(k, tuple(j[on] for j in i)))
-        entries = [(on, lhs)] + [(np.broadcast_to(on, chunk)[i], table[row[b], k[b], i[1], i[2]])
-                                 for row, on, _ in stages]
+        r = rhs[i]
         low = np.full(r.size, INF)
         with np.errstate(invalid="ignore"):  # -inf - -inf, only at entries a stage skips
-            for on, lhs in entries:
-                d = lhs - r
-                low = np.where(on & (d < low), d, low)
+            for on, lhs in stored:
+                d = lhs[i] - r
+                low = np.where(on[i] & (d < low), d, low)
         d = vals[failing] - r
         deficits.append(np.where(d < low, d, low))
     return fails, np.concatenate(deficits)
 
 
-def bic_check(cover, plan=None, tol=1e-9):
+def bic_check(cover, plan=None, tol=DEFAULT_TOL):
     """Screen the cover for bi-implicit convexity over a probe plan.
 
     Each tuple demands a parameter whose member dominates the mixed point:

@@ -37,8 +37,9 @@ from .formats import (
     load_law,
     probe_rows,
 )
-from .laws import DEFAULT_TOL, NotCyclicallyMonotoneError, bb_check, cyclic_monotonicity_check
+from .laws import NotCyclicallyMonotoneError, bb_check, cyclic_monotonicity_check
 from .laws import rockafellar_reconstruct
+from .numerics import DEFAULT_TOL
 
 
 class CLIError(Exception):

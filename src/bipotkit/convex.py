@@ -14,6 +14,7 @@ import numpy as np
 
 from . import kernels
 from .numerics import (
+    DEFAULT_TOL,
     INF,
     DimensionMismatchError,
     MinusInfinityError,
@@ -29,7 +30,7 @@ from .numerics import (
     ensure_finite,
 )
 
-ANALYTIC_TOL = 1e-9
+ANALYTIC_TOL = DEFAULT_TOL
 SAMPLED_TOL = 1e-6
 
 

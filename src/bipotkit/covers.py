@@ -24,11 +24,13 @@ from .convex import (
     conjugate,
 )
 from .numerics import (
+    DEFAULT_TOL,
     INF,
     Record,
     _batch_inner,
     _batch_norm,
     _batch_norm2,
+    _chunks,
     _nonzero,
     _run_starts,
     as_vector,
@@ -42,14 +44,6 @@ DEFAULT_GRID_POINTS = 512
 # numeric infima over a log grid carry the grid's own resolution, so
 # sample-based certifications default to a matching tolerance
 GRID_TOL = 1e-3
-
-# most parameter x probe entries one batched infimum sweep holds at once;
-# beyond it the sweep's temporaries grow with the probe count, not its speed
-SWEEP_CHUNK = 2 ** 15
-
-# widest run of grid nodes the sweep gathers for a whole slab at once; a
-# pair whose run is wider is swept in chunks of about SWEEP_CHUNK entries
-WINDOW_NODES = 4
 
 
 class PreconditionError(ValueError):
@@ -563,10 +557,11 @@ class Cover(Record):
         The family's ``sweep_windows`` names, for each pair, a run of grid
         nodes that holds its first minimum over the whole grid, and
         ``f_many`` evaluates those nodes alone (:func:`_windowed_sweep`), in
-        slabs of about ``SWEEP_CHUNK / 16`` pairs along the first axis. Each
-        probe's finiteness boundaries where the domain holds them follow: a
-        boundary wins when its value is lower, or equal at a smaller lambda.
-        The attaining lambda is thus the first minimum in ascending order."""
+        slabs of about ``numerics.SWEEP_CHUNK / 16`` pairs along the first
+        axis, so a caller may pass any number of pairs at once. Each probe's
+        finiteness boundaries where the domain holds them follow: a boundary
+        wins when its value is lower, or equal at a smaller lambda. The
+        attaining lambda is thus the first minimum in ascending order."""
         fam, dom = self.family, self.domain
         grid = dom.sample_grid
         shape = np.broadcast_shapes(xs.shape[:-1], ys.shape[:-1])
@@ -576,10 +571,9 @@ class Cover(Record):
         # slabs along the first axis: a windowed pair keeps some 16 floats of
         # temporaries alive, so SWEEP_CHUNK / 16 pairs hold about SWEEP_CHUNK
         # of them
-        step = max(1, SWEEP_CHUNK // (16 * max(1, math.prod(shape[1:]))))
-        for r in range(0, shape[0], step):
-            x, y = (a if a.shape[0] == 1 else a[r:r + step] for a in (xs, ys))
-            v, lam = vals[r:r + step], lams[r:r + step]
+        for r in _chunks(shape[0], 16 * math.prod(shape[1:])):
+            x, y = (a if a.shape[0] == 1 else a[r] for a in (xs, ys))
+            v, lam = vals[r], lams[r]
             v[...], first = _windowed_sweep(fam, grid, x, y)
             lam[...] = grid[first]
             x, y = (np.broadcast_to(a, v.shape + a.shape[-1:]) for a in (x, y))
@@ -601,19 +595,16 @@ def _windowed_sweep(fam, grid, xs, ys):
 
     A family that names one run for every pair (separable, tabulated) has
     ``f_many`` evaluate it on the stacks as given, each probe's terms once,
-    in chunks of nodes of about ``SWEEP_CHUNK`` entries. Otherwise the
-    pairs are gathered, the runs of at most ``WINDOW_NODES`` nodes and the
-    wider ones apart, each in chunks of at most ``SWEEP_CHUNK`` entries, so
-    the narrow runs of a slab take one gather. A run narrower than the
-    widest of its gather repeats its last node, which the first minimum
-    never picks over the earlier copy."""
+    in chunks of nodes. Otherwise the pairs are grouped by run width and
+    gathered in chunks, so each gather is exactly as wide as its runs.
+    Chunks hold about ``numerics.SWEEP_CHUNK`` entries."""
     shape = np.broadcast_shapes(xs.shape[:-1], ys.shape[:-1])
     start, width = fam.sweep_windows(grid, xs, ys)
     if np.ndim(start) == np.ndim(width) == 0:
         vals, first = np.full(shape, INF), np.zeros(shape, dtype=np.intp)
-        step = max(1, SWEEP_CHUNK // max(1, math.prod(shape)))
-        for s in range(start, start + width, step):
-            nodes = np.arange(s, min(s + step, start + width))
+        run = np.arange(start, start + width)
+        for c in _chunks(width, math.prod(shape)):
+            nodes = run[c]
             total = fam.f_many(grid[nodes], xs[..., None, :], ys[..., None, :])
             k = total.argmin(axis=-1)
             low = np.take_along_axis(total, k[..., None], axis=-1)[..., 0]
@@ -621,25 +612,19 @@ def _windowed_sweep(fam, grid, xs, ys):
             won = low < vals
             vals[won], first[won] = low[won], nodes[k[won]]
         return vals, first
-    start, width = (np.broadcast_to(w, shape) for w in (start, width))
-    xs, ys = (np.broadcast_to(a, shape + a.shape[-1:]) for a in (xs, ys))
-    vals, first = np.empty(shape), np.empty(shape, dtype=np.intp)
-    narrow = width <= WINDOW_NODES
-    for on in (narrow, ~narrow):
-        if not on.any():
-            continue
-        s, w, x, y = start[on], width[on], xs[on][:, None], ys[on][:, None]
-        v, f = np.empty(s.size), np.empty(s.size, dtype=np.intp)
-        step = max(1, SWEEP_CHUNK // int(w.max()))
-        for r in range(0, s.size, step):
-            c = slice(r, r + step)
-            nodes = s[c, None] + np.minimum(np.arange(w[c].max()), w[c, None] - 1)
-            total = fam.f_many(grid[nodes], x[c], y[c])
-            k = total.argmin(axis=-1)[:, None]
-            v[c] = low = np.take_along_axis(total, k, axis=-1)[:, 0]
-            f[c] = np.where(low == INF, 0, np.take_along_axis(nodes, k, axis=-1)[:, 0])
-        vals[on], first[on] = v, f
-    return vals, first
+    start, width = (np.broadcast_to(w, shape).reshape(-1) for w in (start, width))
+    xs, ys = (np.broadcast_to(a, shape + a.shape[-1:]).reshape(-1, a.shape[-1]) for a in (xs, ys))
+    vals, first = np.empty(start.size), np.empty(start.size, dtype=np.intp)
+    # the distinct widths, ascending (np.unique would import numpy.ma)
+    for w in np.flatnonzero(np.bincount(width)).tolist():
+        pairs = np.flatnonzero(width == w)
+        for c in _chunks(pairs.size, w):
+            at = pairs[c]
+            total = fam.f_many(grid[start[at, None] + np.arange(w)], xs[at, None], ys[at, None])
+            k = total.argmin(axis=-1)
+            vals[at] = low = total[np.arange(at.size), k]
+            first[at] = np.where(low == INF, 0, start[at] + k)
+    return vals.reshape(shape), first.reshape(shape)
 
 
 def _as_stack(points, dim):
@@ -715,13 +700,13 @@ def _touching(cover, xs, ys, tol):
     """(k, lambda) wherever f(lambda, xs[k], ys[k]) is within tol of the
     pairing, for paired (n, dim) stacks: k ascending, then lambda ascending
     over the sample grid plus each pair's finiteness boundaries off it that
-    the domain holds; ``SWEEP_CHUNK`` parameter x pair entries at a time."""
+    the domain holds; about ``numerics.SWEEP_CHUNK`` parameter x pair entries
+    at a time."""
     fam, dom = cover.family, cover.domain
     grid = dom.sample_grid
-    step = max(1, SWEEP_CHUNK // grid.size)
     out = []
-    for start in range(0, xs.shape[0], step):
-        x, y = xs[start:start + step], ys[start:start + step]
+    for c in _chunks(xs.shape[0], grid.size):
+        x, y = xs[c], ys[c]
         pairing = _batch_inner(x, y)
         k, at = _nonzero(fam.f_many(grid, x[:, None], y[:, None]) - pairing[:, None] <= tol)
         ks, lams = [k], [grid[at]]
@@ -732,7 +717,7 @@ def _touching(cover, xs, ys, tol):
             hit = fam.f_many(edge[keep], x[keep], y[keep]) - pairing[keep] <= tol
             ks.append(keep[hit])
             lams.append(edge[keep][hit])
-        k, lam = np.concatenate(ks) + start, np.concatenate(lams)
+        k, lam = np.concatenate(ks) + c.start, np.concatenate(lams)
         order = np.lexsort((lam, k))
         out.extend(zip(k[order].tolist(), lam[order].tolist()))
     return out
@@ -742,7 +727,7 @@ def _touching(cover, xs, ys, tol):
 # candidate parameter for implicit-convexity verification
 
 
-def p1_candidate(cover, lam1, lam2, alpha, x1, x2, y, tol=1e-9):
+def p1_candidate(cover, lam1, lam2, alpha, x1, x2, y, tol=DEFAULT_TOL):
     """Parameter lambda at which the mixed point alpha*x1 + beta*x2 should be
     a subgradient point of phi*_lambda at y.
 

@@ -29,8 +29,8 @@ from .covers import (
     tabulated_cover,
 )
 from .formats import _probe_lines, csv_header, dumps, save_cover, save_law
-from .laws import DEFAULT_TOL, Ball, HalfLineRay, LawGraph, Segment, Singleton
-from .numerics import _batch_norm
+from .laws import Ball, HalfLineRay, LawGraph, Segment, Singleton
+from .numerics import DEFAULT_TOL, _batch_norm
 
 DEMO_NAMES = ("cauchy-quadratic", "cauchy-norm", "plasticity", "separable")
 

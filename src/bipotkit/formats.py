@@ -120,6 +120,17 @@ def _parse_vector(v, what, dim=None):
     return np.array(_check_vector(v, what, dim))
 
 
+def _parse_nodes(v, what):
+    """A list of grid nodes of one dimension as an (n, dim) array, each
+    node checked in order."""
+    if not isinstance(v, list):
+        raise FormatError(f"{what} must be a list of nodes, got {v!r}")
+    nodes = [_check_vector(g, f"{what} node") for g in v]
+    if len({len(g) for g in nodes}) > 1:
+        raise FormatError(f"{what} nodes must share one dimension")
+    return np.array(nodes)
+
+
 # ---------------------------------------------------------------------------
 # record schemas
 
@@ -384,18 +395,21 @@ def function_from_data(data):
         pieces = data.get("pieces")
         if not isinstance(pieces, list) or not pieces:
             raise FormatError("max-affine needs a nonempty pieces list")
-        parsed = [(_parse_vector(p.get("slope"), "piece slope"),
-                   parse_finite(p.get("offset", 0.0), "piece offset"))
-                  for p in pieces]
+        parsed = []
+        for p in pieces:
+            if not isinstance(p, dict):
+                raise FormatError(f"a max-affine piece must be a JSON object, got {p!r}")
+            parsed.append((_parse_vector(p.get("slope"), "piece slope"),
+                           parse_finite(p.get("offset", 0.0), "piece offset")))
         return MaxAffine.from_pieces(parsed)
     if form == "sampled":
-        grid = data.get("grid")
+        grid, values = data.get("grid"), data.get("values", [])
         if not isinstance(grid, list) or not grid:
             raise FormatError("sampled needs a nonempty grid")
-        nodes = np.array([_parse_vector(g, "grid node") for g in grid])
-        values = np.array([parse_extended(v, "sampled value")
-                           for v in data.get("values", [])])
-        return Sampled(nodes, values)
+        if not isinstance(values, list):
+            raise FormatError(f"sampled values must be a list, got {values!r}")
+        return Sampled(_parse_nodes(grid, "grid"),
+                       np.array([parse_extended(v, "sampled value") for v in values]))
     raise FormatError(f"unknown function form {form!r}")
 
 
@@ -457,14 +471,9 @@ def cover_from_data(data):
         return Cover(dom, fam)
     if family == "separable":
         phi = function_from_data(data.get("potential"))
-        dual_grid = data.get("dual_grid")
-        primal_grid = data.get("primal_grid")
-        if dual_grid is not None:
-            dual_grid = np.array([_parse_vector(g, "dual grid node")
-                                  for g in dual_grid])
-        if primal_grid is not None:
-            primal_grid = np.array([_parse_vector(g, "primal grid node")
-                                    for g in primal_grid])
+        dual_grid, primal_grid = (None if data.get(key) is None else
+                                  _parse_nodes(data[key], key.replace("_", " "))
+                                  for key in ("dual_grid", "primal_grid"))
         conj = data.get("conjugate")
         if conj is not None:
             fam = SeparableFamily(phi, function_from_data(conj))

@@ -31,11 +31,12 @@ import numpy as np
 from . import kernels
 from .kernels import cycle_sum
 from .convex import MaxAffine
-from .covers import SWEEP_CHUNK
 from .numerics import (
+    DEFAULT_TOL,
     Record,
     _batch_inner,
     _batch_norm,
+    _chunks,
     _diff_inner,
     _row_keys,
     _run_starts,
@@ -43,8 +44,6 @@ from .numerics import (
     norm,
     vec_key,
 )
-
-DEFAULT_TOL = 1e-9
 
 
 class NotCyclicallyMonotoneError(ValueError):
@@ -383,13 +382,13 @@ def _midpoint_failure(members, tol):
     Finite sets are closed, so closedness holds vacuously; convexity of a
     finite sample is testable only through midpoint membership. The
     midpoints of the pairs i < j of the (k, dim) stack ``members`` are
-    screened in row-major order, ``SWEEP_CHUNK`` distances at a time.
+    screened in row-major order, about ``numerics.SWEEP_CHUNK`` distances at
+    a time.
     """
     k = members.shape[0]
     i, j = np.triu_indices(k, 1)
-    step = max(1, SWEEP_CHUNK // k)
-    for start in range(0, i.size, step):
-        mids = 0.5 * (members[i[start:start + step]] + members[j[start:start + step]])
+    for part in _chunks(i.size, k):
+        mids = 0.5 * (members[i[part]] + members[j[part]])
         far = np.flatnonzero((np.sqrt(_diff_inner(mids[:, None], members[None])) > tol).all(axis=1))
         if far.size:
             return mids[far[0]].copy()

@@ -17,6 +17,14 @@ INF = math.inf
 
 MAX_DIM = 3
 
+# the default tolerance of the exact checks: pairing gaps, subgradient
+# preconditions and axiom, BIC and law screens
+DEFAULT_TOL = 1e-9
+
+# most entries one batched loop holds at once; beyond it a loop's
+# temporaries grow with its input, not its speed
+SWEEP_CHUNK = 2 ** 15
+
 
 class DimensionMismatchError(ValueError):
     """Vectors of different fixed dimensions met in one operation."""
@@ -125,6 +133,14 @@ def _diff_inner(a, b, c=None):
             np.multiply(plane, plane if c is None else c[..., k], out=plane)
             out += plane
     return out
+
+
+def _chunks(n, width):
+    """Slices over n items of ``width`` entries each, at most about
+    ``SWEEP_CHUNK`` entries per slice and one item at least; none when n is
+    0. Every batched loop of the package takes its slices from here."""
+    step = max(1, SWEEP_CHUNK // max(1, width))
+    return [slice(s, s + step) for s in range(0, n, step)]
 
 
 def _nonzero(mask):

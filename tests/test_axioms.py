@@ -28,7 +28,7 @@ from bipotkit import (
     tabulated_cover,
     verify_axioms,
 )
-from bipotkit import bipotentials
+from bipotkit import numerics
 from bipotkit.bipotentials import _midpoint_triples
 from bipotkit.convex import Quadratic
 from bipotkit.laws import LawGraph
@@ -123,14 +123,14 @@ def assert_records_own_their_rows(report, xs, ys):
 
 GRIDS = ["uniform", "geomspace", "shuffled", "duplicates", "signed-zeros", "random", "dense"]
 # the default chunk holds these probes whole; 7 entries split every stage
-CHUNKS = [bipotentials.SWEEP_CHUNK, 7]
+CHUNKS = [numerics.SWEEP_CHUNK, 7]
 
 
 @pytest.mark.parametrize("chunk", CHUNKS)
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("grid", GRIDS)
 def test_midpoint_triples_match_oracle(dim, grid, chunk, monkeypatch):
-    monkeypatch.setattr(bipotentials, "SWEEP_CHUNK", chunk)
+    monkeypatch.setattr(numerics, "SWEEP_CHUNK", chunk)
     g = grids(dim)[grid]
     got = [tuple(t) for t in np.stack(_midpoint_triples(g), axis=1).tolist()]
     assert got == oracle_midpoint_triples(g)
@@ -218,7 +218,7 @@ def test_midpoint_triples_on_grids_finer_than_the_key_rounding_are_exact(points)
 @pytest.mark.parametrize("grid", GRIDS)
 @pytest.mark.parametrize("tol", [1e-9, 0.5])
 def test_verify_axioms_matches_oracle(dim, grid, tol, chunk, monkeypatch):
-    monkeypatch.setattr(bipotentials, "SWEEP_CHUNK", chunk)
+    monkeypatch.setattr(numerics, "SWEEP_CHUNK", chunk)
     g = grids(dim)[grid]
     xs, ys = g, g[::-1] + 0.25
     for name, b, table in cases(dim):

@@ -34,7 +34,7 @@ from bipotkit import (
     separable_cover,
     tabulated_cover,
 )
-from bipotkit import bipotentials
+from bipotkit import bipotentials, numerics
 from bipotkit.demos import nonbic_cover
 
 from .oracles import oracle_bic_check
@@ -354,7 +354,7 @@ def test_chunk_edges_match_oracle(cover_and_plan):
     for chunk in (None, 1, 3 * block - 1):
         with pytest.MonkeyPatch.context() as mp:
             if chunk is not None:
-                mp.setattr(bipotentials, "SWEEP_CHUNK", chunk)
+                mp.setattr(numerics, "SWEEP_CHUNK", chunk)
             assert report_bytes(bic_check(cover, plan)) == want, chunk
 
 
@@ -397,7 +397,7 @@ def test_split_stages_match_oracle(case):
         with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
             warnings.simplefilter("error")
             if size is not None:
-                mp.setattr(bipotentials, "SWEEP_CHUNK", size)
+                mp.setattr(numerics, "SWEEP_CHUNK", size)
             assert report_bytes(bic_check(cover, plan)) == want, size
 
 

@@ -33,7 +33,7 @@ from bipotkit.covers import (
     separable_cover,
     tabulated_cover,
 )
-from bipotkit import covers
+from bipotkit import numerics
 from bipotkit.laws import LawGraph
 from bipotkit.numerics import INF, inner, norm
 
@@ -321,12 +321,13 @@ MEMBER_LAMS = [0.0, 0.25, 0.5, 1.0, 2.0, 4.0, INF]
 @st.composite
 def irregular_lams(draw):
     """1-8 parameters from [1e-3, 1e3] and the members above, sometimes
-    with a run of adjacent floats, wider than a sweep window, after one."""
+    with a run of 1-6 adjacent floats after one, which a quadratic pair
+    near them sweeps as one run."""
     lams = draw(st.lists(st.one_of(st.floats(1e-3, 1e3), st.sampled_from(MEMBER_LAMS)),
                          min_size=1, max_size=8, unique=True))
     if draw(st.booleans()):
         lam = draw(st.floats(1e-3, 1e3))
-        for _ in range(draw(st.integers(1, covers.WINDOW_NODES + 2))):
+        for _ in range(draw(st.integers(1, 6))):
             lams.append(lam)
             lam = float(np.nextafter(lam, INF))
     return tuple(set(lams))
@@ -389,12 +390,45 @@ def covers_and_probes(draw):
     return cover, xs, ys, paired
 
 
+def gathered_runs(cover, x, y):
+    """``cover._sweep(x, y)``, and the (start, width) of each run of grid
+    nodes it gathered for one pair, sorted; a gather hands ``f_many`` one
+    row of nodes per pair, where the finiteness boundaries and the
+    separable and tabulated families' shared run are one node per entry."""
+    fam, grid = type(cover.family), cover.domain.sample_grid
+    f_many, runs = fam.f_many, []
+
+    def recorded(self, lams, xs, ys):
+        if np.ndim(lams) == 2:
+            for row in lams.tolist():
+                s = int(np.searchsorted(grid, row[0]))
+                assert row == grid[s:s + len(row)].tolist()
+                runs.append((s, len(row)))
+        return f_many(self, lams, xs, ys)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fam, "f_many", recorded)
+        out = cover._sweep(x, y)
+    return out, sorted(runs)
+
+
+def window_runs(cover, x, y):
+    """The (start, width) that ``sweep_windows`` names for each pair of the
+    broadcast stacks, sorted; none for a family with one run for all."""
+    start, width = cover.family.sweep_windows(cover.domain.sample_grid, x, y)
+    if np.ndim(start) == np.ndim(width) == 0:
+        return []
+    shape = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
+    return sorted(zip(*(np.broadcast_to(w, shape).reshape(-1).tolist() for w in (start, width))))
+
+
 @settings(max_examples=150, deadline=None)
 @given(covers_and_probes())
 def test_sweep_matches_the_scalar_sweep(case):
     # the default chunk, then chunks that split the grid into parameter
     # blocks and the probes into slabs along the first axis: 1 evenly, the
-    # others with uneven edges on one or both (2 on paired stacks)
+    # others with uneven edges on one or both (2 on paired stacks); each
+    # pair is gathered on exactly the run its window names
     cover, xs, ys, paired = case
     if paired:
         x, y = xs, ys
@@ -409,25 +443,25 @@ def test_sweep_matches_the_scalar_sweep(case):
     for chunk in (None, 1, 2, 3 * probes - 1, 2 * cover.domain.sample_grid.size + 1):
         with pytest.MonkeyPatch.context() as mp:
             if chunk is not None:
-                mp.setattr(covers, "SWEEP_CHUNK", chunk)
-            vals, lams = cover._sweep(x, y)
+                mp.setattr(numerics, "SWEEP_CHUNK", chunk)
+            (vals, lams), runs = gathered_runs(cover, x, y)
+        assert runs == window_runs(cover, x, y), chunk
         assert vals.reshape(-1).tobytes() == want_vals.tobytes(), chunk
         assert lams.reshape(-1).tobytes() == want_lams.tobytes(), chunk
 
 
 def test_windowed_sweep_evaluates_a_few_parameters_per_pair():
     # a 41 x 41 table over the default 512-point grid, with an exact zero
-    # probe row and column: the sweep hands ``f_many`` at most WINDOW_NODES
-    # grid nodes per pair (plus, for norms, each pair's finiteness
-    # boundary), never the whole grid; a separable cover one node per pair,
-    # a tabulated one its members
+    # probe row and column: the sweep hands ``f_many`` at most 4 grid nodes
+    # per quadratic pair and 2 per norm pair (plus each pair's finiteness
+    # boundary), each pair exactly its own run, never the whole grid; a
+    # separable cover one node per pair, a tabulated one its members
     rng = np.random.default_rng(41)
     xs, ys = rng.uniform(-2, 2, size=(2, 41, 2))
     xs[1] = ys[1] = 0.0
     tabulated = tabulated_cover([(lam, Quadratic(lam, 2), Quadratic(1.0 / lam, 2))
                                  for lam in (0.5, 1.0, 4.0)])
-    for cover, per_pair in ((quadratic_cover(2), covers.WINDOW_NODES),
-                            (norm_cover(2), covers.WINDOW_NODES),
+    for cover, per_pair in ((quadratic_cover(2), 4), (norm_cover(2), 2),
                             (separable_cover(ScaledNorm(1.5, 2)), 1), (tabulated, 3)):
         fam = type(cover.family)
         f_many, seen = fam.f_many, []
@@ -441,6 +475,9 @@ def test_windowed_sweep_evaluates_a_few_parameters_per_pair():
             vals = cover.grid_infimum_values(xs[:, None], ys[None])
         boundaries = len(cover.family.finite_boundary_lams(xs, ys))
         assert sum(math.prod(shape) for shape in seen) <= 41 * 41 * (per_pair + boundaries), fam
+        runs = gathered_runs(cover, xs[:, None], ys[None])[1]
+        assert runs == window_runs(cover, xs[:, None], ys[None]), fam
+        assert all(width <= per_pair for _, width in runs), fam
         want = [oracle_sweep(cover, x.tolist(), y.tolist())[0] for x in xs[:3] for y in ys]
         assert vals[:3].reshape(-1).tolist() == want
     assert quadratic_cover(2).domain.sample_grid.size > 500
@@ -449,8 +486,8 @@ def test_windowed_sweep_evaluates_a_few_parameters_per_pair():
 def test_sweep_windows_hold_ties_and_clusters():
     # y = c x with c the geometric mean of adjacent nodes puts the minimizer
     # midway between them, where the two quadratic members tie up to
-    # rounding: both are in the window. A run of adjacent floats wider than
-    # WINDOW_NODES around the minimizer is a window of its own.
+    # rounding: both are in the window. A run of 5 adjacent floats around
+    # the minimizer is a window of its own, swept as 5 nodes.
     rng = np.random.default_rng(43)
     cover = quadratic_cover(2)
     nodes = cover.domain.sample_grid
@@ -460,16 +497,17 @@ def test_sweep_windows_hold_ties_and_clusters():
     start, width = cover.family.sweep_windows(nodes, xs, ys)
     assert start.tolist() == k.tolist() and (width == 2).all()
     lam, cluster = 1.5, []
-    for _ in range(covers.WINDOW_NODES + 1):
+    for _ in range(5):
         cluster.append(lam)
         lam = float(np.nextafter(lam, INF))
     clustered = Cover(FiniteSet(tuple(cluster) + (0.0, 0.25, 9.0, INF)), QuadraticFamily(2))
     xs[:, 1] = 0.0
     ys = np.stack([1.5 * xs[:, 0], np.zeros(30)], axis=1)
     start, width = clustered.family.sweep_windows(clustered.domain.sample_grid, xs, ys)
-    assert (start == 2).all() and (width == covers.WINDOW_NODES + 1).all()
+    assert (start == 2).all() and (width == 5).all()
     for c, y in ((cover, xs * np.sqrt(nodes[k] * nodes[k + 1])[:, None]), (clustered, ys)):
-        vals, lams = c._sweep(xs, y)
+        (vals, lams), runs = gathered_runs(c, xs, y)
+        assert runs == window_runs(c, xs, y)
         want = [oracle_sweep(c, a.tolist(), b.tolist()) for a, b in zip(xs, y)]
         assert list(zip(vals.tolist(), lams.tolist())) == want
 

@@ -22,7 +22,7 @@ from bipotkit.laws import (
     weight_matrix,
 )
 
-from bipotkit import kernels, laws
+from bipotkit import kernels, numerics
 from bipotkit.numerics import _batch_inner, _batch_norm2, _diff_inner, inner
 
 from .exact import exact_cycle_sum
@@ -742,7 +742,7 @@ def test_slices_and_pair_keys_match_a_brute_force(data):
         assert 7.0 not in law.ys
 
 
-@pytest.mark.parametrize("chunk", [laws.SWEEP_CHUNK, 7])
+@pytest.mark.parametrize("chunk", [numerics.SWEEP_CHUNK, 7])
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0]), min_size=2, max_size=2),
                           st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.25, 1.0]), min_size=2, max_size=2)),
@@ -751,7 +751,7 @@ def test_slices_and_pair_keys_match_a_brute_force(data):
 def test_bb_check_midpoints_match_the_oracle_in_any_chunk(chunk, pairs, tol):
     law = LawGraph([(np.array(x), np.array(y)) for x, y in pairs])
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(laws, "SWEEP_CHUNK", chunk)
+        mp.setattr(numerics, "SWEEP_CHUNK", chunk)
         assert_bb_matches_oracle(law, tol)
 
 

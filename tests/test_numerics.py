@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bipotkit import numerics
+from bipotkit.bipotentials import build_inf, certify
+from bipotkit.covers import QuadraticFamily, coverage_check, quadratic_cover
+from bipotkit.demos import build_cauchy_law
+from bipotkit.formats import dumps
+from bipotkit.laws import LawGraph, bb_check
 from bipotkit.numerics import (
+    DEFAULT_TOL,
     INF,
     DimensionMismatchError,
     MinusInfinityError,
@@ -130,3 +137,37 @@ def test_inner_and_norm_are_one_row_batched_calls(xy):
     assert type(got) is np.float64 and bits(got) == bits(want) == bits(table[0])
     assert type(norm(x)) is float and bits(norm(x)) == bits(np.sqrt(table[2]))
     assert bits(norm(y)) == bits(_batch_norm(np.stack([x, y]))[1])
+
+
+
+def test_one_chunk_budget_splits_every_batched_loop_alike(monkeypatch):
+    # numerics.SWEEP_CHUNK alone bounds every batched loop: at 7 entries
+    # the BIC screen, the sweep, the axiom triples, the coverage scan and
+    # the BB midpoints run in many more, smaller chunks, with the same results
+    law = build_cauchy_law()
+    split_law = LawGraph([([0.0], [-1.0]), ([0.0], [1.0]), ([1.0], [2.0])])
+    g = np.linspace(-1.0, 1.0, 5)
+    probes = np.stack(np.meshgrid(g, g[:3]), axis=-1).reshape(-1, 2)
+    f_many, calls = QuadraticFamily.f_many, []
+
+    def counted(self, lams, x, y):
+        calls.append(1)
+        return f_many(self, lams, x, y)
+
+    def results():
+        calls.clear()
+        report = certify(quadratic_cover(1, grid_points=24), g, g, mode="analytic",
+                         tol=DEFAULT_TOL)
+        table = build_inf(quadratic_cover(2, grid_points=64), mode="grid").table(probes, probes[::-1])
+        coverage = coverage_check(quadratic_cover(2, grid_points=32), law)
+        out = (dumps(report.reports()), table.tobytes(), dumps(coverage),
+               dumps(bb_check(law)), dumps(bb_check(split_law)))
+        return out, len(calls)
+
+    monkeypatch.setattr(QuadraticFamily, "f_many", counted)
+    default, default_calls = results()
+    monkeypatch.setattr(numerics, "SWEEP_CHUNK", 7)
+    split, split_calls = results()
+    assert split == default
+    assert split_calls > 10 * default_calls
+    assert '"is_bb_graph": false' in default[4]

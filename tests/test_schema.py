@@ -326,6 +326,15 @@ FORM_FAULTS = [
     ({"form": "mystery"}, "unknown function form 'mystery'"),
     ({"scale": 1.0, "dimension": 1}, "unknown function form None"),
     ({"form": ["quadratic"], "scale": 1.0}, "unknown function form ['quadratic']"),
+    # max-affine pieces and sampled value lists
+    ({"form": "max-affine", "pieces": [1.0]}, "a max-affine piece must be a JSON object, got 1.0"),
+    ({"form": "max-affine", "pieces": [{"slope": [1.0]}, "x"]},
+     "a max-affine piece must be a JSON object, got 'x'"),
+    ({"form": "sampled", "grid": [[0.0], [1.0]], "values": 3}, "sampled values must be a list, got 3"),
+    ({"form": "sampled", "grid": [[0.0], [1.0]], "values": {"a": 1}},
+     "sampled values must be a list, got {'a': 1}"),
+    ({"form": "sampled", "grid": [[0.0], [1.0, 2.0]], "values": [0.0, 1.0]},
+     "grid nodes must share one dimension"),
 ]
 
 
@@ -338,6 +347,35 @@ def test_function_form_faults_keep_their_messages(data, message):
     # constructor's ValueError
     constructor = message.endswith(("nonnegative, got -1.0", "between 1 and 3, got 4"))
     assert isinstance(exc.value, FormatError) != constructor
+
+
+SAMPLED = {"form": "sampled", "grid": [[0.0], [1.0]], "values": [0.0, 1.0]}
+QUADRATIC = {"form": "quadratic", "scale": 1.0}
+# the node lists of a separable cover, read as the sampled grid is
+COVER_FAULTS = [
+    ({"potential": SAMPLED, "dual_grid": 3}, "dual grid must be a list of nodes, got 3"),
+    ({"potential": QUADRATIC, "dual_grid": 3}, "dual grid must be a list of nodes, got 3"),
+    ({"potential": SAMPLED, "dual_grid": [[0.0]], "primal_grid": 3},
+     "primal grid must be a list of nodes, got 3"),
+    ({"potential": QUADRATIC, "primal_grid": "ab"}, "primal grid must be a list of nodes, got 'ab'"),
+    ({"potential": SAMPLED, "dual_grid": [[0.0], [1.0, 2.0]]}, "dual grid nodes must share one dimension"),
+    ({"potential": SAMPLED, "dual_grid": [3]}, "dual grid node must be a nonempty list of numbers"),
+    ({"potential": {"form": "max-affine", "pieces": [1.0]}},
+     "a max-affine piece must be a JSON object, got 1.0"),
+    ({"potential": {**SAMPLED, "values": 3}}, "sampled values must be a list, got 3"),
+]
+
+
+@pytest.mark.parametrize("data, message", COVER_FAULTS)
+def test_cover_faults_are_format_errors(data, message, tmp_path, capsys):
+    with pytest.raises(FormatError) as exc:
+        cover_from_data({"family": "separable", **data})
+    assert str(exc.value) == message
+    # the CLI exits 1 with the message alone
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps({"family": "separable", **data}))
+    assert cli.main(["verify", "--cover", str(path)]) == 1
+    assert capsys.readouterr() == ("", message + "\n")
 
 
 @pytest.mark.parametrize("data, phi", [

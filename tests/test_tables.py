@@ -31,11 +31,10 @@ from bipotkit import (
 from bipotkit.bipotentials import _probe_table
 from bipotkit.cli import main
 from bipotkit.convex import IndicatorBall, Quadratic, ScaledNorm
-from bipotkit.covers import SWEEP_CHUNK
 from bipotkit.demos import _reference_line, build_cauchy_law, build_sign_law, nonbic_cover
 from bipotkit.formats import probe_rows, save_cover
 from bipotkit.laws import Ball, HalfLineRay, LawGraph, Segment, Singleton
-from bipotkit.numerics import inner, norm
+from bipotkit.numerics import SWEEP_CHUNK, inner, norm
 
 from .oracles import oracle_fmt, oracle_table
 
