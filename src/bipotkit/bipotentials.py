@@ -596,186 +596,189 @@ def default_probe_plan(cover):
     return BICProbePlan(pairs, alphas, xs, ys)
 
 
-def _bic_screen(cover, lams, alphas, zs, fixed, first, tol):
-    """Failing mask, of shape (len(lams), len(alphas), len(zs), len(zs),
-    len(fixed)), of the tuples (lams[p, 0], zs[a], lams[p, 1], zs[b],
-    alphas[k], fixed[c]) mixed in the first slot, or in the second when
-    ``first`` is false; and the least deficits of the failing tuples, in
-    the mask's row-major order.
+def _bic_screen(cover, lams, alphas, xs, ys, tol):
+    """Failing mask, of shape (len(lams), len(alphas), width), and the least
+    deficits of the failing tuples in its row-major order. Block (p, k)
+    pairs lams[p] with alphas[k]; its tuple axis holds the first slot's
+    tuples (lams[p, 0], xs[a], lams[p, 1], xs[b], alphas[k], ys[c]), then
+    the second slot's, mixing ys[a] and ys[b] against xs[c], each in
+    (a, b, c) order: width = n^2 m + m^2 n for n xs and m ys.
 
-    What the searches share is computed once for the slot: the right-side
-    terms f(lam, z, fixed) of every plan parameter and their Fenchel gaps
-    (the subgradient preconditions of the candidate rules), the candidates
-    of each (lam1, lam2, alpha) block, the mixed points of each alpha, and
-    a table of f at every (alpha, z_a, z_b, fixed) point, filled by one
-    ``f_many`` call, over the plan's distinct parameters that the domain
-    holds and the family's special parameters at that point (phi over the
-    mixed points and phi* over the fixed probes, the other way round in the
-    second slot). A tuple thus meets f once per parameter it can use.
-
-    The blocks are then screened in order, in chunks of whole blocks of at
-    most about ``numerics.SWEEP_CHUNK`` tuples, each chunk through one list
-    of search stages: the candidate, lam1 and lam2 stages with one
-    parameter per block, then the special parameters with one per tuple.
-    A stage is its f over the chunk, the tuples it applies to and the
-    parameters it validates; it validates them on the tuples still
-    undecided, and accepts those whose parameter the domain holds and whose
-    f lies within ``tol`` of the right side. The candidate stage evaluates
-    f at its offered tuples alone; the others read the table, block by
-    block. The verdict ORs the stages in order. The tuples none of them
-    accepted take the grid infimum, one ``Cover._sweep`` call per chunk;
-    its finiteness boundaries add nothing, since the special stage tried
-    them with the same bits.
-
-    A tuple that fails was offered by every stage that applies to it, so
-    its deficit, the least lhs - rhs over those stages in order and then
-    the grid (the first of equal values, never a NaN), reads the values
-    the stages stored.
+    Computed once: the right-side terms of each distinct plan parameter and
+    their Fenchel gaps (the candidate rules' preconditions), which the
+    second slot reads transposed; each slot's candidate per block; one
+    ``f_many`` table of f at every (alpha, tuple) point over the distinct
+    plan parameters the domain holds and the family's special parameters.
+    Chunks of whole blocks, of at most about ``numerics.SWEEP_CHUNK``
+    tuples, then take the stages in order, each accepting where the domain
+    holds its parameter and f is within ``tol`` of the right side:
+    candidate (f at its offered tuples alone), lam1 (the table over the
+    chunk), lam2 and the special parameters (table values only at the
+    tuples still undecided), then the grid infimum (``Cover._sweep``). A
+    NaN or -inf parameter raises for the first (block, slot, stage) offered
+    one. A failing tuple's deficit is the least lhs - rhs over its stages
+    and the grid (the first of equal values, never a NaN).
     """
     fam, dom = cover.family, cover.domain
-    n, m, dim = zs.shape[0], fixed.shape[0], zs.shape[1]
-    shape = (lams.shape[0], len(alphas), n, n, m)
-    fails = np.zeros(shape, dtype=bool)
+    n, m, dim = xs.shape[0], ys.shape[0], xs.shape[1]
+    split, width, nalpha = n * n * m, n * n * m + m * m * n, len(alphas)
+    fails = np.zeros((lams.shape[0], nalpha, width), dtype=bool)
     deficits = [np.empty(0)]
-    nblocks = shape[0] * shape[1]
+    nblocks = lams.shape[0] * nalpha
     if not nblocks:
         return fails, deficits[0]
     alphas = np.array([float(alpha) for alpha in alphas])
-    betas = 1.0 - alphas
 
-    def slot(mix, fix):
-        # f's (x, y) for points mixed in this slot against fixed probes
-        return (mix, fix) if first else (fix, mix)
+    def along(op, first, second, dtype):
+        # op(u[:, a, c], v[:, b, c]) at each slot's (a, b, c) tuples from its
+        # per-block (u, v), u repeated over b so each a runs over (b, c) at once
+        out = np.empty((first[0].shape[0], width), dtype)
+        for (u, v), lo, z, f in ((first, 0, n, m), (second, split, m, n)):
+            op(u.repeat(z, axis=1).reshape(-1, z, z * f), v.reshape(-1, 1, z * f),
+               out=out[:, lo:lo + z * z * f].reshape(-1, z, z * f))
+        return out
 
-    def check(stage_lams, offered):
-        # a NaN or -inf parameter raises for the first tuple it is offered to
-        bad = ~(stage_lams > -INF)
-        if bad.any() and (bad & offered).any():
-            ensure_extended(np.broadcast_to(stage_lams, offered.shape)[bad & offered][0], "lambda")
+    def first_fault(stage, at, lams, offered=True):
+        # [(block, slot, stage, lam)] of the first NaN or -inf lam offered at flat tuples at
+        bad = np.flatnonzero(~(lams > -INF) & offered)[:1]
+        return [(at[j] // width, at[j] % width >= split, stage, lams[j]) for j in bad]
 
-    # terms[2p + i, a, c] = f(lams[p, i]) at (zs[a], fixed[c]) in this slot,
-    # evaluated once per distinct parameter in order of first appearance (a
-    # key keeps its first sign: -0.0 meets 0.0), so the first one f refuses
-    # raises first
+    # terms[2p + i, a, c] = f(lams[p, i]) at (xs[a], ys[c]), once per distinct
+    # parameter in first-appearance order (-0.0 meets 0.0), so the first one
+    # f refuses raises first; f is elementwise and pairings commute, so the
+    # second slot's terms and gaps are these transposed, to the bit
     flat = lams.reshape(-1).tolist()
     distinct = {lam: k for k, lam in enumerate(dict.fromkeys(flat))}
-    terms = fam.f_many(np.array(list(distinct)), *slot(zs[:, None, None, :], fixed[None, :, None, :]))
-    terms = terms[..., [distinct[lam] for lam in flat]]
-    gaps = terms - _batch_inner(zs[:, None, :], fixed[None, :, :])[..., None]
-    held = (gaps <= tol if first else ~(gaps > tol)).transpose(2, 0, 1)
-    terms = terms.transpose(2, 0, 1)
+    terms = fam.f_many(np.array(list(distinct)), xs[:, None, None, :], ys[None, :, None, :])
+    terms = terms[..., [distinct[lam] for lam in flat]].transpose(2, 0, 1)
+    if not width:
+        return fails, deficits[0]
+    gaps = terms - _batch_inner(xs[:, None, :], ys[None, :, :])
+    held = (gaps <= tol, ~(gaps > tol).transpose(0, 2, 1))
 
-    # cands[p * len(alphas) + k], one per block since the rules read no
-    # point; a block whose rule is barred or finds no candidate skips that
-    # stage
-    rule = fam.candidate if first else fam.candidate_dual
-    cands = np.zeros(nblocks)
-    ruled = np.zeros(nblocks, dtype=bool)
+    # cands[s, p * nalpha + k] in slot s, one per block as the rules read no
+    # point; a block whose rule is barred or finds none skips that stage
+    cands, ruled = np.zeros((2, nblocks)), np.zeros((2, nblocks), dtype=bool)
     for p, (lam1, lam2) in enumerate(lams.tolist()):
-        in_domain = not first or (dom.contains(lam1) and dom.contains(lam2))
-        for k, alpha in enumerate(alphas.tolist()):
-            if first and not (0.0 <= alpha <= 1.0 and in_domain):
-                continue
-            try:
-                cands[p * shape[1] + k] = rule(lam1, lam2, alpha, None)
-            except CandidateNotFoundError:
-                continue
-            ruled[p * shape[1] + k] = True
+        in_domain = dom.contains(lam1) and dom.contains(lam2)
+        for i, alpha in enumerate(alphas.tolist(), p * nalpha):
+            for s, rule in enumerate((fam.candidate, fam.candidate_dual)):
+                if s or (0.0 <= alpha <= 1.0 and in_domain):
+                    try:
+                        cands[s, i], ruled[s, i] = rule(lam1, lam2, alpha, None), True
+                    except CandidateNotFoundError:
+                        pass
 
-    # mixed[k, ab, 0] = alphas[k] zs[a] + betas[k] zs[b] with ab = a * n + b,
-    # shaped to broadcast against the fixed probes
-    mixed = (alphas[:, None, None, None] * zs[None, :, None, :]
-             + betas[:, None, None, None] * zs[None, None, :, :]).reshape(len(alphas), n * n, 1, dim)
-    points = slot(mixed, fixed[None, None])
+    # f's (x, y) at kt = k * width + t: the mixes alphas[k] xs[a] +
+    # betas[k] xs[b] against ys[c], then xs[c] against the mixes of ys
+    w = alphas[:, None, None, None]
+    mx, my = ((w * z[:, None] + (1.0 - w) * z[None, :]).reshape(nalpha, -1, dim) for z in (xs, ys))
+    px = np.concatenate([mx.repeat(m, axis=1), np.tile(xs, (nalpha, m * m, 1))], axis=1)
+    py = np.concatenate([np.tile(ys, (nalpha, n * n, 1)), my.repeat(n, axis=1)], axis=1)
 
-    def tuples(k, i):
-        # f's (x, y) at the chunk's tuples of index arrays i = (block, ab, c)
-        return slot(mixed[k[i[0]], i[1], 0], fixed[i[2]])
-
-    # table[j, k, ab, c] = f(table_lams[j, k, ab, c]) at (mixed[k, ab, 0],
-    # fixed[c]): first a row per distinct plan parameter (-0.0 meets 0.0)
-    # that the domain holds, lams[p, i] at row rows[p, i] where member[p,
-    # i] (elsewhere rows[p, i] is some row, which the stage masks out);
-    # then a row per special parameter, with the points it applies to and,
-    # where some are NaN or -inf, the points it is present at
+    # table[j, kt] = f(table_lams[j, kt]) at (px[kt], py[kt]): a row per
+    # distinct plan parameter (-0.0 meets 0.0) the domain holds, lams[p, i]
+    # at rows[p, i] where member[p, i] (elsewhere any row, masked out); then
+    # a row per special parameter, with where it applies and is present
     members = np.sort(lams.reshape(-1))
     members = members[_run_starts(members)]
     members = members[dom.contains_many(members)]
     member = dom.contains_many(lams)
     rows = np.minimum(np.searchsorted(members, lams), max(members.size - 1, 0))
-    specials = fam.special_lams_many(*points)
-    table_lams = np.empty((members.size + len(specials), len(alphas), n * n, m))
-    table_lams[:members.size] = members[:, None, None, None]
+    specials = fam.special_lams_many(px, py)
+    table_lams = np.empty((members.size + len(specials), nalpha * width))
+    table_lams[:members.size] = members[:, None]
     special_rows = []
     for row, (lam, present) in enumerate(specials, members.size):
-        table_lams[row] = lam
-        present = np.broadcast_to(present, table_lams.shape[1:])
-        valid = (table_lams[row] > -INF).all()
-        special_rows.append((row, present & dom.contains_many(table_lams[row]),
-                             None if valid else present))
-    table = fam.f_many(table_lams, *points)
+        table_lams[row] = np.reshape(lam, -1)
+        present = np.broadcast_to(present, (nalpha, width)).reshape(-1)
+        special_rows.append((row, present & dom.contains_many(table_lams[row]), present))
+    px, py = px.reshape(-1, dim), py.reshape(-1, dim)
+    table = fam.f_many(table_lams, px, py)
 
-    for part in _chunks(nblocks, n * n * m):
-        # the chunk's tuples, by (block, ab, c)
+    # per block and slot, the right side's weighted terms (a zero-weight member
+    # drops out, even where its term is inf) and the candidate's preconditions
+    p, k = np.divmod(np.arange(nblocks), nalpha)
+    with np.errstate(invalid="ignore"):  # 0 * inf
+        weighted = [np.where(weight == 0.0, 0.0, weight * terms[2 * p + i])
+                    for i, weight in enumerate((alphas[k, None, None], (1.0 - alphas)[k, None, None]))]
+    weighted = (weighted, [w.transpose(0, 2, 1) for w in weighted])
+    held = [(h[2 * p] & ruled[s, :, None, None], h[2 * p + 1]) for s, h in enumerate(held)]
+
+    for part in _chunks(nblocks, width):
+        # the chunk's tuples (b, t), at flat index b * width + t
         blocks = np.arange(nblocks)[part]
-        p, k = np.divmod(blocks, shape[1])
-        chunk = (blocks.size, n * n, m)
-        al, be = alphas[k, None, None, None], betas[k, None, None, None]
-        # a zero-weight member drops out, even where its term is inf
-        with np.errstate(invalid="ignore"):  # 0 * inf, and inf - inf under weights outside [0, 1]
-            rhs = (np.where(al == 0.0, 0.0, al * terms[2 * p, :, None, :])
-                   + np.where(be == 0.0, 0.0, be * terms[2 * p + 1, None, :, :])).reshape(chunk)
-        undecided = rhs != INF  # an infinite right side holds vacuously
-        rtol = rhs + tol
+        p, k = np.divmod(blocks, nalpha)
+        # the right sides plus tol, in place: one chunk-sized float array
+        # fewer keeps a chunk's pages in the heap between calls
+        with np.errstate(invalid="ignore"):  # inf - inf under weights outside [0, 1]
+            rtol = along(np.add, *[(u[part], v[part]) for u, v in weighted], float)
+        undecided = rtol != INF  # an infinite right side holds vacuously
+        rtol += tol
+        flat_rtol = rtol.reshape(-1)
 
-        # the stages in order, each (f over the chunk, the tuples it applies
-        # to, its parameters and the tuples to validate them at, where some
-        # may be NaN or -inf): the candidate stage has no table row and
-        # evaluates f at its offered tuples alone, where the domain holds
-        # its parameter; the lam1, lam2 and special stages read the table
-        cand = cands[blocks][:, None, None]
-        cand_on = (held[2 * p, :, None, :] & held[2 * p + 1, None, :, :]
-                   & ruled[blocks, None, None, None]).reshape(chunk)
-        stages = [(None, cand_on, cand, cand_on)]
-        stages += [(table[rows[p, s], k], np.broadcast_to(member[p, s, None, None], chunk),
-                    None, None) for s in (0, 1) if members.size]
-        for row, on, present in special_rows:
-            validate = (None, None) if present is None else (table_lams[row, k], present[k])
-            stages.append((table[row, k], on[k], *validate))
-        hit = np.zeros(chunk, dtype=bool)
-        stored = []
-        for lhs, on, stage_lams, present in stages:
-            if present is not None:
-                check(stage_lams, undecided & ~hit & present)
-            if lhs is None:
-                on = on & dom.contains_many(stage_lams)
-                lhs = np.full(chunk, INF)
-                at = np.flatnonzero(undecided & ~hit & on)
-                if at.size:
-                    i = np.unravel_index(at, chunk)
-                    lhs[i] = fam.f_many(np.broadcast_to(stage_lams, chunk)[i], *tuples(k, i))
-            hit |= on & (lhs <= rtol)
-            stored.append((on, lhs))
-        undecided &= ~hit
+        # each stage keeps (its tuples or None for all, where it applies, f)
+        offered = along(np.logical_and, *[(u[part], v[part]) for u, v in held], bool)
+        at = np.flatnonzero(undecided & offered)
+        b, t = np.divmod(at, width)
+        lam = cands[(t >= split).astype(np.intp), blocks[b]]
+        faults = first_fault(0, at, lam)
+        on = dom.contains_many(lam)
+        kept = []
+        if on.any():
+            at, kt = at[on], (k[b] * width + t)[on]
+            lhs = fam.f_many(lam[on], px[kt], py[kt])
+            np.put(undecided, at[lhs <= flat_rtol[at]], False)
+            kept.append((at, np.ones(at.size, dtype=bool), lhs))
+        if members.size:
+            lhs = table.reshape(-1, nalpha, width)[rows[p, 0], k]
+            undecided &= ~((lhs <= rtol) & member[p, 0, None])
+            kept.append((None, member[p, 0], lhs.reshape(-1)))
+        # the later stages at the tuples still undecided; per block, base and
+        # row2 turn a flat index into kt and into lam2's flat table index
+        at = np.flatnonzero(undecided)
+        base = (k - np.arange(blocks.size)) * width
+        row2 = rows[p, 1] * table.shape[1] + base
+        b = at // width
+        kt = base[b] + at
+        for stage in [None] * bool(members.size) + special_rows:
+            if stage is None:  # lam2, its row and membership per block
+                lhs, on = table.reshape(-1)[row2[b] + at], member[p, 1][b]
+            else:
+                row, on, present = stage
+                faults += first_fault(1 + row, at, table_lams[row, kt], present[kt])
+                lhs, on = table[row, kt], on[kt]
+            kept.append((at, on, lhs))
+            keep = ~(on & (lhs <= flat_rtol[at]))
+            at, b, kt = at[keep], b[keep], kt[keep]
+        if faults:  # the first by (block, slot, stage), once the stages have run
+            ensure_extended(min(faults)[3], "lambda")
 
         # the tuples no stage accepted, if any, take the grid infimum
-        left = np.flatnonzero(undecided)
-        vals = cover._sweep(*tuples(k, np.unravel_index(left, chunk)))[0] if left.size else np.empty(0)
-        failing = ~(vals <= np.take(rtol, left))
-        np.put(undecided, left, failing)
-        fails[p, k] = undecided.reshape(chunk[:1] + shape[2:])
+        vals = cover._sweep(px[kt], py[kt])[0] if at.size else np.empty(0)
+        failing = ~(vals <= flat_rtol[at])
         if not failing.any():
             continue
+        at = at[failing]
+        np.put(fails, blocks[0] * width + at, True)
 
-        # the failing tuples' deficits from the stages' values: d < low over
-        # the stages in order, then the grid
-        i = np.unravel_index(left[failing], chunk)
-        r = rhs[i]
-        low = np.full(r.size, INF)
-        with np.errstate(invalid="ignore"):  # -inf - -inf, only at entries a stage skips
-            for on, lhs in stored:
-                d = lhs[i] - r
-                low = np.where(on[i] & (d < low), d, low)
+        # their deficits against their right sides, summed again as above:
+        # d < low over the stages in order, then the grid
+        blk, t = np.divmod(at, width)
+        r, low = np.empty(at.size), np.full(at.size, INF)
+        with np.errstate(invalid="ignore"):  # inf - inf, and -inf - -inf where a stage skips
+            for (u, v), lo, z, f in zip(weighted, (0, split), (n, m), (m, n)):
+                sel = (lo <= t) & (t < lo + z * z * f)
+                a, bc = np.divmod(t[sel] - lo, z * f)
+                r[sel] = u[blocks[blk[sel]], a, bc % f] + v[blocks[blk[sel]], bc // f, bc % f]
+            for where, on, lhs in kept:
+                if where is None:
+                    on, lhs = on[at // width], lhs[at]
+                else:
+                    i = np.minimum(np.searchsorted(where, at), where.size - 1)
+                    on, lhs = on[i] & (where[i] == at), lhs[i]
+                d = lhs - r
+                low = np.where(on & (d < low), d, low)
         d = vals[failing] - r
         deficits.append(np.where(d < low, d, low))
     return fails, np.concatenate(deficits)
@@ -791,48 +794,44 @@ def bic_check(cover, plan=None, tol=DEFAULT_TOL):
     first, then the member parameters themselves, the exact per-probe
     minimizers and finiteness boundaries, then the whole parameter grid in
     ascending order; a failure records the tuple with its least deficit.
-    Each argument slot is screened once over every (lam1, lam2, alpha)
+    One screen covers both argument slots of every (lam1, lam2, alpha)
     block of the plan, in chunks of whole blocks, with the same values,
-    verdicts and errors as searching tuple by tuple in plan order; a mixing
-    weight that is not finite is a ``ValueError`` of its own block.
+    verdicts, errors and counterexample order (pair, weight, slot, z1, z2,
+    fixed) as searching tuple by tuple in plan order; a mixing weight that
+    is not finite is a ``ValueError`` of its own block.
     """
     if plan is None:
         plan = default_probe_plan(cover)
     dim = cover.dim
     xs = [as_vector(p, dim) for p in plan.primal_points]
     ys = [as_vector(p, dim) for p in plan.dual_points]
-    x_stack = np.array(xs).reshape(len(xs), dim)
-    y_stack = np.array(ys).reshape(len(ys), dim)
-    slots = ((True, xs, ys, x_stack, y_stack), (False, ys, xs, y_stack, x_stack))
+    x_stack, y_stack = (np.array(v).reshape(len(v), dim) for v in (xs, ys))
 
     def screen(lam_pairs, alphas):
         lams = np.array([(ensure_extended(lam1, "lambda1"), ensure_extended(lam2, "lambda2"))
                          for lam1, lam2 in lam_pairs]).reshape(-1, 2)
         alphas = [ensure_finite(alpha, "alpha") for alpha in alphas]
-        return [_bic_screen(cover, lams, alphas, z, f, first, tol)
-                for first, _, _, z, f in slots]
+        return _bic_screen(cover, lams, alphas, x_stack, y_stack, tol)
 
     try:
-        screens = screen(plan.lam_pairs, plan.alphas)
+        fails, deficits = screen(plan.lam_pairs, plan.alphas)
     except Exception:
-        # a stacked stage raises for whichever of its tuples fails first;
-        # block by block, the first failing block of the plan raises instead
+        # the terms and the table cover the whole plan, so their error may
+        # belong to a later block; block by block, the first one raises
         for pair in plan.lam_pairs:
             for alpha in plan.alphas:
                 screen([pair], [alpha])
         raise
 
-    found = []
-    for s, ((first, zs, fixed, _, _), (fails, deficits)) in enumerate(zip(slots, screens)):
-        argument = "first" if first else "second"
-        for p, k, a, b, c, d in zip(*_nonzero(fails), deficits.tolist()):
-            (lam1, lam2), alpha = plan.lam_pairs[p], plan.alphas[k]
-            found.append(((p, k, s), (argument, lam1, zs[a], lam2, zs[b], alpha, fixed[c], d)))
-    found.sort(key=lambda f: f[0])  # stable: (a, b, c) order within a block
-    checked = sum(fails.size for fails, _ in screens)
-    # one trusted record per sorted row, its fields taken as they are
-    witnesses = BICCounterexample._records(*zip(*[row for _, row in found]))
-    return BICReport(not found, witnesses, checked)
+    # one trusted record per failing tuple, in the mask's (plan) order
+    slots, split, found = (("first", xs, ys), ("second", ys, xs)), len(xs) ** 2 * len(ys), []
+    for p, k, t, d in zip(*(i.tolist() for i in _nonzero(fails)), deficits.tolist()):
+        argument, zs, fixed = slots[t >= split]
+        a, bc = divmod(t - split * (t >= split), len(zs) * len(fixed))
+        b, c = divmod(bc, len(fixed))
+        (lam1, lam2), alpha = plan.lam_pairs[p], plan.alphas[k]
+        found.append((argument, lam1, zs[a], lam2, zs[b], alpha, fixed[c], d))
+    return BICReport(not found, BICCounterexample._records(*zip(*found)), fails.size)
 
 
 # ---------------------------------------------------------------------------
@@ -869,10 +868,11 @@ def certify(cover, x_probes, y_probes, *, law=None, mode, tol):
     """Certify a cover's infimum bipotential end to end.
 
     Builds the bipotential first, so an unavailable mode fails before any
-    screening; then checks that the member graphs cover ``law`` (at no less
-    than ``GRID_TOL``), screens bi-implicit convexity over the default probe
-    plan, and verifies the axioms on the probe grids at ``tol``. The probe
-    table is evaluated once and returned on the report.
+    screening; then checks that the member graphs cover ``law`` at
+    max(tol, ``GRID_TOL``), screens bi-implicit convexity over the default
+    probe plan at ``DEFAULT_TOL`` whatever ``tol`` is, and verifies the
+    axioms on the probe grids at ``tol``. The probe table is evaluated once
+    and returned on the report.
     """
     b = build_inf(cover, mode=mode)
     coverage = None

@@ -214,12 +214,17 @@ def _add_with_ends(lams, p, d, x, y):
     the 0 and inf members on the exact coordinates: at 0 the phi term is 0
     and the phi* term the indicator of y = 0, at inf the phi term is the
     indicator of x = 0 and the phi* term 0; a pass over the terms only for
-    an end that ``lams`` holds."""
+    an end that ``lams`` holds. A point is nonzero when one of its
+    coordinates is, tested a coordinate at a time: ``any`` along a short
+    last axis costs a reduction per point."""
     p, d = np.asarray(p), np.asarray(d)
     for end, term, v, zero in ((0.0, d, y, p), (INF, p, x, d)):
         at = np.equal(lams, end)
         if at.any():
-            np.copyto(term, np.where(v.any(axis=-1), INF, 0.0), where=at)
+            nonzero = v[..., 0] != 0.0
+            for k in range(1, v.shape[-1]):
+                nonzero |= v[..., k] != 0.0
+            np.copyto(term, np.where(nonzero, INF, 0.0), where=at)
             np.copyto(zero, 0.0, where=at)
     return _add_terms(p, d)
 

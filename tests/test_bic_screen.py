@@ -20,6 +20,7 @@ from bipotkit import (
     FiniteSet,
     IndicatorBall,
     IndicatorPoint,
+    MinusInfinityError,
     NormFamily,
     Quadratic,
     QuadraticFamily,
@@ -165,6 +166,60 @@ def test_errors_come_in_plan_order():
         bic_check(cover, plan)
     assert type(got.value) is type(want.value)
     assert str(got.value) == str(want.value) == "lambda 3.0 is not tabulated"
+
+
+def test_errors_come_in_plan_order_across_slots():
+    # the first block's candidate is NaN in its second slot alone and a
+    # later block's is -inf in its first slot alone: like the tuple-by-tuple
+    # search, the screen raises the first block's error, whatever its slot
+    def candidate(self, lam1, lam2, alpha, y):
+        return -INF if lam1 == 2.0 else QuadraticFamily.candidate(self, lam1, lam2, alpha, y)
+
+    def candidate_dual(self, lam1, lam2, alpha, x):
+        return np.nan if lam1 == 1.0 else QuadraticFamily.candidate_dual(self, lam1, lam2, alpha, x)
+
+    # named after the family it extends, whose members the oracle evaluates
+    family = type("QuadraticFamily", (QuadraticFamily,),
+                  {"candidate": candidate, "candidate_dual": candidate_dual})(1)
+    cover = Cover(ClosedInterval(0.25, 8.0, grid_points=64), family)
+    plan = small_plan(1, [(1.0, 2.0), (2.0, 4.0)], (0.5,))
+    message = "lambda is nan; only finite values and +inf are allowed"
+    with pytest.raises(MinusInfinityError) as want:
+        oracle_bic_check(cover, plan)
+    assert str(want.value) == message
+    for chunk in (None, 1):
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if chunk is not None:
+                mp.setattr(numerics, "SWEEP_CHUNK", chunk)
+            with pytest.raises(MinusInfinityError) as got:
+                bic_check(cover, plan)
+        assert str(got.value) == message, chunk
+
+
+def test_a_blocks_first_slot_errors_come_before_its_second_slots():
+    # within a block the tuple-by-tuple search meets every first-slot tuple
+    # before the second slot's: a special parameter that is NaN at a
+    # first-slot point raises, though the second slot's candidate stage,
+    # earlier in the stage order, is offered -inf
+    def special_lams_many(self, x, y):
+        (lam, _), = QuadraticFamily.special_lams_many(self, x, y)
+        return [(np.where(x[..., 0] == 2.0, np.nan, lam), True)]  # only a first-slot mix is 2
+
+    def candidate_dual(self, lam1, lam2, alpha, x):
+        return -INF
+
+    family = type("NaNSpecialFamily", (QuadraticFamily,),
+                  {"special_lams_many": special_lams_many, "candidate_dual": candidate_dual})(2)
+    # a domain without the plan's parameters: no first-slot candidate, no
+    # lam1 or lam2 stage, so the first slot's tuples reach the special stage
+    cover = Cover(ClosedInterval(5.0, 10.0, grid_points=32), family)
+    plan = BICProbePlan(((1.0, 2.0),), (0.5,), tuple(embed_primal(s, 2) for s in (0.0, 1.0, 3.0)),
+                        tuple(embed_dual(t, 2) for t in (0.0, 1.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MinusInfinityError, match=r"^lambda is nan; "):
+            bic_check(cover, plan)
 
 
 def raises_like_oracle(cover, plan):
@@ -401,12 +456,12 @@ def test_split_stages_match_oracle(case):
             assert report_bytes(bic_check(cover, plan)) == want, size
 
 
-@pytest.mark.parametrize("make, dim, budget", [(quadratic_cover, 1, 16000),
-                                               (norm_cover, 2, 16500)])
+@pytest.mark.parametrize("make, dim, budget", [(quadratic_cover, 1, 13200),
+                                               (norm_cover, 2, 13800)])
 def test_default_plan_screen_evaluates_each_usable_entry_once(make, dim, budget):
-    # per slot one table of f at the 4 weights x n^2 mixed points x m fixed
-    # probes over the 4 plan members and the one special parameter (12,600
-    # entries over both slots), the right-side terms (360), the offered
+    # one table of f at the 4 weights x (n^2 m + m^2 n) tuples of both slots
+    # over the 4 plan members and the one special parameter (12,600
+    # entries), the right-side terms both slots share (180), the offered
     # candidates and the grid sweeps of the few tuples left; a stage that
     # evaluated f over whole blocks took 120,870 and 103,410
     cover = make(dim=dim)
@@ -425,11 +480,12 @@ def test_default_plan_screen_evaluates_each_usable_entry_once(make, dim, budget)
     assert sum(entries) <= budget
 
 
-@pytest.mark.parametrize("make, dim, pinned", [(quadratic_cover, 1, 13328),
-                                               (norm_cover, 2, 13912)])
+@pytest.mark.parametrize("make, dim, pinned", [(quadratic_cover, 1, 13148),
+                                               (norm_cover, 2, 13732)])
 def test_right_side_terms_evaluate_each_distinct_parameter_once(make, dim, pinned):
-    # the 32 plan parameters hold 4 distinct values: 2 x 45 x 4 right-side
-    # terms over both slots, not 2 x 45 x 32 (15,848 and 16,432 entries)
+    # the 32 plan parameters hold 4 distinct values: 45 x 4 right-side terms
+    # that both slots read, not 2 x 45 x 4 (13,328 and 13,912 entries) nor
+    # 2 x 45 x 32 (15,848 and 16,432)
     cover = make(dim=dim)
     fam = type(cover.family)
     f_many, entries, terms = fam.f_many, [], []
@@ -452,10 +508,9 @@ def test_right_side_terms_raise_for_the_first_untabulated_parameter():
     cover = tabulated_cover([(1.0, Quadratic(1.0, 1), Quadratic(1.0, 1)),
                              (2.0, Quadratic(2.0, 1), Quadratic(0.5, 1))])
     pairs = ((1.0, 1.0), (1.0, 3.0), (-0.0, 5.0), (0.0, 3.0))
-    for first in (True, False):
+    for xs, ys in ((np.ones((2, 1)), np.ones((1, 1))), (np.ones((1, 1)), np.ones((2, 1)))):
         with pytest.raises(ValueError, match="^lambda 3.0 is not tabulated$"):
-            bipotentials._bic_screen(cover, np.array(pairs), [0.5], np.ones((2, 1)),
-                                     np.ones((1, 1)), first, 1e-9)
+            bipotentials._bic_screen(cover, np.array(pairs), [0.5], xs, ys, 1e-9)
     plan = BICProbePlan(pairs, (0.5,), (np.ones(1),), (np.ones(1),))
     with pytest.raises(ValueError, match="^lambda 3.0 is not tabulated$"):
         bic_check(cover, plan)
