@@ -6,7 +6,9 @@ graph of the law it represents. Three constructions are provided: the
 separable bipotential phi(x) + phi*(y), the infimum of a convex lagrangian
 cover (closed form where the family admits one, or a parameter-grid sweep),
 and the support-style extension that equals the pairing on a BB-graph and
-+inf off it.
++inf off it. The closed forms live on the families in :mod:`covers`, the
+quadratic and norm families' ``infimum``; this module only chooses between
+them and the sweep.
 
 The bi-implicit convexity screen (:func:`bic_check`) probes whether a mix
 of two member graphs in either argument stays dominated by some member,
@@ -35,10 +37,9 @@ from .covers import (
     CandidateNotFoundError,
     CoverageReport,
     FiniteSet,
-    NormFamily,
-    QuadraticFamily,
     SeparableFamily,
     TabulatedFamily,
+    _ScaleFamily,
     coverage_check,
 )
 from .laws import LawGraph, NotBBGraphError, bb_check
@@ -48,7 +49,6 @@ from .numerics import (
     Record,
     _batch_inner,
     _batch_norm,
-    _batch_norm2,
     _chunks,
     _nonzero,
     _row_keys,
@@ -197,10 +197,8 @@ class InfOfCoverBipotential(Bipotential):
         if (self.mode == "grid" or isinstance(fam, SeparableFamily)
                 or isinstance(self.cover.domain, FiniteSet)):
             return None
-        if isinstance(fam, QuadraticFamily):
-            return _quadratic_infimum
-        if isinstance(fam, NormFamily):
-            return _norm_infimum
+        if isinstance(fam, _ScaleFamily):
+            return fam.infimum
         raise AnalyticFormUnavailableError(
             f"no closed-form infimum for {type(fam).__name__}; use mode='grid'")
 
@@ -228,73 +226,6 @@ class BInfinityBipotential(Bipotential):
     def _table(self, xg, yg):
         member = self.law._membership(xg, yg, self.snap)
         return np.where(member, kernels.pairing_matrix(xg, yg), INF)
-
-
-# ---------------------------------------------------------------------------
-# closed-form cover infima
-
-
-def _quadratic_infimum(domain, x, y):
-    """Exact infimum of (lam/2)||x||^2 + ||y||^2/(2 lam) over [lo, hi], with
-    its parameter, for point stacks x, y of shape (..., dim) broadcast
-    against each other.
-
-    The unconstrained minimizer is lam = ||y||/||x|| with value ||x|| ||y||;
-    outside the interval the objective is monotone, so the nearer end
-    attains. The 0 and inf members contribute their indicator values.
-    """
-    nx2 = _batch_norm2(x)
-    ny2 = _batch_norm2(y)
-    nx = np.sqrt(nx2)
-    ny = np.sqrt(ny2)
-    lo, hi = domain.lo, domain.hi
-    # x = 0 and y != 0: the inf member, else the largest finite one
-    if domain.includes_infinity:
-        end_val, end_lam = 0.0, INF
-    elif hi == 0.0:
-        end_val, end_lam = INF, 0.0
-    else:
-        # hi = inf: the limit 0, even where ||y||^2 overflowed
-        end_val, end_lam = (0.5 * ny2) / hi if hi < INF else 0.0, hi
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam_star = ny / nx
-        # inf / inf: both norms overflowed, every member is +inf; the first,
-        # lo, attains as in a sweep (0 / 0 is the y = 0 case below)
-        lam_star = np.where(np.isnan(lam_star), lo, lam_star)
-        # min(max(lam_star, lo), hi) as Python evaluates it
-        lam = np.where(lo > lam_star, lo, lam_star)
-        lam = np.where(hi < lam, hi, lam)
-        val = np.where(lam == lam_star, nx * ny,
-                       np.where(lam == 0.0, INF, (0.5 * lam) * nx2 + (0.5 * ny2) / lam))
-        # y = 0: the lo member attains; at lo = 0 it gives 0 for any x
-        val = np.where(ny == 0.0, (0.5 * lo) * nx2 if lo > 0.0 else lo, val)
-    lam = np.where(ny == 0.0, lo, lam)
-    only_y = (nx == 0.0) & (ny != 0.0)
-    return np.where(only_y, end_val, val), np.where(only_y, end_lam, lam)
-
-
-def _norm_infimum(domain, x, y):
-    """Exact infimum of lam ||x|| + indicator(||y|| <= lam) over [lo, hi],
-    with its parameter, for point stacks x, y of shape (..., dim) broadcast
-    against each other.
-
-    The smallest admitted parameter max(||y||, lo) attains; when no finite
-    member admits y the value is +inf unless x = 0 meets the inf member.
-    """
-    nx = _batch_norm(x)
-    ny = _batch_norm(y)
-    lo, hi = domain.lo, domain.hi
-    lam = np.where(lo > ny, lo, ny)  # max(ny, lo) as Python evaluates it
-    admitted = lam <= hi
-    with np.errstate(invalid="ignore"):
-        # the 0 member admits only y = 0, where it gives 0 for any x
-        val = np.where(admitted, np.where(lam == 0.0, 0.0, np.where(lam == ny, nx * ny, lam * nx)),
-                       INF)
-    # x = 0: an admitting member gives 0, and the inf member admits every y
-    end_val, end_lam = (0.0, INF) if domain.includes_infinity else (INF, hi)
-    val = np.where(nx == 0.0, np.where(admitted, 0.0, end_val), val)
-    lam = np.where(admitted, lam, np.where(nx == 0.0, end_lam, hi))
-    return val, lam
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +513,7 @@ def default_probe_plan(cover):
     xs = tuple(_embed_stack(np.linspace(-2.0, 2.0, 9), dim))
     ys = tuple(_embed_stack(np.linspace(-2.0, 2.0, 5), dim, dual=True))
     alphas = (0.0, 0.25, 0.5, 1.0)
-    if isinstance(fam, (QuadraticFamily, NormFamily)):
+    if isinstance(fam, _ScaleFamily):
         lams = [lam for lam in (0.5, 1.0, 2.0, 4.0) if cover.domain.contains(lam)]
         if not lams:
             # a domain away from [0.5, 4]: four finite nodes of its own grid

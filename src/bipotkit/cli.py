@@ -141,11 +141,7 @@ def cmd_reconstruct(args):
 
 def cmd_build(args):
     cover = _apply_lambda_grid(_load(load_cover, args.cover), args.lambda_grid)
-    try:
-        b = build_inf(cover, mode=args.mode)
-    except AnalyticFormUnavailableError as exc:
-        print(str(exc), file=sys.stderr)
-        return 3
+    b = build_inf(cover, mode=args.mode)
     xs, ys = _probe_stacks(cover.dim, args.probe_grid)
     sys.stdout.write("\n".join([csv_header(cover.dim), *probe_rows(b, xs, ys), ""]))
     return 0
@@ -178,9 +174,7 @@ def cmd_verify(args):
     if args.demo is not None:
         _refuse_ignored(args, "--demo",
                         ("cover", "law", "mode", "tol", "probe_grid", "lambda_grid"))
-        if args.demo not in DEMO_NAMES:
-            raise CLIError(f"unknown demo {args.demo!r}; known: {', '.join(DEMO_NAMES)}")
-        setup = demo_setup(args.demo)
+        setup = demo_setup(_demo_name(args.demo))
         cover, law, mode, tol = setup["cover"], setup["law"], setup["mode"], setup["tol"]
         xs, ys = setup["x_probes"], setup["y_probes"]
     elif args.cover is not None:
@@ -201,18 +195,21 @@ def cmd_verify(args):
         return 0 if ok else 2
     else:
         raise CLIError("verify needs --cover, --law, or --demo")
-    try:
-        report = certify(cover, xs, ys, law=law, mode=mode, tol=tol)
-    except AnalyticFormUnavailableError as exc:
-        print(str(exc), file=sys.stderr)
-        return 3
+    report = certify(cover, xs, ys, law=law, mode=mode, tol=tol)
     _emit(report.reports())
     return 0 if report.ok else 2
 
 
+def _demo_name(name):
+    """``name`` when it names a demo; otherwise a usage error."""
+    if name not in DEMO_NAMES:
+        raise CLIError(f"unknown demo {name!r}; known: {', '.join(DEMO_NAMES)}")
+    return name
+
+
 def cmd_demo(args):
     out_dir = args.out_dir or f"bipotkit-demo-{args.name}"
-    return run_demo(args.name, out_dir, sys.stdout)
+    return run_demo(_demo_name(args.name), out_dir, sys.stdout)
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +291,9 @@ def main(argv=None):
     try:
         _check_tol(getattr(args, "tol", None))
         return args.fn(args)
-    except CLIError as exc:
+    except (CLIError, AnalyticFormUnavailableError) as exc:
         print(str(exc), file=sys.stderr)
-        return 1
+        return 3 if isinstance(exc, AnalyticFormUnavailableError) else 1
 
 
 if __name__ == "__main__":

@@ -58,8 +58,9 @@ class ConvexFunction(Record):
     __hash__ = None
 
 
-class Quadratic(ConvexFunction):
-    """x -> (scale/2) * ||x||^2 with scale >= 0; scale 0 is the zero function."""
+class _ScaleForm(ConvexFunction):
+    """The quadratic and norm forms, scale * g(x) on R^dim with one finite
+    scale >= 0; each subclass gives its g through its own ``value_many``."""
 
     scale: float
     dim: int
@@ -69,6 +70,10 @@ class Quadratic(ConvexFunction):
         object.__setattr__(self, "dim", _check_dim(self.dim))
         if self.scale < 0:
             raise ValueError(f"scale must be nonnegative, got {self.scale}")
+
+
+class Quadratic(_ScaleForm):
+    """x -> (scale/2) * ||x||^2 with scale >= 0; scale 0 is the zero function."""
 
     def value_many(self, xs):
         if self.scale == 0.0:
@@ -78,17 +83,8 @@ class Quadratic(ConvexFunction):
             return (0.5 * self.scale) * _batch_norm2(xs)
 
 
-class ScaledNorm(ConvexFunction):
+class ScaledNorm(_ScaleForm):
     """x -> scale * ||x|| with scale >= 0."""
-
-    scale: float
-    dim: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "scale", ensure_finite(self.scale, "scale"))
-        object.__setattr__(self, "dim", _check_dim(self.dim))
-        if self.scale < 0:
-            raise ValueError(f"scale must be nonnegative, got {self.scale}")
 
     def value_many(self, xs):
         if self.scale == 0.0:

@@ -16,7 +16,6 @@ import numpy as np
 
 from .convex import (
     ConvexFunction,
-    IndicatorBall,
     IndicatorPoint,
     Quadratic,
     ScaledNorm,
@@ -185,6 +184,13 @@ class FiniteSet(Record):
 # broadcast stacks, a run (start, width), width at least 1, of nodes of the
 # ascending sample grid that provably holds the first minimum of f over the
 # whole grid; the whole grid where no narrower run is proven.
+# The quadratic and norm families share one base, ``_ScaleFamily``: their
+# members are one scale form (``convex.Quadratic`` or ``convex.ScaledNorm``)
+# at each finite parameter, and the base states ``phi``, ``phi_star`` and
+# ``candidate_dual`` once. Each of the two adds ``infimum(domain, x, y)``,
+# the closed-form infimum of f and its parameter over an interval domain,
+# which analytic mode of ``InfOfCoverBipotential`` evaluates; all of a
+# family's math lives here.
 
 
 # squared norms and parameters in [2**-300, 2**300] keep both quadratic
@@ -234,7 +240,33 @@ def _form_values(form, v):
     return form.value_many(v.reshape(-1, v.shape[-1])).reshape(v.shape[:-1])
 
 
-class QuadraticFamily(Record):
+class _ScaleFamily(Record):
+    """The quadratic and norm families: phi_lambda is the scale form
+    ``_form(lambda, dim)``, the indicator of x = 0 at inf, and phi*_lambda
+    its conjugate by the closed table of ``convex.conjugate``. Each family
+    adds ``infimum``, its closed-form infimum of f over an interval domain."""
+
+    dim: int
+
+    def phi(self, lam):
+        if lam == INF:
+            return IndicatorPoint(np.zeros(self.dim))
+        return self._form(lam, self.dim)
+
+    def phi_star(self, lam):
+        return conjugate(self.phi(lam))
+
+    def candidate_dual(self, lam1, lam2, alpha, x):
+        # mixes in the second argument take the arithmetic mean: it is exact
+        # on the quadratics' lines y = lambda x, and the norms' balls hold the
+        # mix by the triangle inequality; an infinite member forces x = 0,
+        # where every parameter accepts
+        if lam1 == INF or lam2 == INF:
+            return INF
+        return alpha * lam1 + (1.0 - alpha) * lam2
+
+
+class QuadraticFamily(_ScaleFamily):
     """phi_lambda = (lambda/2)||.||^2; the ends degenerate to indicators.
 
     f(0, x, y) is the indicator of y = 0 and f(inf, x, y) the indicator of
@@ -242,19 +274,7 @@ class QuadraticFamily(Record):
     positively-collinear (Cauchy) law.
     """
 
-    dim: int
-
-    def phi(self, lam):
-        if lam == INF:
-            return IndicatorPoint(np.zeros(self.dim))
-        return Quadratic(lam, self.dim)
-
-    def phi_star(self, lam):
-        if lam == 0.0:
-            return IndicatorPoint(np.zeros(self.dim))
-        if lam == INF:
-            return Quadratic(0.0, self.dim)
-        return Quadratic(1.0 / lam, self.dim)
+    _form = Quadratic
 
     def f_many(self, lams, x, y):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -338,33 +358,53 @@ class QuadraticFamily(Record):
             return INF
         return 1.0 / inv
 
-    def candidate_dual(self, lam1, lam2, alpha, x):
-        # mirrored rule for mixes in the second argument: y = lambda x makes
-        # the arithmetic mean exact, consistent with f(lam,x,y)=f(1/lam,y,x);
-        # an infinite member forces x = 0, where every parameter accepts
-        if lam1 == INF or lam2 == INF:
-            return INF
-        return alpha * lam1 + (1.0 - alpha) * lam2
+    def infimum(self, domain, x, y):
+        """Exact infimum of (lam/2)||x||^2 + ||y||^2/(2 lam) over [lo, hi],
+        with its parameter, for point stacks x, y of shape (..., dim)
+        broadcast against each other.
+
+        The unconstrained minimizer is lam = ||y||/||x|| with value ||x||
+        ||y||; outside the interval the objective is monotone, so the nearer
+        end attains. The 0 and inf members contribute their indicator values.
+        """
+        nx2 = _batch_norm2(x)
+        ny2 = _batch_norm2(y)
+        nx = np.sqrt(nx2)
+        ny = np.sqrt(ny2)
+        lo, hi = domain.lo, domain.hi
+        # x = 0 and y != 0: the inf member, else the largest finite one
+        if domain.includes_infinity:
+            end_val, end_lam = 0.0, INF
+        elif hi == 0.0:
+            end_val, end_lam = INF, 0.0
+        else:
+            # hi = inf: the limit 0, even where ||y||^2 overflowed
+            end_val, end_lam = (0.5 * ny2) / hi if hi < INF else 0.0, hi
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lam_star = ny / nx
+            # inf / inf: both norms overflowed, every member is +inf; the
+            # first, lo, attains as in a sweep (0 / 0 is the y = 0 case below)
+            lam_star = np.where(np.isnan(lam_star), lo, lam_star)
+            # min(max(lam_star, lo), hi) as Python evaluates it
+            lam = np.where(lo > lam_star, lo, lam_star)
+            lam = np.where(hi < lam, hi, lam)
+            val = np.where(lam == lam_star, nx * ny,
+                           np.where(lam == 0.0, INF, (0.5 * lam) * nx2 + (0.5 * ny2) / lam))
+            # y = 0: the lo member attains; at lo = 0 it gives 0 for any x
+            val = np.where(ny == 0.0, (0.5 * lo) * nx2 if lo > 0.0 else lo, val)
+        lam = np.where(ny == 0.0, lo, lam)
+        only_y = (nx == 0.0) & (ny != 0.0)
+        return np.where(only_y, end_val, val), np.where(only_y, end_lam, lam)
 
 
-class NormFamily(Record):
+class NormFamily(_ScaleFamily):
     """phi_lambda = lambda||.||, phi*_lambda the indicator of the lambda-ball.
 
     Member graphs are the rigid-plastic yielding laws: x = 0 while
     ||y|| < lambda, outward rays once ||y|| = lambda.
     """
 
-    dim: int
-
-    def phi(self, lam):
-        if lam == INF:
-            return IndicatorPoint(np.zeros(self.dim))
-        return ScaledNorm(lam, self.dim)
-
-    def phi_star(self, lam):
-        if lam == INF:
-            return Quadratic(0.0, self.dim)
-        return IndicatorBall(lam, self.dim)
+    _form = ScaledNorm
 
     def f_many(self, lams, x, y):
         with np.errstate(invalid="ignore", over="ignore"):
@@ -400,10 +440,29 @@ class NormFamily(Record):
     def candidate(self, lam1, lam2, alpha, y):
         return min(lam1, lam2)
 
-    def candidate_dual(self, lam1, lam2, alpha, x):
-        if lam1 == INF or lam2 == INF:
-            return INF
-        return alpha * lam1 + (1.0 - alpha) * lam2
+    def infimum(self, domain, x, y):
+        """Exact infimum of lam ||x|| + indicator(||y|| <= lam) over [lo,
+        hi], with its parameter, for point stacks x, y of shape (..., dim)
+        broadcast against each other.
+
+        The smallest admitted parameter max(||y||, lo) attains; when no
+        finite member admits y the value is +inf unless x = 0 meets the inf
+        member.
+        """
+        nx = _batch_norm(x)
+        ny = _batch_norm(y)
+        lo, hi = domain.lo, domain.hi
+        lam = np.where(lo > ny, lo, ny)  # max(ny, lo) as Python evaluates it
+        admitted = lam <= hi
+        with np.errstate(invalid="ignore"):
+            # the 0 member admits only y = 0, where it gives 0 for any x
+            val = np.where(admitted,
+                           np.where(lam == 0.0, 0.0, np.where(lam == ny, nx * ny, lam * nx)), INF)
+        # x = 0: an admitting member gives 0, and the inf member admits every y
+        end_val, end_lam = (0.0, INF) if domain.includes_infinity else (INF, hi)
+        val = np.where(nx == 0.0, np.where(admitted, 0.0, end_val), val)
+        lam = np.where(admitted, lam, np.where(nx == 0.0, end_lam, hi))
+        return val, lam
 
 
 class SeparableFamily(Record):

@@ -16,8 +16,10 @@ quadratic or norm cover writes its log grid's ends, "grid_lo" and
 Every JSON document, file or report, comes from one writer, :func:`dumps`.
 It takes report objects (records, arrays, numpy scalars, tuples) as well
 as plain data and writes them in one pass; a record's hidden fields are
-left out. :func:`to_jsonable` is its round trip, the plain data that the
-written text parses back to.
+left out. Arrays and lists share one float rule: an array is written as
+its nested lists, each float through the one text rule for floats.
+:func:`to_jsonable` is its round trip, the plain data that the written
+text parses back to.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .covers import (
     QuadraticFamily,
     SeparableFamily,
     TabulatedFamily,
+    _ScaleFamily,
     _grid_ends,
     separable_cover,
     tabulated_cover,
@@ -420,7 +423,7 @@ def function_from_data(data):
 def cover_to_data(cover):
     """CoverFile document for a cover."""
     fam = cover.family
-    if isinstance(fam, (QuadraticFamily, NormFamily)):
+    if isinstance(fam, _ScaleFamily):
         dom = cover.domain
         lam = {"lo": dump_extended(dom.lo), "hi": dump_extended(dom.hi),
                "includes_infinity": dom.includes_infinity, "grid_points": dom.grid_points}
@@ -460,10 +463,13 @@ def cover_from_data(data):
         if isinstance(grid_points, bool) or not isinstance(grid_points, int):
             raise FormatError("lambda_domain.grid_points must be an integer")
         include_inf = dom_data.get("includes_infinity", hi == INF)
+        if not isinstance(include_inf, bool):
+            raise FormatError("lambda_domain.includes_infinity must be true or false, "
+                              f"got {include_inf!r}")
         grid_ends = [parse_finite(dom_data[key], f"lambda_domain.{key}") if key in dom_data
                      else None for key in ("grid_lo", "grid_hi")]
         try:
-            dom = ClosedInterval(lo, hi, bool(include_inf), grid_points, *grid_ends)
+            dom = ClosedInterval(lo, hi, include_inf, grid_points, *grid_ends)
         except ValueError as exc:
             raise FormatError(str(exc)) from exc
         dim = _parse_dimension(data.get("dimension", 1), "dimension")
@@ -533,9 +539,7 @@ def dumps(obj):
     lists, one flat list and one row template; any other column is written
     value by value. Each record is then one ``%`` template over its columns.
     """
-    out = []
-    _write(obj, out, "\n")
-    return "".join(out)
+    return _text(obj, "\n")
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -572,10 +576,7 @@ def _write(obj, out, nl):
     elif isinstance(obj, (int, np.integer)):
         out.append(int.__repr__(int(obj)))
     elif isinstance(obj, np.ndarray):
-        if obj.dtype.kind == "f" and obj.ndim:
-            _write_floats(obj.tolist(), obj.ndim, out, nl)
-        else:
-            _write(obj.tolist(), out, nl)
+        _write(obj.tolist(), out, nl)
     elif isinstance(obj, Record):
         _write_members([(key, get(obj)) for key, get in _field_keys(kind)], out, nl)
     elif isinstance(obj, (list, tuple)):
@@ -685,23 +686,6 @@ def _column_texts(values, nl):
     row = "[" + inner + ("," + inner).join(["%s"] * size) + nl + "]"
     texts = iter(_float_texts(flat))
     return [row % cells for cells in zip(*[texts] * size)]
-
-
-def _write_floats(rows, depth, out, nl):
-    """Nested lists of floats ``depth`` deep."""
-    if not rows:
-        out.append("[]")
-        return
-    inner = nl + "  "
-    if depth > 1:
-        sep = "[" + inner
-        for row in rows:
-            out.append(sep)
-            sep = "," + inner
-            _write_floats(row, depth - 1, out, inner)
-    else:
-        out.append("[" + inner + ("," + inner).join(_float_texts(rows)))
-    out.append(nl + "]")
 
 
 def csv_header(dim):

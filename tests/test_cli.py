@@ -197,8 +197,9 @@ def test_build_rows_are_lexicographic(files, capsys):
 
 
 def test_build_analytic_on_tabulated_exits_three(files, capsys):
-    code, _, err = run(capsys, "build", files["nonbic"])
-    assert code == 3 and "grid" in err
+    code, out, err = run(capsys, "build", files["nonbic"])
+    assert code == 3 and out == ""
+    assert err == "tabulated families have no closed-form infimum; use mode='grid'\n"
 
 
 def test_build_grid_mode_on_tabulated(files, capsys):
@@ -399,6 +400,13 @@ def test_tol_must_be_finite_and_nonnegative(files, capsys, command, tol):
 def test_demo_unknown_name(tmp_path, capsys):
     code, out, _ = run(capsys, "demo", "mystery", "--out-dir", str(tmp_path / "x"))
     assert code == 1
+
+
+def test_demo_unknown(tmp_path, capsys):
+    # a usage error, on standard error as for verify --demo
+    code, out, err = run(capsys, "demo", "mystery", "--out-dir", str(tmp_path / "x"))
+    assert code == 1 and out == "" and "unknown demo" in err
+    assert not (tmp_path / "x").exists()
 
 
 def test_demo_separable(tmp_path, capsys):

@@ -363,6 +363,11 @@ COVER_FAULTS = [
     ({"potential": {"form": "max-affine", "pieces": [1.0]}},
      "a max-affine piece must be a JSON object, got 1.0"),
     ({"potential": {**SAMPLED, "values": 3}}, "sampled values must be a list, got 3"),
+    # the inf member is in the domain only by a JSON boolean
+    *[({"family": family, "lambda_domain": {"lo": 0.0, "hi": "inf", "includes_infinity": v}},
+       f"lambda_domain.includes_infinity must be true or false, got {v!r}")
+      for family, v in (("quadratic", "false"), ("quadratic", "no"), ("norm", 1.5),
+                        ("norm", 1), ("quadratic", 0), ("quadratic", None))],
 ]
 
 
