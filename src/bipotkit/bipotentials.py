@@ -54,8 +54,10 @@ from .numerics import (
     _row_keys,
     _run_starts,
     as_vector,
+    ensure_dimension,
     ensure_extended,
     ensure_finite,
+    ensure_tol,
 )
 
 
@@ -109,7 +111,7 @@ class CauchyProduct(Bipotential):
     pairs, the archetypal non-separable bipotential."""
 
     def __init__(self, dim=1):
-        self.dim = int(dim)
+        self.dim = ensure_dimension(dim)
         self.provenance = "closed-form"
 
     def value(self, x, y):
@@ -220,7 +222,7 @@ class BInfinityBipotential(Bipotential):
     def value(self, x, y):
         x, y = as_vector(x, self.dim), as_vector(y, self.dim)
         if self.law.contains(x, y, snap=self.snap):
-            return _batch_inner(x, y)[()]
+            return float(_batch_inner(x, y)[()])
         return INF
 
     def _table(self, xg, yg):
@@ -370,6 +372,7 @@ def verify_axioms(b, x_grid, y_grid, tol=DEFAULT_TOL):
     over all midpoint triples at once, in chunks of about
     ``numerics.SWEEP_CHUNK`` entries.
     """
+    ensure_tol(tol)
     return _axiom_report(_probe_table(b, x_grid, y_grid), tol)
 
 
@@ -436,6 +439,7 @@ def graph_of_bipotential(b, x_grid, y_grid, tol=DEFAULT_TOL):
     """Law graph of the contact set {b(x, y) - <x, y> <= tol} on a product
     grid, pairs in row-major order. Raises when empty: a law graph cannot
     be."""
+    ensure_tol(tol)
     return _contact_graph(_probe_table(b, x_grid, y_grid), tol)
 
 
@@ -495,7 +499,7 @@ def _embed_stack(values, dim, dual=False):
     """The (n, dim) stack of :func:`embed_primal` (or, when ``dual``,
     :func:`embed_dual`) of each scalar in ``values``."""
     values = np.asarray(values, dtype=np.float64)
-    v = np.zeros((values.size, dim))
+    v = np.zeros((values.size, ensure_dimension(dim)))
     v[:, min(1, dim - 1) if dual else 0] = values
     return v
 
@@ -589,9 +593,9 @@ def _bic_screen(cover, lams, alphas, xs, ys, tol):
 
     # cands[s, p * nalpha + k] in slot s, one per block as the rules read no
     # point; a block whose rule is barred or finds none skips that stage
+    member = dom.contains_many(lams)
     cands, ruled = np.zeros((2, nblocks)), np.zeros((2, nblocks), dtype=bool)
-    for p, (lam1, lam2) in enumerate(lams.tolist()):
-        in_domain = dom.contains(lam1) and dom.contains(lam2)
+    for p, ((lam1, lam2), in_domain) in enumerate(zip(lams.tolist(), member.all(axis=1).tolist())):
         for i, alpha in enumerate(alphas.tolist(), p * nalpha):
             for s, rule in enumerate((fam.candidate, fam.candidate_dual)):
                 if s or (0.0 <= alpha <= 1.0 and in_domain):
@@ -614,7 +618,6 @@ def _bic_screen(cover, lams, alphas, xs, ys, tol):
     members = np.sort(lams.reshape(-1))
     members = members[_run_starts(members)]
     members = members[dom.contains_many(members)]
-    member = dom.contains_many(lams)
     rows = np.minimum(np.searchsorted(members, lams), max(members.size - 1, 0))
     specials = fam.special_lams_many(px, py)
     table_lams = np.empty((members.size + len(specials), nalpha * width))
@@ -731,6 +734,7 @@ def bic_check(cover, plan=None, tol=DEFAULT_TOL):
     fixed) as searching tuple by tuple in plan order; a mixing weight that
     is not finite is a ``ValueError`` of its own block.
     """
+    ensure_tol(tol)
     if plan is None:
         plan = default_probe_plan(cover)
     dim = cover.dim
@@ -805,6 +809,7 @@ def certify(cover, x_probes, y_probes, *, law=None, mode, tol):
     axioms on the probe grids at ``tol``. The probe table is evaluated once
     and returned on the report.
     """
+    ensure_tol(tol)
     b = build_inf(cover, mode=mode)
     coverage = None
     if law is not None:

@@ -39,7 +39,7 @@ from .formats import (
 )
 from .laws import NotCyclicallyMonotoneError, bb_check, cyclic_monotonicity_check
 from .laws import rockafellar_reconstruct
-from .numerics import DEFAULT_TOL
+from .numerics import DEFAULT_TOL, ensure_tol
 
 
 class CLIError(Exception):
@@ -88,12 +88,6 @@ def _apply_lambda_grid(cover, spec):
     except ValueError as exc:
         raise CLIError(f"--lambda-grid: {exc}") from exc
     return Cover(new_dom, cover.family)
-
-
-def _check_tol(tol):
-    # argparse would exit 2 on a bad value, the code of a failed check
-    if tol is not None and not (np.isfinite(tol) and tol >= 0.0):
-        raise CLIError(f"--tol must be finite and nonnegative, got {tol!r}")
 
 
 def _load(loader, path):
@@ -289,7 +283,10 @@ def main(argv=None):
         argv = sys.argv[1:]
     args = parser.parse_args(_join_grid_flags(list(argv)))
     try:
-        _check_tol(getattr(args, "tol", None))
+        if getattr(args, "tol", None) is not None:
+            # the library's rule; argparse would exit 2 on a bad value, the
+            # code of a failed check
+            ensure_tol(args.tol, "--tol", CLIError)
         return args.fn(args)
     except (CLIError, AnalyticFormUnavailableError) as exc:
         print(str(exc), file=sys.stderr)

@@ -23,11 +23,13 @@ from .numerics import (
     _batch_inner,
     _batch_norm,
     _batch_norm2,
-    _nonzero,
     _row_keys,
+    _run_starts,
     as_vector,
+    ensure_dimension,
     ensure_extended,
     ensure_finite,
+    ensure_tol,
 )
 
 ANALYTIC_TOL = DEFAULT_TOL
@@ -36,13 +38,6 @@ SAMPLED_TOL = 1e-6
 
 class ConjugateDomainError(ValueError):
     """Conjugation failed: empty effective domain or missing grid."""
-
-
-def _check_dim(dim):
-    d = int(dim)
-    if not 1 <= d <= 3:
-        raise ValueError(f"dimension must be 1, 2 or 3, got {dim}")
-    return d
 
 
 class ConvexFunction(Record):
@@ -67,7 +62,7 @@ class _ScaleForm(ConvexFunction):
 
     def __post_init__(self):
         object.__setattr__(self, "scale", ensure_finite(self.scale, "scale"))
-        object.__setattr__(self, "dim", _check_dim(self.dim))
+        object.__setattr__(self, "dim", ensure_dimension(self.dim))
         if self.scale < 0:
             raise ValueError(f"scale must be nonnegative, got {self.scale}")
 
@@ -101,7 +96,7 @@ class IndicatorBall(ConvexFunction):
 
     def __post_init__(self):
         object.__setattr__(self, "radius", ensure_extended(self.radius, "radius"))
-        object.__setattr__(self, "dim", _check_dim(self.dim))
+        object.__setattr__(self, "dim", ensure_dimension(self.dim))
         if self.radius < 0:
             raise ValueError(f"radius must be nonnegative, got {self.radius}")
 
@@ -164,7 +159,7 @@ class MaxAffine(ConvexFunction):
             raise ValueError("slopes and offsets disagree in piece count")
         if not (np.all(np.isfinite(slopes)) and np.all(np.isfinite(offsets))):
             raise ValueError("max-affine pieces must be finite")
-        _check_dim(slopes.shape[1])
+        ensure_dimension(slopes.shape[1])
         object.__setattr__(self, "slopes", slopes)
         object.__setattr__(self, "offsets", offsets)
 
@@ -204,7 +199,7 @@ class Sampled(ConvexFunction):
             grid = grid[:, None]
         if grid.ndim != 2 or grid.shape[0] == 0:
             raise ValueError("grid must be a nonempty stack of vectors")
-        _check_dim(grid.shape[1])
+        ensure_dimension(grid.shape[1])
         if not np.all(np.isfinite(grid)):
             raise ValueError("grid nodes must be finite")
         values = np.asarray(self.values, dtype=np.float64).reshape(-1)
@@ -229,9 +224,6 @@ class Sampled(ConvexFunction):
         order = np.argsort(keys, kind="stable")
         first = order[np.minimum(np.searchsorted(keys[order], probes), keys.size - 1)]
         return np.where(keys[first] == probes, self.values[first], INF)
-
-
-ANALYTIC_FORMS = (Quadratic, ScaledNorm, IndicatorBall, IndicatorPoint, Affine)
 
 
 def _as_grid(grid, dim=None):
@@ -298,24 +290,19 @@ def conjugate(phi, dual_grid=None, primal_grid=None):
         return Affine(phi.point, -phi.offset)
     if isinstance(phi, Affine):
         return IndicatorPoint(phi.slope, -phi.offset)
-    vals = _discrete_conjugate(phi, dual_grid, primal_grid)
-    return Sampled(_as_grid(dual_grid, phi.dim), vals)
-
-
-def _discrete_conjugate(phi, dual_grid, primal_grid):
-    """Values on dual_grid of the conjugate of a sampled form, or of a
-    max-affine form sampled on primal_grid."""
     if isinstance(phi, Sampled):
         if dual_grid is None:
             raise ConjugateDomainError("conjugating a sampled form needs a dual grid")
-        return discrete_conjugate_values(phi.grid, phi.values, dual_grid)
-    if isinstance(phi, MaxAffine):
+        vals = discrete_conjugate_values(phi.grid, phi.values, dual_grid)
+    elif isinstance(phi, MaxAffine):
         if dual_grid is None or primal_grid is None:
             raise ConjugateDomainError(
                 "conjugating a max-affine form needs a primal grid to sample on and a dual grid")
         pg = _as_grid(primal_grid, phi.dim)
-        return discrete_conjugate_values(pg, phi.value_many(pg), dual_grid)
-    raise TypeError(f"cannot conjugate {type(phi).__name__}")
+        vals = discrete_conjugate_values(pg, phi.value_many(pg), dual_grid)
+    else:
+        raise TypeError(f"cannot conjugate {type(phi).__name__}")
+    return Sampled(_as_grid(dual_grid, phi.dim), vals)
 
 
 def default_tol(phi):
@@ -340,8 +327,7 @@ def fenchel_gap(phi, x, y, tol=None, primal_grid=None):
     forms the conjugate is sampled on ``primal_grid``, which bounds the true
     gap from below; it is exact whenever the sup is attained on that grid.
     """
-    if tol is None:
-        tol = default_tol(phi)
+    tol = default_tol(phi) if tol is None else ensure_tol(tol)
     xv = as_vector(x, phi.dim)
     yv = as_vector(y, phi.dim)
     px = phi.value(xv)
@@ -364,29 +350,22 @@ def subdifferential_contains(phi, x, y, tol=None, primal_grid=None):
 
 
 def graph_of(phi, x_grid, y_grid, tol=None):
-    """Law graph of phi sampled on a product grid.
-
-    Collects the pairs (x, y) from x_grid x y_grid whose Fenchel gap is at
-    most tol. Max-affine forms use x_grid as the sampling window for their
-    conjugate. Raises if no pair is in contact (a law graph cannot be empty).
+    """Law graph of phi sampled on a product grid: the contact graph of the
+    separable bipotential phi(x) + phi*(y), the pairs (x, y) of x_grid x
+    y_grid whose Fenchel gap is at most tol, in row-major order. Max-affine
+    forms use x_grid as the sampling window for their conjugate. Raises if no
+    pair is in contact (a law graph cannot be empty). Discrete forms
+    conjugate on the distinct dual probes, ascending in one dimension as a
+    1-d :class:`Sampled` grid must be; the table still reads y_grid as given.
     """
-    from .laws import LawGraph
+    from .bipotentials import _contact_graph, _probe_table, build_separable
 
-    if tol is None:
-        tol = default_tol(phi)
+    tol = default_tol(phi) if tol is None else ensure_tol(tol)
     xg = _as_grid(x_grid, phi.dim)
     yg = _as_grid(y_grid, phi.dim)
-
-    phi_vals = phi.value_many(xg)
-    if isinstance(phi, ANALYTIC_FORMS):
-        conj_vals = conjugate(phi).value_many(yg)
-    else:
-        conj_vals = _discrete_conjugate(phi, yg, xg)
-    pairings = kernels.pairing_matrix(xg, yg)
-    with np.errstate(invalid="ignore"):
-        gaps = phi_vals[:, None] + conj_vals[None, :] - pairings
-    i, j = _nonzero(gaps <= tol)
-    if not i.size:
-        raise ValueError("no pair of the probe grid is in Fenchel equality; "
-                         "a law graph cannot be empty")
-    return LawGraph._from_arrays(xg[i], yg[j])
+    # not np.unique: under numpy 2.4 its first call in a process adds about
+    # 1 MB of peak RSS
+    dual = np.sort(yg[:, 0]) if phi.dim == 1 else yg
+    dual = dual[_run_starts(dual)] if phi.dim == 1 else dual
+    b = build_separable(phi, dual_grid=dual, primal_grid=xg)
+    return _contact_graph(_probe_table(b, xg, yg), tol)

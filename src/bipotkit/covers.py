@@ -33,7 +33,9 @@ from .numerics import (
     _nonzero,
     _run_starts,
     as_vector,
+    ensure_dimension,
     ensure_extended,
+    ensure_tol,
 )
 
 DEFAULT_GRID_LO = 1e-4
@@ -85,18 +87,25 @@ class ClosedInterval(Record):
             raise ValueError(f"need 0 <= lo <= hi, got [{lo}, {hi}]")
         if lo == INF:
             raise ValueError("lo must be finite")
-        if int(self.grid_points) < 2:
+        flag, n = self.includes_infinity, self.grid_points
+        if not isinstance(flag, (bool, np.bool_)):
+            raise ValueError(f"includes_infinity must be a bool, got {flag!r}")
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValueError(f"grid_points must be an integer, got {n!r}")
+        if n < 2:
             raise ValueError("grid_points must be at least 2")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "grid_points", int(self.grid_points))
         dlo, dhi = _grid_ends(lo, hi)
-        glo = float(self.grid_lo if self.grid_lo is not None else dlo)
-        ghi = float(self.grid_hi if self.grid_hi is not None else dhi)
-        if not 0 < glo <= ghi < INF:
+        glo = float(self.grid_lo if self.grid_lo is not None and hi > 0 else dlo)
+        ghi = float(self.grid_hi if self.grid_hi is not None and hi > 0 else dhi)
+        # the ends are checked once clamped into [lo, hi], as the grid uses
+        # them; [0, 0] has no positive member, so no log grid and no ends but
+        # the ones lo and hi give
+        glo, ghi = max(glo, lo) if lo > 0 else glo, min(ghi, hi)
+        if hi > 0 and not 0 < glo <= ghi < INF:
             raise ValueError(f"log grid needs 0 < grid_lo <= grid_hi < inf, got [{glo}, {ghi}]")
-        object.__setattr__(self, "grid_lo", max(glo, lo) if lo > 0 else glo)
-        object.__setattr__(self, "grid_hi", min(ghi, hi))
+        for name, value in (("lo", lo), ("hi", hi), ("includes_infinity", bool(flag)),
+                            ("grid_points", int(n)), ("grid_lo", glo), ("grid_hi", ghi)):
+            object.__setattr__(self, name, value)
 
     def contains(self, lam):
         lam = ensure_extended(lam, "lambda")
@@ -113,7 +122,7 @@ class ClosedInterval(Record):
     def sample_grid(self):
         """Built once per domain and read-only."""
         core = np.logspace(math.log10(self.grid_lo), math.log10(self.grid_hi),
-                           self.grid_points)
+                           self.grid_points) if self.hi > 0 else np.empty(0)
         # 10 ** log10(t) can round to just outside [lo, hi]; such nodes go
         core = core[(self.lo <= core) & (core <= self.hi)]
         ends = [self.lo]
@@ -177,9 +186,11 @@ class FiniteSet(Record):
 # ``finite_boundary_lams`` takes vectors or point stacks alike and returns one
 # value per leading index for each boundary. ``special_lams_many`` stacks the
 # exact per-probe minimizers then the finiteness boundaries as (lams, present)
-# pairs over the same leading axes. The candidate rules ``candidate`` and
-# ``candidate_dual`` depend on (lambda1, lambda2, alpha) only: the BIC screen
-# calls them once per (lambda1, lambda2, alpha) block with the point None.
+# pairs over the same leading axes. The four families share ``_Family``,
+# whose defaults of both hooks report none; a family with values overrides
+# them. The candidate rules ``candidate`` and ``candidate_dual`` depend on
+# (lambda1, lambda2, alpha) only: the BIC screen calls them once per
+# (lambda1, lambda2, alpha) block with the point None.
 # Every family also has ``sweep_windows(grid, x, y)``: for each pair of the
 # broadcast stacks, a run (start, width), width at least 1, of nodes of the
 # ascending sample grid that provably holds the first minimum of f over the
@@ -240,13 +251,27 @@ def _form_values(form, v):
     return form.value_many(v.reshape(-1, v.shape[-1])).reshape(v.shape[:-1])
 
 
-class _ScaleFamily(Record):
+class _Family:
+    """The defaults of the family protocol: no finiteness boundaries and no
+    special parameters."""
+
+    def finite_boundary_lams(self, x, y):
+        return []
+
+    def special_lams_many(self, x, y):
+        return []
+
+
+class _ScaleFamily(Record, _Family):
     """The quadratic and norm families: phi_lambda is the scale form
     ``_form(lambda, dim)``, the indicator of x = 0 at inf, and phi*_lambda
     its conjugate by the closed table of ``convex.conjugate``. Each family
     adds ``infimum``, its closed-form infimum of f over an interval domain."""
 
     dim: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "dim", ensure_dimension(self.dim))
 
     def phi(self, lam):
         if lam == INF:
@@ -330,9 +355,6 @@ class QuadraticFamily(_ScaleFamily):
         far = np.searchsorted(t, t_star + reach, "right")
         return (np.select([safe, zero_x], [lo + near, grid.size - 1]),
                 np.select([safe, zero_x | zero_y], [far - near, 1], grid.size))
-
-    def finite_boundary_lams(self, x, y):
-        return []
 
     def special_lams_many(self, x, y):
         # the unconstrained minimizer ||y||/||x||, with the ends standing in
@@ -465,7 +487,7 @@ class NormFamily(_ScaleFamily):
         return val, lam
 
 
-class SeparableFamily(Record):
+class SeparableFamily(Record, _Family):
     """A single-member cover {phi}; f is phi(x) + phi*(y) for every lambda."""
 
     potential: ConvexFunction
@@ -491,12 +513,6 @@ class SeparableFamily(Record):
         """Node 0 for every pair: f does not depend on lambda."""
         return 0, 1
 
-    def finite_boundary_lams(self, x, y):
-        return []
-
-    def special_lams_many(self, x, y):
-        return []
-
     def candidate(self, lam1, lam2, alpha, y):
         return lam1
 
@@ -504,7 +520,7 @@ class SeparableFamily(Record):
         return lam1
 
 
-class TabulatedFamily:
+class TabulatedFamily(_Family):
     """Explicit finite table lambda -> (phi_lambda, phi*_lambda).
 
     Joint lower semicontinuity cannot be certified from a finite table, so
@@ -559,12 +575,6 @@ class TabulatedFamily:
     def sweep_windows(self, grid, x, y):
         """The whole grid, its members, for every pair."""
         return 0, grid.size
-
-    def finite_boundary_lams(self, x, y):
-        return []
-
-    def special_lams_many(self, x, y):
-        return []
 
     def candidate(self, lam1, lam2, alpha, y):
         raise CandidateNotFoundError("tabulated families use the grid scan")
@@ -747,6 +757,7 @@ def coverage_check(cover, law, tol=GRID_TOL, snap=0.0):
     domain x image is spurious when f touches the pairing but (x, y) is not
     in the law (stored pairs, snap-tolerant, or declared slice hints).
     """
+    ensure_tol(tol)
     if cover.dim != law.dim:
         raise ValueError(f"cover dimension {cover.dim} != law dimension {law.dim}")
     gaps = cover.grid_infimum_values(law.xs, law.ys) - _batch_inner(law.xs, law.ys)
@@ -801,6 +812,7 @@ def p1_candidate(cover, lam1, lam2, alpha, x1, x2, y, tol=DEFAULT_TOL):
     interpolation for quadratics, the minimum for norms); tabulated families
     scan their parameters in ascending order.
     """
+    ensure_tol(tol)
     if not 0.0 <= alpha <= 1.0:
         raise PreconditionError(f"alpha must be in [0, 1], got {alpha}")
     lam1 = ensure_extended(lam1, "lambda1")

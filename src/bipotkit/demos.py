@@ -28,7 +28,7 @@ from .covers import (
     separable_cover,
     tabulated_cover,
 )
-from .formats import _probe_lines, csv_header, dumps, save_cover, save_law
+from .formats import _probe_lines, _write_json, csv_header, save_cover, save_law
 from .laws import Ball, HalfLineRay, LawGraph, Segment, Singleton
 from .numerics import DEFAULT_TOL, _batch_norm
 
@@ -221,9 +221,7 @@ def run_demo(name, out_dir, stream):
 
     with open(os.path.join(out_dir, "build.csv"), "w") as fh:
         fh.write("\n".join([csv_header(law.dim), *_probe_lines(report.table), ""]))
-    with open(os.path.join(out_dir, "reports.json"), "w") as fh:
-        fh.write(dumps(report.reports()))
-        fh.write("\n")
+    _write_json(report.reports(), os.path.join(out_dir, "reports.json"))
 
     line = _reference_line(setup["reference"], report.table, setup)
     if line is not None:

@@ -57,7 +57,7 @@ from .covers import (
     tabulated_cover,
 )
 from .laws import Ball, HalfLineRay, LawGraph, Segment, Singleton
-from .numerics import INF, Record, _batch_norm2
+from .numerics import INF, Record, _batch_norm2, ensure_dimension
 
 
 class FormatError(ValueError):
@@ -100,13 +100,6 @@ def parse_finite(v, what):
     if not math.isfinite(out):
         raise FormatError(f"{what} must be finite, got {v!r}")
     return out
-
-
-def _parse_dimension(value, what):
-    """A dimension of a law, cover or function form: an integer in [1, 3]."""
-    if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value <= 3:
-        raise FormatError(f"{what} must be an integer in [1, 3], got {value!r}")
-    return value
 
 
 def _check_vector(v, what, dim=None):
@@ -156,7 +149,7 @@ _HINT_LABELS = {"a": "end a", "b": "end b"}  # every other hint field names itse
 def _parse_field(name, value, what, dim=None):
     """One field of a function form or slice hint, checked by its name."""
     if name == "dim":
-        return _parse_dimension(value, what)
+        return ensure_dimension(value, FormatError)
     if name == "radius":
         return parse_extended(value, what)
     if name in ("scale", "offset"):
@@ -314,7 +307,7 @@ def law_from_data(data):
     """
     if not isinstance(data, dict):
         raise FormatError("a law file must be a JSON object")
-    dim = _parse_dimension(data.get("dimension"), "dimension")
+    dim = _parse_field("dim", data.get("dimension"), "dimension")
     raw = data.get("pairs")
     if not isinstance(raw, list) or not raw:
         raise FormatError("pairs must be a nonempty list")
@@ -472,7 +465,7 @@ def cover_from_data(data):
             dom = ClosedInterval(lo, hi, include_inf, grid_points, *grid_ends)
         except ValueError as exc:
             raise FormatError(str(exc)) from exc
-        dim = _parse_dimension(data.get("dimension", 1), "dimension")
+        dim = _parse_field("dim", data.get("dimension", 1), "dimension")
         fam = QuadraticFamily(dim) if family == "quadratic" else NormFamily(dim)
         return Cover(dom, fam)
     if family == "separable":

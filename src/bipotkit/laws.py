@@ -41,6 +41,7 @@ from .numerics import (
     _row_keys,
     _run_starts,
     as_vector,
+    ensure_tol,
     norm,
     vec_key,
 )
@@ -173,9 +174,6 @@ class HalfLineRay(_SliceHint):
         return _batch_norm(vs - (origin + t[..., None] * direction)) <= tol
 
 
-SLICE_HINT_SHAPES = (Singleton, Segment, Ball, HalfLineRay)
-
-
 # ---------------------------------------------------------------------------
 # reports
 
@@ -220,7 +218,7 @@ class LawGraph:
         self._assign(np.array(xs), np.array(ys),
                      {vec_key(at): hint for at, hint in dict(primal_hints or {}).items()},
                      {vec_key(at): hint for at, hint in dict(dual_hints or {}).items()},
-                     float(hint_tol))
+                     float(ensure_tol(hint_tol, "hint_tol")))
 
     @classmethod
     def _from_arrays(cls, xs, ys, primal_hints=None, dual_hints=None):
@@ -403,6 +401,7 @@ def bb_check(law, tol=DEFAULT_TOL):
     membership was validated when the law was built); unhinted slices are
     screened by the midpoint test at tolerance tol.
     """
+    ensure_tol(tol)
     sides = (("primal", law.xs, law.ys, law.primal_hints),
              ("dual", law.ys, law.xs, law.dual_hints))
     for which, coords, others, hints in sides:
@@ -458,6 +457,7 @@ def cyclic_monotonicity_check(law, tol=DEFAULT_TOL):
     cycles of the predecessors where the run ended, taken in order of their
     smallest index and rotated so that index leads.
     """
+    ensure_tol(tol)
     return _cycle_report(weight_matrix(law), tol)
 
 
@@ -496,6 +496,7 @@ def rockafellar_reconstruct(law, base=0, tol=DEFAULT_TOL):
     phi_hat(x_base) = 0 (up to tol for borderline cycle sums). Refuses
     non-monotone samples with the witness cycle attached.
     """
+    ensure_tol(tol)
     m = len(law)
     if not 0 <= base < m:
         raise ValueError(f"base index {base} out of range for {m} samples")

@@ -57,6 +57,24 @@ def ensure_finite(value, what="value"):
     return v
 
 
+def ensure_dimension(value, error=ValueError):
+    """Validate the dimension of a law, cover, form or probe stack: an
+    integer in [1, 3], bools refused, numpy integers accepted; return it as
+    int. The file reader applies the same rule, raising its own ``error``."""
+    if type(value) is bool or not isinstance(value, (int, np.integer)) or not 0 < value <= MAX_DIM:
+        raise error(f"dimension must be an integer in [1, {MAX_DIM}], got {value!r}")
+    return int(value)
+
+
+def ensure_tol(tol, what="tol", error=ValueError):
+    """Validate a tolerance as finite and nonnegative and return it as given:
+    a NaN or infinite tolerance would turn every screen into a pass. The CLI
+    applies the same rule to --tol, raising its own ``error``."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise error(f"{what} must be finite and nonnegative, got {tol!r}")
+    return tol
+
+
 def as_vector(x, dim=None):
     """Coerce ``x`` to a 1-d float64 array of dimension 1..3 with finite coords.
 

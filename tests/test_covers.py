@@ -55,6 +55,34 @@ def test_interval_validation():
         ClosedInterval(0.0, 1.0, grid_points=1)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"includes_infinity": "no"}, "includes_infinity must be a bool, got 'no'"),
+    ({"includes_infinity": 1}, "includes_infinity must be a bool, got 1"),
+    ({"grid_points": 2.7}, "grid_points must be an integer, got 2.7"),
+    ({"grid_points": True}, "grid_points must be an integer, got True"),
+    ({"grid_points": 1}, "grid_points must be at least 2"),
+    # the ends are checked once clamped into [lo, hi]
+    ({"grid_lo": 3.0, "grid_hi": 4.0}, "log grid needs 0 < grid_lo <= grid_hi < inf, got [3.0, 2.0]"),
+])
+def test_interval_refuses_a_bad_flag_count_or_grid_end(kwargs, message):
+    with pytest.raises(ValueError) as exc:
+        ClosedInterval(1.0, 2.0, **kwargs)
+    assert str(exc.value) == message
+
+
+def test_interval_takes_numpy_flags_and_counts_as_python_values():
+    dom = ClosedInterval(0.0, INF, includes_infinity=np.bool_(True), grid_points=np.int64(8))
+    assert dom == ClosedInterval(0.0, INF, includes_infinity=True, grid_points=8)
+    assert type(dom.includes_infinity) is bool and type(dom.grid_points) is int
+
+
+def test_zero_interval_has_no_log_grid():
+    # [0, 0] holds no positive parameter: the sweep runs over 0 (and inf) alone
+    for dom in (ClosedInterval(0.0, 0.0), ClosedInterval(0.0, 0.0, grid_lo=1.0, grid_hi=1.0)):
+        assert dom == ClosedInterval(0.0, 0.0) and dom.sample_grid.tolist() == [0.0]
+        assert Cover(dom, QuadraticFamily(1)).grid_infimum([1.0], [0.0]) == (0.0, 0.0)
+
+
 def test_interval_contains_and_infinity():
     dom = ClosedInterval(0.0, INF, includes_infinity=True)
     assert dom.contains(0.0) and dom.contains(1e9) and dom.contains(INF)

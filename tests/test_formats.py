@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from bipotkit import cli
-from bipotkit.bipotentials import Bipotential, CauchyProduct, certify, verify_axioms
+from bipotkit.bipotentials import (
+    Bipotential,
+    CauchyProduct,
+    certify,
+    embed_dual,
+    embed_primal,
+    verify_axioms,
+)
 from bipotkit.convex import (
     Affine,
     IndicatorBall,
@@ -17,7 +24,17 @@ from bipotkit.convex import (
     Sampled,
     ScaledNorm,
 )
-from bipotkit.covers import TabulatedFamily, norm_cover, quadratic_cover, separable_cover, tabulated_cover
+from bipotkit.covers import (
+    ClosedInterval,
+    Cover,
+    NormFamily,
+    QuadraticFamily,
+    TabulatedFamily,
+    norm_cover,
+    quadratic_cover,
+    separable_cover,
+    tabulated_cover,
+)
 from bipotkit.demos import build_antitone_law, build_plasticity_law, build_sign_law, nonbic_cover
 from bipotkit.formats import (
     FormatError,
@@ -146,6 +163,35 @@ def test_dimensions_default_where_the_schema_allows():
         law_from_data({"pairs": [[[0.0], [0.0]]]})
 
 
+# the readers' rule, applied by every constructor that takes a dimension
+CONSTRUCTED_DIMS = {
+    "Quadratic": lambda d: Quadratic(1.0, d),
+    "ScaledNorm": lambda d: ScaledNorm(1.0, d),
+    "IndicatorBall": lambda d: IndicatorBall(1.0, d),
+    "QuadraticFamily": QuadraticFamily,
+    "NormFamily": NormFamily,
+    "quadratic_cover": quadratic_cover,
+    "CauchyProduct": CauchyProduct,
+    "embed_primal": lambda d: embed_primal(1.0, d),
+    "embed_dual": lambda d: embed_dual(1.0, d),
+}
+
+
+@pytest.mark.parametrize("make", sorted(CONSTRUCTED_DIMS))
+@pytest.mark.parametrize("dim", [True, 0, 4, 2.7])
+def test_constructors_refuse_dimensions_as_the_reader_does(make, dim):
+    with pytest.raises(ValueError) as exc:
+        CONSTRUCTED_DIMS[make](dim)
+    assert str(exc.value) == f"dimension must be an integer in [1, 3], got {dim!r}"
+
+
+@pytest.mark.parametrize("make", sorted(CONSTRUCTED_DIMS))
+def test_constructors_take_numpy_integer_dimensions(make):
+    made = CONSTRUCTED_DIMS[make](np.int64(2))
+    dim = made.size if isinstance(made, np.ndarray) else made.dim
+    assert dim == 2 and type(dim) is int
+
+
 def test_snap_tolerance_quantizes_coordinates():
     data = {"dimension": 1, "pairs": [[[0.5000000001], [1.0]]],
             "snap_tolerance": 1e-6}
@@ -161,6 +207,39 @@ def test_save_load_law(tmp_path):
     assert back.pair_keys() == law.pair_keys()
     assert set(back.primal_hints) == set(law.primal_hints)
     assert set(back.dual_hints) == set(law.dual_hints)
+
+
+# covers as the constructors accept them, numpy scalars and clamped or
+# degenerate grid ends included
+ROUND_TRIP_COVERS = {
+    "quadratic": lambda: quadratic_cover(np.int64(2)),
+    "norm": lambda: norm_cover(3, grid_points=np.int64(16), grid_lo=1e-2, grid_hi=1e2),
+    "numpy-flag": lambda: Cover(ClosedInterval(np.float64(0.5), INF, np.bool_(True)),
+                                QuadraticFamily(1)),
+    "clamped-ends": lambda: Cover(ClosedInterval(0.5, 2.0, grid_lo=0.1, grid_hi=10.0),
+                                  NormFamily(1)),
+    "zero-interval": lambda: Cover(ClosedInterval(0.0, 0.0, True, grid_lo=1.0, grid_hi=1.0),
+                                   QuadraticFamily(2)),
+    "separable": lambda: separable_cover(Quadratic(2.0, np.int64(3))),
+    "separable-sampled": lambda: separable_cover(
+        Sampled(np.array([-1.0, 0.0, 1.0]), np.array([1.0, 0.0, INF])),
+        dual_grid=np.array([[-2.0], [0.0], [2.0]])),
+    "tabulated": lambda: tabulated_cover([(0.5, ScaledNorm(0.5, 2), IndicatorBall(0.5, 2)),
+                                          (INF, IndicatorPoint(np.zeros(2)), Affine(np.zeros(2)))]),
+    "nonbic": nonbic_cover,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIP_COVERS))
+def test_constructed_covers_survive_save_and_load(tmp_path, name):
+    cover = ROUND_TRIP_COVERS[name]()
+    path = tmp_path / "cover.json"
+    save_cover(cover, path)
+    back = load_cover(path)
+    assert dumps(cover_to_data(back)) == dumps(cover_to_data(cover))
+    assert np.array_equal(back.domain.sample_grid, cover.domain.sample_grid)
+    if not isinstance(cover.family, TabulatedFamily):
+        assert back == cover
 
 
 def test_load_law_malformed_json(tmp_path):

@@ -6,11 +6,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bipotkit import numerics
-from bipotkit.bipotentials import build_inf, certify
-from bipotkit.covers import QuadraticFamily, coverage_check, quadratic_cover
-from bipotkit.demos import build_cauchy_law
+from bipotkit.bipotentials import (
+    CauchyProduct,
+    bic_check,
+    build_b_infinity,
+    build_inf,
+    certify,
+    graph_of_bipotential,
+    verify_axioms,
+)
+from bipotkit.convex import Quadratic, fenchel_gap, graph_of, subdifferential_contains
+from bipotkit.covers import QuadraticFamily, coverage_check, p1_candidate, quadratic_cover
+from bipotkit.demos import build_cauchy_law, build_plasticity_law, build_sign_law, nonbic_cover
 from bipotkit.formats import dumps
-from bipotkit.laws import LawGraph, bb_check
+from bipotkit.laws import (
+    LawGraph,
+    bb_check,
+    cyclic_monotonicity_check,
+    rockafellar_reconstruct,
+)
 from bipotkit.numerics import (
     DEFAULT_TOL,
     INF,
@@ -171,3 +185,54 @@ def test_one_chunk_budget_splits_every_batched_loop_alike(monkeypatch):
     assert split == default
     assert split_calls > 10 * default_calls
     assert '"is_bb_graph": false' in default[4]
+
+
+# ---------------------------------------------------------------------------
+# one tolerance rule for every public screen
+
+
+def _tol_calls():
+    """Each public function that takes a tolerance, as a call of one tol on
+    a small valid input."""
+    g = np.linspace(-1.0, 1.0, 3)
+    law = LawGraph([(np.array([0.0]), np.array([0.0])), (np.array([1.0]), np.array([1.0]))])
+    return {
+        "verify_axioms": lambda tol: verify_axioms(CauchyProduct(1), g, g, tol=tol),
+        "graph_of_bipotential": lambda tol: graph_of_bipotential(CauchyProduct(1), g, g, tol=tol),
+        "bic_check": lambda tol: bic_check(nonbic_cover(), tol=tol),
+        "certify": lambda tol: certify(quadratic_cover(1), g, g, mode="analytic", tol=tol),
+        "coverage_check": lambda tol: coverage_check(quadratic_cover(2), build_plasticity_law(),
+                                                     tol=tol),
+        "p1_candidate": lambda tol: p1_candidate(quadratic_cover(1), 1.0, 2.0, 0.5, [1.0],
+                                                 [0.5], [1.0], tol=tol),
+        "bb_check": lambda tol: bb_check(law, tol=tol),
+        "cyclic_monotonicity_check": lambda tol: cyclic_monotonicity_check(law, tol=tol),
+        "rockafellar_reconstruct": lambda tol: rockafellar_reconstruct(law, tol=tol),
+        "build_b_infinity": lambda tol: build_b_infinity(build_sign_law(), tol=tol),
+        "fenchel_gap": lambda tol: fenchel_gap(Quadratic(1.0, 1), [1.0], [1.0], tol=tol),
+        "subdifferential_contains": lambda tol: subdifferential_contains(
+            Quadratic(1.0, 1), [1.0], [1.0], tol=tol),
+        "graph_of": lambda tol: graph_of(Quadratic(1.0, 1), g, g, tol=tol),
+        "LawGraph": lambda tol: LawGraph([(np.zeros(1), np.zeros(1))], hint_tol=tol),
+    }
+
+
+TOL_FUNCTIONS = sorted(_tol_calls())
+
+
+@pytest.mark.parametrize("name", TOL_FUNCTIONS)
+@pytest.mark.parametrize("tol", [math.nan, INF, -1.0])
+def test_public_functions_refuse_a_nan_infinite_or_negative_tol(name, tol):
+    with pytest.raises(ValueError, match="must be finite and nonnegative"):
+        _tol_calls()[name](tol)
+
+
+@pytest.mark.parametrize("name", TOL_FUNCTIONS)
+def test_public_functions_accept_a_zero_tol(name):
+    _tol_calls()[name](0.0)
+
+
+def test_ensure_tol_names_what_it_checks():
+    assert numerics.ensure_tol(0.0) == 0.0
+    with pytest.raises(ValueError, match=r"^--tol must be finite and nonnegative, got nan$"):
+        numerics.ensure_tol(math.nan, "--tol")
