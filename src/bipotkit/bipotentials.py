@@ -531,38 +531,63 @@ def default_probe_plan(cover):
     return BICProbePlan(pairs, alphas, xs, ys)
 
 
-def _bic_screen(cover, lams, alphas, xs, ys, tol):
-    """Failing mask, of shape (len(lams), len(alphas), width), and the least
-    deficits of the failing tuples in its row-major order. Block (p, k)
-    pairs lams[p] with alphas[k]; its tuple axis holds the first slot's
+# the errors a plan value, the family's f or a candidate rule raises for one
+# block: the screen places them in plan order; any other exception propagates
+_BLOCK_FAULTS = (ArithmeticError, TypeError, ValueError)
+
+
+def _checked(values, check):
+    """``check`` of each value in order, up to the first it refuses: the
+    results before it and its error (None when every value passes)."""
+    out = []
+    for v in values:
+        try:
+            out.append(check(v))
+        except _BLOCK_FAULTS as exc:
+            return out, exc
+    return out, None
+
+
+def _plan_pair(pair):
+    """A plan pair's parameters, unpacked as ``for lam1, lam2 in`` would
+    and checked in order."""
+    lam1, lam2 = pair
+    return ensure_extended(lam1, "lambda1"), ensure_extended(lam2, "lambda2")
+
+
+def _bic_screen(cover, lam_pairs, alphas, xs, ys, tol):
+    """Failing mask, of shape (len(lam_pairs), len(alphas), width), and the
+    least deficits of the failing tuples in its row-major order. Block (p, k)
+    pairs lam_pairs[p] with alphas[k]; its tuple axis holds the first slot's
     tuples (lams[p, 0], xs[a], lams[p, 1], xs[b], alphas[k], ys[c]), then
     the second slot's, mixing ys[a] and ys[b] against xs[c], each in
     (a, b, c) order: width = n^2 m + m^2 n for n xs and m ys.
 
-    Computed once: the right-side terms of each distinct plan parameter and
+    A prelude walks the plan once, in plan order, and stops at the first
+    block with a fault it can name: a parameter that is NaN or -inf (checked
+    once per pair) or a weight that is not finite (once per weight), a
+    parameter the family's f refuses, or a candidate rule that raises. It
+    computes, once: the right-side terms of each distinct parameter and
     their Fenchel gaps (the candidate rules' preconditions), which the
     second slot reads transposed; each slot's candidate per block; one
     ``f_many`` table of f at every (alpha, tuple) point over the distinct
     plan parameters the domain holds and the family's special parameters.
-    Chunks of whole blocks, of at most about ``numerics.SWEEP_CHUNK``
-    tuples, then take the stages in order, each accepting where the domain
-    holds its parameter and f is within ``tol`` of the right side:
-    candidate (f at its offered tuples alone), lam1 (the table over the
-    chunk), lam2 and the special parameters (table values only at the
-    tuples still undecided), then the grid infimum (``Cover._sweep``). A
-    NaN or -inf parameter raises for the first (block, slot, stage) offered
-    one. A failing tuple's deficit is the least lhs - rhs over its stages
-    and the grid (the first of equal values, never a NaN).
+    Chunks of whole blocks before that stop, of at most about
+    ``numerics.SWEEP_CHUNK`` tuples, then take the stages in order, each
+    accepting where the domain holds its parameter and f is within ``tol``
+    of the right side: candidate (f at its offered tuples alone), lam1 (the
+    table over the chunk), lam2 and the special parameters (table values
+    only at the tuples still undecided), then the grid infimum
+    (``Cover._sweep``). A NaN or -inf parameter raises for the first (block,
+    slot, stage) offered one; past the chunks, the prelude's fault raises. A
+    failing tuple's deficit is the least lhs - rhs over its stages and the
+    grid (the first of equal values, never a NaN).
     """
     fam, dom = cover.family, cover.domain
     n, m, dim = xs.shape[0], ys.shape[0], xs.shape[1]
     split, width, nalpha = n * n * m, n * n * m + m * m * n, len(alphas)
-    fails = np.zeros((lams.shape[0], nalpha, width), dtype=bool)
+    fails = np.zeros((len(lam_pairs), nalpha, width), dtype=bool)
     deficits = [np.empty(0)]
-    nblocks = lams.shape[0] * nalpha
-    if not nblocks:
-        return fails, deficits[0]
-    alphas = np.array([float(alpha) for alpha in alphas])
 
     def along(op, first, second, dtype):
         # op(u[:, a, c], v[:, b, c]) at each slot's (a, b, c) tuples from its
@@ -578,31 +603,57 @@ def _bic_screen(cover, lams, alphas, xs, ys, tol):
         bad = np.flatnonzero(~(lams > -INF) & offered)[:1]
         return [(at[j] // width, at[j] % width >= split, stage, lams[j]) for j in bad]
 
-    # terms[2p + i, a, c] = f(lams[p, i]) at (xs[a], ys[c]), once per distinct
-    # parameter in first-appearance order (-0.0 meets 0.0), so the first one
-    # f refuses raises first; f is elementwise and pairings commute, so the
-    # second slot's terms and gaps are these transposed, to the bit
-    flat = lams.reshape(-1).tolist()
-    distinct = {lam: k for k, lam in enumerate(dict.fromkeys(flat))}
-    terms = fam.f_many(np.array(list(distinct)), xs[:, None, None, :], ys[None, :, None, :])
-    terms = terms[..., [distinct[lam] for lam in flat]].transpose(2, 0, 1)
-    if not width:
+    # the prelude: the first fault it names (error) ends the plan that the
+    # chunks screen. A weight's fault sits in the first pair's row and a
+    # pair's at its first block, so past a faulty weight only the first pair
+    # can hold an earlier fault; the chunks then screen the first pair by
+    # the weights before the faulty one, or else the pairs before the
+    # faulty one by every weight
+    alphas, error = _checked(alphas, lambda alpha: ensure_finite(alpha, "alpha"))
+    lams, pair_error = _checked(lam_pairs if error is None else lam_pairs[:1], _plan_pair)
+    error = error if pair_error is None else pair_error
+    alphas, nalpha = np.array(alphas), len(alphas)
+    if len(lams) and nalpha:
+        # terms[2p + i, a, c] = f(lams[p, i]) at (xs[a], ys[c]), in one call
+        # over the distinct parameters in first-appearance order (-0.0 meets
+        # 0.0); if f refuses one, the pairs are tried one at a time, and the
+        # first refused is the fault that ends the plan screened. f is
+        # elementwise and pairings commute, so the second slot's terms and
+        # gaps are these transposed, to the bit
+        lams = np.array(lams).reshape(-1, 2)
+        flat = lams.reshape(-1).tolist()
+        distinct = {lam: k for k, lam in enumerate(dict.fromkeys(flat))}
+        points = xs[:, None, None, :], ys[None, :, None, :]
+        try:
+            terms = fam.f_many(np.array(list(distinct)), *points)[..., [distinct[lam] for lam in flat]]
+        except _BLOCK_FAULTS:
+            terms, refused = _checked(lams, lambda pair: fam.f_many(pair, *points))
+            lams, error = lams[:len(terms)], error if refused is None else refused
+            terms = np.concatenate([np.empty((n, m, 0)), *terms], axis=-1)
+        terms = terms.transpose(2, 0, 1)
+    if not ((stop := len(lams) * nalpha) and width):
+        if error is not None:
+            raise error
         return fails, deficits[0]
     gaps = terms - _batch_inner(xs[:, None, :], ys[None, :, :])
     held = (gaps <= tol, ~(gaps > tol).transpose(0, 2, 1))
 
     # cands[s, p * nalpha + k] in slot s, one per block as the rules read no
-    # point; a block whose rule is barred or finds none skips that stage
+    # point; a block whose rule is barred or finds none skips that stage, and
+    # the first whose rule raises is the prelude's fault
     member = dom.contains_many(lams)
-    cands, ruled = np.zeros((2, nblocks)), np.zeros((2, nblocks), dtype=bool)
-    for p, ((lam1, lam2), in_domain) in enumerate(zip(lams.tolist(), member.all(axis=1).tolist())):
-        for i, alpha in enumerate(alphas.tolist(), p * nalpha):
-            for s, rule in enumerate((fam.candidate, fam.candidate_dual)):
-                if s or (0.0 <= alpha <= 1.0 and in_domain):
-                    try:
-                        cands[s, i], ruled[s, i] = rule(lam1, lam2, alpha, None), True
-                    except CandidateNotFoundError:
-                        pass
+    cands, ruled = np.zeros((2, stop)), np.zeros((2, stop), dtype=bool)
+    try:
+        for p, ((lam1, lam2), in_domain) in enumerate(zip(lams.tolist(), member.all(axis=1).tolist())):
+            for i, alpha in enumerate(alphas.tolist(), p * nalpha):
+                for s, rule in enumerate((fam.candidate, fam.candidate_dual)):
+                    if s or (0.0 <= alpha <= 1.0 and in_domain):
+                        try:
+                            cands[s, i], ruled[s, i] = rule(lam1, lam2, alpha, None), True
+                        except CandidateNotFoundError:
+                            pass
+    except _BLOCK_FAULTS as exc:
+        stop, error = i, exc
 
     # f's (x, y) at kt = k * width + t: the mixes alphas[k] xs[a] +
     # betas[k] xs[b] against ys[c], then xs[c] against the mixes of ys
@@ -632,16 +683,16 @@ def _bic_screen(cover, lams, alphas, xs, ys, tol):
 
     # per block and slot, the right side's weighted terms (a zero-weight member
     # drops out, even where its term is inf) and the candidate's preconditions
-    p, k = np.divmod(np.arange(nblocks), nalpha)
+    p, k = np.divmod(np.arange(stop), nalpha)
     with np.errstate(invalid="ignore"):  # 0 * inf
         weighted = [np.where(weight == 0.0, 0.0, weight * terms[2 * p + i])
                     for i, weight in enumerate((alphas[k, None, None], (1.0 - alphas)[k, None, None]))]
     weighted = (weighted, [w.transpose(0, 2, 1) for w in weighted])
-    held = [(h[2 * p] & ruled[s, :, None, None], h[2 * p + 1]) for s, h in enumerate(held)]
+    held = [(h[2 * p] & ruled[s, :stop, None, None], h[2 * p + 1]) for s, h in enumerate(held)]
 
-    for part in _chunks(nblocks, width):
+    for part in _chunks(stop, width):
         # the chunk's tuples (b, t), at flat index b * width + t
-        blocks = np.arange(nblocks)[part]
+        blocks = np.arange(stop)[part]
         p, k = np.divmod(blocks, nalpha)
         # the right sides plus tol, in place: one chunk-sized float array
         # fewer keeps a chunk's pages in the heap between calls
@@ -715,6 +766,8 @@ def _bic_screen(cover, lams, alphas, xs, ys, tol):
                 low = np.where(on & (d < low), d, low)
         d = vals[failing] - r
         deficits.append(np.where(d < low, d, low))
+    if error is not None:
+        raise error
     return fails, np.concatenate(deficits)
 
 
@@ -730,33 +783,21 @@ def bic_check(cover, plan=None, tol=DEFAULT_TOL):
     ascending order; a failure records the tuple with its least deficit.
     One screen covers both argument slots of every (lam1, lam2, alpha)
     block of the plan, in chunks of whole blocks, with the same values,
-    verdicts, errors and counterexample order (pair, weight, slot, z1, z2,
-    fixed) as searching tuple by tuple in plan order; a mixing weight that
-    is not finite is a ``ValueError`` of its own block.
+    verdicts and counterexample order (pair, weight, slot, z1, z2, fixed)
+    as searching tuple by tuple in plan order.
+
+    Errors come in plan order too: the first faulty block raises. Within a
+    block its parameters (NaN or -inf) come first, then its weight (not
+    finite), then a parameter the family's f refuses, then a candidate rule
+    that raises, then a NaN or -inf parameter a stage is offered, by slot
+    and stage. A parameter's or a weight's fault raises even when the other
+    axis of the plan is empty.
     """
     ensure_tol(tol)
-    if plan is None:
-        plan = default_probe_plan(cover)
-    dim = cover.dim
-    xs = [as_vector(p, dim) for p in plan.primal_points]
-    ys = [as_vector(p, dim) for p in plan.dual_points]
-    x_stack, y_stack = (np.array(v).reshape(len(v), dim) for v in (xs, ys))
-
-    def screen(lam_pairs, alphas):
-        lams = np.array([(ensure_extended(lam1, "lambda1"), ensure_extended(lam2, "lambda2"))
-                         for lam1, lam2 in lam_pairs]).reshape(-1, 2)
-        alphas = [ensure_finite(alpha, "alpha") for alpha in alphas]
-        return _bic_screen(cover, lams, alphas, x_stack, y_stack, tol)
-
-    try:
-        fails, deficits = screen(plan.lam_pairs, plan.alphas)
-    except Exception:
-        # the terms and the table cover the whole plan, so their error may
-        # belong to a later block; block by block, the first one raises
-        for pair in plan.lam_pairs:
-            for alpha in plan.alphas:
-                screen([pair], [alpha])
-        raise
+    plan = default_probe_plan(cover) if plan is None else plan
+    xs, ys = ([as_vector(p, cover.dim) for p in points] for points in (plan.primal_points, plan.dual_points))
+    x_stack, y_stack = (np.array(v).reshape(len(v), cover.dim) for v in (xs, ys))
+    fails, deficits = _bic_screen(cover, plan.lam_pairs, plan.alphas, x_stack, y_stack, tol)
 
     # one trusted record per failing tuple, in the mask's (plan) order
     slots, split, found = (("first", xs, ys), ("second", ys, xs)), len(xs) ** 2 * len(ys), []

@@ -542,6 +542,11 @@ class TabulatedFamily(_Family):
         self.table = dict(sorted(table.items()))
         self.dim = dims.pop()
 
+    def __eq__(self, other):
+        # by value, as records compare: the same members with equal forms;
+        # unhashable, as the forms are
+        return type(other) is type(self) and self.table == other.table
+
     def lams(self):
         return list(self.table)
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+from contextlib import suppress
 from itertools import chain, repeat
 from operator import attrgetter, itemgetter
 
@@ -57,7 +58,7 @@ from .covers import (
     tabulated_cover,
 )
 from .laws import Ball, HalfLineRay, LawGraph, Segment, Singleton
-from .numerics import INF, Record, _batch_norm2, ensure_dimension
+from .numerics import INF, Record, _batch_norm2, as_vector, ensure_dimension
 
 
 class FormatError(ValueError):
@@ -215,95 +216,91 @@ def law_to_data(law, snap_tolerance=None):
 
 def _ball_radius(v):
     """The radius :func:`parse_extended` and :class:`Ball` accept, else None."""
-    try:
+    with suppress(FormatError):
         r = parse_extended(v, "ball radius")
-    except FormatError:
-        return None
-    return r if r >= 0.0 else None
+        return r if r >= 0.0 else None
 
 
 def _check_law(raw, hints, dim):
     """The pairs and slice hints of a law document, checked in one pass.
 
-    Every vector (x and y sides, then each hint's anchor and vector params
-    in field order) must be a list of ``dim`` numbers; all coordinates are
-    type-checked in one map, converted in one array and tested for
-    finiteness at once, with ball radii and ray directions checked beside
-    them. Returns the (n, dim) float64 rows, pairs first, and one
-    (side, shape class, anchor row, end row, radius or ()) entry per hint;
-    returns None on any fault, which :func:`_raise_first_fault` then names.
+    Every vector (x sides, y sides, then each hint's anchor and vector
+    params in field order) must be a list of ``dim`` numbers; all
+    coordinates are type-checked in one map, converted in one array and
+    tested for finiteness at once, with ball radii and ray directions
+    checked beside them. Returns the (n, dim) float64 rows, pairs first,
+    and one (side, shape class, anchor row, end row, radius or ()) entry
+    per hint, the primal hints first, each side in file order.
+
+    Each check that fails marks its faulty vectors; a pair or hint whose
+    structure is faulty stands in with faulty vectors. The first item in
+    file order (the pairs, then the hints) with a marked vector is then
+    checked alone, by the per-item checks, which raise its first fault.
     """
-    if not (all(map(isinstance, raw, repeat((list, tuple)))) and set(map(len, raw)) == {2}
-            and isinstance(hints, list) and all(map(isinstance, hints, repeat(dict)))):
-        return None
-    vectors = [e[0] for e in raw]
-    vectors += [e[1] for e in raw]
-    layout, directions = [], []
+    m = len(raw)
+    pairs = raw if all(map(isinstance, raw, repeat((list, tuple)))) and set(map(len, raw)) == {2} \
+        else [e if isinstance(e, (list, tuple)) and len(e) == 2 else (None, None) for e in raw]
+    vectors = [e[0] for e in pairs] + [e[1] for e in pairs]
+    layout = []
     for h in hints:
-        shape, params, side = h.get("shape"), h.get("params"), h.get("side", "primal")
-        cls = _HINT_SHAPES.get(shape) if isinstance(shape, str) else None
-        if cls is None or not isinstance(params, dict) or side not in ("primal", "dual"):
-            return None
         start = len(vectors)
-        vectors.append(h.get("at"))
-        vectors += [params.get(name) for name in _HINT_VECTORS[cls]]
-        radius = ()
-        if cls is Ball:
-            radius = (_ball_radius(params.get("radius")),)
-            if radius[0] is None:
-                return None
-        elif cls is HalfLineRay:
-            directions.append(len(vectors) - 1)
+        shape, params, side = (h.get("shape"), h.get("params"), h.get("side", "primal")) \
+            if isinstance(h, dict) else (None, None, None)
+        cls = _HINT_SHAPES.get(shape) if isinstance(shape, str) else None
+        ok = cls is not None and isinstance(params, dict) and side in ("primal", "dual")
+        radius = (_ball_radius(params.get("radius")),) if ok and cls is Ball else ()
+        vectors += [h.get("at"), *map(params.get, _HINT_VECTORS[cls])] \
+            if ok and None not in radius else [None]  # a faulty structure: a faulty vector
         layout.append((side, cls, start, len(vectors), radius))
-    if not (all(map(isinstance, vectors, repeat((list, tuple))))
-            and set(map(len, vectors)) == {dim}):
-        return None
+
+    bad = np.zeros(len(vectors), dtype=bool)  # the vectors a failed check marks
+    if not (all(map(isinstance, vectors, repeat((list, tuple)))) and set(map(len, vectors)) == {dim}):
+        shaped = [isinstance(v, (list, tuple)) and len(v) == dim for v in vectors]
+        bad |= ~np.array(shaped)
+        vectors = [v if ok else [0.0] * dim for v, ok in zip(vectors, shaped)]
     flat = list(chain.from_iterable(vectors))
-    # numbers: int and float, or a subclass of them other than bool
-    types = set(map(type, flat))
-    if not types <= {int, float} and (
-            bool in types or not all(map(isinstance, flat, repeat((int, float))))):
-        return None
+    if not set(map(type, flat)) <= {int, float}:  # a bool, another type or a number's subclass
+        number = np.array([isinstance(c, (int, float)) and not isinstance(c, bool) for c in flat])
+        bad |= ~number.reshape(-1, dim).all(axis=1)
+        flat = [c if ok else 0.0 for c, ok in zip(flat, number)]
     try:
-        rows = np.array(flat, dtype=np.float64)
-    except OverflowError:  # an integer beyond the float range
-        return None
+        rows = np.array(flat, dtype=np.float64).reshape(-1, dim)
+    except OverflowError:  # an integer that float() refuses, from 2**1024 - 2**970 up: NaN here
+        rows = np.array([math.nan if isinstance(c, int) and abs(c) >= 2 ** 1024 - 2 ** 970
+                         else c for c in flat], dtype=np.float64).reshape(-1, dim)
     if not np.isfinite(rows).all():
-        return None
-    rows = rows.reshape(-1, dim)
+        bad |= ~np.isfinite(rows).all(axis=1)
     # HalfLineRay refuses a direction whose norm, accumulated in order, is 0
-    if directions and (_batch_norm2(rows[directions]) == 0.0).any():
-        return None
-    return rows, layout
-
-
-def _raise_first_fault(raw, hints, dim):
-    """Check the pairs, then the hints, one at a time in file order, and
-    raise the first fault: the message names the offending pair or hint and
-    coordinate. Called only once :func:`_check_law` has found a fault."""
-    for k, entry in enumerate(raw):
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+    directions = [stop - 1 for _, cls, _, stop, _ in layout if cls is HalfLineRay]
+    if directions:
+        bad[directions] |= _batch_norm2(rows[directions]) == 0.0
+    if bad.any():
+        at = np.flatnonzero(bad)
+        k = int(np.where(at < 2 * m, at % m, m - 1 + np.searchsorted(
+            [start for _, _, start, _, _ in layout], at, "right")).min())
+        if k >= m:
+            _hint_from_data(k - m, hints[k - m], dim)
+        if pairs[k] is not raw[k]:  # a stand-in for a faulty structure
             raise FormatError(f"pair {k} must be [[x...], [y...]]")
-        _check_vector(entry[0], f"pair {k} x", dim)
-        _check_vector(entry[1], f"pair {k} y", dim)
-    if not isinstance(hints, list):
-        raise FormatError("slice_hints must be a list")
-    for k, h in enumerate(hints):
-        _hint_from_data(k, h, dim)
-    raise AssertionError("the one-pass law check refused a law the per-item checks accept")
+        for v, side in zip(raw[k], "xy"):
+            _check_vector(v, f"pair {k} {side}", dim)
+    # "primal" > "dual", and a reversed sort keeps the file order of equal sides
+    return rows, sorted(layout, key=itemgetter(0), reverse=True)
 
 
 def law_from_data(data):
     """Law graph from a LawGraphFile document.
 
-    The pairs and slice hints are checked in one pass (:func:`_check_law`);
-    only a faulty document is then checked item by item, in file order, so
-    the error names its first offending pair or hint. The hints are built
-    from their checked rows without checking them again.
+    The pairs and slice hints are checked in one pass (:func:`_check_law`),
+    which raises the first fault in file order, naming its pair or hint; a
+    ``slice_hints`` that is not a list comes after every pair. The hints
+    are built from their checked rows without checking them again.
 
     A positive snap_tolerance quantizes every coordinate to its grid before
     slicing, so laws sampled with floating noise form exact slices; hint
-    anchors are quantized the same way.
+    anchors are quantized the same way. A row that quantizing overflows is
+    refused, the first of the x sides, the y sides, the primal anchors and
+    then the dual anchors.
     """
     if not isinstance(data, dict):
         raise FormatError("a law file must be a JSON object")
@@ -311,31 +308,26 @@ def law_from_data(data):
     raw = data.get("pairs")
     if not isinstance(raw, list) or not raw:
         raise FormatError("pairs must be a nonempty list")
-    snap = data.get("snap_tolerance", 0.0)
-    snap = parse_finite(snap, "snap_tolerance")
+    snap = parse_finite(data.get("snap_tolerance", 0.0), "snap_tolerance")
     if snap < 0:
         raise FormatError(f"snap_tolerance must be nonnegative, got {snap}")
     hints = data.get("slice_hints", [])
-    checked = _check_law(raw, hints, dim)
-    if checked is None:
-        _raise_first_fault(raw, hints, dim)
-    rows, layout = checked
-
-    def q(v):
-        return np.round(v / snap) * snap if snap > 0.0 else v
-
+    rows, layout = _check_law(raw, hints if isinstance(hints, list) else [], dim)
+    if not isinstance(hints, list):
+        raise FormatError("slice_hints must be a list")
     m = len(raw)
-    xs, ys = q(rows[:m]), q(rows[m:2 * m])
-    anchors = q(rows[[start for _, _, start, _, _ in layout]])
-    primal_hints, dual_hints = {}, {}
+    xs, ys, anchors = rows[:m], rows[m:2 * m], rows[[start for _, _, start, _, _ in layout]]
+    if snap > 0.0:
+        with np.errstate(over="ignore"):  # a row that overflows is refused below
+            xs, ys, anchors = (np.round(v / snap) * snap for v in (xs, ys, anchors))
+        snapped = np.concatenate([xs, ys, anchors])
+        # the first row that is not finite raises (row 0, finite, when none)
+        as_vector(snapped[np.isfinite(snapped).all(axis=1).argmin()])
+    by_side = {"primal": {}, "dual": {}}
     for (side, cls, start, stop, radius), key in zip(layout, map(tuple, anchors.tolist())):
         # one record of the checked fields, taken as they are
-        hint = cls._records(*([field] for field in (*rows[start + 1:stop], *radius)))[0]
-        (primal_hints if side == "primal" else dual_hints)[key] = hint
-    if not all(np.isfinite(v).all() for v in (xs, ys, anchors)):
-        # quantizing overflowed; the checking constructor names what it hit
-        return LawGraph(list(zip(xs, ys)), primal_hints=primal_hints, dual_hints=dual_hints)
-    return LawGraph._from_arrays(xs, ys, primal_hints, dual_hints)
+        by_side[side][key] = cls._records(*([f] for f in (*rows[start + 1:stop], *radius)))[0]
+    return LawGraph._from_arrays(xs, ys, by_side["primal"], by_side["dual"])
 
 
 def _read_json(path):
@@ -414,10 +406,12 @@ def function_from_data(data):
 
 
 def cover_to_data(cover):
-    """CoverFile document for a cover."""
-    fam = cover.family
-    if isinstance(fam, _ScaleFamily):
-        dom = cover.domain
+    """CoverFile document for a cover. The file holds a quadratic or norm
+    family over an interval, and a separable or tabulated family over the
+    parameters it implies: {0}, or the table's own; any other pairing would
+    load as another cover, and is refused."""
+    fam, dom = cover.family, cover.domain
+    if isinstance(fam, _ScaleFamily) and isinstance(dom, ClosedInterval):
         lam = {"lo": dump_extended(dom.lo), "hi": dump_extended(dom.hi),
                "includes_infinity": dom.includes_infinity, "grid_points": dom.grid_points}
         # the log grid's ends, where they are not the ones lo and hi give
@@ -426,12 +420,12 @@ def cover_to_data(cover):
                 lam[key] = getattr(dom, key)
         return {"family": "quadratic" if isinstance(fam, QuadraticFamily) else "norm",
                 "dimension": fam.dim, "lambda_domain": lam}
-    if isinstance(fam, SeparableFamily):
+    if isinstance(fam, SeparableFamily) and dom == FiniteSet((0.0,)):
         data = {"family": "separable", "potential": function_to_data(fam.potential)}
         if isinstance(fam.potential, (Sampled, MaxAffine)):
             data["conjugate"] = function_to_data(fam.potential_star)
         return data
-    if isinstance(fam, TabulatedFamily):
+    if isinstance(fam, TabulatedFamily) and dom == FiniteSet(tuple(fam.table)):
         return {
             "family": "tabulated",
             "entries": [{"lambda": dump_extended(lam),
@@ -439,7 +433,16 @@ def cover_to_data(cover):
                          "conjugate": function_to_data(star)}
                         for lam, (phi, star) in fam.table.items()],
         }
-    raise FormatError(f"cannot serialize a cover over {type(fam).__name__}")
+    raise FormatError(f"cannot serialize a cover of {type(fam).__name__} over {dom!r}")
+
+
+def _as_format_error(build, *args, **kwargs):
+    """``build(*args, **kwargs)``; a ``ValueError`` it raises is raised again
+    as a :class:`FormatError` with the same text."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 def cover_from_data(data):
@@ -461,13 +464,9 @@ def cover_from_data(data):
                               f"got {include_inf!r}")
         grid_ends = [parse_finite(dom_data[key], f"lambda_domain.{key}") if key in dom_data
                      else None for key in ("grid_lo", "grid_hi")]
-        try:
-            dom = ClosedInterval(lo, hi, include_inf, grid_points, *grid_ends)
-        except ValueError as exc:
-            raise FormatError(str(exc)) from exc
+        dom = _as_format_error(ClosedInterval, lo, hi, include_inf, grid_points, *grid_ends)
         dim = _parse_field("dim", data.get("dimension", 1), "dimension")
-        fam = QuadraticFamily(dim) if family == "quadratic" else NormFamily(dim)
-        return Cover(dom, fam)
+        return Cover(dom, (QuadraticFamily if family == "quadratic" else NormFamily)(dim))
     if family == "separable":
         phi = function_from_data(data.get("potential"))
         dual_grid, primal_grid = (None if data.get(key) is None else
@@ -477,10 +476,7 @@ def cover_from_data(data):
         if conj is not None:
             fam = SeparableFamily(phi, function_from_data(conj))
             return Cover(FiniteSet((0.0,)), fam)
-        try:
-            return separable_cover(phi, dual_grid=dual_grid, primal_grid=primal_grid)
-        except ValueError as exc:
-            raise FormatError(str(exc)) from exc
+        return _as_format_error(separable_cover, phi, dual_grid=dual_grid, primal_grid=primal_grid)
     if family == "tabulated":
         entries = data.get("entries")
         if not isinstance(entries, list) or not entries:
@@ -492,10 +488,7 @@ def cover_from_data(data):
             rows.append((parse_extended(e.get("lambda"), f"entry {k} lambda"),
                          function_from_data(e.get("potential")),
                          function_from_data(e.get("conjugate"))))
-        try:
-            return tabulated_cover(rows)
-        except ValueError as exc:
-            raise FormatError(str(exc)) from exc
+        return _as_format_error(tabulated_cover, rows)
     raise FormatError(
         f"family must be quadratic, norm, separable or tabulated, got {family!r}")
 

@@ -94,14 +94,16 @@ def oracle_bic_check(cover, plan=None, tol=1e-9):
     accepting the mixed point, and ``candidate_dual`` in the second), the
     member parameters, the family's exact minimizers and finiteness
     boundaries, and finally the whole parameter grid, one
-    :func:`_oracle_member` per parameter. A block whose mixing weight is not
-    finite raises before any of its tuples.
+    :func:`_oracle_member` per parameter. A block whose parameters are NaN
+    or -inf, or then whose mixing weight is not finite, raises before any of
+    its tuples.
     """
     from bipotkit import (
         INF,
         BICCounterexample,
         BICReport,
         CandidateNotFoundError,
+        MinusInfinityError,
         default_probe_plan,
         inner,
     )
@@ -170,6 +172,10 @@ def oracle_bic_check(cover, plan=None, tol=1e-9):
     checked = 0
     for lam1, lam2 in plan.lam_pairs:
         for alpha in plan.alphas:
+            for name, lam in (("lambda1", lam1), ("lambda2", lam2)):
+                if math.isnan(lam) or lam == -INF:
+                    raise MinusInfinityError(
+                        f"{name} is {float(lam)}; only finite values and +inf are allowed")
             if not math.isfinite(alpha):
                 raise ValueError(f"alpha must be finite, got {float(alpha)}")
             for first, zs, fixeds in ((True, xs, ys), (False, ys, xs)):
@@ -370,6 +376,96 @@ def oracle_law_member(law, x, y, snap=0.0):
             if list(anchor) == at and oracle_hint_holds(hint, point, law.hint_tol):
                 return True
     return False
+
+
+def _oracle_number(c, what):
+    """The float of a file's number, or the message that refuses it."""
+    if isinstance(c, bool) or not isinstance(c, (int, float)):
+        return f"{what} must be a number, got {c!r}"
+    if isinstance(c, int) and abs(c) >= 2 ** 1024 - 2 ** 970:  # float() rounds it to 2**1024
+        return f"{what} must be finite, got an integer beyond the float range"
+    return float(c)
+
+
+def _oracle_vector(v, what, dim):
+    """The message of the first fault of a file's vector, or None."""
+    if not isinstance(v, (list, tuple)) or len(v) == 0:
+        return f"{what} must be a nonempty list of numbers"
+    for c in v:
+        f = _oracle_number(c, f"{what} coordinate")
+        if isinstance(f, str):
+            return f
+        if not math.isfinite(f):
+            return f"{what} coordinate must be finite, got {c!r}"
+    if len(v) != dim:
+        return f"{what} has {len(v)} coordinates, expected {dim}"
+    return None
+
+
+HINT_FIELDS = {"singleton": [("point", "singleton point")],
+               "segment": [("a", "segment end a"), ("b", "segment end b")],
+               "ball": [("center", "ball center"), ("radius", "ball radius")],
+               "ray": [("origin", "ray origin"), ("direction", "ray direction")]}
+
+
+def _oracle_hint(k, h, dim):
+    """The message of the first fault of slice hint k, or None: its side,
+    anchor, shape and params, then its fields in order, then the shape's own
+    rules (a nonnegative radius, a nonzero direction)."""
+    if not isinstance(h, dict):
+        return f"slice hint {k} must be an object"
+    side = h.get("side", "primal")
+    if side not in ("primal", "dual"):
+        return f"slice hint side must be primal or dual, got {side!r}"
+    fault = _oracle_vector(h.get("at"), f"slice hint {k} anchor", dim)
+    if fault:
+        return fault
+    shape = h.get("shape")
+    if not isinstance(shape, str) or shape not in HINT_FIELDS:
+        return f"hint shape must be one of {sorted(HINT_FIELDS)}, got {shape!r}"
+    params = h.get("params")
+    if not isinstance(params, dict):
+        return "hint needs a params object"
+    for name, what in HINT_FIELDS[shape]:
+        v = params.get(name)
+        if name != "radius":
+            fault = _oracle_vector(v, what, dim)
+        elif v == "inf":
+            fault = None
+        elif isinstance(v, bool) or not isinstance(v, (int, float)):
+            fault = f'{what} must be a number or "inf", got {v!r}'
+        elif isinstance(_oracle_number(v, what), str):
+            fault = _oracle_number(v, what)
+        elif not math.isfinite(v):
+            fault = f'{what} must be finite or the "inf" sentinel, got {v!r}'
+        elif v < 0:
+            fault = f"{what} must be nonnegative, got {float(v)}"
+        if fault:
+            return fault
+    if shape == "ray" and _square_sum([float(c) for c in params["direction"]]) == 0.0:
+        return "ray direction must be nonzero"
+    return None
+
+
+def oracle_law_fault(data):
+    """The message of the first fault among a law document's pairs and then
+    its slice hints, each item checked alone in file order, or None."""
+    dim = data["dimension"]
+    for k, pair in enumerate(data["pairs"]):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            return f"pair {k} must be [[x...], [y...]]"
+        for v, side in zip(pair, "xy"):
+            fault = _oracle_vector(v, f"pair {k} {side}", dim)
+            if fault:
+                return fault
+    hints = data.get("slice_hints", [])
+    if not isinstance(hints, list):
+        return "slice_hints must be a list"
+    for k, h in enumerate(hints):
+        fault = _oracle_hint(k, h, dim)
+        if fault:
+            return fault
+    return None
 
 
 def oracle_table(cover_or_kind, xs, ys, mode="analytic", snap=0.0):

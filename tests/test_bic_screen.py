@@ -561,3 +561,153 @@ def test_f_many_gives_the_same_bits_in_any_layout(case):
             flat = fam.f_many(at[b, ab, c], xi, yi)
         assert table.shape == at.shape
         assert [float(t).hex() for t in table.reshape(-1)[order]] == [float(t).hex() for t in flat]
+
+
+# ---------------------------------------------------------------------------
+# faults: the first faulty block raises, found by the screen's one pass
+
+
+def raised(fn):
+    """(type, message) of what ``fn()`` raises, with warnings as errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            fn()
+        except Exception as exc:  # any error, compared by type and message
+            return type(exc), str(exc)
+    return None
+
+
+def refusing(base, refused):
+    """``base`` whose candidate rule of slot s raises at each (s, lam1, lam2,
+    alpha) in ``refused``; named after the family it extends, whose members
+    the oracle evaluates."""
+    def rule(slot, name):
+        def call(self, lam1, lam2, alpha, z):
+            if (slot, lam1, lam2, alpha) in refused:
+                raise ValueError(f"slot {slot} refuses ({lam1}, {lam2}, {alpha})")
+            return getattr(base, name)(self, lam1, lam2, alpha, z)
+        return call
+
+    return type(base.__name__, (base,), {"candidate": rule(0, "candidate"),
+                                         "candidate_dual": rule(1, "candidate_dual")})
+
+
+MEMBERS = (0.5, 1.0, 2.0, 4.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_seeded_faults_raise_like_oracle(data):
+    # 1-3 faults at random blocks: an untabulated parameter (tabulated covers),
+    # a NaN or -inf parameter, a weight that is not finite, a candidate rule
+    # that raises (only the second slot's on a tabulated cover, whose first
+    # slot the oracle searches itself); the probes hold 0, where every member
+    # meets its gap, so the oracle reaches each block's rules
+    tabulated = data.draw(st.booleans(), "tabulated")
+    dim = data.draw(st.sampled_from([1, 2]), "dim")
+    pairs = [list(p) for p in data.draw(st.lists(st.tuples(*[st.sampled_from(MEMBERS)] * 2),
+                                                 min_size=1, max_size=4), "pairs")]
+    alphas = data.draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5]), min_size=1,
+                                max_size=3), "alphas")
+    kinds = ["untabulated"] * tabulated + ["lambda", "alpha", "rule"]
+    faults = data.draw(st.lists(st.tuples(st.sampled_from(kinds),
+                                          st.integers(0, len(pairs) * len(alphas) - 1),
+                                          st.integers(0, 1)), min_size=1, max_size=3), "faults")
+    rules = []
+    for kind, block, i in faults:
+        p, k = divmod(block, len(alphas))
+        if kind == "untabulated":
+            pairs[p][i] = 3.0
+        elif kind == "lambda":
+            pairs[p][i] = data.draw(st.sampled_from([np.nan, -INF]))
+        elif kind == "alpha":
+            alphas[k] = data.draw(st.sampled_from([np.nan, INF, -INF]))
+        else:
+            rules.append((p, k, 1 if tabulated else i))
+    refused = {(s, *pairs[p], alphas[k]) for p, k, s in rules}
+    if tabulated:
+        family = refusing(TabulatedFamily, refused)(
+            [(lam, Quadratic(lam, dim), Quadratic(1.0 / lam, dim)) for lam in MEMBERS])
+        cover = Cover(FiniteSet(MEMBERS), family)
+    else:
+        family = refusing(QuadraticFamily, refused)(dim)
+        cover = Cover(ClosedInterval(0.25, 8.0, grid_points=16), family)
+    plan = BICProbePlan(tuple(map(tuple, pairs)), tuple(alphas),
+                        tuple(embed_primal(s, dim) for s in (-1.0, 0.0, 1.0)),
+                        tuple(embed_dual(t, dim) for t in (-1.0, 0.0, 1.0)))
+    # a first-slot rule seeded where it is barred (a weight outside [0, 1])
+    # is never called, and then both return
+    want = raised(lambda: oracle_bic_check(cover, plan))
+    for chunk in (None, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk is not None:
+                mp.setattr(numerics, "SWEEP_CHUNK", chunk)
+            assert raised(lambda: bic_check(cover, plan)) == want, chunk
+
+
+def test_faults_of_a_plan_with_an_empty_axis():
+    # a parameter's or a weight's fault raises without a block to hold it;
+    # the right-side terms run only for a pair with a block
+    cover = tabulated("quadratic", (0.5, 1.0, 4.0), 1)
+    xs, ys = (embed_primal(0.0),), (embed_dual(1.0),)
+    with pytest.raises(MinusInfinityError, match=r"^lambda2 is nan; "):
+        bic_check(cover, BICProbePlan(((0.5, 1.0), (1.0, np.nan)), (), xs, ys))
+    report = bic_check(cover, BICProbePlan(((0.5, 1.0), (1.0, 3.0)), (), xs, ys))
+    assert report == bipotentials.BICReport(True, [], 0)
+    with pytest.raises(ValueError, match=r"^lambda 3\.0 is not tabulated$"):
+        bic_check(cover, BICProbePlan(((0.5, 1.0), (1.0, 3.0)), (0.5,), (), ys))
+    with pytest.raises(ValueError, match=r"^alpha must be finite, got nan$"):
+        bic_check(cover, BICProbePlan((), (0.5, np.nan), xs, ys))
+
+
+@pytest.mark.parametrize("lam_pairs, alphas, message", [
+    # the weight's block (pair 0, weight 1) comes before the NaN pair's (1, 0)
+    ([(0.5, 1.0), (np.nan, 1.0)], (0.5, np.nan), "alpha must be finite, got nan"),
+    # a faulty first pair holds the first block, its parameter before its weight
+    ([(np.nan, 1.0), (0.5, 1.0)], (np.nan, 0.5), "lambda1 is nan; "),
+    ([(1.0, -INF), (0.5, 1.0)], (0.5, INF), "lambda2 is -inf; "),
+])
+def test_a_weights_fault_and_a_pairs_fault_raise_in_plan_order(lam_pairs, alphas, message):
+    for cover in (quadratic_cover(dim=1, grid_points=32), tabulated("quadratic", (0.5, 1.0, 4.0), 1)):
+        plan = small_plan(1, lam_pairs, alphas)
+        assert raised(lambda: oracle_bic_check(cover, plan))[1].startswith(message)
+        assert raised(lambda: bic_check(cover, plan)) == raised(lambda: oracle_bic_check(cover, plan))
+
+
+def test_a_blocks_raising_rule_comes_before_its_own_stage_faults():
+    # block 1's first-slot candidate is NaN and its second-slot rule raises:
+    # the rules run once per block before its tuples are screened, so the
+    # rule's error wins (the tuple-by-tuple oracle, which calls a rule only
+    # at a tuple whose gaps hold, meets the NaN candidate first)
+    def candidate(self, lam1, lam2, alpha, y):
+        return np.nan if lam1 == 2.0 else QuadraticFamily.candidate(self, lam1, lam2, alpha, y)
+
+    def candidate_dual(self, lam1, lam2, alpha, x):
+        if lam1 == 2.0:
+            raise ValueError("the rule refuses")
+        return QuadraticFamily.candidate_dual(self, lam1, lam2, alpha, x)
+
+    family = type("QuadraticFamily", (QuadraticFamily,),
+                  {"candidate": candidate, "candidate_dual": candidate_dual})(1)
+    cover = Cover(ClosedInterval(0.25, 8.0, grid_points=16), family)
+    plan = small_plan(1, [(1.0, 1.0), (2.0, 4.0)], (0.5,))
+    for chunk in (None, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk is not None:
+                mp.setattr(numerics, "SWEEP_CHUNK", chunk)
+            assert raised(lambda: bic_check(cover, plan)) == (ValueError, "the rule refuses"), chunk
+
+
+def test_the_screen_runs_once_on_a_faulty_plan():
+    # 21 pairs by 3 weights whose last pair holds an untabulated parameter
+    cover = tabulated("quadratic", (0.5, 1.0, 4.0), 1)
+    pairs = [(a, b) for a in (0.5, 1.0, 4.0) for b in (0.5, 1.0, 4.0)] * 2
+    plan = small_plan(1, pairs + [(0.5, 1.0), (1.0, 4.0), (4.0, 3.0)], (0.0, 0.5, 1.0))
+    calls = []
+    screen = bipotentials._bic_screen
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bipotentials, "_bic_screen", lambda *args: calls.append(1) or screen(*args))
+        with pytest.raises(ValueError, match=r"^lambda 3\.0 is not tabulated$"):
+            bic_check(cover, plan)
+    assert len(plan.lam_pairs) == 21 and calls == [1]

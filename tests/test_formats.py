@@ -27,8 +27,10 @@ from bipotkit.convex import (
 from bipotkit.covers import (
     ClosedInterval,
     Cover,
+    FiniteSet,
     NormFamily,
     QuadraticFamily,
+    SeparableFamily,
     TabulatedFamily,
     norm_cover,
     quadratic_cover,
@@ -59,7 +61,7 @@ from bipotkit.formats import (
 from bipotkit.laws import Ball, FailingSlice, HalfLineRay, LawGraph, Segment, Singleton
 from bipotkit.numerics import INF, Record
 
-from .oracles import oracle_dumps, oracle_fmt, reference_to_jsonable
+from .oracles import oracle_dumps, oracle_fmt, oracle_law_fault, reference_to_jsonable
 
 
 def v(*coords):
@@ -240,6 +242,63 @@ def test_constructed_covers_survive_save_and_load(tmp_path, name):
     assert np.array_equal(back.domain.sample_grid, cover.domain.sample_grid)
     if not isinstance(cover.family, TabulatedFamily):
         assert back == cover
+
+
+def tabulated_family(lams, dim=1):
+    return TabulatedFamily([(lam, Quadratic(lam, dim), Quadratic(1.0 / lam, dim)) if lam < INF
+                            else (lam, IndicatorPoint(np.zeros(dim)), Affine(np.zeros(dim)))
+                            for lam in lams])
+
+
+DIMS = st.integers(1, 3)
+FAMILIES = st.one_of(
+    DIMS.map(QuadraticFamily),
+    DIMS.map(NormFamily),
+    st.builds(lambda scale, dim: separable_cover(Quadratic(scale, dim)).family,
+              st.sampled_from([0.5, 2.0]), DIMS),
+    st.builds(tabulated_family, st.lists(st.sampled_from([0.5, 1.0, 4.0, INF]), min_size=1,
+                                         max_size=3, unique=True), DIMS),
+)
+INTERVALS = st.builds(ClosedInterval, lo=st.sampled_from([0.0, 0.5, 1.0]),
+                      hi=st.sampled_from([1.0, 2.0, 5.0, INF]), includes_infinity=st.booleans(),
+                      grid_points=st.integers(2, 6), grid_lo=st.sampled_from([None, 0.25, 1.0]),
+                      grid_hi=st.sampled_from([None, 2.0, 8.0]))
+FINITE_SETS = st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0, INF]), min_size=1,
+                       max_size=4).map(lambda values: FiniteSet(tuple(values)))
+
+
+def own_domain(family):
+    """The domain a file implies for a separable or tabulated family."""
+    if isinstance(family, SeparableFamily):
+        return FiniteSet((0.0,))
+    return FiniteSet(tuple(family.table)) if isinstance(family, TabulatedFamily) else None
+
+
+@settings(max_examples=150, deadline=None)
+@example(family=QuadraticFamily(1), domain=FiniteSet((1.0, 2.0)))
+@example(family=tabulated_family([1.0, 4.0]), domain=ClosedInterval(0.5, 5.0))
+@given(family=FAMILIES, domain=st.one_of(INTERVALS, FINITE_SETS, st.none()))
+def test_covers_of_each_family_and_domain_round_trip_or_are_refused(tmp_path_factory, family,
+                                                                    domain):
+    # every family on either domain type, or (None) on the domain its file
+    # implies: save_cover refuses the cover, or loads back an equal cover
+    # that saves to the same text; the pairings the constructors make save
+    if domain is None:
+        domain = own_domain(family) or ClosedInterval(0.0, INF, True, 8)
+    cover = Cover(domain, family)
+    path = tmp_path_factory.getbasetemp() / "round-trip-cover.json"
+    try:
+        save_cover(cover, path)
+    except FormatError as exc:
+        assert str(exc) == f"cannot serialize a cover of {type(family).__name__} over {domain!r}"
+        scale = isinstance(family, (QuadraticFamily, NormFamily))
+        assert domain != own_domain(family) and not (scale and isinstance(domain, ClosedInterval))
+        return
+    text = path.read_text()
+    back = load_cover(path)
+    assert back == cover
+    save_cover(back, path)
+    assert path.read_text() == text
 
 
 def test_load_law_malformed_json(tmp_path):
@@ -652,6 +711,16 @@ def test_the_earliest_of_several_bad_pairs_is_reported():
         law_from_data(long_law(200, [[0.0, 10 ** 400], [1.0, 2.0]]))
 
 
+def test_an_integer_beyond_the_float_range_beside_a_numpy_float():
+    # once float64 refuses the integer, only integers are compared with the
+    # float range: a numpy float against one would raise OverflowError
+    data = long_law(200, [[0.0, 10 ** 400], [1.0, 2.0]])
+    data["pairs"][100] = [[np.float64(np.nan), 0.0], [1.0, 2.0]]
+    with pytest.raises(FormatError) as exc:
+        law_from_data(data)
+    assert str(exc.value) == f"pair 100 x coordinate must be finite, got {np.float64(np.nan)!r}"
+
+
 @pytest.mark.parametrize("data, message", [
     ({"dimension": 1, "pairs": [[[0.0], [0.0]]], "snap_tolerance": -1.0},
      "snap_tolerance must be nonnegative, got -1.0"),
@@ -698,9 +767,25 @@ def test_bad_hints_keep_their_messages(hint, message):
 def test_snapping_that_overflows_names_the_first_pair():
     data = {"dimension": 1, "snap_tolerance": 1e-300,
             "pairs": [[[1.0], [2.0]], [[1.0], [1e12]], [[1e10], [1.0]]]}
-    with np.errstate(over="ignore"), pytest.raises(ValueError) as exc:
+    with pytest.raises(ValueError) as exc:
         law_from_data(data)
     assert str(exc.value) == "vector coordinates must be finite, got [inf]"
+
+
+def test_snapping_that_overflows_names_a_primal_anchor_before_a_dual_one():
+    # the pairs snap to finite rows; of two anchors that overflow, the dual
+    # one first in the file, the primal one is named, then a pair before both
+    hints = [{"at": [0.0, 1e12], "side": "dual", "shape": "singleton", "params": {"point": [1.0, 0.0]}},
+             {"at": [1e12, 0.0], "shape": "singleton", "params": {"point": [0.0, 1.0]}}]
+    data = {"dimension": 2, "snap_tolerance": 1e-300, "slice_hints": hints,
+            "pairs": [[[1.0, 0.0], [0.0, 1.0]], [[2.0, 0.0], [0.0, 2.0]]]}
+    with pytest.raises(ValueError) as exc:
+        law_from_data(data)
+    assert str(exc.value) == "vector coordinates must be finite, got [inf, 0.0]"
+    data["pairs"][1][0][1] = 1e13
+    with pytest.raises(ValueError) as exc:
+        law_from_data(data)
+    assert str(exc.value) == "vector coordinates must be finite, got [1.9999999999999998, inf]"
 
 
 def reference_law(data):
@@ -985,6 +1070,26 @@ def test_injected_faults_report_the_earliest(data):
     with pytest.raises(ValueError) as exc:
         law_from_data(law)
     assert str(exc.value) == messages[min(spots)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_faults_are_named_like_the_per_item_oracle(data):
+    law = hinted_law(m=30)
+    assert oracle_law_fault(law) is None
+    m, n_hints = len(law["pairs"]), len(law["slice_hints"])
+    # 1-3 items in file order (the pairs, then the hints) take a fault each
+    for spot in data.draw(st.lists(st.integers(0, m + n_hints - 1), min_size=1, max_size=3,
+                                   unique=True)):
+        if spot < m:
+            law["pairs"][spot] = data.draw(st.sampled_from(PAIR_FAULTS))[0]
+        else:
+            law["slice_hints"][spot - m] = data.draw(st.sampled_from(HINT_FAULTS))[0]
+    want = oracle_law_fault(law)
+    assert want is not None
+    with pytest.raises(ValueError) as exc:
+        law_from_data(law)
+    assert str(exc.value) == want
 
 
 def test_number_subclasses_load_like_their_values():
